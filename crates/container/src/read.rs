@@ -121,8 +121,10 @@ fn install_layers(
             tap.act_quant_skip = entry.act_format_skip.map(TensorQuantizer::into_act_fn);
         }
         if entry.weight_format.is_some() {
-            let result = packed_from_entry(entry, weights)
-                .and_then(|packed| try_install_prebuilt(layer, packed, entry.act_format.as_ref()));
+            let result = packed_from_entry(entry, weights).and_then(|packed| {
+                let (act, act_skip) = (entry.act_format.as_ref(), entry.act_format_skip.as_ref());
+                try_install_prebuilt(layer, packed, act, act_skip)
+            });
             match result {
                 Ok(info) => pack.layers.push(info),
                 Err(e) => failed = Some(e),

@@ -36,6 +36,11 @@ fn roundtrip_ddim(cfg: PtqConfig, what: &str) {
         pack.fused_act_layers(),
         "{what}: fused-layer count must survive the roundtrip"
     );
+    assert_eq!(
+        loaded.pack.fused_act_layers(),
+        loaded.pack.layers.len(),
+        "{what}: every loaded layer, split ones included, must quantize in its kernel"
+    );
     let SimPipeline::Ddim(q) = &loaded.pipeline else { panic!("{what}: wrong pipeline kind") };
     let got = q.generate_seeded(&[41, 42], 4, 2);
     assert_bits_eq(&got, &want, what);
@@ -84,6 +89,7 @@ fn sd_int8_bit_identity() {
         vec!["a red ball in a dark room".to_string(), "a blue box in a bright room".to_string()];
     let want = p.generate_seeded(&prompts, &[5, 6], 3, 2);
     let loaded = load_bytes(Bytes::from(image)).unwrap();
+    assert_eq!(loaded.pack.fused_act_layers(), loaded.pack.layers.len(), "sd int8: all fused");
     let SimPipeline::Sd(q) = &loaded.pipeline else { panic!("wrong kind") };
     assert_eq!(q.guidance, p.guidance);
     assert_bits_eq(&q.generate_seeded(&prompts, &[5, 6], 3, 2), &want, "sd int8");

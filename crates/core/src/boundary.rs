@@ -4,24 +4,44 @@
 //! [`FpFormat::quantize_scalar`] pays a `log2` + `powf` per element, which
 //! the kernels bench shows dominating the weight+activation GEMM path.
 //! A [`BoundaryQuantizer`] precomputes, once per format, the *decision
-//! boundary* between every adjacent pair of representable values — found
-//! by exact bit-level bisection against the reference quantizer, the same
-//! technique the packed weight encoder in `fpdq-kernels` uses — so
-//! quantizing an element is a table bisection over presorted `f32`s:
-//! no `log2`, no `powf`, no data-dependent branches beyond the search.
+//! boundary* between every adjacent pair of representable values — the
+//! exact smallest `f32` that quantizes past the lower value, searched on
+//! order keys against the reference quantizer — so quantizing an element
+//! is a table bisection over presorted `f32`s: no `log2`, no `powf`, no
+//! data-dependent branches beyond the search.
+//!
+//! # Construction: bracket, then bisect
+//!
+//! Under round-to-nearest a boundary sits within a few ULPs of the
+//! arithmetic midpoint of its value pair. The search therefore starts at
+//! that midpoint and gallops outward (1, 2, 4, … order-key steps) until
+//! the reference quantizer brackets the transition, then bisects inside
+//! the bracket — typically a handful of reference calls per boundary
+//! instead of a 32-step bisection over the whole float line. The
+//! reference oracle is monotone, so its transition point is unique and
+//! any bracket containing it bisects to the same float: the tables are
+//! bitwise identical to the full-range bisection (kept as a test
+//! reference).
+//!
+//! # Slice path: compact bucket stripes
 //!
 //! The table covers the full *signed* value line (INT formats are
 //! asymmetric), and the slice path accelerates the search with a
 //! 512-bucket index over the sign+exponent byte of the input, leaving at
 //! most one binade of boundaries (≤ 2^m + 1 entries for FP formats) to
-//! scan branch-free per element. INT formats take an arithmetic shortcut
-//! that evaluates the *identical* float expression as
-//! [`IntFormat::quantize_scalar`].
+//! scan branch-free per element in a fixed-width, `+∞`-padded stripe.
+//! Only buckets that own a boundary store a stripe; every empty bucket
+//! points at one shared all-`+∞` stripe (which counts nothing), so an
+//! FP8 table holds a few dozen stripes instead of 512. INT formats take
+//! an arithmetic shortcut that evaluates the *identical* float
+//! expression as [`IntFormat::quantize_scalar`].
 //!
 //! [`PanelQuantizer`] lifts this to the granularity the fused GEMM/conv
-//! kernels need: one shared table (per-tensor, the paper's configuration)
-//! or one table per channel (the per-channel ablation), applied to
-//! activation micro-panels as they stream through the tile loop.
+//! kernels need: one shared table (per-tensor, the paper's configuration),
+//! one table per channel (the per-channel ablation), or a trunk table and
+//! a skip table on either side of a skip-connection concatenation's split
+//! channel (the paper's split quantization), applied to activation
+//! micro-panels as they stream through the tile loop.
 
 use crate::format::FpFormat;
 use crate::int::IntFormat;
@@ -53,6 +73,120 @@ fn key_to_float(k: u32) -> f32 {
     }
 }
 
+/// The reference quantizer an FP table is built against:
+/// [`FpFormat::quantize_scalar`] with `-0.0` canonicalised to `+0.0` (see
+/// the type docs of [`BoundaryQuantizer`]).
+fn fp_oracle(fmt: FpFormat) -> impl Fn(f32) -> f32 {
+    move |x| {
+        let q = fmt.quantize_scalar(x);
+        if q == 0.0 {
+            0.0
+        } else {
+            q
+        }
+    }
+}
+
+/// Finds the smallest order key in `(order_key(-f32::MAX),
+/// order_key(f32::MAX)]` at which the monotone predicate `above` turns
+/// true. The caller guarantees `above` is false at the lower end and true
+/// at the upper end, which is what makes the answer unique.
+type KeySearch = fn(&dyn Fn(u32) -> bool, u32) -> u32;
+
+/// The boundary after every value of the ascending `values`:
+/// `boundaries[i]` is the smallest float whose reference quantization
+/// lands past `values[i]` (`-∞` when `values[i]` is unreachable from
+/// below, `+∞` when `values[i + 1]` is unreachable from above). `search`
+/// locates each transition, starting from the order key of the pair's
+/// arithmetic midpoint.
+fn search_boundaries(values: &[f32], quantize: impl Fn(f32) -> f32, search: KeySearch) -> Vec<f32> {
+    assert!(!values.is_empty(), "value table must be non-empty");
+    // Nearest-index oracle (as the packed-weight encoder uses): for
+    // inputs within one ULP of a binade edge, `floor(log2|x| + b)` can
+    // land one binade off and the reference then emits a ULP-sized
+    // variant of the adjacent grid value. Snapping such phantom outputs
+    // to the nearest table entry keeps the oracle monotone; everywhere
+    // the reference outputs a table value — all inputs but those edge
+    // slivers — the boundaries stay exact.
+    let index_of = |x: f32| {
+        let q = quantize(x);
+        match values.binary_search_by(|v| v.total_cmp(&q)) {
+            Ok(i) => i,
+            Err(0) => 0,
+            Err(i) if i >= values.len() => values.len() - 1,
+            Err(i) => {
+                if (q - values[i - 1]).abs() <= (values[i] - q).abs() {
+                    i - 1
+                } else {
+                    i
+                }
+            }
+        }
+    };
+    let bottom = index_of(-f32::MAX);
+    let top = index_of(f32::MAX);
+    (0..values.len() - 1)
+        .map(|i| {
+            if i < bottom {
+                // values[i] is unreachable from below: every input already
+                // maps past it.
+                f32::NEG_INFINITY
+            } else if top <= i {
+                // values[i + 1] is unreachable from above.
+                f32::INFINITY
+            } else {
+                // bottom <= i < top: the predicate is false at -MAX and
+                // true at +MAX, as the search requires.
+                let mid = ((f64::from(values[i]) + f64::from(values[i + 1])) * 0.5) as f32;
+                key_to_float(search(&|k| index_of(key_to_float(k)) > i, order_key(mid)))
+            }
+        })
+        .collect()
+}
+
+/// [`KeySearch`] by galloping from `start` to a bracket — steps of 1, 2,
+/// 4, … order keys toward the transition, clamped to the finite line —
+/// then bisecting inside it. Near-midpoint boundaries cost a few
+/// predicate calls instead of 32.
+fn gallop_search(above: &dyn Fn(u32) -> bool, start: u32) -> u32 {
+    let (kmin, kmax) = (order_key(-f32::MAX), order_key(f32::MAX));
+    let start = start.clamp(kmin, kmax);
+    // Invariant: `above(lb)` is false and `above(ub)` is true (the ends
+    // of the line hold them by the caller's guarantee).
+    let (mut lb, mut ub);
+    let mut step = 1u32;
+    if above(start) {
+        ub = start;
+        loop {
+            lb = ub.saturating_sub(step).max(kmin);
+            if lb == kmin || !above(lb) {
+                break;
+            }
+            ub = lb;
+            step = step.saturating_mul(2);
+        }
+    } else {
+        lb = start;
+        loop {
+            ub = lb.saturating_add(step).min(kmax);
+            if ub == kmax || above(ub) {
+                break;
+            }
+            lb = ub;
+            step = step.saturating_mul(2);
+        }
+    }
+    while ub - lb > 1 {
+        let mid = lb + (ub - lb) / 2;
+        if above(mid) {
+            ub = mid;
+        } else {
+            lb = mid;
+        }
+    }
+    ub
+}
+
 /// Number of sign+exponent buckets in the slice-path index (9 top bits of
 /// the order key: 1 sign × 8 exponent).
 const BUCKETS: usize = 512;
@@ -65,11 +199,13 @@ const PAD_LANES: usize = 8;
 /// expression as [`IntFormat::quantize_scalar`]), or the FP bucket index.
 #[derive(Clone, Debug)]
 enum FastPath {
-    /// Bucketed boundary search (FP formats): `lo[t]` counts boundaries
-    /// in buckets below `t`; `pad` stores each bucket's boundaries in a
-    /// fixed `pad_w`-wide stripe (padded with `+∞`), so the per-element
+    /// Bucketed boundary search (FP formats): `index[t] = (lo, start)`,
+    /// where `lo` counts the boundaries in buckets below `t` and
+    /// `pad[start..start + pad_w]` is bucket `t`'s stripe — its
+    /// boundaries padded with `+∞` to a fixed width, so the per-element
     /// count is a branch-free fixed-width sweep the compiler vectorises.
-    Buckets { lo: Vec<u32>, pad: Vec<f32>, pad_w: usize },
+    /// Empty buckets share the all-`+∞` stripe at `start = 0`.
+    Buckets { index: Vec<(u32, u32)>, pad: Vec<f32>, pad_w: usize },
     /// Direct affine rounding (INT formats).
     Affine { scale: f32, zero_point: f32, qmax: f32 },
 }
@@ -94,14 +230,7 @@ pub struct BoundaryQuantizer {
 impl BoundaryQuantizer {
     /// Builds the table for a floating-point format.
     pub fn from_fp(fmt: FpFormat) -> Self {
-        let quantize = move |x: f32| {
-            let q = fmt.quantize_scalar(x);
-            if q == 0.0 {
-                0.0 // canonicalise -0.0 (see module docs)
-            } else {
-                q
-            }
-        };
+        let quantize = fp_oracle(fmt);
         // Project the enumeration through the quantizer itself: for
         // searched fractional biases the clip maximum `c` (eq. 7) and the
         // enumerated top magnitude are computed by different float
@@ -114,7 +243,7 @@ impl BoundaryQuantizer {
             .iter()
             .flat_map(|&v| [v, -v])
             .chain([f32::MAX, -f32::MAX])
-            .map(quantize)
+            .map(&quantize)
             .collect();
         values.sort_by(f32::total_cmp);
         values.dedup();
@@ -141,8 +270,8 @@ impl BoundaryQuantizer {
     }
 
     /// Returns a cached table for `q`, building it on first use. Formats
-    /// repeat across layers and sampling steps, so the bisection cost is
-    /// paid once per distinct format per process.
+    /// repeat across layers and sampling steps, so the construction cost
+    /// is paid once per distinct format per process.
     pub fn cached(q: &TensorQuantizer) -> Arc<BoundaryQuantizer> {
         static CACHE: Mutex<Vec<(TensorQuantizer, Arc<BoundaryQuantizer>)>> =
             Mutex::new(Vec::new());
@@ -161,75 +290,26 @@ impl BoundaryQuantizer {
         bq
     }
 
-    /// Core construction: bisect the exact boundary between every adjacent
-    /// pair of `values` against the (monotone) reference quantizer.
+    /// Core construction: the exact boundary between every adjacent pair
+    /// of `values` against the (monotone) reference quantizer, bracketed
+    /// from the pair's midpoint and bisected ([`gallop_search`]).
     fn from_reference(
         values: Vec<f32>,
         quantize: impl Fn(f32) -> f32,
         nan_value: f32,
         fast: Option<FastPath>,
     ) -> Self {
-        assert!(!values.is_empty(), "value table must be non-empty");
-        // Nearest-index oracle (as the packed-weight encoder uses): for
-        // inputs within one ULP of a binade edge, `floor(log2|x| + b)`
-        // can land one binade off and the reference then emits a
-        // ULP-sized variant of the adjacent grid value. Snapping such
-        // phantom outputs to the nearest table entry keeps the oracle
-        // monotone; everywhere the reference outputs a table value — all
-        // inputs but those edge slivers — the boundaries stay exact.
-        let index_of = |x: f32| {
-            let q = quantize(x);
-            match values.binary_search_by(|v| v.total_cmp(&q)) {
-                Ok(i) => i,
-                Err(0) => 0,
-                Err(i) if i >= values.len() => values.len() - 1,
-                Err(i) => {
-                    if (q - values[i - 1]).abs() <= (values[i] - q).abs() {
-                        i - 1
-                    } else {
-                        i
-                    }
-                }
-            }
-        };
-        let bottom = index_of(-f32::MAX);
-        let top = index_of(f32::MAX);
-        let mut boundaries = Vec::with_capacity(values.len().saturating_sub(1));
-        for i in 0..values.len().saturating_sub(1) {
-            if i < bottom {
-                // values[i] is unreachable from below: every input already
-                // maps past it.
-                boundaries.push(f32::NEG_INFINITY);
-                continue;
-            }
-            if top <= i {
-                // values[i + 1] is unreachable from above.
-                boundaries.push(f32::INFINITY);
-                continue;
-            }
-            // Smallest float whose index exceeds i: bisect on order keys
-            // (exactly as the packed-weight encoder does on magnitudes).
-            let mut lb = order_key(-f32::MAX);
-            let mut ub = order_key(f32::MAX);
-            while ub - lb > 1 {
-                let mid = lb + (ub - lb) / 2;
-                if index_of(key_to_float(mid)) > i {
-                    ub = mid;
-                } else {
-                    lb = mid;
-                }
-            }
-            boundaries.push(key_to_float(ub));
-        }
+        let boundaries = search_boundaries(&values, quantize, gallop_search);
         let fast = fast.unwrap_or_else(|| Self::build_buckets(&boundaries));
         BoundaryQuantizer { values, boundaries, nan_value, fast }
     }
 
-    /// `lo[t]` = number of boundaries whose order-key top-9-bits are
-    /// below `t`, so bucket `t` owns at most one sign+binade of entries
-    /// (≤ 2^m + 1 for an FP format). Those entries are copied into a
-    /// fixed-width `pad` stripe per bucket, `+∞`-padded, so the slice
-    /// path counts them without a data-dependent loop bound.
+    /// Counts the boundaries of each bucket (the order-key top 9 bits, so
+    /// bucket `t` owns at most one sign+binade of entries: ≤ 2^m + 1 for
+    /// an FP format) and copies each populated bucket's entries into its
+    /// own fixed-width, `+∞`-padded stripe, so the slice path counts them
+    /// without a data-dependent loop bound. Empty buckets share the
+    /// leading all-`+∞` stripe.
     fn build_buckets(boundaries: &[f32]) -> FastPath {
         let mut lo = vec![0u32; BUCKETS + 1];
         for &b in boundaries {
@@ -241,12 +321,21 @@ impl BoundaryQuantizer {
         }
         let widest = (0..BUCKETS).map(|t| (lo[t + 1] - lo[t]) as usize).max().unwrap_or(0);
         let pad_w = widest.next_multiple_of(PAD_LANES).max(PAD_LANES);
-        let mut pad = vec![f32::INFINITY; BUCKETS * pad_w];
-        for (i, &b) in boundaries.iter().enumerate() {
-            let t = (order_key(b) >> 23) as usize;
-            pad[t * pad_w + (i - lo[t] as usize)] = b;
-        }
-        FastPath::Buckets { lo, pad, pad_w }
+        let mut pad = vec![f32::INFINITY; pad_w];
+        let index = (0..BUCKETS)
+            .map(|t| {
+                // Boundaries ascend, so bucket `t` owns one contiguous run.
+                let own = &boundaries[lo[t] as usize..lo[t + 1] as usize];
+                if own.is_empty() {
+                    return (lo[t], 0);
+                }
+                let start = pad.len();
+                pad.extend_from_slice(own);
+                pad.resize(start + pad_w, f32::INFINITY);
+                (lo[t], start as u32)
+            })
+            .collect();
+        FastPath::Buckets { index, pad, pad_w }
     }
 
     /// The representable values, ascending.
@@ -311,7 +400,7 @@ impl BoundaryQuantizer {
                     };
                 }
             }
-            FastPath::Buckets { lo, pad, pad_w } => {
+            FastPath::Buckets { index, pad, pad_w } => {
                 let pad_w = *pad_w;
                 #[cfg(target_arch = "x86_64")]
                 if isa == Isa::Avx2 && isa.is_supported() {
@@ -320,7 +409,7 @@ impl BoundaryQuantizer {
                     unsafe {
                         avx2::quantize_buckets(
                             &self.values,
-                            lo,
+                            index,
                             pad,
                             pad_w,
                             self.nan_value,
@@ -335,14 +424,15 @@ impl BoundaryQuantizer {
                         self.nan_value
                     } else {
                         let v = v.clamp(-f32::MAX, f32::MAX);
-                        let t = (order_key(v) >> 23) as usize;
+                        let (lo, start) = index[(order_key(v) >> 23) as usize];
                         // Branch-free count within the (≤ one binade)
                         // bucket: every boundary below the bucket is ≤ v
                         // by construction, and the `+∞` padding never
                         // counts. Fixed 8-lane blocks keep the sweep
                         // vectorisable.
-                        let mut idx = lo[t] as usize;
-                        for block in pad[t * pad_w..(t + 1) * pad_w].chunks_exact(PAD_LANES) {
+                        let mut idx = lo as usize;
+                        let start = start as usize;
+                        for block in pad[start..start + pad_w].chunks_exact(PAD_LANES) {
                             let mut cnt = 0usize;
                             for &b in block {
                                 cnt += usize::from(b <= v);
@@ -379,13 +469,14 @@ mod avx2 {
     /// # Safety
     ///
     /// Requires AVX2 + POPCNT at runtime; `src`/`dst` must have equal
-    /// lengths and `pad` must be `BUCKETS * pad_w` long with `pad_w` a
+    /// lengths, `index` must hold one `(lo, start)` per bucket with every
+    /// `pad[start..start + pad_w]` in bounds, and `pad_w` must be a
     /// multiple of [`super::PAD_LANES`] (guaranteed by
     /// [`super::BoundaryQuantizer::build_buckets`]).
     #[target_feature(enable = "avx2,popcnt")]
     pub(super) unsafe fn quantize_buckets(
         values: &[f32],
-        lo: &[u32],
+        index: &[(u32, u32)],
         pad: &[f32],
         pad_w: usize,
         nan_value: f32,
@@ -397,10 +488,10 @@ mod avx2 {
                 nan_value
             } else {
                 let v = v.clamp(-f32::MAX, f32::MAX);
-                let t = (order_key(v) >> 23) as usize;
+                let (lo, start) = index[(order_key(v) >> 23) as usize];
                 let vv = _mm256_set1_ps(v);
-                let mut idx = lo[t] as usize;
-                let stripe = &pad[t * pad_w..(t + 1) * pad_w];
+                let mut idx = lo as usize;
+                let stripe = &pad[start as usize..start as usize + pad_w];
                 for block in stripe.chunks_exact(super::PAD_LANES) {
                     // b <= v is false for the +∞ padding and for NaN-free
                     // inputs exactly matches the scalar `b <= v` count.
@@ -416,16 +507,20 @@ mod avx2 {
 
 /// Activation quantization at the granularity of a streaming micro-panel:
 /// one boundary table shared by every element (per-tensor, the paper's
-/// choice) or one per channel (the per-channel ablation).
+/// choice), one per channel (the per-channel ablation), or one per half
+/// of a skip-connection concatenation (the paper's split quantization).
 #[derive(Clone, Debug)]
 pub struct PanelQuantizer {
-    quants: Vec<Arc<BoundaryQuantizer>>,
+    /// Consecutive channels sharing a table, as `(channel count, table)`
+    /// runs in channel order; one run quantizes a whole run-length of
+    /// channel groups in a single slice call.
+    runs: Vec<(usize, Arc<BoundaryQuantizer>)>,
 }
 
 impl PanelQuantizer {
     /// Per-tensor granularity: one table for every element.
     pub fn per_tensor(q: &TensorQuantizer) -> Self {
-        PanelQuantizer { quants: vec![BoundaryQuantizer::cached(q)] }
+        PanelQuantizer { runs: vec![(1, BoundaryQuantizer::cached(q))] }
     }
 
     /// Per-channel granularity: `formats[c]` quantizes channel `c`.
@@ -435,12 +530,39 @@ impl PanelQuantizer {
     /// Panics if `formats` is empty.
     pub fn per_channel(formats: &[TensorQuantizer]) -> Self {
         assert!(!formats.is_empty(), "per-channel quantizer needs at least one channel");
-        PanelQuantizer { quants: formats.iter().map(BoundaryQuantizer::cached).collect() }
+        let mut runs: Vec<(usize, TensorQuantizer)> = Vec::new();
+        for &f in formats {
+            match runs.last_mut() {
+                Some((n, last)) if *last == f => *n += 1,
+                _ => runs.push((1, f)),
+            }
+        }
+        PanelQuantizer {
+            runs: runs.iter().map(|(n, f)| (*n, BoundaryQuantizer::cached(f))).collect(),
+        }
     }
 
-    /// Number of channel tables (1 = per-tensor).
+    /// Split quantization of a `channels`-wide `concat(trunk, skip)`
+    /// input: channels `[0, at)` through `trunk`, `[at, channels)` through
+    /// `skip`. When `at >= channels` there is no skip half and the whole
+    /// input takes `trunk` per tensor — exactly the layer tap's rule.
+    pub fn split(
+        trunk: &TensorQuantizer,
+        skip: &TensorQuantizer,
+        at: usize,
+        channels: usize,
+    ) -> Self {
+        if at >= channels {
+            return Self::per_tensor(trunk);
+        }
+        let formats: Vec<TensorQuantizer> =
+            (0..channels).map(|ch| if ch < at { *trunk } else { *skip }).collect();
+        Self::per_channel(&formats)
+    }
+
+    /// Number of channels the tables cover (1 = per-tensor).
     pub fn channels(&self) -> usize {
-        self.quants.len()
+        self.runs.iter().map(|(n, _)| n).sum()
     }
 
     /// Quantizes a flat panel where the element at index `i` belongs to
@@ -464,23 +586,25 @@ impl PanelQuantizer {
     /// Panics if lengths differ or `group` is zero for a per-channel
     /// quantizer.
     pub fn quantize_panel_into_as(&self, isa: Isa, src: &[f32], dst: &mut [f32], group: usize) {
-        if let [only] = self.quants.as_slice() {
+        if let [(_, only)] = self.runs.as_slice() {
             only.quantize_slice_into_as(isa, src, dst);
             return;
         }
         assert!(group > 0, "channel group must be positive");
         assert_eq!(src.len(), dst.len(), "quantize panel length mismatch");
         let mut offset = 0usize;
-        let mut chan = 0usize;
+        // One pass over the runs per channel cycle (a GEMM panel holds
+        // several rows, each a full cycle of `group = 1` channels).
         while offset < src.len() {
-            let n = group.min(src.len() - offset);
-            self.quants[chan % self.quants.len()].quantize_slice_into_as(
-                isa,
-                &src[offset..offset + n],
-                &mut dst[offset..offset + n],
-            );
-            offset += n;
-            chan += 1;
+            for (count, q) in &self.runs {
+                let n = (count * group).min(src.len() - offset);
+                q.quantize_slice_into_as(
+                    isa,
+                    &src[offset..offset + n],
+                    &mut dst[offset..offset + n],
+                );
+                offset += n;
+            }
         }
     }
 }
@@ -512,6 +636,163 @@ mod tests {
             return;
         }
         assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: {a} vs {b}");
+    }
+
+    /// The full-range reference search: a plain bisection over the whole
+    /// finite order-key line, ignoring the start key.
+    fn bisect_search(above: &dyn Fn(u32) -> bool, _start: u32) -> u32 {
+        let mut lb = order_key(-f32::MAX);
+        let mut ub = order_key(f32::MAX);
+        while ub - lb > 1 {
+            let mid = lb + (ub - lb) / 2;
+            if above(mid) {
+                ub = mid;
+            } else {
+                lb = mid;
+            }
+        }
+        ub
+    }
+
+    fn int_formats() -> Vec<IntFormat> {
+        let mut out = Vec::new();
+        for bits in [3u32, 4, 8] {
+            for (lo, hi) in [(-1.0f32, 1.0f32), (-0.3, 2.7), (0.0, 5.0), (-4.0, 0.0), (-1e-3, 7e-4)]
+            {
+                out.push(IntFormat::from_range(bits, lo, hi));
+            }
+        }
+        out
+    }
+
+    /// Every ExMy split from 4 to 8 bits at its standard bias and at
+    /// fractional biases around it, plus the hand-picked edge formats.
+    fn sweep_fp_formats() -> Vec<FpFormat> {
+        let mut out = fp_formats();
+        for bits in 4u32..=8 {
+            for e in 1..bits - 1 {
+                let m = bits - 1 - e;
+                let std = FpFormat::new(e, m).bias();
+                for delta in [0.0f32, -1.75, 0.37, 2.5] {
+                    out.push(FpFormat::with_bias(e, m, std + delta));
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_bits(got: &[f32], want: &[f32], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{ctx} entry {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn galloping_tables_match_full_range_bisection() {
+        for fmt in sweep_fp_formats() {
+            let bq = BoundaryQuantizer::from_fp(fmt);
+            let want = search_boundaries(bq.values(), fp_oracle(fmt), bisect_search);
+            assert_bits(bq.boundaries(), &want, &format!("{fmt}"));
+        }
+        for fmt in int_formats() {
+            let bq = BoundaryQuantizer::from_int(fmt);
+            let want = search_boundaries(bq.values(), |x| fmt.quantize_scalar(x), bisect_search);
+            assert_bits(bq.boundaries(), &want, &format!("{fmt}"));
+        }
+    }
+
+    #[test]
+    fn galloping_tables_keep_the_value_tables() {
+        // The value line is the projected enumeration, independent of the
+        // boundary search; pin it against a direct rebuild.
+        for fmt in fp_formats() {
+            let q = fp_oracle(fmt);
+            let mut want: Vec<f32> = fmt
+                .enumerate_non_negative()
+                .iter()
+                .flat_map(|&v| [v, -v])
+                .chain([f32::MAX, -f32::MAX])
+                .map(&q)
+                .collect();
+            want.sort_by(f32::total_cmp);
+            want.dedup();
+            assert_bits(BoundaryQuantizer::from_fp(fmt).values(), &want, &format!("{fmt}"));
+        }
+    }
+
+    #[test]
+    fn empty_buckets_share_one_infinite_stripe() {
+        for fmt in sweep_fp_formats() {
+            let bq = BoundaryQuantizer::from_fp(fmt);
+            let FastPath::Buckets { index, pad, pad_w } = &bq.fast else {
+                panic!("{fmt}: FP tables use the bucket path");
+            };
+            assert!(pad[..*pad_w].iter().all(|&b| b == f32::INFINITY), "{fmt}: shared stripe");
+            let mut populated = 0;
+            for t in 0..BUCKETS {
+                let lo = index[t].0 as usize;
+                let hi = index.get(t + 1).map_or(bq.boundaries().len(), |e| e.0 as usize);
+                let start = index[t].1 as usize;
+                if lo == hi {
+                    assert_eq!(start, 0, "{fmt}: empty bucket {t} owns a stripe");
+                    continue;
+                }
+                populated += 1;
+                let stripe = &pad[start..start + pad_w];
+                assert_bits(&stripe[..hi - lo], &bq.boundaries()[lo..hi], &format!("{fmt} {t}"));
+                assert!(stripe[hi - lo..].iter().all(|&b| b == f32::INFINITY), "{fmt}: padding");
+            }
+            assert_eq!(
+                pad.len(),
+                (populated + 1) * pad_w,
+                "{fmt}: one stripe per populated bucket"
+            );
+        }
+    }
+
+    #[test]
+    fn slice_path_matches_scalar_across_the_bit_patterns_on_every_isa() {
+        // A stride through all 2^32 patterns (NaNs, ±∞, subnormals, both
+        // zeros among them) plus each boundary and its neighbours.
+        for fmt in fp_formats() {
+            let bq = BoundaryQuantizer::from_fp(fmt);
+            let mut probes: Vec<f32> = (0..=u32::MAX).step_by(65_521).map(f32::from_bits).collect();
+            for &b in bq.boundaries().iter().filter(|b| b.is_finite()) {
+                for d in [-1i32, 0, 1] {
+                    probes.push(f32::from_bits(b.to_bits().wrapping_add_signed(d)));
+                }
+            }
+            let want: Vec<f32> = probes.iter().map(|&v| bq.quantize_scalar(v)).collect();
+            for &isa in simd::available() {
+                let mut got = vec![0.0f32; probes.len()];
+                bq.quantize_slice_into_as(isa, &probes, &mut got);
+                assert_bits(&got, &want, &format!("{fmt} {isa:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn split_panel_routes_trunk_and_skip_channels() {
+        let trunk = TensorQuantizer::Fp(FpFormat::new(4, 3));
+        let skip = TensorQuantizer::Int(IntFormat::from_range(4, -1.0, 1.0));
+        let pq = PanelQuantizer::split(&trunk, &skip, 2, 3);
+        assert_eq!(pq.channels(), 3);
+        assert_eq!(pq.runs.len(), 2, "consecutive equal formats share one run");
+        let src = [0.731f32, -0.219, 0.731, -0.219, 0.731, -0.219];
+        let mut dst = [0.0f32; 6];
+        pq.quantize_panel_into(&src, &mut dst, 2);
+        let q =
+            |f: &TensorQuantizer, v: f32| f.quantize(&Tensor::from_vec(vec![v], &[1])).data()[0];
+        for (i, (&s, &d)) in src.iter().zip(&dst).enumerate() {
+            let f = if i < 4 { &trunk } else { &skip };
+            assert_eq!(d.to_bits(), q(f, s).to_bits(), "element {i}");
+        }
+        // No skip half: the trunk format per tensor, like the layer tap.
+        for at in [3, 5] {
+            let whole = PanelQuantizer::split(&trunk, &skip, at, 3);
+            assert_eq!(whole.channels(), 1, "at {at}");
+        }
     }
 
     #[test]

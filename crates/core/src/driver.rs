@@ -136,16 +136,16 @@ pub struct LayerReport {
     pub learned_mse: Option<f32>,
     /// Chosen activation quantizer (trunk half when split).
     pub act_quantizer: Option<String>,
-    /// The chosen whole-input activation quantizer itself (drives the
-    /// fused weight+activation kernels in `fpdq-kernels`; `None` for
-    /// split layers, whose two quantizers stay in the tap).
+    /// The chosen activation quantizer itself — whole-input, or the trunk
+    /// half's for a split layer (drives the fused weight+activation
+    /// kernels in `fpdq-kernels`).
     pub act_format: Option<TensorQuantizer>,
     /// Chosen activation quantizer for the skip half (when split).
     pub act_quantizer_skip: Option<String>,
     /// The chosen skip-half activation quantizer itself (split layers
     /// only; lets the container rebuild both tap closures). When this is
-    /// set, `act_format` holds the trunk half and the fused-kernel path
-    /// must not consume either.
+    /// set, `act_format` holds the trunk half, and the fused kernels
+    /// quantize each half of the concatenated input with its own format.
     pub act_format_skip: Option<TensorQuantizer>,
     /// Weight sparsity before quantization.
     pub sparsity_before: f32,
@@ -375,10 +375,9 @@ pub fn quantize_unet(
                         let qs = search_act(&skip_refs, cfg);
                         rep.act_quantizer = Some(qt.quantizer.describe());
                         rep.act_quantizer_skip = Some(qs.quantizer.describe());
-                        // Record both formats so the container can rebuild
-                        // the taps; the fused-kernel filter in `fpdq-kernels`
-                        // skips layers whose skip tap is populated, so
-                        // setting `act_format` here does not change packing.
+                        // Record both formats: the container rebuilds the
+                        // taps from them, and the packer fuses them into a
+                        // split per-channel kernel quantizer.
                         rep.act_format = Some(qt.quantizer);
                         rep.act_format_skip = Some(qs.quantizer);
                         let mut tap = layer.tap().borrow_mut();

@@ -13,17 +13,18 @@
 //! Dense packed, CSR and 2:4 linears share one linear forward, and every
 //! installed forward runs its kernel on [`Exec::default`].
 //!
-//! Activation quantization is *fused into the packed kernels*: when the
-//! PTQ report assigned a layer one whole-input activation format, the
-//! layer's tap quantizer is suspended (parked in the
+//! Activation quantization is *fused into the packed kernels*: the
+//! layer's tap quantizers are suspended (parked in the
 //! [`fpdq_nn::PackedSlot`]) and the packed forward quantizes the
 //! activations inside its tile loop through the boundary tables of
 //! [`fpdq_core::BoundaryQuantizer`] — bit-exact with the tap's simulated
-//! quantizer, without the per-element `log2`/`powf` or the intermediate
-//! activation tensor. Split-quantized layers (separate trunk/skip
-//! formats) keep their tap quantizers; the packed kernel then runs on the
-//! already-quantized input, which is idempotent and therefore still
-//! exact. [`unpack_unet`] restores the suspended tap closures.
+//! quantizers, without the per-element `log2`/`powf` or the intermediate
+//! activation tensor. A layer with one whole-input format fuses it per
+//! tensor; a layer consuming a skip-connection concatenation (the
+//! paper's split trunk/skip quantization) fuses a per-channel
+//! [`PanelQuantizer::split`] — trunk format below the split channel, skip
+//! format from it on — without the tap's `narrow`/`concat` copies.
+//! [`unpack_unet`] restores the suspended tap closures.
 //!
 //! # Batched multi-image sampling
 //!
@@ -44,7 +45,7 @@ use crate::gemm::gemm_packed;
 use crate::packed::PackedTensor;
 use crate::sparse::{CsrWeights, TwoFourWeights};
 use fpdq_core::{PanelQuantizer, QuantReport, TensorQuantizer};
-use fpdq_nn::{PackedForwardFn, QuantKind, QuantLayer, UNet};
+use fpdq_nn::{PackedForwardFn, QuantKind, QuantLayer, SuspendedAct, UNet};
 use fpdq_tensor::parallel::Exec;
 use fpdq_tensor::{FpdqError, Tensor};
 use std::rc::Rc;
@@ -59,7 +60,9 @@ pub struct PackedLayerInfo {
     /// Storage format description (e.g. `"E4M3(b=8)"`).
     pub format: String,
     /// Fused activation format description, when the packed forward
-    /// quantizes activations inside its tile loop.
+    /// quantizes activations inside its tile loop: one format, or for a
+    /// split layer both halves with the split channel
+    /// (`"<trunk>[..at] <skip>[at..]"`).
     pub fused_act: Option<String>,
     /// Packed payload bytes.
     pub payload_bytes: usize,
@@ -148,10 +151,12 @@ fn linear_forward(
 }
 
 /// Re-encodes one layer's (already baked) weight into `format` and
-/// installs the packed forward override; when `act` names the layer's
-/// whole-input activation format, the tap's quantizer closure is
-/// suspended into the [`fpdq_nn::PackedSlot`] and quantization runs fused
-/// inside the packed kernel instead. Returns the packing stats.
+/// installs the packed forward override. When `act` names the layer's
+/// activation format (the trunk half's, with `act_skip` the skip half's,
+/// for a layer consuming a skip-connection concatenation), the tap's
+/// quantizer closures are suspended into the [`fpdq_nn::PackedSlot`] and
+/// quantization runs fused inside the packed kernel instead. Returns the
+/// packing stats.
 ///
 /// # Panics
 ///
@@ -161,8 +166,9 @@ pub fn install_packed_weight(
     layer: &dyn QuantLayer,
     format: &TensorQuantizer,
     act: Option<&TensorQuantizer>,
+    act_skip: Option<&TensorQuantizer>,
 ) -> PackedLayerInfo {
-    match try_install_packed_weight(layer, format, act) {
+    match try_install_packed_weight(layer, format, act, act_skip) {
         Ok(info) => info,
         Err(e) => panic!("{e}"),
     }
@@ -176,9 +182,10 @@ pub fn try_install_packed_weight(
     layer: &dyn QuantLayer,
     format: &TensorQuantizer,
     act: Option<&TensorQuantizer>,
+    act_skip: Option<&TensorQuantizer>,
 ) -> Result<PackedLayerInfo, FpdqError> {
     let packed = PackedTensor::encode(&layer.weight().value(), *format);
-    install_packed(layer, packed, act)
+    install_packed(layer, packed, act, act_skip)
 }
 
 /// Installs an already-built packed tensor into a layer **without
@@ -191,6 +198,7 @@ pub fn try_install_prebuilt(
     layer: &dyn QuantLayer,
     packed: PackedTensor,
     act: Option<&TensorQuantizer>,
+    act_skip: Option<&TensorQuantizer>,
 ) -> Result<PackedLayerInfo, FpdqError> {
     let w_dims = layer.weight().value().dims().to_vec();
     if packed.dims() != w_dims {
@@ -201,37 +209,48 @@ pub fn try_install_prebuilt(
             w_dims
         )));
     }
-    install_packed(layer, packed, act)
+    install_packed(layer, packed, act, act_skip)
 }
 
-/// The front half of every install path: restore a previously suspended
-/// tap closure (idempotency of re-packing), then decide whether this
-/// install fuses activation quantization into its kernel. Only fuses
-/// when the tap holds exactly the whole-input quantizer the format
-/// describes (split trunk/skip taps keep their closures — the fused
-/// kernel would need the concatenation geometry).
-fn fuse_decision<'a>(
+/// The front half of every install path: restore previously suspended
+/// tap closures (idempotency of re-packing), then decide how this install
+/// fuses activation quantization into its kernel, mirroring the tap's own
+/// rule. A tap that quantizes, with `act` naming its format, fuses per
+/// tensor; a tap that also splits a `concat(trunk, skip)` input at a
+/// channel below the input width fuses [`PanelQuantizer::split`] with
+/// `act_skip` on the skip half. Returns the kernel's quantizer and its
+/// description, or `None` (the tap keeps its closures) when the tap
+/// quantizes nothing or the formats do not describe it.
+fn fuse_decision(
     layer: &dyn QuantLayer,
-    act: Option<&'a TensorQuantizer>,
-) -> Option<&'a TensorQuantizer> {
-    if let Some(f) = layer.packed().take_suspended_act() {
-        layer.tap().borrow_mut().act_quant = Some(f);
+    act: Option<&TensorQuantizer>,
+    act_skip: Option<&TensorQuantizer>,
+) -> Option<(PanelQuantizer, String)> {
+    if let Some(suspended) = layer.packed().take_suspended_act() {
+        suspended.restore(&mut layer.tap().borrow_mut());
     }
-    act.filter(|_| {
-        let tap = layer.tap().borrow();
-        tap.act_quant.is_some() && tap.act_quant_skip.is_none()
-    })
+    let tap = layer.tap().borrow();
+    let trunk = act.filter(|_| tap.act_quant.is_some())?;
+    let channels = layer.weight().dims()[1];
+    match layer.concat_split().filter(|&at| at < channels && tap.act_quant_skip.is_some()) {
+        None => Some((PanelQuantizer::per_tensor(trunk), trunk.describe())),
+        Some(at) => {
+            let skip = act_skip?;
+            let desc = format!("{}[..{at}] {}[{at}..]", trunk.describe(), skip.describe());
+            Some((PanelQuantizer::split(trunk, skip, at, channels), desc))
+        }
+    }
 }
 
 /// The back half of every install path: when the install fused, park the
-/// tap's quantizer closure in the slot (so unpacking can restore it),
+/// tap's quantizer closures in the slot (so unpacking can restore them),
 /// then install the forward override.
 fn finish_install(layer: &dyn QuantLayer, forward: PackedForwardFn, fused: bool) {
     if fused {
         // The fused kernel now owns activation quantization.
-        let suspended = layer.tap().borrow_mut().act_quant.take();
-        if let Some(f) = suspended {
-            layer.packed().suspend_act(f);
+        let suspended = SuspendedAct::take_from(&mut layer.tap().borrow_mut());
+        if let Some(s) = suspended {
+            layer.packed().suspend_act(s);
         }
     }
     layer.packed().install(forward);
@@ -244,6 +263,7 @@ fn install_packed(
     layer: &dyn QuantLayer,
     packed: PackedTensor,
     act: Option<&TensorQuantizer>,
+    act_skip: Option<&TensorQuantizer>,
 ) -> Result<PackedLayerInfo, FpdqError> {
     let spec = match layer.kind() {
         QuantKind::Linear => None,
@@ -257,8 +277,7 @@ fn install_packed(
     let w = layer.weight().value();
     let bias = layer.bias().map(|b| b.value());
     let dense_bytes = w.numel() * std::mem::size_of::<f32>();
-    let fused_act = fuse_decision(layer, act);
-    let pq = fused_act.map(PanelQuantizer::per_tensor);
+    let (pq, fused_act) = fuse_decision(layer, act, act_skip).unzip();
     let (format, payload_bytes) = (packed.format(), packed.payload_bytes());
     let forward: PackedForwardFn = match spec {
         None => linear_forward(
@@ -275,7 +294,7 @@ fn install_packed(
         name: layer.qname().to_string(),
         kind: layer.kind(),
         format: format.describe(),
-        fused_act: fused_act.map(TensorQuantizer::describe),
+        fused_act,
         payload_bytes,
         dense_bytes,
         sparsity: None,
@@ -335,13 +354,14 @@ pub fn try_install_sparse_weight(
     layer: &dyn QuantLayer,
     format: &TensorQuantizer,
     act: Option<&TensorQuantizer>,
+    act_skip: Option<&TensorQuantizer>,
     mode: SparseMode,
 ) -> Result<PackedLayerInfo, FpdqError> {
     let w = layer.weight().value();
     if layer.kind() == QuantKind::Conv
         || (mode == SparseMode::TwoFour && !w.dim(1).is_multiple_of(4))
     {
-        return install_sparse_dense_fallback(layer, format, act, mode);
+        return install_sparse_dense_fallback(layer, format, act, act_skip, mode);
     }
     let bias = layer.bias().map(|b| b.value());
     let dense_bytes = w.numel() * std::mem::size_of::<f32>();
@@ -370,15 +390,14 @@ pub fn try_install_sparse_weight(
             (Box::new(gemm), bytes, sparsity, 0.0)
         }
     };
-    let fused_act = fuse_decision(layer, act);
-    let pq = fused_act.map(PanelQuantizer::per_tensor);
+    let (pq, fused_act) = fuse_decision(layer, act, act_skip).unzip();
     let forward = linear_forward(move |x| gemm(x, pq.as_ref()), bias, w.dims()[0]);
     finish_install(layer, forward, fused_act.is_some());
     Ok(PackedLayerInfo {
         name: layer.qname().to_string(),
         kind: layer.kind(),
         format: format.describe(),
-        fused_act: fused_act.map(TensorQuantizer::describe),
+        fused_act,
         payload_bytes,
         dense_bytes,
         sparsity: Some(sparsity),
@@ -394,6 +413,7 @@ fn install_sparse_dense_fallback(
     layer: &dyn QuantLayer,
     format: &TensorQuantizer,
     act: Option<&TensorQuantizer>,
+    act_skip: Option<&TensorQuantizer>,
     mode: SparseMode,
 ) -> Result<PackedLayerInfo, FpdqError> {
     let w = layer.weight().value();
@@ -409,7 +429,7 @@ fn install_sparse_dense_fallback(
             // quantized values is bit-exact).
             let pruned = tf.to_dense().reshape(&dims);
             let packed = PackedTensor::encode(&pruned, *format);
-            let mut info = install_packed(layer, packed, act)?;
+            let mut info = install_packed(layer, packed, act, act_skip)?;
             info.sparsity = Some(stats.0);
             info.pruning_error = Some(stats.1);
             return Ok(info);
@@ -424,7 +444,7 @@ fn install_sparse_dense_fallback(
             Some((sparsity, 0.0))
         }
     };
-    let mut info = try_install_packed_weight(layer, format, act)?;
+    let mut info = try_install_packed_weight(layer, format, act, act_skip)?;
     if let Some((sparsity, pruning_error)) = stats {
         info.sparsity = Some(sparsity);
         info.pruning_error = Some(pruning_error);
@@ -457,15 +477,16 @@ pub fn try_pack_unet_sparse(
     report: &QuantReport,
     mode: SparseMode,
 ) -> Result<PackReport, FpdqError> {
-    pack_layers(unet, report, |layer, format, act| {
-        try_install_sparse_weight(layer, format, act, mode)
+    pack_layers(unet, report, |layer, format, act, act_skip| {
+        try_install_sparse_weight(layer, format, act, act_skip, mode)
     })
 }
 
 /// Switches a quantized U-Net to packed-weight execution: every layer the
 /// PTQ report assigned a weight format is re-encoded into that format and
-/// dispatched to the dequantize-on-the-fly kernels from now on, with
-/// whole-input activation quantizers fused into the kernels' tile loops.
+/// dispatched to the dequantize-on-the-fly kernels from now on, with its
+/// activation quantizers (whole-input, or trunk and skip halves) fused
+/// into the kernels' tile loops.
 ///
 /// The model must already hold the baked (quantized) weights the report
 /// describes — re-encoding is then bit-exact, so packed sampling matches
@@ -486,15 +507,16 @@ pub fn try_pack_unet(unet: &UNet, report: &QuantReport) -> Result<PackReport, Fp
 }
 
 /// The walk both packers share: `install(layer, weight_format,
-/// act_format)` for every layer the report assigned a weight format, in
-/// model order; the first error reverts the whole model via
-/// [`unpack_unet`].
+/// act_format, act_format_skip)` for every layer the report assigned a
+/// weight format, in model order; the first error reverts the whole model
+/// via [`unpack_unet`].
 fn pack_layers(
     unet: &UNet,
     report: &QuantReport,
     mut install: impl FnMut(
         &dyn QuantLayer,
         &TensorQuantizer,
+        Option<&TensorQuantizer>,
         Option<&TensorQuantizer>,
     ) -> Result<PackedLayerInfo, FpdqError>,
 ) -> Result<PackReport, FpdqError> {
@@ -510,7 +532,7 @@ fn pack_layers(
         let Some(format) = &rep.weight_format else {
             return;
         };
-        match install(layer, format, rep.act_format.as_ref()) {
+        match install(layer, format, rep.act_format.as_ref(), rep.act_format_skip.as_ref()) {
             Ok(info) => packed.layers.push(info),
             Err(e) => failed = Some(e),
         }
@@ -523,11 +545,11 @@ fn pack_layers(
 }
 
 /// Reverts a U-Net to dense execution: clears every packed override and
-/// restores any tap activation quantizer the fused path had suspended.
+/// restores the tap activation quantizers the fused path had suspended.
 pub fn unpack_unet(unet: &UNet) {
     unet.visit_quant_layers(&mut |layer| {
-        if let Some(f) = layer.packed().clear() {
-            layer.tap().borrow_mut().act_quant = Some(f);
+        if let Some(suspended) = layer.packed().clear() {
+            suspended.restore(&mut layer.tap().borrow_mut());
         }
     });
 }
@@ -591,20 +613,42 @@ mod tests {
         let t = Tensor::from_vec(vec![5.0], &[1]);
         let dense = unet.forward(&x, &t, None);
 
-        let mut taps_before = 0;
-        unet.visit_quant_layers(&mut |l| {
-            taps_before += usize::from(l.tap().borrow().act_quant.is_some());
-        });
-        assert!(taps_before > 0, "PTQ must have installed tap quantizers");
+        // (trunk or whole-input closures, skip closures) held by the taps.
+        let count_taps = || {
+            let (mut trunk, mut skip) = (0, 0);
+            unet.visit_quant_layers(&mut |l| {
+                trunk += usize::from(l.tap().borrow().act_quant.is_some());
+                skip += usize::from(l.tap().borrow().act_quant_skip.is_some());
+            });
+            (trunk, skip)
+        };
+        let taps_before = count_taps();
+        assert!(taps_before.0 > 0, "PTQ must have installed tap quantizers");
+        assert_eq!(taps_before.1, 4, "the up-path conv1 layers split their inputs");
 
         let pack = pack_unet(&unet, &report);
-        assert!(pack.fused_act_layers() > 0, "whole-input layers must fuse");
-        // Every fused layer's tap closure is parked in the slot.
-        let mut suspended_taps = 0;
-        unet.visit_quant_layers(&mut |l| {
-            suspended_taps += usize::from(l.tap().borrow().act_quant.is_none());
-        });
-        assert_eq!(suspended_taps, pack.fused_act_layers(), "fused layers suspend their taps");
+        // Every packed layer, split ones included, quantizes in its kernel
+        // and has both tap closures parked in the slot.
+        assert_eq!(pack.fused_act_layers(), pack.layers.len(), "every layer must fuse");
+        assert_eq!(count_taps(), (0, 0), "fused layers suspend both tap closures");
+        let mut split_infos = 0;
+        for (info, rep) in pack.layers.iter().zip(&report.layers) {
+            assert_eq!(info.name, rep.name);
+            let (Some(trunk), Some(skip)) = (&rep.act_format, &rep.act_format_skip) else {
+                continue;
+            };
+            let mut at = None;
+            unet.visit_quant_layers(&mut |l| {
+                if l.qname() == rep.name {
+                    at = l.concat_split();
+                }
+            });
+            let at = at.expect("a split format belongs to a split layer");
+            let want = format!("{}[..{at}] {}[{at}..]", trunk.describe(), skip.describe());
+            assert_eq!(info.fused_act.as_deref(), Some(want.as_str()), "{}", info.name);
+            split_infos += 1;
+        }
+        assert_eq!(split_infos, 4, "split layers name both formats and the split channel");
 
         // Fused execution still matches the fake-quantized reference.
         let packed = unet.forward(&x, &t, None);
@@ -613,14 +657,12 @@ mod tests {
             assert!((a - b).abs() < 1e-3 * scale, "fused forward diverged: {a} vs {b}");
         }
 
-        // Unpacking puts every tap closure back.
+        // Unpacking puts every tap closure back, skip halves included.
         unpack_unet(&unet);
-        let mut taps_after = 0;
-        unet.visit_quant_layers(&mut |l| {
-            taps_after += usize::from(l.tap().borrow().act_quant.is_some());
-        });
-        assert_eq!(taps_after, taps_before, "unpack must restore suspended taps");
-        assert_eq!(unet.forward(&x, &t, None).data(), dense.data());
+        assert_eq!(count_taps(), taps_before, "unpack must restore suspended taps");
+        let restored = unet.forward(&x, &t, None);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&restored), bits(&dense), "dense forward must be bit-identical");
     }
 
     #[test]

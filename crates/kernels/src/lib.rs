@@ -52,8 +52,10 @@
 //!    configuration no longer fake-quantizes the whole activation tensor
 //!    up front: activations are quantized *inside* the tile loops through
 //!    signed boundary tables (branch-free, bucket-indexed bisection — no
-//!    transcendentals, no intermediate tensor), per-tensor or
-//!    per-channel, bit-exact with the simulated quantizers.
+//!    transcendentals, no intermediate tensor), per tensor, per channel,
+//!    or split at a skip-connection concatenation (trunk and skip halves
+//!    each through their own table), bit-exact with the simulated
+//!    quantizers.
 //! 3. **Tiled dequantize-on-the-fly with batched regimes** ([`gemm`],
 //!    [`conv`], [`schedule`]). The GEMM packs activation micro-panels
 //!    (quantizing as it packs — each row exactly once per call) into the
@@ -86,13 +88,14 @@
 //! 4. **Model wiring** ([`exec`]). `pack_unet` re-encodes a PTQ'd model's
 //!    baked weights into their searched formats and installs packed
 //!    forward overrides into every quantized Linear/Conv layer
-//!    ([`fpdq_nn::PackedSlot`]). Layers with one whole-input activation
-//!    format get the *fused* forward: their tap quantizer closure is
-//!    suspended into the slot (restored by `unpack_unet`) and
-//!    quantization runs inside the packed kernel. Split-quantized layers
-//!    (separate trunk/skip formats) keep their tap closures; idempotency
-//!    of fake quantization keeps the packed kernel exact on the
-//!    pre-quantized input.
+//!    ([`fpdq_nn::PackedSlot`]). Every layer whose tap quantizes gets the
+//!    *fused* forward: its tap quantizer closures are suspended into the
+//!    slot (restored by `unpack_unet`) and quantization runs inside the
+//!    packed kernel — per tensor for a whole-input format, and for the
+//!    layers consuming a skip-connection concatenation through
+//!    [`fpdq_core::PanelQuantizer::split`] (trunk format below the split
+//!    channel, skip format from it on), without the tap's
+//!    `narrow`/`concat` copies.
 //!
 //! # Runtime SIMD dispatch
 //!

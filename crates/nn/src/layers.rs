@@ -5,6 +5,7 @@ use fpdq_autograd::{Param, Tape, Var};
 use fpdq_tensor::conv::Conv2dSpec;
 use fpdq_tensor::Tensor;
 use rand::Rng;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -23,15 +24,41 @@ pub type ActQuantFn = Rc<dyn Fn(&Tensor) -> Tensor>;
 /// packed execution.
 pub type PackedForwardFn = Rc<dyn Fn(&Tensor) -> Tensor>;
 
+/// A tap's activation quantizers while a fused packed forward owns
+/// quantization: the trunk (or whole-input) closure and, for a layer
+/// consuming a skip-connection concatenation, the skip-half closure.
+#[derive(Clone)]
+pub struct SuspendedAct {
+    /// The tap's `act_quant`.
+    pub trunk: ActQuantFn,
+    /// The tap's `act_quant_skip`.
+    pub skip: Option<ActQuantFn>,
+}
+
+impl SuspendedAct {
+    /// Takes both quantizer closures out of `tap`, if it holds a trunk
+    /// quantizer (without one the tap quantizes nothing).
+    pub fn take_from(tap: &mut Tap) -> Option<SuspendedAct> {
+        let trunk = tap.act_quant.take()?;
+        Some(SuspendedAct { trunk, skip: tap.act_quant_skip.take() })
+    }
+
+    /// Puts both closures back into `tap`.
+    pub fn restore(self, tap: &mut Tap) {
+        tap.act_quant = Some(self.trunk);
+        tap.act_quant_skip = self.skip;
+    }
+}
+
 /// Slot on a quantizable layer holding an optional [`PackedForwardFn`],
-/// plus the tap's suspended activation quantizer when the packed forward
+/// plus the tap's suspended activation quantizers when the packed forward
 /// has *fused* activation quantization (the kernel quantizes inside its
 /// tile loop, so the tap must stop pre-quantizing — but must get its
-/// closure back when the layer reverts to dense execution).
+/// closures back when the layer reverts to dense execution).
 #[derive(Clone, Default)]
 pub struct PackedSlot {
     forward: RefCell<Option<PackedForwardFn>>,
-    suspended_act: RefCell<Option<ActQuantFn>>,
+    suspended_act: RefCell<Option<SuspendedAct>>,
 }
 
 impl std::fmt::Debug for PackedSlot {
@@ -50,26 +77,27 @@ impl PackedSlot {
     }
 
     /// Removes the override (reverting to dense execution) and returns
-    /// the suspended tap activation quantizer, if the fused forward had
-    /// parked one. The caller owns the restore: put the closure back into
-    /// `tap.act_quant` (as `fpdq-kernels::unpack_unet` does) — dropping
-    /// it would leave the dense path running *without* activation
-    /// quantization, which is why the result must not be ignored.
-    #[must_use = "reinstall the suspended act quantizer into the tap, or dense execution loses it"]
-    pub fn clear(&self) -> Option<ActQuantFn> {
+    /// the suspended tap activation quantizers, if the fused forward had
+    /// parked them. The caller owns the restore: put them back with
+    /// [`SuspendedAct::restore`] (as `fpdq-kernels::unpack_unet` does) —
+    /// dropping them would leave the dense path running *without*
+    /// activation quantization, which is why the result must not be
+    /// ignored.
+    #[must_use = "restore the suspended act quantizers into the tap, or dense execution loses them"]
+    pub fn clear(&self) -> Option<SuspendedAct> {
         *self.forward.borrow_mut() = None;
         self.take_suspended_act()
     }
 
-    /// Parks the tap's activation quantizer while a fused forward owns
+    /// Parks the tap's activation quantizers while a fused forward owns
     /// quantization (see [`Self::take_suspended_act`]).
-    pub fn suspend_act(&self, f: ActQuantFn) {
-        *self.suspended_act.borrow_mut() = Some(f);
+    pub fn suspend_act(&self, act: SuspendedAct) {
+        *self.suspended_act.borrow_mut() = Some(act);
     }
 
-    /// Returns (and clears) the suspended activation quantizer so the
-    /// unpacking driver can restore it into the tap.
-    pub fn take_suspended_act(&self) -> Option<ActQuantFn> {
+    /// Returns (and clears) the suspended activation quantizers so the
+    /// unpacking driver can restore them into the tap.
+    pub fn take_suspended_act(&self) -> Option<SuspendedAct> {
         self.suspended_act.borrow_mut().take()
     }
 
@@ -124,11 +152,13 @@ impl std::fmt::Debug for Tap {
 }
 
 impl Tap {
-    /// Applies the tap to a layer input: capture first, then quantize.
+    /// Applies the tap to a layer input: capture first, then quantize. A
+    /// tap without a quantizer (e.g. one a fused packed forward has
+    /// suspended) passes the input through without copying it.
     ///
     /// `split` is the channel (conv) or feature (linear) index where the
     /// skip half of a concatenated input begins; `axis` is the channel axis.
-    fn apply(&self, x: &Tensor, split: Option<usize>, axis: usize) -> Tensor {
+    fn apply<'a>(&self, x: &'a Tensor, split: Option<usize>, axis: usize) -> Cow<'a, Tensor> {
         if let Some(buf) = &self.capture {
             buf.borrow_mut().push(x.clone());
         }
@@ -136,10 +166,10 @@ impl Tap {
             (Some(q), Some(at), Some(qs)) if at < x.dim(axis) => {
                 let trunk = x.narrow(axis, 0, at);
                 let skip = x.narrow(axis, at, x.dim(axis) - at);
-                Tensor::concat(&[&q(&trunk), &qs(&skip)], axis)
+                Cow::Owned(Tensor::concat(&[&q(&trunk), &qs(&skip)], axis))
             }
-            (Some(q), _, _) => q(x),
-            (None, _, _) => x.clone(),
+            (Some(q), _, _) => Cow::Owned(q(x)),
+            (None, _, _) => Cow::Borrowed(x),
         }
     }
 }

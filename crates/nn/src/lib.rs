@@ -41,7 +41,7 @@ pub use attention::{MultiHeadAttention, TransformerBlock};
 pub use autoencoder::{Autoencoder, AutoencoderConfig};
 pub use layers::{
     group_norm_ref, layer_norm_ref, ActQuantFn, Conv2d, GroupNorm, LayerNorm, Linear,
-    PackedForwardFn, PackedSlot, QuantKind, QuantLayer, Tap,
+    PackedForwardFn, PackedSlot, QuantKind, QuantLayer, SuspendedAct, Tap,
 };
 pub use module::{load_params, save_params, ParamCollector};
 pub use text::{TextEncoder, TextEncoderConfig};

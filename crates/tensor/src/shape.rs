@@ -130,40 +130,83 @@ pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Iterates flat offsets of a broadcast operand.
-///
-/// Given the broadcast output shape `out` and an operand shape `src`
-/// (right-aligned), yields for each output element the flat offset into the
-/// operand's storage.
-pub(crate) fn broadcast_offsets(out: &[usize], src: &[usize]) -> Vec<usize> {
-    let n: usize = out.iter().product();
-    let ndim = out.len();
-    let pad = ndim - src.len();
-    // Effective strides of src in out-space: 0 where src extent is 1.
-    let src_strides_raw = Shape::new(src).strides();
-    let mut strides = vec![0usize; ndim];
-    for i in 0..ndim {
-        if i >= pad && src[i - pad] != 1 {
-            strides[i] = src_strides_raw[i - pad];
+/// One innermost run of a two-operand broadcast: `len` output elements
+/// whose operands start at flat offsets `a` and `b` and advance by
+/// `a_step` / `b_step` (1 = contiguous, 0 = one value repeated).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct BroadcastRow {
+    pub a: usize,
+    pub a_step: usize,
+    pub b: usize,
+    pub b_step: usize,
+    pub len: usize,
+}
+
+/// Walks the broadcast of operands shaped `a` and `b` (right-aligned) to
+/// the output shape `out` in row-major order, calling `row` once per
+/// innermost run. Outer indices advance by each operand's effective
+/// strides (0 along a broadcast axis), and adjacent axes that are
+/// contiguous for both operands merge into one, so a `[n, c, h, w] +
+/// [n, c, 1, 1]` add runs `n·c` rows of `h·w` against one repeated value.
+/// No per-element offset table is built.
+pub(crate) fn broadcast_rows(
+    out: &[usize],
+    a: &[usize],
+    b: &[usize],
+    mut row: impl FnMut(BroadcastRow),
+) {
+    if out.iter().product::<usize>() == 0 {
+        return;
+    }
+    // Effective strides in out-space: 0 where the operand has extent 1
+    // or lacks the axis.
+    let strides = |src: &[usize]| {
+        let pad = out.len() - src.len();
+        let raw = Shape::new(src).strides();
+        (0..out.len())
+            .map(|d| if d >= pad && src[d - pad] != 1 { raw[d - pad] } else { 0 })
+            .collect::<Vec<_>>()
+    };
+    let (sa, sb) = (strides(a), strides(b));
+    // (extent, a stride, b stride), extent-1 axes dropped, mergeable
+    // neighbours merged; outermost first.
+    let mut axes: Vec<(usize, usize, usize)> = Vec::with_capacity(out.len());
+    for d in 0..out.len() {
+        if out[d] == 1 {
+            continue;
+        }
+        match axes.last_mut() {
+            Some((n, pa, pb)) if *pa == sa[d] * out[d] && *pb == sb[d] * out[d] => {
+                *n *= out[d];
+                (*pa, *pb) = (sa[d], sb[d]);
+            }
+            _ => axes.push((out[d], sa[d], sb[d])),
         }
     }
-    let mut offsets = Vec::with_capacity(n);
-    let mut idx = vec![0usize; ndim];
-    let mut off = 0usize;
-    for _ in 0..n {
-        offsets.push(off);
-        // Increment the multi-index (row-major) and adjust `off`.
-        for d in (0..ndim).rev() {
+    let (len, a_step, b_step) = axes.pop().unwrap_or((1, 0, 0));
+    let mut idx = vec![0usize; axes.len()];
+    let (mut oa, mut ob) = (0usize, 0usize);
+    loop {
+        row(BroadcastRow { a: oa, a_step, b: ob, b_step, len });
+        // Advance the outer multi-index (row-major).
+        let mut d = axes.len();
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            let (n, pa, pb) = axes[d];
             idx[d] += 1;
-            off += strides[d];
-            if idx[d] < out[d] {
+            oa += pa;
+            ob += pb;
+            if idx[d] < n {
                 break;
             }
-            off -= strides[d] * out[d];
+            oa -= pa * n;
+            ob -= pb * n;
             idx[d] = 0;
         }
     }
-    offsets
 }
 
 #[cfg(test)]
@@ -205,13 +248,30 @@ mod tests {
         broadcast_shapes(&[2, 3], &[4, 3]);
     }
 
+    fn rows(out: &[usize], a: &[usize], b: &[usize]) -> Vec<BroadcastRow> {
+        let mut rows = Vec::new();
+        broadcast_rows(out, a, b, |r| rows.push(r));
+        rows
+    }
+
+    fn row(a: usize, a_step: usize, b: usize, b_step: usize, len: usize) -> BroadcastRow {
+        BroadcastRow { a, a_step, b, b_step, len }
+    }
+
     #[test]
-    fn broadcast_offset_iteration() {
-        // out = [2,3], src = [3] -> offsets cycle 0,1,2,0,1,2
-        assert_eq!(broadcast_offsets(&[2, 3], &[3]), vec![0, 1, 2, 0, 1, 2]);
-        // out = [2,3], src = [2,1] -> 0,0,0,1,1,1
-        assert_eq!(broadcast_offsets(&[2, 3], &[2, 1]), vec![0, 0, 0, 1, 1, 1]);
-        // scalar src
-        assert_eq!(broadcast_offsets(&[2, 2], &[1]), vec![0, 0, 0, 0]);
+    fn broadcast_row_walk() {
+        // A row vector against a matrix: two contiguous rows, b repeats.
+        assert_eq!(rows(&[2, 3], &[2, 3], &[3]), vec![row(0, 1, 0, 1, 3), row(3, 1, 0, 1, 3)]);
+        // A column against a matrix: b is one value per row.
+        assert_eq!(rows(&[2, 3], &[2, 3], &[2, 1]), vec![row(0, 1, 0, 0, 3), row(3, 1, 1, 0, 3)]);
+        // Per-channel add over [n, c, h, w]: n·c merged rows of h·w.
+        let per_channel = rows(&[2, 3, 2, 2], &[2, 3, 2, 2], &[2, 3, 1, 1]);
+        assert_eq!(per_channel.len(), 6);
+        assert_eq!(per_channel[4], row(16, 1, 4, 0, 4));
+        // Scalar operand and all-1 output: one row.
+        assert_eq!(rows(&[4], &[4], &[1]), vec![row(0, 1, 0, 0, 4)]);
+        assert_eq!(rows(&[1, 1], &[1], &[1, 1]), vec![row(0, 0, 0, 0, 1)]);
+        // Zero extent: no rows at all.
+        assert!(rows(&[2, 0], &[2, 1], &[0]).is_empty());
     }
 }

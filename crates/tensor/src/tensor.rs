@@ -1,6 +1,6 @@
 //! The [`Tensor`] type: a contiguous, row-major, `f32` n-d array.
 
-use crate::shape::{broadcast_offsets, broadcast_shapes, Shape};
+use crate::shape::{broadcast_rows, broadcast_shapes, Shape};
 
 /// A contiguous row-major `f32` tensor.
 ///
@@ -219,6 +219,10 @@ impl Tensor {
 
     /// Broadcasting binary elementwise combine.
     ///
+    /// A broadcast walks the output row by row: each innermost run pairs
+    /// contiguous slices, or a slice with one repeated value, with no
+    /// per-element offset table.
+    ///
     /// # Panics
     ///
     /// Panics if shapes are not broadcast-compatible.
@@ -228,13 +232,17 @@ impl Tensor {
             return Tensor { shape: self.shape.clone(), data };
         }
         let out_dims = broadcast_shapes(self.dims(), other.dims());
-        let oa = broadcast_offsets(&out_dims, self.dims());
-        let ob = broadcast_offsets(&out_dims, other.dims());
-        let data = oa
-            .iter()
-            .zip(ob.iter())
-            .map(|(&ia, &ib)| f(self.data[ia], other.data[ib]))
-            .collect();
+        let mut data = Vec::with_capacity(out_dims.iter().product());
+        broadcast_rows(&out_dims, self.dims(), other.dims(), |r| {
+            let a = &self.data[r.a..r.a + if r.a_step == 0 { 1 } else { r.len }];
+            let b = &other.data[r.b..r.b + if r.b_step == 0 { 1 } else { r.len }];
+            match (r.a_step, r.b_step) {
+                (0, 0) => data.extend(std::iter::repeat_n(f(a[0], b[0]), r.len)),
+                (0, _) => data.extend(b.iter().map(|&y| f(a[0], y))),
+                (_, 0) => data.extend(a.iter().map(|&x| f(x, b[0]))),
+                _ => data.extend(a.iter().zip(b).map(|(&x, &y)| f(x, y))),
+            }
+        });
         Tensor { shape: Shape::from(out_dims), data }
     }
 
@@ -589,8 +597,11 @@ impl Tensor {
     pub fn broadcast_to(&self, dims: &[usize]) -> Tensor {
         let out_dims = broadcast_shapes(self.dims(), dims);
         assert_eq!(out_dims, dims, "cannot broadcast {} to {dims:?}", self.shape);
-        let offsets = broadcast_offsets(dims, self.dims());
-        let data = offsets.iter().map(|&o| self.data[o]).collect();
+        let mut data = Vec::with_capacity(dims.iter().product());
+        broadcast_rows(dims, self.dims(), dims, |r| match r.a_step {
+            0 => data.extend(std::iter::repeat_n(self.data[r.a], r.len)),
+            _ => data.extend_from_slice(&self.data[r.a..r.a + r.len]),
+        });
         Tensor { shape: Shape::new(dims), data }
     }
 }

@@ -7,6 +7,36 @@ fn small_dims() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..5, 1..4)
 }
 
+/// An operand shape broadcastable to `out`: its trailing `rank` axes
+/// (`rank` past `out.len()` adds leading 1s), each kept or replaced by 1
+/// (`keep[d] == 0` broadcasts axis `d`).
+fn operand_dims(out: &[usize], rank: usize, keep: &[u8]) -> Vec<usize> {
+    let lead = rank.saturating_sub(out.len());
+    let own = rank.min(out.len());
+    let tail = (out.len() - own..out.len()).map(|d| if keep[d] == 0 { 1 } else { out[d] });
+    std::iter::repeat_n(1, lead).chain(tail).collect()
+}
+
+/// Row-major multi-index of flat output position `i`.
+fn unravel(mut i: usize, dims: &[usize]) -> Vec<usize> {
+    let mut idx = vec![0; dims.len()];
+    for d in (0..dims.len()).rev() {
+        idx[d] = i % dims[d];
+        i /= dims[d];
+    }
+    idx
+}
+
+/// The explicit-index broadcast reference: the flat offset into an
+/// operand shaped `src` of output index `idx` (right-aligned, extent-1
+/// axes pinned to 0).
+fn operand_offset(idx: &[usize], src: &[usize]) -> usize {
+    let pad = idx.len() - src.len();
+    src.iter()
+        .enumerate()
+        .fold(0, |off, (d, &n)| off * n + if n == 1 { 0 } else { idx[pad + d] })
+}
+
 fn tensor_strategy() -> impl Strategy<Value = Tensor> {
     small_dims().prop_flat_map(|dims| {
         let n: usize = dims.iter().product();
@@ -90,6 +120,41 @@ proptest! {
             (Err(_), Err(_)) => {}
             _ => prop_assert!(false, "broadcast compatibility must be symmetric"),
         }
+    }
+
+    #[test]
+    fn broadcast_walk_matches_explicit_indexing(
+        out in prop::collection::vec(0usize..4, 0..5),
+        ranks in prop::collection::vec(0usize..7, 2),
+        keep in prop::collection::vec(0u8..3, 10),
+    ) {
+        // Rank mismatch, leading and trailing 1s, zero extents.
+        let a_dims = operand_dims(&out, ranks[0], &keep[..5]);
+        let b_dims = operand_dims(&out, ranks[1], &keep[5..]);
+        let a_n: usize = a_dims.iter().product();
+        let b_n: usize = b_dims.iter().product();
+        let a = Tensor::from_vec((0..a_n).map(|i| i as f32 * 0.5 + 1.0).collect(), &a_dims);
+        let b = Tensor::from_vec((0..b_n).map(|i| i as f32 * -0.25 - 3.0).collect(), &b_dims);
+        let f = |x: f32, y: f32| x * 3.0 - y;
+        let got = a.zip_map(&b, f);
+        let dims = broadcast_shapes(&a_dims, &b_dims);
+        prop_assert_eq!(got.dims(), dims.as_slice());
+        let n: usize = dims.iter().product();
+        let want: Vec<u32> = (0..n)
+            .map(|i| {
+                let idx = unravel(i, &dims);
+                let x = a.data()[operand_offset(&idx, &a_dims)];
+                let y = b.data()[operand_offset(&idx, &b_dims)];
+                f(x, y).to_bits()
+            })
+            .collect();
+        let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got_bits, want);
+        // broadcast_to walks the same rows with one operand.
+        let to = a.broadcast_to(&dims);
+        let want_to: Vec<f32> =
+            (0..n).map(|i| a.data()[operand_offset(&unravel(i, &dims), &a_dims)]).collect();
+        prop_assert_eq!(to.data(), want_to.as_slice());
     }
 
     #[test]

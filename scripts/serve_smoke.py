@@ -179,6 +179,14 @@ def pack_container(tmp):
     return container
 
 
+def assert_all_fused(stdout, layers):
+    """Every packed layer of a loaded container quantizes in its kernel,
+    the split skip-connection convs included."""
+    m = re.search(r"loaded container: (\d+) layers packed \((\d+) fused act\)", stdout)
+    assert m, stdout
+    assert (int(m.group(1)), int(m.group(2))) == (layers, layers), m.group(0)
+
+
 def container_roundtrip_smoke(tmp, container):
     # Offline sampling from the container: no calibration, no
     # re-quantization, just load + generate.
@@ -191,6 +199,7 @@ def container_roundtrip_smoke(tmp, container):
         timeout=300,
     )
     assert out.returncode == 0, (out.returncode, out.stdout, out.stderr)
+    assert_all_fused(out.stdout, 67)
     ppm = os.path.join(out_dir, "tiny_fp8_packed.ppm")
     assert os.path.getsize(ppm) > 0, os.listdir(out_dir)
 
@@ -315,6 +324,7 @@ def sd_roundtrip_smoke(tmp):
         timeout=300,
     )
     assert out.returncode == 0, (out.returncode, out.stdout, out.stderr)
+    assert_all_fused(out.stdout, 83)
     offline = open(raw, "rb").read()
     assert len(offline) == 1 * 3 * 16 * 16 * 4, len(offline)
 

@@ -55,7 +55,7 @@ fn fused_packed_layer_reproduces_tap_quantized_layer() {
     let reference = lin.forward(&x);
 
     // Fused packed execution: the installer suspends the tap quantizer.
-    let info = install_packed_weight(&lin, &wfmt, Some(&afmt));
+    let info = install_packed_weight(&lin, &wfmt, Some(&afmt), None);
     assert!(info.fused_act.is_some(), "whole-input layer must fuse");
     assert!(lin.tap().borrow().act_quant.is_none(), "tap must be suspended");
     let fused = lin.forward(&x);
@@ -64,8 +64,8 @@ fn fused_packed_layer_reproduces_tap_quantized_layer() {
     }
 
     // Clearing hands back the suspended tap closure for restoration.
-    if let Some(f) = lin.packed().clear() {
-        lin.tap().borrow_mut().act_quant = Some(f);
+    if let Some(suspended) = lin.packed().clear() {
+        suspended.restore(&mut lin.tap().borrow_mut());
     }
     assert!(lin.tap().borrow().act_quant.is_some(), "tap must be restored");
     let restored = lin.forward(&x);
@@ -73,15 +73,15 @@ fn fused_packed_layer_reproduces_tap_quantized_layer() {
 
     // Re-packing an already-packed layer is idempotent: the second
     // install sees the original tap state and still fuses.
-    let first = install_packed_weight(&lin, &wfmt, Some(&afmt));
-    let second = install_packed_weight(&lin, &wfmt, Some(&afmt));
+    let first = install_packed_weight(&lin, &wfmt, Some(&afmt), None);
+    let second = install_packed_weight(&lin, &wfmt, Some(&afmt), None);
     assert_eq!(first.fused_act, second.fused_act, "re-pack must still fuse");
     let refused = lin.forward(&x);
     for (a, b) in reference.data().iter().zip(refused.data()) {
         assert!((a - b).abs() < 1e-4, "re-packed layer diverged: {a} vs {b}");
     }
-    if let Some(f) = lin.packed().clear() {
-        lin.tap().borrow_mut().act_quant = Some(f);
+    if let Some(suspended) = lin.packed().clear() {
+        suspended.restore(&mut lin.tap().borrow_mut());
     }
 }
 

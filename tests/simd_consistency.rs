@@ -339,6 +339,53 @@ fn fused_wa_conv_isa_sweep_per_channel() {
     }
 }
 
+#[test]
+fn fused_wa_conv_split_sweep() {
+    // The skip-connection split fused into the conv must equal the layer
+    // tap's `concat(trunk(x[:, ..at]), skip(x[:, at..]))` followed by the
+    // unfused conv, bit for bit, for every FP4/FP8/INT4/INT8 trunk/skip
+    // pair, split channel, ISA and worker count. From `at = c` on there
+    // is no skip half and the trunk format applies per tensor.
+    let (n, c, hw) = (2usize, 6usize, 5usize);
+    let x = tensor_with_specials(&[n, c, hw, hw], 61);
+    let w = Tensor::randn(&[5, c, 3, 3], &mut StdRng::seed_from_u64(62));
+    let b = Tensor::randn(&[5], &mut StdRng::seed_from_u64(63));
+    let spec = Conv2dSpec::new(1, 1);
+    let packed = PackedTensor::encode(&w, FpFormat::new(4, 3));
+    for trunk in act_quantizers() {
+        for skip in act_quantizers() {
+            for at in [1, c / 2, c - 1, c, c + 3] {
+                let tapped = if at < c {
+                    let halves = [
+                        trunk.quantize(&x.narrow(1, 0, at)),
+                        skip.quantize(&x.narrow(1, at, c - at)),
+                    ];
+                    Tensor::concat(&[&halves[0], &halves[1]], 1)
+                } else {
+                    trunk.quantize(&x)
+                };
+                let want = conv2d_packed(
+                    &tapped,
+                    &packed,
+                    Some(&b),
+                    spec,
+                    None,
+                    Exec::new(Isa::Scalar, 1),
+                );
+                let pq = PanelQuantizer::split(&trunk, &skip, at, c);
+                for &isa in simd::available() {
+                    for workers in [1, 2, 8] {
+                        let exec = Exec::new(isa, workers);
+                        let got = conv2d_packed(&x, &packed, Some(&b), spec, Some(&pq), exec);
+                        let ctx = format!("trunk {trunk} skip {skip} at {at} {isa:?} x{workers}");
+                        assert_bits_eq(&got, &want, &ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Sparse kernels
 // ---------------------------------------------------------------------------
