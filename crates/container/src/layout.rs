@@ -15,7 +15,7 @@
 //! ```
 //!
 //! Every structural fact is validated before any payload byte is
-//! interpreted — see [`parse_sections`]. The exact layout contract lives
+//! interpreted — see `parse_sections`. The exact layout contract lives
 //! in `docs/container.md`.
 
 use bytes::Bytes;

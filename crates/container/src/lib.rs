@@ -47,7 +47,7 @@ pub use meta::{ContainerMeta, LayerEntry, PipelineKind};
 pub use read::{load, load_bytes, LoadedModel};
 pub use write::{container_bytes, save};
 
-use fpdq_diffusion::{DdimSim, LdmSim, NoiseSchedule, SdSim};
+use fpdq_diffusion::{DdimSim, LdmSim, SdSim, ServeModel};
 use fpdq_nn::UNet;
 
 /// An owned pipeline of any family — what [`read::load`] returns and
@@ -81,12 +81,21 @@ impl SimPipeline {
         }
     }
 
-    /// The noise schedule.
-    pub fn schedule(&self) -> &NoiseSchedule {
+    /// The pipeline as a generation loop sees it.
+    pub fn model(&self) -> &dyn ServeModel {
         match self {
-            SimPipeline::Ddim(p) => &p.schedule,
-            SimPipeline::Ldm(p) => &p.schedule,
-            SimPipeline::Sd(p) => &p.schedule,
+            SimPipeline::Ddim(p) => p,
+            SimPipeline::Ldm(p) => p,
+            SimPipeline::Sd(p) => p,
+        }
+    }
+
+    /// [`Self::model`], owned (what a serving scheduler holds).
+    pub fn into_model(self) -> Box<dyn ServeModel> {
+        match self {
+            SimPipeline::Ddim(p) => Box::new(p),
+            SimPipeline::Ldm(p) => Box::new(p),
+            SimPipeline::Sd(p) => Box::new(p),
         }
     }
 }

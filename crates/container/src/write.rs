@@ -67,7 +67,7 @@ fn build_weights(unet: &UNet, report: &QuantReport) -> (Vec<LayerEntry>, Vec<u8>
 pub fn container_bytes(pipeline: &SimPipeline, report: &QuantReport) -> Result<Vec<u8>, FpdqError> {
     let unet = pipeline.unet();
     let (layers, weights) = build_weights(unet, report);
-    let schedule = pipeline.schedule();
+    let schedule = pipeline.model().schedule();
     let betas: Vec<f32> = (0..schedule.steps()).map(|t| schedule.beta(t)).collect();
 
     let mut sections: Vec<(u32, Vec<u8>)> = Vec::new();

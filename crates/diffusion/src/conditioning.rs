@@ -1,5 +1,4 @@
-//! Conditioning as a first-class engine concept, plus the batch
-//! composition helpers all three pipelines share.
+//! Conditioning as a first-class engine concept.
 //!
 //! Classifier-free guidance evaluates the U-Net twice per step — once
 //! with the prompt context, once with the null (empty-prompt) context —
@@ -39,50 +38,7 @@
 //! in one engine batch and requests can join/leave at step boundaries —
 //! see [`crate::stepper::advance_batch_conditioned`].
 
-use crate::sampler::{ddim_sample_seeded, DdimParams};
-use crate::schedule::NoiseSchedule;
-use fpdq_tensor::{FpdqError, Tensor};
-use rand::rngs::StdRng;
-use rand::Rng;
-
-/// Upper bound on the batch size used inside `generate` calls (keeps the
-/// attention intermediates small).
-pub const GEN_CHUNK: usize = 16;
-
-/// Per-image seeds for `n` images, drawn once from the master RNG so the
-/// images are independent of how they are later chunked into batches.
-pub fn per_image_seeds(n: usize, rng: &mut StdRng) -> Vec<u64> {
-    (0..n).map(|_| rng.gen()).collect()
-}
-
-/// Clamps a user batch size into `1..=GEN_CHUNK`.
-pub fn clamp_batch(batch: usize) -> usize {
-    batch.clamp(1, GEN_CHUNK)
-}
-
-/// Concatenates per-chunk outputs along the batch axis; an empty chunk
-/// list (n = 0) falls back to `empty` for a correctly shaped result.
-pub fn concat_chunks(outs: Vec<Tensor>, empty: impl FnOnce() -> Tensor) -> Tensor {
-    if outs.is_empty() {
-        return empty();
-    }
-    let refs: Vec<&Tensor> = outs.iter().collect();
-    Tensor::concat(&refs, 0)
-}
-
-/// Shared argument validation for the `try_generate_seeded` entry points:
-/// `steps` must land in `1..=schedule.steps()` (the panicking paths clamp
-/// silently — a server must reject instead, or a typo'd `steps=0` would
-/// quietly return a different image than requested).
-pub fn validate_steps(schedule: &NoiseSchedule, steps: usize) -> Result<(), FpdqError> {
-    if steps == 0 || steps > schedule.steps() {
-        return Err(FpdqError::invalid(format!(
-            "steps must be in 1..={}, got {steps}",
-            schedule.steps()
-        )));
-    }
-    Ok(())
-}
+use fpdq_tensor::Tensor;
 
 /// One image's conditioning, carried alongside its sampling state.
 #[derive(Clone, Debug)]
@@ -207,24 +163,10 @@ pub fn eps_folded(
     Tensor::concat(&refs, 0)
 }
 
-/// [`ddim_sample_seeded`] for conditioned batches: per-image conditioning
-/// drives one [`eps_folded`] engine call per step. `conds.len()` must
-/// equal `seeds.len()`.
-pub fn ddim_sample_seeded_conditioned(
-    schedule: &NoiseSchedule,
-    chw: [usize; 3],
-    seeds: &[u64],
-    params: DdimParams,
-    conds: &[&Conditioning],
-    forward: impl Fn(&Tensor, &Tensor, Option<&Tensor>) -> Tensor,
-) -> Tensor {
-    assert_eq!(conds.len(), seeds.len(), "need one conditioning per seed");
-    ddim_sample_seeded(schedule, chw, seeds, params, |x, t| eps_folded(&forward, x, t, conds))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// A batch-independent toy "network": per row,
@@ -360,14 +302,5 @@ mod tests {
     fn guidance_one_collapses_to_direct() {
         assert!(matches!(Conditioning::guided(ctx(1), ctx(2), 1.0), Conditioning::Direct(_)));
         assert!(matches!(Conditioning::guided(ctx(1), ctx(2), 3.0), Conditioning::Guided { .. }));
-    }
-
-    #[test]
-    fn validate_steps_bounds() {
-        let sch = NoiseSchedule::linear_scaled(20);
-        assert!(validate_steps(&sch, 1).is_ok());
-        assert!(validate_steps(&sch, 20).is_ok());
-        assert!(matches!(validate_steps(&sch, 0), Err(FpdqError::InvalidArgument(_))));
-        assert!(matches!(validate_steps(&sch, 21), Err(FpdqError::InvalidArgument(_))));
     }
 }

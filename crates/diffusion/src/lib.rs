@@ -12,6 +12,10 @@
 //! * the SDXL analogue (an [`SdSim`] with a ~3× larger U-Net, see
 //!   [`zoo::Zoo::sdxl_sim`]).
 //!
+//! Each pipeline implements [`ServeModel`], and offline generation
+//! ([`pipelines::sample`]) and the serving scheduler run the same
+//! admission and step kernel over it ([`pipelines`], [`stepper`]).
+//!
 //! The paper quantizes *pre-trained* models; since none are available
 //! offline, [`zoo::Zoo`] trains each substrate model once with a fixed
 //! seed and caches the checkpoint, so every experiment harness reuses the
@@ -27,7 +31,7 @@ pub mod train;
 pub mod zoo;
 
 pub use conditioning::{eps_folded, Conditioning};
-pub use pipelines::{DdimSim, LdmSim, SdSim};
+pub use pipelines::{DdimSim, LdmSim, SdSim, ServeModel};
 pub use sampler::{ddim_sample, ddpm_sample, DdimParams};
 pub use schedule::NoiseSchedule;
 pub use stepper::{advance_batch_conditioned, DdimStepState};

@@ -1,27 +1,160 @@
-//! The evaluated pipelines: pixel-space DDIM, unconditional latent
+//! The evaluated pipelines — pixel-space DDIM, unconditional latent
 //! diffusion, and text-to-image latent diffusion with classifier-free
-//! guidance (Figure 1 of the paper).
+//! guidance (Figure 1 of the paper) — and the one generation loop that
+//! offline sampling and serving share.
 //!
-//! # Batched generation
+//! # What a pipeline is
 //!
-//! `generate` draws one seed per image up front and then samples in
-//! multi-image batches (`generate_batched` exposes the batch size, e.g.
-//! for `fpdq generate --batch N`): every image's content is a pure
-//! function of its own seed ([`crate::sampler`]), so the batch size is a
-//! *throughput* knob — larger batches amortise the packed engine's
-//! per-step weight decode over more images — and never changes what is
-//! generated by a given master seed.
+//! [`ServeModel`] is everything a generation loop needs from a pipeline:
+//! the diffusion-space shape, the schedule, the `x_0` clamp, the batched
+//! noise prediction, how a request's prompt becomes [`Conditioning`],
+//! and how a finished `x_0` becomes an image. It is implemented once per
+//! pipeline, here.
+//!
+//! # One generation loop
+//!
+//! [`admit`] turns one `(seed, prompt, guidance)` into a
+//! [`DdimStepState`] (or a typed error), and
+//! [`advance_batch_conditioned`] is the step kernel. The serving
+//! scheduler admits requests one by one and interleaves them at step
+//! boundaries; [`sample`] admits a chunk of at most [`GEN_CHUNK`] seeds,
+//! steps it in lockstep and finishes it with one [`ServeModel::finish`]
+//! call. Both run the same admission and step kernel, so a served image
+//! equals the offline one for the same `(seed, prompt, steps)` by
+//! construction.
+//!
+//! Every image is a pure function of its own seed and conditioning
+//! ([`crate::stepper`]), so the batch size is a *throughput* knob —
+//! larger batches amortise the packed engine's per-step weight decode
+//! over more images — and never changes what a master seed generates.
+//! The `generate`/`generate_seeded` methods are panicking shorthands
+//! for [`sample`].
 
-use crate::conditioning::{
-    clamp_batch, concat_chunks, ddim_sample_seeded_conditioned, per_image_seeds, validate_steps,
-    Conditioning, GEN_CHUNK,
-};
-use crate::sampler::{ddim_sample_seeded, DdimParams};
+use crate::conditioning::Conditioning;
+use crate::sampler::DdimParams;
 use crate::schedule::NoiseSchedule;
+use crate::stepper::{advance_batch_conditioned, DdimStepState};
 use fpdq_data::Tokenizer;
 use fpdq_nn::{Autoencoder, TextEncoder, UNet};
 use fpdq_tensor::{FpdqError, Tensor};
 use rand::rngs::StdRng;
+use rand::Rng;
+
+/// Upper bound on the batch size [`sample`] steps at once (keeps the
+/// attention intermediates small).
+pub const GEN_CHUNK: usize = 16;
+
+/// Per-image seeds for `n` images, drawn once from the master RNG so the
+/// images are independent of how they are later chunked into batches.
+pub fn per_image_seeds(n: usize, rng: &mut StdRng) -> Vec<u64> {
+    (0..n).map(|_| rng.gen()).collect()
+}
+
+/// What a generation loop needs from a pipeline. Conditioning is a
+/// first-class engine concept: a request's prompt is encoded **once at
+/// admission** into a [`Conditioning`] its step state carries, and the
+/// CFG double forward folds into the shared engine batch
+/// ([`crate::conditioning::eps_folded`]).
+pub trait ServeModel {
+    /// Sample dims `[c, h, w]` of the diffusion space.
+    fn chw(&self) -> [usize; 3];
+    /// The noise schedule (bounds the per-request `steps`).
+    fn schedule(&self) -> &NoiseSchedule;
+    /// `x_0` clamp during sampling (pixel pipelines clamp, latent don't).
+    fn clip_x0(&self) -> Option<f32>;
+    /// Batched noise prediction `ε(x, t, ctx)`; per-image timesteps,
+    /// optional per-row conditioning context.
+    fn eps(&self, x: &Tensor, t: &Tensor, ctx: Option<&Tensor>) -> Tensor;
+    /// Turns a request's `prompt`/`guidance` into the [`Conditioning`]
+    /// its step state will carry. Runs once, at admission.
+    /// Unconditional pipelines accept neither field; that is the
+    /// default implementation.
+    fn conditioning(
+        &self,
+        prompt: Option<&str>,
+        guidance: Option<f32>,
+    ) -> Result<Conditioning, FpdqError> {
+        if prompt.is_some() || guidance.is_some() {
+            return Err(FpdqError::invalid(
+                "this model is unconditional: 'prompt' and 'guidance' are not supported",
+            ));
+        }
+        Ok(Conditioning::Uncond)
+    }
+    /// Maps finished `x_0` estimates `[n, c, h, w]` to images (clamp /
+    /// decode). Row `i` of the output depends only on row `i` of `x`.
+    fn finish(&self, x: &Tensor) -> Tensor;
+}
+
+/// Admits one image: resolves its conditioning and starts its step
+/// state. Both failure modes are typed [`FpdqError::InvalidArgument`]s —
+/// a prompt or guidance the model cannot take, and `steps` outside
+/// `1..=schedule.steps()`.
+pub fn admit(
+    model: &dyn ServeModel,
+    seed: u64,
+    steps: usize,
+    prompt: Option<&str>,
+    guidance: Option<f32>,
+) -> Result<DdimStepState, FpdqError> {
+    let cond = model.conditioning(prompt, guidance)?;
+    let params = DdimParams { steps, eta: 0.0, clip_x0: model.clip_x0() };
+    DdimStepState::new_conditioned(model.schedule(), model.chw(), seed, params, cond)
+}
+
+/// Generates one image per seed: admits `batch` seeds at a time
+/// (clamped to `1..=GEN_CHUNK`), steps each chunk with
+/// [`advance_batch_conditioned`] and finishes it with one
+/// [`ServeModel::finish`]. `prompts`, when given, pairs one prompt with
+/// each seed (conditional models; the model's default guidance applies).
+///
+/// The image produced for a seed is identical whatever the batch size
+/// and whatever the rest of the seed list.
+///
+/// # Errors
+///
+/// [`FpdqError::ShapeMismatch`] when the prompt and seed counts differ;
+/// otherwise whatever [`admit`] rejects.
+pub fn sample(
+    model: &dyn ServeModel,
+    seeds: &[u64],
+    prompts: Option<&[String]>,
+    steps: usize,
+    batch: usize,
+) -> Result<Tensor, FpdqError> {
+    if let Some(prompts) = prompts.filter(|p| p.len() != seeds.len()) {
+        return Err(FpdqError::shape(format!(
+            "need one seed per prompt: {} prompts, {} seeds",
+            prompts.len(),
+            seeds.len()
+        )));
+    }
+    let batch = batch.clamp(1, GEN_CHUNK);
+    let mut images = Vec::new();
+    for (k, chunk) in seeds.chunks(batch).enumerate() {
+        let mut states = chunk
+            .iter()
+            .enumerate()
+            .map(|(i, &seed)| {
+                let prompt = prompts.map(|p| p[k * batch + i].as_str());
+                admit(model, seed, steps, prompt, None)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        while !states[0].is_done() {
+            let mut refs: Vec<&mut DdimStepState> = states.iter_mut().collect();
+            advance_batch_conditioned(&mut refs, |x, t, ctx| model.eps(x, t, ctx));
+        }
+        let x0: Vec<Tensor> = states.into_iter().map(DdimStepState::into_result).collect();
+        images.push(model.finish(&Tensor::concat(&x0.iter().collect::<Vec<_>>(), 0)));
+    }
+    if images.is_empty() {
+        // Shape the empty result through `finish` (latent pipelines
+        // decode to a different size).
+        let [c, h, w] = model.chw();
+        return Ok(model.finish(&Tensor::zeros(&[0, c, h, w])));
+    }
+    Ok(Tensor::concat(&images.iter().collect::<Vec<_>>(), 0))
+}
 
 /// Pixel-space DDIM pipeline (the paper's DDIM-on-CIFAR-10 configuration).
 #[derive(Debug)]
@@ -43,49 +176,34 @@ impl DdimSim {
     /// fixes the generated batch across quantization configurations
     /// (paper §VI-C) — and across batch sizes.
     pub fn generate(&self, n: usize, steps: usize, rng: &mut StdRng) -> Tensor {
-        self.generate_batched(n, steps, GEN_CHUNK, rng)
+        self.generate_seeded(&per_image_seeds(n, rng), steps, GEN_CHUNK)
     }
 
-    /// [`Self::generate`] with an explicit sampling batch size
-    /// (clamped to `1..=16`): `batch` images share each U-Net call.
-    pub fn generate_batched(
-        &self,
-        n: usize,
-        steps: usize,
-        batch: usize,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        self.generate_seeded(&per_image_seeds(n, rng), steps, batch)
-    }
-
-    /// Generates one image per seed (see [`ddim_sample_seeded`]): the
-    /// image produced for a seed is identical whatever the batch size
-    /// and whatever the rest of the seed list.
+    /// Generates one image per seed, `batch` images per U-Net call.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`sample`]'s typed error (out-of-range `steps`).
     pub fn generate_seeded(&self, seeds: &[u64], steps: usize, batch: usize) -> Tensor {
-        let mut outs = Vec::new();
-        for chunk in seeds.chunks(clamp_batch(batch)) {
-            let img = ddim_sample_seeded(
-                &self.schedule,
-                [self.channels, self.image_size, self.image_size],
-                chunk,
-                DdimParams { steps, eta: 0.0, clip_x0: Some(1.0) },
-                |x, t| self.unet.forward(x, t, None),
-            );
-            outs.push(img.clamp(-1.0, 1.0));
-        }
-        concat_chunks(outs, || Tensor::zeros(&[0, self.channels, self.image_size, self.image_size]))
+        sample(self, seeds, None, steps, batch).unwrap_or_else(|e| panic!("{e}"))
     }
+}
 
-    /// Validating [`Self::generate_seeded`]: out-of-range `steps` comes
-    /// back as a typed [`FpdqError`] instead of being silently clamped.
-    pub fn try_generate_seeded(
-        &self,
-        seeds: &[u64],
-        steps: usize,
-        batch: usize,
-    ) -> Result<Tensor, FpdqError> {
-        validate_steps(&self.schedule, steps)?;
-        Ok(self.generate_seeded(seeds, steps, batch))
+impl ServeModel for DdimSim {
+    fn chw(&self) -> [usize; 3] {
+        [self.channels, self.image_size, self.image_size]
+    }
+    fn schedule(&self) -> &NoiseSchedule {
+        &self.schedule
+    }
+    fn clip_x0(&self) -> Option<f32> {
+        Some(1.0)
+    }
+    fn eps(&self, x: &Tensor, t: &Tensor, _ctx: Option<&Tensor>) -> Tensor {
+        self.unet.forward(x, t, None)
+    }
+    fn finish(&self, x: &Tensor) -> Tensor {
+        x.clamp(-1.0, 1.0)
     }
 }
 
@@ -121,55 +239,34 @@ impl LdmSim {
 
     /// Generates `n` images with `steps` DDIM steps.
     pub fn generate(&self, n: usize, steps: usize, rng: &mut StdRng) -> Tensor {
-        self.generate_batched(n, steps, GEN_CHUNK, rng)
+        self.generate_seeded(&per_image_seeds(n, rng), steps, GEN_CHUNK)
     }
 
-    /// [`Self::generate`] with an explicit sampling batch size
-    /// (clamped to `1..=16`).
-    pub fn generate_batched(
-        &self,
-        n: usize,
-        steps: usize,
-        batch: usize,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        self.generate_seeded(&per_image_seeds(n, rng), steps, batch)
-    }
-
-    /// Generates one image per seed (see [`ddim_sample_seeded`]).
+    /// Generates one image per seed, `batch` images per U-Net call.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`sample`]'s typed error (out-of-range `steps`).
     pub fn generate_seeded(&self, seeds: &[u64], steps: usize, batch: usize) -> Tensor {
-        let mut outs = Vec::new();
-        for chunk in seeds.chunks(clamp_batch(batch)) {
-            let z = ddim_sample_seeded(
-                &self.schedule,
-                [self.latent_channels, self.latent_size, self.latent_size],
-                chunk,
-                DdimParams { steps, eta: 0.0, clip_x0: None },
-                |x, t| self.unet.forward(x, t, None),
-            );
-            outs.push(self.decode_scaled(&z));
-        }
-        // Empty case: shape the result by decoding an empty latent batch.
-        concat_chunks(outs, || {
-            self.decode_scaled(&Tensor::zeros(&[
-                0,
-                self.latent_channels,
-                self.latent_size,
-                self.latent_size,
-            ]))
-        })
+        sample(self, seeds, None, steps, batch).unwrap_or_else(|e| panic!("{e}"))
     }
+}
 
-    /// Validating [`Self::generate_seeded`]: out-of-range `steps` comes
-    /// back as a typed [`FpdqError`] instead of being silently clamped.
-    pub fn try_generate_seeded(
-        &self,
-        seeds: &[u64],
-        steps: usize,
-        batch: usize,
-    ) -> Result<Tensor, FpdqError> {
-        validate_steps(&self.schedule, steps)?;
-        Ok(self.generate_seeded(seeds, steps, batch))
+impl ServeModel for LdmSim {
+    fn chw(&self) -> [usize; 3] {
+        [self.latent_channels, self.latent_size, self.latent_size]
+    }
+    fn schedule(&self) -> &NoiseSchedule {
+        &self.schedule
+    }
+    fn clip_x0(&self) -> Option<f32> {
+        None
+    }
+    fn eps(&self, x: &Tensor, t: &Tensor, _ctx: Option<&Tensor>) -> Tensor {
+        self.unet.forward(x, t, None)
+    }
+    fn finish(&self, x: &Tensor) -> Tensor {
+        self.decode_scaled(x)
     }
 }
 
@@ -224,28 +321,16 @@ impl SdSim {
     /// Generates one image per prompt with `steps` DDIM steps and
     /// classifier-free guidance.
     pub fn generate(&self, prompts: &[String], steps: usize, rng: &mut StdRng) -> Tensor {
-        self.generate_batched(prompts, steps, GEN_CHUNK, rng)
+        self.generate_seeded(prompts, &per_image_seeds(prompts.len(), rng), steps, GEN_CHUNK)
     }
 
-    /// [`Self::generate`] with an explicit sampling batch size
-    /// (clamped to `1..=16`).
-    pub fn generate_batched(
-        &self,
-        prompts: &[String],
-        steps: usize,
-        batch: usize,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        self.generate_seeded(prompts, &per_image_seeds(prompts.len(), rng), steps, batch)
-    }
-
-    /// Generates one image per (prompt, seed) pair (see
-    /// [`ddim_sample_seeded`]); `seeds.len()` must equal `prompts.len()`.
+    /// Generates one image per (prompt, seed) pair, `batch` images per
+    /// folded U-Net call.
     ///
     /// # Panics
     ///
-    /// Panics if the seed and prompt counts differ
-    /// ([`Self::try_generate_seeded`] is the non-panicking variant).
+    /// Panics with [`sample`]'s typed error (seed/prompt count mismatch,
+    /// out-of-range `steps`).
     pub fn generate_seeded(
         &self,
         prompts: &[String],
@@ -253,66 +338,58 @@ impl SdSim {
         steps: usize,
         batch: usize,
     ) -> Tensor {
-        assert_eq!(prompts.len(), seeds.len(), "need one seed per prompt");
-        let batch = clamp_batch(batch);
-        // The null context is prompt-independent: encode it once per call
-        // (it used to be re-encoded per chunk) and share the row across
-        // every chunk's fold.
-        let null = self.null_context(1);
-        let mut outs = Vec::new();
-        for (chunk, seed_chunk) in prompts.chunks(batch).zip(seeds.chunks(batch)) {
-            let cond = self.encode_prompts(chunk);
-            let conds: Vec<Conditioning> = (0..chunk.len())
-                .map(|i| Conditioning::guided(cond.narrow(0, i, 1), null.clone(), self.guidance))
-                .collect();
-            let refs: Vec<&Conditioning> = conds.iter().collect();
-            // Both CFG halves of the whole chunk run as one folded engine
-            // call per step (2n rows), bit-identical to the double
-            // forward it replaces — see `crate::conditioning`.
-            let z = ddim_sample_seeded_conditioned(
-                &self.schedule,
-                [self.latent_channels, self.latent_size, self.latent_size],
-                seed_chunk,
-                DdimParams { steps, eta: 0.0, clip_x0: None },
-                &refs,
-                |x, t, ctx| self.unet.forward(x, t, ctx),
-            );
-            outs.push(self.decode_scaled(&z));
-        }
-        concat_chunks(outs, || {
-            self.decode_scaled(&Tensor::zeros(&[
-                0,
-                self.latent_channels,
-                self.latent_size,
-                self.latent_size,
-            ]))
-        })
+        sample(self, seeds, Some(prompts), steps, batch).unwrap_or_else(|e| panic!("{e}"))
     }
+}
 
-    /// Validating [`Self::generate_seeded`]: a prompt/seed count mismatch
-    /// or out-of-range `steps` comes back as a typed [`FpdqError`].
-    pub fn try_generate_seeded(
+impl ServeModel for SdSim {
+    fn chw(&self) -> [usize; 3] {
+        [self.latent_channels, self.latent_size, self.latent_size]
+    }
+    fn schedule(&self) -> &NoiseSchedule {
+        &self.schedule
+    }
+    fn clip_x0(&self) -> Option<f32> {
+        None
+    }
+    fn eps(&self, x: &Tensor, t: &Tensor, ctx: Option<&Tensor>) -> Tensor {
+        self.unet.forward(x, t, ctx)
+    }
+    fn conditioning(
         &self,
-        prompts: &[String],
-        seeds: &[u64],
-        steps: usize,
-        batch: usize,
-    ) -> Result<Tensor, FpdqError> {
-        if prompts.len() != seeds.len() {
-            return Err(FpdqError::shape(format!(
-                "need one seed per prompt: {} prompts, {} seeds",
-                prompts.len(),
-                seeds.len()
-            )));
+        prompt: Option<&str>,
+        guidance: Option<f32>,
+    ) -> Result<Conditioning, FpdqError> {
+        if let Some(g) = guidance.filter(|g| !g.is_finite()) {
+            return Err(FpdqError::invalid(format!("'guidance' must be finite, got {g}")));
         }
-        validate_steps(&self.schedule, steps)?;
-        Ok(self.generate_seeded(prompts, seeds, steps, batch))
+        // The text encoder runs full-precision (the paper quantizes only
+        // the U-Net), once per image. The null context is
+        // prompt-independent but cheap at n = 1; re-encoding it here
+        // keeps the model immutable across requests.
+        match prompt {
+            Some(p) => {
+                let cond = self.encode_prompts(&[p.to_string()]);
+                let g = guidance.unwrap_or(self.guidance);
+                Ok(Conditioning::guided(cond, self.null_context(1), g))
+            }
+            None if guidance.is_some() => {
+                Err(FpdqError::invalid("'guidance' requires a 'prompt' to guide towards"))
+            }
+            // A prompt-less request on a conditional model samples the
+            // null context — the model's own unconditional distribution.
+            None => Ok(Conditioning::Direct(self.null_context(1))),
+        }
+    }
+    fn finish(&self, x: &Tensor) -> Tensor {
+        self.decode_scaled(x)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::ddim_sample_seeded;
     use fpdq_nn::{AutoencoderConfig, TextEncoderConfig, UNetConfig};
     use rand::SeedableRng;
 
@@ -326,192 +403,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ddim_pipeline_shapes_and_range() {
-        let p = micro_ddim();
-        let mut rng = StdRng::seed_from_u64(2);
-        let imgs = p.generate(3, 4, &mut rng);
-        assert_eq!(imgs.dims(), &[3, 3, 8, 8]);
-        assert!(imgs.min() >= -1.0 && imgs.max() <= 1.0);
-    }
-
-    #[test]
-    fn generation_is_seed_deterministic() {
-        let p = micro_ddim();
-        let a = p.generate(2, 4, &mut StdRng::seed_from_u64(5));
-        let b = p.generate(2, 4, &mut StdRng::seed_from_u64(5));
-        let c = p.generate(2, 4, &mut StdRng::seed_from_u64(6));
-        assert_eq!(a.data(), b.data());
-        assert_ne!(a.data(), c.data());
-    }
-
-    #[test]
-    fn batch_size_does_not_change_generated_images() {
-        // The batch knob is pure throughput: the same master seed yields
-        // the same images at batch 1, 3 and 16, because every image is a
-        // function of its own derived seed.
-        let p = micro_ddim();
-        let want = p.generate_batched(5, 3, 1, &mut StdRng::seed_from_u64(9));
-        for batch in [2usize, 3, 5, 16] {
-            let got = p.generate_batched(5, 3, batch, &mut StdRng::seed_from_u64(9));
-            assert_eq!(got.dims(), want.dims());
-            assert_eq!(got.data(), want.data(), "batch {batch} changed the images");
-        }
-    }
-
-    #[test]
-    fn seeded_generation_is_order_independent() {
-        let p = micro_ddim();
-        let fwd = p.generate_seeded(&[11, 22, 33], 3, 2);
-        let rev = p.generate_seeded(&[33, 22, 11], 3, 2);
-        for i in 0..3 {
-            assert_eq!(
-                fwd.narrow(0, i, 1).data(),
-                rev.narrow(0, 2 - i, 1).data(),
-                "image {i} depends on batch composition"
-            );
-        }
-    }
-
-    #[test]
-    fn try_generate_rejects_out_of_range_steps() {
-        let p = micro_ddim();
-        assert!(matches!(p.try_generate_seeded(&[1], 0, 1), Err(FpdqError::InvalidArgument(_))));
-        assert!(matches!(
-            p.try_generate_seeded(&[1], p.schedule.steps() + 1, 1),
-            Err(FpdqError::InvalidArgument(_))
-        ));
-        // In-range steps agree bit-exactly with the panicking path.
-        let ok = p.try_generate_seeded(&[1, 2], 3, 2).unwrap();
-        assert_eq!(ok.data(), p.generate_seeded(&[1, 2], 3, 2).data());
-    }
-
-    #[test]
-    fn zero_count_generation_returns_empty_batch() {
-        let p = micro_ddim();
-        let imgs = p.generate(0, 3, &mut StdRng::seed_from_u64(1));
-        assert_eq!(imgs.dims(), &[0, 3, 8, 8]);
-    }
-
-    #[test]
-    fn zero_count_latent_generation_returns_empty_decoded_batch() {
-        // The latent pipelines shape their empty result through the
-        // decoder (an empty batch must still carry the decoded dims).
-        let mut rng = StdRng::seed_from_u64(12);
-        let p = LdmSim {
-            ae: Autoencoder::new(AutoencoderConfig::small(3, 4), &mut rng),
-            unet: UNet::new(UNetConfig::tiny(4), &mut rng),
-            schedule: NoiseSchedule::linear_scaled(20),
-            latent_channels: 4,
-            latent_size: 8,
-            latent_scale: 1.0,
-        };
-        let imgs = p.generate(0, 3, &mut StdRng::seed_from_u64(13));
-        assert_eq!(imgs.dims(), &[0, 3, 16, 16]);
-    }
-
-    #[test]
-    fn ldm_pipeline_roundtrip_shapes() {
+    fn micro_ldm() -> LdmSim {
         let mut rng = StdRng::seed_from_u64(3);
-        let p = LdmSim {
+        LdmSim {
             ae: Autoencoder::new(AutoencoderConfig::small(3, 4), &mut rng),
             unet: UNet::new(UNetConfig::tiny(4), &mut rng),
             schedule: NoiseSchedule::linear_scaled(20),
             latent_channels: 4,
             latent_size: 8,
             latent_scale: 1.0,
-        };
-        let mut g = StdRng::seed_from_u64(4);
-        let imgs = p.generate(2, 3, &mut g);
-        assert_eq!(imgs.dims(), &[2, 3, 16, 16]);
-        // encode/decode round shape.
-        let z = p.encode_scaled(&imgs);
-        assert_eq!(z.dims(), &[2, 4, 8, 8]);
-    }
-
-    #[test]
-    fn sd_pipeline_generates_per_prompt() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let tokenizer = Tokenizer::caption_grammar();
-        let text = TextEncoder::new(
-            TextEncoderConfig {
-                layers: 1,
-                ..TextEncoderConfig::small(tokenizer.vocab_size(), 8, 8)
-            },
-            &mut rng,
-        );
-        let p = SdSim {
-            tokenizer,
-            text,
-            ae: Autoencoder::new(AutoencoderConfig::small(3, 4), &mut rng),
-            unet: UNet::new(UNetConfig { context_dim: Some(8), ..UNetConfig::tiny(4) }, &mut rng),
-            schedule: NoiseSchedule::linear_scaled(20),
-            latent_channels: 4,
-            latent_size: 8,
-            latent_scale: 1.0,
-            guidance: 2.0,
-        };
-        let prompts = vec![
-            "a red ball in a dark room".to_string(),
-            "a blue box in a bright room".to_string(),
-        ];
-        let mut g = StdRng::seed_from_u64(6);
-        let imgs = p.generate(&prompts, 3, &mut g);
-        assert_eq!(imgs.dims(), &[2, 3, 16, 16]);
-        // Same seed, different prompts -> different images (conditioning
-        // reaches the output even in an untrained net).
-        let mut g2 = StdRng::seed_from_u64(6);
-        let imgs2 = p.generate(
-            &[
-                "a cyan ring in a bright room".to_string(),
-                "a blue box in a bright room".to_string(),
-            ],
-            3,
-            &mut g2,
-        );
-        let first_diff: f32 = imgs
-            .narrow(0, 0, 1)
-            .data()
-            .iter()
-            .zip(imgs2.narrow(0, 0, 1).data())
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        assert!(first_diff > 1e-4, "prompt change had no effect");
-        // The validating entry point turns the seed/prompt mismatch the
-        // panicking path asserts on into a typed error.
-        let err = p.try_generate_seeded(&prompts, &[1], 3, 2).unwrap_err();
-        assert!(matches!(err, FpdqError::ShapeMismatch(_)), "{err}");
-    }
-
-    #[test]
-    fn guidance_one_skips_null_branch() {
-        // With guidance == 1 the pipeline must produce cond-only results;
-        // we verify it differs from guidance = 3 on the same seed.
-        let mut rng = StdRng::seed_from_u64(7);
-        let tokenizer = Tokenizer::caption_grammar();
-        let text = TextEncoder::new(
-            TextEncoderConfig {
-                layers: 1,
-                ..TextEncoderConfig::small(tokenizer.vocab_size(), 8, 8)
-            },
-            &mut rng,
-        );
-        let mut p = SdSim {
-            tokenizer,
-            text,
-            ae: Autoencoder::new(AutoencoderConfig::small(3, 4), &mut rng),
-            unet: UNet::new(UNetConfig { context_dim: Some(8), ..UNetConfig::tiny(4) }, &mut rng),
-            schedule: NoiseSchedule::linear_scaled(20),
-            latent_channels: 4,
-            latent_size: 8,
-            latent_scale: 1.0,
-            guidance: 1.0,
-        };
-        let prompts = vec!["a red ball in a dark room".to_string()];
-        let a = p.generate(&prompts, 3, &mut StdRng::seed_from_u64(8));
-        p.guidance = 3.0;
-        let b = p.generate(&prompts, 3, &mut StdRng::seed_from_u64(8));
-        assert_ne!(a.data(), b.data());
+        }
     }
 
     fn micro_sd(guidance: f32) -> SdSim {
@@ -537,26 +438,164 @@ mod tests {
         }
     }
 
+    fn captions(n: usize) -> Vec<String> {
+        let all = ["a red ball in a dark room", "a blue box in a bright room"];
+        (0..n).map(|i| all[i % all.len()].to_string()).collect()
+    }
+
+    #[test]
+    fn ddim_pipeline_shapes_and_range() {
+        let p = micro_ddim();
+        let mut rng = StdRng::seed_from_u64(2);
+        let imgs = p.generate(3, 4, &mut rng);
+        assert_eq!(imgs.dims(), &[3, 3, 8, 8]);
+        assert!(imgs.min() >= -1.0 && imgs.max() <= 1.0);
+    }
+
+    #[test]
+    fn generation_is_seed_deterministic() {
+        let p = micro_ddim();
+        let a = p.generate(2, 4, &mut StdRng::seed_from_u64(5));
+        let b = p.generate(2, 4, &mut StdRng::seed_from_u64(5));
+        let c = p.generate(2, 4, &mut StdRng::seed_from_u64(6));
+        assert_eq!(a.data(), b.data());
+        assert_ne!(a.data(), c.data());
+    }
+
+    #[test]
+    fn batch_size_does_not_change_generated_images() {
+        // The batch knob is pure throughput: the same seeds yield the
+        // same images at every batch size, for every pipeline — which
+        // also pins the per-chunk `finish` decode of the latent ones.
+        let (ddim, ldm, sd) = (micro_ddim(), micro_ldm(), micro_sd(2.0));
+        let prompts = captions(5);
+        let cases: [(&dyn ServeModel, Option<&[String]>); 3] =
+            [(&ddim, None), (&ldm, None), (&sd, Some(&prompts))];
+        let seeds = per_image_seeds(5, &mut StdRng::seed_from_u64(9));
+        for (k, (model, prompts)) in cases.into_iter().enumerate() {
+            let want = sample(model, &seeds, prompts, 3, 1).unwrap();
+            assert_eq!(want.dim(0), 5);
+            for batch in [2usize, 3, 5, 16] {
+                let got = sample(model, &seeds, prompts, 3, batch).unwrap();
+                assert_eq!(got.dims(), want.dims());
+                assert_eq!(
+                    got.data(),
+                    want.data(),
+                    "pipeline {k}: batch {batch} changed the images"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_generation_is_order_independent() {
+        let p = micro_ddim();
+        let fwd = p.generate_seeded(&[11, 22, 33], 3, 2);
+        let rev = p.generate_seeded(&[33, 22, 11], 3, 2);
+        for i in 0..3 {
+            assert_eq!(
+                fwd.narrow(0, i, 1).data(),
+                rev.narrow(0, 2 - i, 1).data(),
+                "image {i} depends on batch composition"
+            );
+        }
+    }
+
+    #[test]
+    fn try_generate_rejects_out_of_range_steps() {
+        let p = micro_ddim();
+        for steps in [0, p.schedule.steps() + 1] {
+            let r = sample(&p, &[1], None, steps, 1);
+            assert!(matches!(r, Err(FpdqError::InvalidArgument(_))), "steps {steps} accepted");
+        }
+        // In-range steps agree bit-exactly with the panicking path.
+        let ok = sample(&p, &[1, 2], None, 3, 2).unwrap();
+        assert_eq!(ok.data(), p.generate_seeded(&[1, 2], 3, 2).data());
+    }
+
+    #[test]
+    #[should_panic(expected = "steps must be in 1..=20, got 21")]
+    fn generate_panics_with_the_typed_steps_message() {
+        micro_ddim().generate_seeded(&[1], 21, 1);
+    }
+
+    #[test]
+    fn zero_count_generation_returns_empty_batch() {
+        let p = micro_ddim();
+        let imgs = p.generate(0, 3, &mut StdRng::seed_from_u64(1));
+        assert_eq!(imgs.dims(), &[0, 3, 8, 8]);
+    }
+
+    #[test]
+    fn zero_count_latent_generation_returns_empty_decoded_batch() {
+        // The latent pipelines shape their empty result through the
+        // decoder (an empty batch must still carry the decoded dims).
+        let imgs = micro_ldm().generate(0, 3, &mut StdRng::seed_from_u64(13));
+        assert_eq!(imgs.dims(), &[0, 3, 16, 16]);
+    }
+
+    #[test]
+    fn ldm_pipeline_roundtrip_shapes() {
+        let p = micro_ldm();
+        let imgs = p.generate(2, 3, &mut StdRng::seed_from_u64(4));
+        assert_eq!(imgs.dims(), &[2, 3, 16, 16]);
+        // encode/decode round shape.
+        let z = p.encode_scaled(&imgs);
+        assert_eq!(z.dims(), &[2, 4, 8, 8]);
+    }
+
+    #[test]
+    fn sd_pipeline_generates_per_prompt() {
+        let p = micro_sd(2.0);
+        let prompts = captions(2);
+        let imgs = p.generate(&prompts, 3, &mut StdRng::seed_from_u64(6));
+        assert_eq!(imgs.dims(), &[2, 3, 16, 16]);
+        // Same seed, different prompts -> different images (conditioning
+        // reaches the output even in an untrained net).
+        let other = ["a cyan ring in a bright room".to_string(), prompts[1].clone()];
+        let imgs2 = p.generate(&other, 3, &mut StdRng::seed_from_u64(6));
+        let first_diff: f32 = imgs
+            .narrow(0, 0, 1)
+            .data()
+            .iter()
+            .zip(imgs2.narrow(0, 0, 1).data())
+            .map(|(a, b)| (a - b).abs())
+            .sum();
+        assert!(first_diff > 1e-4, "prompt change had no effect");
+        // A seed/prompt count mismatch is a typed error from the loop.
+        let err = sample(&p, &[1], Some(&prompts), 3, 2).unwrap_err();
+        assert!(matches!(err, FpdqError::ShapeMismatch(_)), "{err}");
+    }
+
+    #[test]
+    fn guidance_one_skips_null_branch() {
+        // With guidance == 1 the pipeline must produce cond-only results;
+        // we verify it differs from guidance = 3 on the same seed.
+        let mut p = micro_sd(1.0);
+        let prompts = captions(1);
+        let a = p.generate(&prompts, 3, &mut StdRng::seed_from_u64(8));
+        p.guidance = 3.0;
+        let b = p.generate(&prompts, 3, &mut StdRng::seed_from_u64(8));
+        assert_ne!(a.data(), b.data());
+    }
+
     #[test]
     fn folded_cfg_matches_the_double_forward_bitwise() {
-        // The tentpole contract: one 2n-row engine call per step must
+        // The fold contract: one 2n-row engine call per step must
         // reproduce the two sequential n-row calls bit-for-bit (U-Net
         // batch independence + elementwise guidance mix).
         let p = micro_sd(3.0);
-        let prompts = vec![
-            "a red ball in a dark room".to_string(),
-            "a blue box in a bright room".to_string(),
-        ];
+        let prompts = captions(2);
         let seeds = [11u64, 22];
         let got = p.generate_seeded(&prompts, &seeds, 3, 2);
 
-        // Reference: the pre-fold pipeline, verbatim — cond and null
-        // halves as two separate forwards per step.
+        // Reference: the loop sampler with cond and null halves as two
+        // separate forwards per step.
         let cond = p.encode_prompts(&prompts);
         let null = p.null_context(prompts.len());
         let z = ddim_sample_seeded(
             &p.schedule,
-            [p.latent_channels, p.latent_size, p.latent_size],
+            p.chw(),
             &seeds,
             DdimParams { steps: 3, eta: 0.0, clip_x0: None },
             |x, t| {
@@ -570,13 +609,11 @@ mod tests {
     }
 
     #[test]
-    fn null_context_hoist_survives_chunking() {
-        // Regression for the per-chunk null_context recomputation: more
-        // prompts than one chunk holds (17 > GEN_CHUNK = 16) must produce
-        // exactly the images their batch-1 solo runs produce.
+    fn chunking_past_gen_chunk_matches_solo_runs() {
+        // More prompts than one chunk holds (17 > GEN_CHUNK = 16) must
+        // produce exactly the images their batch-1 solo runs produce.
         let p = micro_sd(2.0);
-        let prompts: Vec<String> =
-            (0..17).map(|_| "a red ball in a dark room".to_string()).collect();
+        let prompts = captions(17);
         let seeds: Vec<u64> = (0..17).map(|i| 100 + i as u64).collect();
         let batched = p.generate_seeded(&prompts, &seeds, 2, 16);
         assert_eq!(batched.dim(0), 17);

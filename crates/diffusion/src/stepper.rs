@@ -1,13 +1,18 @@
-//! Step-wise DDIM sampling: one request's denoising loop, inverted.
+//! Step-wise DDIM sampling: the step kernel every generation runs.
 //!
-//! [`crate::sampler::ddim_sample_seeded`] owns its whole loop — fine for
-//! offline generation, useless for a serving scheduler that wants to
-//! *interleave* many requests' steps so new requests can join the batch
-//! at any step boundary (continuous batching). [`DdimStepState`] turns
-//! the loop inside out: it holds one image's `x_t`, RNG stream and
-//! position in the timestep subsequence, and [`DdimStepState::advance`]
-//! applies exactly one DDIM update given the noise prediction for the
-//! *current* timestep.
+//! [`DdimStepState`] holds one image's `x_t`, RNG stream and position in
+//! the timestep subsequence, and [`DdimStepState::advance`] applies
+//! exactly one DDIM update given the noise prediction for the *current*
+//! timestep. [`advance_batch_conditioned`] runs one engine call for a
+//! set of states and advances each.
+//!
+//! Offline generation and serving share this kernel and the admission
+//! that builds its states (`pipelines::admit`): the offline loop
+//! (`pipelines::sample`) steps a chunk of images in lockstep, and the
+//! serving scheduler interleaves requests that join and leave at step
+//! boundaries (continuous batching). The loop samplers in
+//! [`crate::sampler`] are the reference both are tested against, and
+//! what calibration drives.
 //!
 //! # Bit-identity contract
 //!
@@ -17,7 +22,7 @@
 //! guarantee:
 //!
 //! 1. `advance` applies the batched sampler's update function
-//!    ([`crate::sampler::ddim_update`]) to the request's own
+//!    (`sampler::ddim_update`) to the request's own
 //!    `[1, c, h, w]` slice. Every op in the update is
 //!    elementwise with scalar coefficients, so slicing commutes with the
 //!    math, and stochastic noise comes from the request's own stream —
@@ -50,31 +55,20 @@ pub struct DdimStepState {
 }
 
 impl DdimStepState {
-    /// Starts an unconditioned request: derives the starting noise
-    /// `[1, c, h, w]` and the stochastic stream from `seed`, exactly as
+    /// Starts a request: derives the starting noise `[1, c, h, w]` and
+    /// the stochastic stream from `seed`, exactly as
     /// [`crate::sampler::ddim_sample_seeded`] does for a batch-1 call.
+    /// The conditioning (and guidance, when [`Conditioning::Guided`])
+    /// travels with the state, so conditional and unconditional
+    /// requests join and leave a running batch alike —
+    /// [`advance_batch_conditioned`] folds every member's halves into
+    /// one engine call per step.
     ///
-    /// `params.steps` must be in `1..=schedule.steps()` (a server rejects
-    /// instead of clamping; see `DdimSim::try_generate_seeded`).
-    pub fn new_seeded(
-        schedule: &NoiseSchedule,
-        chw: [usize; 3],
-        seed: u64,
-        params: DdimParams,
-    ) -> Result<DdimStepState, FpdqError> {
-        Self::new_conditioned(schedule, chw, seed, params, Conditioning::Uncond)
-    }
-
-    /// [`Self::new_seeded`] with per-request conditioning: the context
-    /// (and guidance, when [`Conditioning::Guided`]) travels with the
-    /// request's state, so a conditional request can join and leave a
-    /// running batch at step boundaries exactly like an unconditional
-    /// one — [`advance_batch_conditioned`] folds every member's halves
-    /// into one engine call per step.
-    ///
-    /// The seed's role is unchanged: conditioning shapes ε, never the
-    /// noise streams, so the bit-identity contract (solo run == any batch
-    /// composition) holds per (seed, conditioning) pair.
+    /// Conditioning shapes ε, never the noise streams, so the
+    /// bit-identity contract (solo run == any batch composition) holds
+    /// per (seed, conditioning) pair. `params.steps` must be in
+    /// `1..=schedule.steps()`: out-of-range steps are a typed
+    /// [`FpdqError::InvalidArgument`], never clamped.
     pub fn new_conditioned(
         schedule: &NoiseSchedule,
         chw: [usize; 3],
@@ -129,10 +123,9 @@ impl DdimStepState {
     }
 
     /// Applies one DDIM update given `e`, the noise prediction for
-    /// [`Self::x`] at [`Self::current_t`] — the same
-    /// [`crate::sampler::ddim_update`] the loop of
-    /// [`crate::sampler::ddim_sample_batched`] applies, on this image's
-    /// slice.
+    /// [`Self::x`] at [`Self::current_t`] — the same `sampler::ddim_update`
+    /// the loop of [`crate::sampler::ddim_sample_batched`] applies, on
+    /// this image's slice.
     ///
     /// # Panics
     ///
@@ -220,6 +213,12 @@ mod tests {
         Tensor::from_vec(out, dims)
     }
 
+    /// An unconditioned request's state.
+    fn uncond(seed: u64, chw: [usize; 3], params: DdimParams) -> DdimStepState {
+        DdimStepState::new_conditioned(&schedule(), chw, seed, params, Conditioning::Uncond)
+            .unwrap()
+    }
+
     fn solo_reference(seed: u64, params: DdimParams) -> Tensor {
         ddim_sample_seeded(&schedule(), [1, 4, 4], &[seed], params, toy_eps)
     }
@@ -228,7 +227,7 @@ mod tests {
     fn stepping_to_completion_matches_the_loop_sampler() {
         for eta in [0.0, 0.7] {
             let params = DdimParams { steps: 6, eta, clip_x0: Some(1.0) };
-            let mut s = DdimStepState::new_seeded(&schedule(), [1, 4, 4], 42, params).unwrap();
+            let mut s = uncond(42, [1, 4, 4], params);
             let mut steps = 0;
             while !s.is_done() {
                 let e = toy_eps(s.x(), &Tensor::from_vec(vec![s.current_t() as f32], &[1]));
@@ -250,10 +249,9 @@ mod tests {
         // steps later, C joins after A left. Every image must still be
         // bit-identical to its solo loop-sampler run.
         let params = DdimParams { steps: 4, eta: 0.3, clip_x0: None };
-        let sch = schedule();
-        let mut a = DdimStepState::new_seeded(&sch, [1, 4, 4], 1, params).unwrap();
-        let mut b = DdimStepState::new_seeded(&sch, [1, 4, 4], 2, params).unwrap();
-        let mut c = DdimStepState::new_seeded(&sch, [1, 4, 4], 3, params).unwrap();
+        let mut a = uncond(1, [1, 4, 4], params);
+        let mut b = uncond(2, [1, 4, 4], params);
+        let mut c = uncond(3, [1, 4, 4], params);
 
         // Unconditioned requests: the engine never sees a context.
         let eps = |x: &Tensor, t: &Tensor, _: Option<&Tensor>| toy_eps(x, t);
@@ -282,14 +280,15 @@ mod tests {
     }
 
     #[test]
-    fn new_seeded_rejects_out_of_range_steps() {
+    fn new_conditioned_rejects_out_of_range_steps() {
         let sch = schedule();
         for steps in [0, sch.steps() + 1] {
-            let r = DdimStepState::new_seeded(
+            let r = DdimStepState::new_conditioned(
                 &sch,
                 [1, 4, 4],
                 7,
                 DdimParams { steps, eta: 0.0, clip_x0: None },
+                Conditioning::Uncond,
             );
             assert!(matches!(r, Err(FpdqError::InvalidArgument(_))), "steps {steps} accepted");
         }
@@ -318,7 +317,6 @@ mod tests {
 
     #[test]
     fn conditioned_requests_join_and_leave_batches_bit_identically() {
-        use crate::conditioning::ddim_sample_seeded_conditioned;
         use rand::SeedableRng;
 
         let params = DdimParams { steps: 4, eta: 0.3, clip_x0: None };
@@ -351,14 +349,11 @@ mod tests {
         }
 
         for (state, seed, cond) in [(a, 1u64, &conds[0]), (b, 2, &conds[1]), (c, 3, &conds[2])] {
-            let solo = ddim_sample_seeded_conditioned(
-                &sch,
-                [1, 4, 4],
-                &[seed],
-                params,
-                &[cond],
-                toy_forward,
-            );
+            // Reference: the loop sampler with the folded ε of this one
+            // request.
+            let solo = ddim_sample_seeded(&sch, [1, 4, 4], &[seed], params, |x, t| {
+                eps_folded(toy_forward, x, t, &[cond])
+            });
             assert_eq!(
                 state.into_result().data(),
                 solo.data(),
@@ -371,7 +366,7 @@ mod tests {
     #[should_panic(expected = "finished request")]
     fn advancing_a_finished_request_panics() {
         let params = DdimParams { steps: 1, eta: 0.0, clip_x0: None };
-        let mut s = DdimStepState::new_seeded(&schedule(), [1, 2, 2], 9, params).unwrap();
+        let mut s = uncond(9, [1, 2, 2], params);
         let e = Tensor::zeros(&[1, 1, 2, 2]);
         s.advance(&e);
         s.advance(&e);

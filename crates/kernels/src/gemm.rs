@@ -23,11 +23,11 @@
 //!   activation row is quantized exactly once per call (not once per
 //!   worker). Workers then split the weight rows on the register-block
 //!   grid ([`parallel_rows_aligned_in`]), stream their packed rows
-//!   [`WTILE_ROWS`] at a time through the LUT decoder — each weight tile
+//!   `WTILE_ROWS` at a time through the LUT decoder — each weight tile
 //!   decoded **once per call**, however many images the activation
 //!   matrix stacks — and run the shared 4×8 NT micro-kernel
-//!   ([`gemm_nt_panel`]) tile × panel into a `[n, m]` buffer transposed
-//!   once at the end.
+//!   ([`fpdq_tensor::matmul::gemm_nt_panel`]) tile × panel into a
+//!   `[n, m]` buffer transposed once at the end.
 //! * **Column-parallel** (activation-stationary; batched activations
 //!   against narrow layers, where `⌈n/4⌉` grains would under-fill the
 //!   workers). The packed weights are decoded once into a shared panel

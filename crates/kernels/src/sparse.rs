@@ -20,7 +20,7 @@
 //! the fused boundary-table [`PanelQuantizer`]) and interleaved into the
 //! shared `[k][NT_NR]` panel bank exactly once per call, then workers
 //! split the weight rows. The difference is the inner kernel: instead of
-//! streaming every `k` step, [`sparse_row_accum_as`] walks only the
+//! streaming every `k` step, `sparse_row_accum_as` walks only the
 //! stored non-zeros — one broadcast-multiply-add against the panel's
 //! 8-lane column stripe per stored value — with the same
 //! ascending-stored-order accumulation in every ISA path (AVX2/NEON are

@@ -35,18 +35,23 @@
 //!            finish (clamp/decode) ──▶ 200 {pixels_hex}
 //! ```
 //!
-//! Requests join and leave the batch **only at step boundaries**, each at
-//! its own timestep — continuous batching. Because a request's image is a
-//! pure function of its seed and conditioning (the
+//! The scheduler owns only the interleaving. What a pipeline is lives in
+//! `fpdq-diffusion`: [`ServeModel`] (re-exported here) is implemented
+//! once per pipeline next to the pipeline itself, and the scheduler's
+//! admission (`pipelines::admit`), step kernel
+//! (`advance_batch_conditioned`) and finish are the ones the offline
+//! loop (`pipelines::sample`, behind every `generate`) runs. Requests
+//! join and leave the batch **only at step boundaries**, each at its own
+//! timestep — continuous batching. Because a request's image is a pure
+//! function of its seed and conditioning (the
 //! [`fpdq_diffusion::stepper`] bit-identity contract, riding the U-Net's
 //! batch independence), admissions, evictions and neighbours' panics
-//! never change what anyone else gets: a served image is byte-identical
-//! to the offline `DdimSim::generate_seeded(&[seed], steps, 1)` run —
-//! and a served `(seed, prompt)` to the offline
-//! `SdSim::generate_seeded(&[prompt], &[seed], steps, 1)` run.
-//! Conditional models encode the prompt **once at admission** and fold
-//! the classifier-free-guidance double forward into the shared engine
-//! batch; see `docs/serving.md` for the conditioning contract.
+//! never change what anyone else gets, and a served `(seed, prompt,
+//! steps)` image equals the offline `generate_seeded` image for the same
+//! inputs at any batch size. Conditional models encode the prompt
+//! **once at admission** and fold the classifier-free-guidance double
+//! forward into the shared engine batch; see `docs/serving.md` for the
+//! conditioning contract.
 //!
 //! # Failure modes
 //!
@@ -54,7 +59,7 @@
 //! |--------------------------------|---------------------------------|---------------------|
 //! | malformed / non-JSON body      | that request                    | 400 `bad_request`   |
 //! | invalid seed/steps             | that request                    | 400 `invalid_argument` |
-//! | prompt/guidance on an unconditional model, or guidance without prompt | that request | 400 `invalid_argument` |
+//! | prompt/guidance on an unconditional model, guidance without prompt, or non-finite guidance | that request | 400 `invalid_argument` |
 //! | admission queue full           | that request                    | 429 `queue_full`    |
 //! | deadline expires               | that request, at a boundary     | 504 `deadline_exceeded` |
 //! | engine panic mid-step          | panicking request(s) only; survivors re-step solo, bit-identical | 500 `engine_panic` |
@@ -70,10 +75,10 @@
 //! `starting → ready | failed → draining → stopped`, probed via
 //! `/readyz` (200 only when `ready`) and flipped via
 //! `POST /admin/shutdown`. Models come from the [`registry`]: a name
-//! (`tiny`, zoo pipelines) or a path to a `.fpdq` container written by
-//! `fpdq pack` — hot-swapping a model is restarting the server with a
-//! different `--model`, and a bad artifact degrades to `failed` instead
-//! of killing the process.
+//! ([`MODEL_NAMES`]: `tiny`, `tiny-sd`, zoo pipelines) or a path to a
+//! `.fpdq` container written by `fpdq pack` — hot-swapping a model is
+//! restarting the server with a different `--model`, and a bad artifact
+//! degrades to `failed` instead of killing the process.
 //!
 //! # Fault injection
 //!
@@ -92,8 +97,9 @@ pub mod server;
 pub mod shared;
 
 pub use fault::FaultPlan;
+pub use fpdq_diffusion::ServeModel;
 pub use registry::{resolve, ModelBuilder, MODEL_NAMES};
-pub use scheduler::{Job, ReqError, ServeModel};
+pub use scheduler::{Job, ReqError};
 pub use server::{serve, ServeConfig, ServerHandle};
 pub use shared::{ServeShared, ServerState};
 

@@ -1,9 +1,11 @@
 //! The model registry: everything `--model` can name.
 //!
-//! A model spec is either a **registry name** (a builder this binary
-//! knows how to construct: the zoo pipelines, or the zoo-free `tiny`
-//! test model) or a **path to a `.fpdq` container** written by `fpdq
-//! pack`. Resolution happens in two phases on purpose:
+//! A model spec is either a **registry name** ([`MODEL_NAMES`]: the zoo
+//! pipelines, or the zoo-free `tiny`/`tiny-sd` test models) or a **path
+//! to a `.fpdq` container** written by `fpdq pack`. [`pipeline`] is the
+//! only name → pipeline map: `fpdq serve` and every other subcommand
+//! build named models through it. Serving resolves in two phases on
+//! purpose:
 //!
 //! 1. [`resolve`] runs on the caller's thread and only decides *what*
 //!    to build — an unknown name fails fast, before a server binds, with
@@ -13,14 +15,13 @@
 //!    failure becomes a boot error that degrades the server instead of
 //!    killing it.
 
-use crate::scheduler::ServeModel;
 use fpdq_container::SimPipeline;
-use fpdq_diffusion::Zoo;
+use fpdq_diffusion::{ServeModel, Zoo};
 use fpdq_tensor::FpdqError;
 use std::path::{Path, PathBuf};
 
-/// Every name [`resolve`] accepts, in the order help text lists them.
-pub const MODEL_NAMES: &[&str] = &["tiny", "tiny-sd", "ddim", "ldm", "sd"];
+/// Every name [`pipeline`] accepts, in the order help text lists them.
+pub const MODEL_NAMES: &[&str] = &["tiny", "tiny-sd", "ddim", "ldm", "sd", "sdxl"];
 
 /// A deferred model constructor, run on the scheduler thread.
 pub type ModelBuilder = Box<dyn FnOnce() -> Result<Box<dyn ServeModel>, FpdqError> + Send>;
@@ -35,6 +36,28 @@ pub fn is_container_path(spec: &str) -> bool {
         || Path::new(spec).is_file()
 }
 
+/// Builds the pipeline a registry name stands for — the one name →
+/// pipeline map every `fpdq` subcommand uses. The zoo names train and
+/// cache on first use; `tiny`/`tiny-sd` are fixed-seed and untrained.
+pub fn pipeline(name: &str) -> Result<SimPipeline, FpdqError> {
+    Ok(match name {
+        "tiny" => SimPipeline::Ddim(crate::tiny_ddim()),
+        "tiny-sd" => SimPipeline::Sd(crate::tiny_sd()),
+        "ddim" => SimPipeline::Ddim(Zoo::open_default().ddim_sim()),
+        "ldm" => SimPipeline::Ldm(Zoo::open_default().ldm_sim()),
+        "sd" => SimPipeline::Sd(Zoo::open_default().sd_sim()),
+        "sdxl" => SimPipeline::Sd(Zoo::open_default().sdxl_sim()),
+        other => return Err(unknown_model(other)),
+    })
+}
+
+fn unknown_model(name: &str) -> FpdqError {
+    FpdqError::missing(format!(
+        "unknown model '{name}': expected one of {} or a path to a .fpdq container",
+        MODEL_NAMES.join(", ")
+    ))
+}
+
 /// Resolves a model spec to a builder, or fails with an error listing
 /// the registry names. The builder itself can still fail later (missing
 /// file, corrupt container) — that failure is the *server's* to absorb.
@@ -43,36 +66,21 @@ pub fn resolve(spec: &str) -> Result<ModelBuilder, FpdqError> {
         let path = PathBuf::from(spec);
         return Ok(Box::new(move || load_container(&path)));
     }
-    match spec {
-        "tiny" => Ok(Box::new(|| Ok(Box::new(crate::tiny_ddim()) as Box<dyn ServeModel>))),
-        "tiny-sd" => Ok(Box::new(|| Ok(Box::new(crate::tiny_sd()) as Box<dyn ServeModel>))),
-        "ddim" => {
-            Ok(Box::new(|| Ok(Box::new(Zoo::open_default().ddim_sim()) as Box<dyn ServeModel>)))
-        }
-        "ldm" => {
-            Ok(Box::new(|| Ok(Box::new(Zoo::open_default().ldm_sim()) as Box<dyn ServeModel>)))
-        }
-        "sd" => Ok(Box::new(|| Ok(Box::new(Zoo::open_default().sd_sim()) as Box<dyn ServeModel>))),
-        other => Err(FpdqError::missing(format!(
-            "unknown model '{other}': expected one of {} or a path to a .fpdq container",
-            MODEL_NAMES.join(", ")
-        ))),
+    if !MODEL_NAMES.contains(&spec) {
+        return Err(unknown_model(spec));
     }
+    let name = spec.to_string();
+    Ok(Box::new(move || Ok(pipeline(&name)?.into_model())))
 }
 
 /// Loads a `.fpdq` container and adapts its pipeline for serving. Must
 /// run on the thread that will own the model: loading installs the
-/// packed execution slots (`Rc`-held, `!Send`).
+/// packed execution slots (`Rc`-held, `!Send`). An sd container carries
+/// everything serving needs: the packed U-Net plus the full-precision
+/// tokenizer, text encoder and autoencoder (TEXT_PARAMS / AE_PARAMS
+/// sections).
 pub fn load_container(path: &Path) -> Result<Box<dyn ServeModel>, FpdqError> {
-    let loaded = fpdq_container::load(path)?;
-    match loaded.pipeline {
-        SimPipeline::Ddim(p) => Ok(Box::new(p)),
-        SimPipeline::Ldm(p) => Ok(Box::new(p)),
-        // An sd container carries everything serving needs: the packed
-        // U-Net plus the full-precision tokenizer, text encoder and
-        // autoencoder (TEXT_PARAMS / AE_PARAMS sections).
-        SimPipeline::Sd(p) => Ok(Box::new(p)),
-    }
+    Ok(fpdq_container::load(path)?.pipeline.into_model())
 }
 
 #[cfg(test)]
@@ -100,6 +108,14 @@ mod tests {
         };
         let Err(err) = builder() else { panic!("missing file must fail to build") };
         assert!(matches!(err, FpdqError::Io(_)), "{err}");
+    }
+
+    #[test]
+    fn tiny_names_build_their_pipeline_kinds() {
+        use fpdq_container::PipelineKind;
+        assert_eq!(pipeline("tiny").unwrap().kind(), PipelineKind::Ddim);
+        assert_eq!(pipeline("tiny-sd").unwrap().kind(), PipelineKind::Sd);
+        assert!(matches!(pipeline("gpt5"), Err(FpdqError::MissingInput(_))));
     }
 
     #[test]

@@ -4,13 +4,19 @@
 //! the model is `!Send` and must be *constructed* on this thread) and
 //! drives a single loop: admit waiting requests up to the batch cap,
 //! evict expired deadlines, run one batched engine step for everyone,
-//! retire finished requests. Requests join and leave **only at step
-//! boundaries**, which is what keeps every admission/eviction decision
-//! from perturbing the survivors: a request's image is a pure function
-//! of its seed and conditioning (the [`fpdq_diffusion::stepper`]
-//! bit-identity contract), no matter who shares its batches — guided,
-//! direct-context and unconditional requests interleave freely in one
-//! folded engine batch.
+//! retire finished requests.
+//!
+//! The scheduler owns only that interleaving. Admission
+//! (`pipelines::admit`), the step kernel (`advance_batch_conditioned`)
+//! and the finish are the ones the offline loop (`pipelines::sample`)
+//! runs, through the same [`ServeModel`] — so a served image equals the
+//! offline one by construction. Requests join and leave **only at step
+//! boundaries**, which keeps every admission/eviction decision from
+//! perturbing the survivors: a request's image is a pure function of its
+//! seed and conditioning (the [`fpdq_diffusion::stepper`] bit-identity
+//! contract), no matter who shares its batches — guided, direct-context
+//! and unconditional requests interleave freely in one folded engine
+//! batch.
 //!
 //! # Panic isolation
 //!
@@ -24,9 +30,10 @@
 
 use crate::fault::FaultPlan;
 use crate::shared::{ServeShared, ServerState};
+use fpdq_diffusion::pipelines;
 use fpdq_diffusion::stepper::{advance_batch_conditioned, DdimStepState};
-use fpdq_diffusion::{Conditioning, DdimParams, DdimSim, LdmSim, NoiseSchedule, SdSim};
-use fpdq_tensor::{FpdqError, Tensor};
+use fpdq_diffusion::ServeModel;
+use fpdq_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -36,121 +43,6 @@ use tokio::sync::{mpsc, oneshot};
 /// How long an idle scheduler blocks for new work before re-checking the
 /// lifecycle state.
 const IDLE_POLL: Duration = Duration::from_millis(20);
-
-/// What the serving layer needs from a pipeline. Implemented for the
-/// unconditional pipelines ([`DdimSim`], [`LdmSim`]) and the
-/// prompt-driven [`SdSim`]: conditioning is a first-class engine
-/// concept, so a request's prompt is encoded **once at admission** into
-/// a [`Conditioning`] the step state carries, and the CFG double forward
-/// folds into the shared engine batch
-/// ([`fpdq_diffusion::conditioning::eps_folded`]).
-pub trait ServeModel {
-    /// Sample dims `[c, h, w]` of the diffusion space.
-    fn chw(&self) -> [usize; 3];
-    /// The noise schedule (bounds the per-request `steps`).
-    fn schedule(&self) -> &NoiseSchedule;
-    /// `x_0` clamp during sampling (pixel pipelines clamp, latent don't).
-    fn clip_x0(&self) -> Option<f32>;
-    /// Batched noise prediction `ε(x, t, ctx)`; per-image timesteps,
-    /// optional per-row conditioning context.
-    fn eps(&self, x: &Tensor, t: &Tensor, ctx: Option<&Tensor>) -> Tensor;
-    /// Turns a request's `prompt`/`guidance` fields into the
-    /// [`Conditioning`] its step state will carry. Runs once, at
-    /// admission. Unconditional pipelines accept neither field; that is
-    /// the default implementation.
-    fn conditioning(
-        &self,
-        prompt: Option<&str>,
-        guidance: Option<f32>,
-    ) -> Result<Conditioning, FpdqError> {
-        if prompt.is_some() || guidance.is_some() {
-            return Err(FpdqError::invalid(
-                "this model is unconditional: 'prompt' and 'guidance' are not supported",
-            ));
-        }
-        Ok(Conditioning::Uncond)
-    }
-    /// Maps a finished `x_0` `[1, c, h, w]` to the served image (clamp /
-    /// decode).
-    fn finish(&self, x: &Tensor) -> Tensor;
-}
-
-impl ServeModel for DdimSim {
-    fn chw(&self) -> [usize; 3] {
-        [self.channels, self.image_size, self.image_size]
-    }
-    fn schedule(&self) -> &NoiseSchedule {
-        &self.schedule
-    }
-    fn clip_x0(&self) -> Option<f32> {
-        Some(1.0)
-    }
-    fn eps(&self, x: &Tensor, t: &Tensor, _ctx: Option<&Tensor>) -> Tensor {
-        self.unet.forward(x, t, None)
-    }
-    fn finish(&self, x: &Tensor) -> Tensor {
-        x.clamp(-1.0, 1.0)
-    }
-}
-
-impl ServeModel for LdmSim {
-    fn chw(&self) -> [usize; 3] {
-        [self.latent_channels, self.latent_size, self.latent_size]
-    }
-    fn schedule(&self) -> &NoiseSchedule {
-        &self.schedule
-    }
-    fn clip_x0(&self) -> Option<f32> {
-        None
-    }
-    fn eps(&self, x: &Tensor, t: &Tensor, _ctx: Option<&Tensor>) -> Tensor {
-        self.unet.forward(x, t, None)
-    }
-    fn finish(&self, x: &Tensor) -> Tensor {
-        self.decode_scaled(x)
-    }
-}
-
-impl ServeModel for SdSim {
-    fn chw(&self) -> [usize; 3] {
-        [self.latent_channels, self.latent_size, self.latent_size]
-    }
-    fn schedule(&self) -> &NoiseSchedule {
-        &self.schedule
-    }
-    fn clip_x0(&self) -> Option<f32> {
-        None
-    }
-    fn eps(&self, x: &Tensor, t: &Tensor, ctx: Option<&Tensor>) -> Tensor {
-        self.unet.forward(x, t, ctx)
-    }
-    fn conditioning(
-        &self,
-        prompt: Option<&str>,
-        guidance: Option<f32>,
-    ) -> Result<Conditioning, FpdqError> {
-        // The text encoder runs full-precision (as offline: the paper
-        // quantizes only the U-Net), once per request. The null context
-        // is prompt-independent but cheap at n = 1; re-encoding it here
-        // keeps the model immutable across requests.
-        match prompt {
-            Some(p) => {
-                let cond = self.encode_prompts(&[p.to_string()]);
-                let g = guidance.unwrap_or(self.guidance);
-                Ok(Conditioning::guided(cond, self.null_context(1), g))
-            }
-            None if guidance.is_some() => {
-                Err(FpdqError::invalid("'guidance' requires a 'prompt' to guide towards"))
-            }
-            // A prompt-less request on a conditional model samples the
-            // null context — the model's own unconditional distribution.
-            None => Ok(Conditioning::Direct(self.null_context(1))),
-        }
-    }
-    fn finish(&self, x: &Tensor) -> Tensor {
-        self.decode_scaled(x)
-    }
-}
 
 /// Typed failure handed back through a request's response channel.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -348,18 +240,11 @@ fn admit(model: &dyn ServeModel, job: Job, active: &mut Vec<ActiveReq>) {
         )));
         return;
     }
-    // Encode the prompt once, here at the admission boundary; the step
-    // state carries the resulting context for the request's whole life,
-    // so mid-flight neighbours never trigger re-encodes.
-    let cond = match model.conditioning(job.prompt.as_deref(), job.guidance) {
-        Ok(c) => c,
-        Err(e) => {
-            let _ = job.respond.send(Err(ReqError::new(400, "invalid_argument", e.to_string())));
-            return;
-        }
-    };
-    let params = DdimParams { steps: job.steps, eta: 0.0, clip_x0: model.clip_x0() };
-    match DdimStepState::new_conditioned(model.schedule(), model.chw(), job.seed, params, cond) {
+    // The offline loop's admission: the prompt is encoded once, here at
+    // the admission boundary, and the step state carries the resulting
+    // context for the request's whole life, so mid-flight neighbours
+    // never trigger re-encodes.
+    match pipelines::admit(model, job.seed, job.steps, job.prompt.as_deref(), job.guidance) {
         Ok(state) => active.push(ActiveReq {
             state,
             seed: job.seed,

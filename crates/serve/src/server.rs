@@ -2,8 +2,9 @@
 
 use crate::api::{pixels_to_hex, ErrorBody, GenerateRequest, GenerateResponse};
 use crate::fault::FaultPlan;
-use crate::scheduler::{self, Job, ReqError, SchedulerConfig, ServeModel};
+use crate::scheduler::{self, Job, ReqError, SchedulerConfig};
 use crate::shared::{ServeShared, ServerState};
+use fpdq_diffusion::ServeModel;
 use fpdq_tensor::FpdqError;
 use hyper::{service_fn, Request, Response, ResponseFuture, Server};
 use serde::Serialize;

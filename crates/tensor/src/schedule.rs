@@ -183,7 +183,7 @@ const STRUCTURED_MAX_DENSITY_256THS: usize = 160; // ≈ 0.63
 /// `sparse_gemm_batched_256x256x256` shape runs 742µs structured vs 502µs
 /// dense, while 0.1-density CSR still wins (266µs). So above `ACT_BLOCK`
 /// the structured limit tightens to the CSR crossover
-/// ([`CSR_MAX_DENSITY_256THS`]), routing 2:4 (density 128/256) back to
+/// (`CSR_MAX_DENSITY_256THS`), routing 2:4 (density 128/256) back to
 /// the dense engine exactly where it starts losing.
 pub fn pick_sparse_regime(
     nnz: usize,

@@ -11,9 +11,12 @@
 //! fpdq serve      --model tiny --port 8321    fault-tolerant HTTP serving
 //! ```
 
+use fpdq::container::{PipelineKind, SimPipeline};
 use fpdq::data::ppm::{image_grid, save_ppm};
+use fpdq::diffusion::pipelines::{per_image_seeds, sample};
 use fpdq::prelude::*;
 use fpdq::quant::sparsity::weight_sparsity;
+use fpdq::tensor::FpdqError;
 use fpdq::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +26,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let opts = parse_flags(&args[1..]);
@@ -37,35 +40,48 @@ fn main() -> ExitCode {
         "pack" => pack_cmd(&opts),
         "serve" => serve_cmd(&opts),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             ExitCode::SUCCESS
         }
         other => {
-            eprintln!("unknown command '{other}'\n{USAGE}");
+            eprintln!("unknown command '{other}'\n{}", usage());
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "\
+/// The help text. Model names come from the registry, the one name →
+/// pipeline map every subcommand uses.
+fn usage() -> String {
+    let models = fpdq::serve::MODEL_NAMES.join("|");
+    format!(
+        "\
 fpdq — low-bitwidth floating-point quantization for diffusion models
 
 USAGE: fpdq <COMMAND> [--flag value]...
 
 COMMANDS:
   pretrain                       train and cache every zoo model
-  quantize      --model <ddim|ldm|sd|sdxl> --config <fp8|fp4|fp4-norl|int8|int4>
+  quantize      --model <NAME> --config <fp8|fp4|fp4-norl|int8|int4>
                 [--packed] [--sparse <2:4|csr>]
-  generate      --model <...> --config <...> [--prompt \"...\"] [--count N] [--batch N] [--out DIR] [--packed]
-                [--seeds N,N,...] [--raw-out FILE]
-  evaluate      --model <...> --config <...> [--count N] [--batch N] [--packed]
-  sparsity      --model <...> [--config <...>]
+  generate      --model <NAME|FILE.fpdq> --config <...> [--prompt \"...\"] [--count N] [--batch N]
+                [--out DIR] [--packed] [--seeds N,N,...] [--raw-out FILE]
+  evaluate      --model <NAME> --config <...> [--count N] [--batch N] [--packed]
+  sparsity      --model <NAME> [--config <...>]
   characterize                   roofline latency + memory of an SD-scale U-Net
-  pack          --model <...> --config <...> --out FILE.fpdq [--verify]
+  pack          --model <NAME> --config <...> --out FILE.fpdq [--verify]
                 quantize once and write a checksummed .fpdq container
-  serve         [--model <name|FILE.fpdq>] [--addr HOST] [--port N]
+  serve         [--model <NAME|FILE.fpdq>] [--addr HOST] [--port N]
                 [--max-batch N] [--queue-depth N] [--deadline-ms N]
   help                           this message
+
+MODELS:
+  NAME          a registry name: {models}
+                (tiny / tiny-sd are fixed-seed and untrained, quantized
+                with a synthetic calibration set; the zoo pipelines train
+                and cache on first use)
+  FILE.fpdq     a container from `fpdq pack`: formats and packed payloads
+                are baked in, so --config/--packed are ignored
 
 FLAGS:
   --packed      run the real bit-packed engine (fused W+A kernels) instead
@@ -85,22 +101,17 @@ FLAGS:
                 pixels_hex payloads)
 
 PACK FLAGS:
-  --model M     tiny / tiny-sd (fixed-seed, no training) or a zoo pipeline
-                (ddim, ldm, sd, sdxl — first run trains and caches)
   --out FILE    target path; the write is atomic (temp + fsync + rename)
   --verify      re-open the written file, fully validate it (checksums,
                 metadata) and bit-compare a one-step generation against
                 the in-process model before exiting 0
 
 SERVE FLAGS:
-  --model M        tiny (default) or tiny-sd (fixed-seed, no training);
-                   ddim, ldm or sd (trained zoo pipelines — first run
-                   trains and caches); or a path to a .fpdq container
-                   from `fpdq pack` (sd containers serve prompts); a
-                   missing/corrupt container keeps the server alive in a
-                   degraded state (failed /readyz, typed 500s). On
-                   conditional models, requests may carry \"prompt\" and
-                   \"guidance\" fields
+  --model M        a model NAME (default tiny) or FILE.fpdq (sd
+                   containers serve prompts); a missing/corrupt container
+                   keeps the server alive in a degraded state (failed
+                   /readyz, typed 500s). On conditional models, requests
+                   may carry \"prompt\" and \"guidance\" fields
   --addr HOST      bind host (default 127.0.0.1)
   --port N         bind port (default 8321; 0 picks an ephemeral port)
   --max-batch N    batch-size cap per engine step (default 4)
@@ -110,7 +121,9 @@ SERVE FLAGS:
 ENVIRONMENT:
   FPDQ_ZOO_DIR   model cache directory (default target/fpdq-zoo)
   FPDQ_FAST=1    reduced training budgets
-  FPDQ_FAULT     arm serve-time fault injection, e.g. panic:boom@2,slow:50";
+  FPDQ_FAULT     arm serve-time fault injection, e.g. panic:boom@2,slow:50"
+    )
+}
 
 fn parse_flags(args: &[String]) -> HashMap<String, String> {
     let mut out = HashMap::new();
@@ -178,7 +191,7 @@ macro_rules! flag_or_fail {
         match $result {
             Ok(v) => v,
             Err(e) => {
-                eprintln!("{e}\n\n{USAGE}");
+                eprintln!("{e}\n\n{}", usage());
                 return ExitCode::FAILURE;
             }
         }
@@ -197,167 +210,97 @@ fn config_from(name: &str) -> Option<Option<PtqConfig>> {
     }
 }
 
-/// A uniform handle over the four pipelines.
-#[allow(clippy::large_enum_variant)] // a handful of these exist at once
-enum Pipeline {
-    Ddim(DdimSim),
-    Ldm(LdmSim),
-    Sd(SdSim),
+/// Builds a named pipeline through the registry, or prints its error
+/// (which lists every registry name).
+fn named_pipeline(model: &str) -> Option<SimPipeline> {
+    fpdq::serve::registry::pipeline(model).map_err(|e| eprintln!("{e}")).ok()
 }
 
-impl Pipeline {
-    fn load(model: &str) -> Option<Pipeline> {
-        let zoo = Zoo::open_default();
-        match model {
-            "ddim" => Some(Pipeline::Ddim(zoo.ddim_sim())),
-            "ldm" => Some(Pipeline::Ldm(zoo.ldm_sim())),
-            "sd" => Some(Pipeline::Sd(zoo.sd_sim())),
-            "sdxl" => Some(Pipeline::Sd(zoo.sdxl_sim())),
+/// The calibration set for quantizing the `model` pipeline: trajectories
+/// of its full-precision sampler. The tiny test models get a synthetic
+/// set instead: they exist to exercise the pack/serve round trip (CI
+/// smoke, local experiments), and recording full trajectories would
+/// dominate their runtime. The conditional tiny model calibrates with
+/// random context rows of the text encoder's output shape (its
+/// cross-attention layers need a context to trace).
+fn calibrate(model: &str, sim: &SimPipeline) -> CalibrationSet {
+    let mut rng = StdRng::seed_from_u64(0xCA11B);
+    let [c, h, w] = sim.model().chw();
+    if matches!(model, "tiny" | "tiny-sd") {
+        let ctx_dims: Option<Vec<usize>> = match sim {
+            SimPipeline::Sd(p) => Some(p.null_context(1).dims().to_vec()),
             _ => None,
-        }
+        };
+        let points: Vec<fpdq::quant::CalibPoint> = (0..3)
+            .map(|i| fpdq::quant::CalibPoint {
+                x: Tensor::randn(&[1, c, h, w], &mut rng),
+                t: (i * 4) as f32,
+                ctx: ctx_dims.as_ref().map(|d| Tensor::randn(d, &mut rng)),
+            })
+            .collect();
+        return CalibrationSet { init: points.clone(), rl: points };
     }
-
-    fn into_sim(self) -> fpdq::container::SimPipeline {
-        match self {
-            Pipeline::Ddim(p) => fpdq::container::SimPipeline::Ddim(p),
-            Pipeline::Ldm(p) => fpdq::container::SimPipeline::Ldm(p),
-            Pipeline::Sd(p) => fpdq::container::SimPipeline::Sd(p),
+    let (ctx, per_ctx, samples) = match sim {
+        SimPipeline::Sd(p) => {
+            let mut ctx: Vec<Option<Tensor>> = CaptionedScenes::all_captions()
+                .iter()
+                .step_by(7)
+                .map(|c| Some(p.encode_prompts(std::slice::from_ref(c))))
+                .collect();
+            ctx.push(Some(p.null_context(1)));
+            (ctx, 8, 16)
         }
-    }
+        _ => (vec![None], 6, 64),
+    };
+    fpdq::quant::record_trajectories(
+        sim.unet(),
+        sim.model().schedule(),
+        &[c, h, w],
+        &ctx,
+        20,
+        per_ctx,
+        samples,
+        40,
+        &mut rng,
+    )
+}
 
-    fn from_sim(sim: fpdq::container::SimPipeline) -> Pipeline {
-        match sim {
-            fpdq::container::SimPipeline::Ddim(p) => Pipeline::Ddim(p),
-            fpdq::container::SimPipeline::Ldm(p) => Pipeline::Ldm(p),
-            fpdq::container::SimPipeline::Sd(p) => Pipeline::Sd(p),
-        }
-    }
+/// DDIM steps for `generate`/`evaluate`: 25 (20 for text-to-image),
+/// clamped to the schedule — container-loaded models may carry shorter
+/// schedules than the zoo defaults.
+fn default_steps(sim: &SimPipeline) -> usize {
+    let steps = if sim.kind() == PipelineKind::Sd { 20 } else { 25 };
+    steps.min(sim.model().schedule().steps())
+}
 
-    fn unet(&self) -> &UNet {
-        match self {
-            Pipeline::Ddim(p) => &p.unet,
-            Pipeline::Ldm(p) => &p.unet,
-            Pipeline::Sd(p) => &p.unet,
+/// One image per seed through the shared generation loop — the same
+/// seed list reproduces the same bytes, offline or served. Conditional
+/// pipelines take `prompt` for every image, or the caption grammar
+/// cycled; unconditional ones ignore it.
+fn sample_images(
+    sim: &SimPipeline,
+    seeds: &[u64],
+    prompt: Option<&str>,
+    steps: usize,
+    batch: usize,
+) -> Result<Tensor, FpdqError> {
+    let prompts: Option<Vec<String>> = (sim.kind() == PipelineKind::Sd).then(|| match prompt {
+        Some(text) => vec![text.to_string(); seeds.len()],
+        None => {
+            let all = CaptionedScenes::all_captions();
+            (0..seeds.len()).map(|i| all[i % all.len()].clone()).collect()
         }
-    }
+    });
+    sample(sim.model(), seeds, prompts.as_deref(), steps, batch)
+}
 
-    fn image_size(&self) -> usize {
-        match self {
-            Pipeline::Ddim(p) => p.image_size,
-            Pipeline::Ldm(_) | Pipeline::Sd(_) => 16,
-        }
-    }
-
-    /// The U-Net's input shape `[c, h, w]` (latent space for LDM/SD).
-    fn unet_input_shape(&self) -> [usize; 3] {
-        match self {
-            Pipeline::Ddim(p) => [p.channels, p.image_size, p.image_size],
-            Pipeline::Ldm(p) => [p.latent_channels, p.latent_size, p.latent_size],
-            Pipeline::Sd(p) => [p.latent_channels, p.latent_size, p.latent_size],
-        }
-    }
-
-    fn calibrate(&self) -> CalibrationSet {
-        let mut rng = StdRng::seed_from_u64(0xCA11B);
-        match self {
-            Pipeline::Ddim(p) => fpdq::quant::record_trajectories(
-                &p.unet,
-                &p.schedule,
-                &[p.channels, p.image_size, p.image_size],
-                &[None],
-                20,
-                6,
-                64,
-                40,
-                &mut rng,
-            ),
-            Pipeline::Ldm(p) => fpdq::quant::record_trajectories(
-                &p.unet,
-                &p.schedule,
-                &[p.latent_channels, p.latent_size, p.latent_size],
-                &[None],
-                20,
-                6,
-                64,
-                40,
-                &mut rng,
-            ),
-            Pipeline::Sd(p) => {
-                let prompts = CaptionedScenes::all_captions();
-                let mut ctx: Vec<Option<Tensor>> = prompts
-                    .iter()
-                    .step_by(7)
-                    .map(|c| Some(p.encode_prompts(std::slice::from_ref(c))))
-                    .collect();
-                ctx.push(Some(p.null_context(1)));
-                fpdq::quant::record_trajectories(
-                    &p.unet,
-                    &p.schedule,
-                    &[p.latent_channels, p.latent_size, p.latent_size],
-                    &ctx,
-                    20,
-                    8,
-                    16,
-                    40,
-                    &mut rng,
-                )
-            }
-        }
-    }
-
-    fn generate(&self, count: usize, prompt: Option<&str>, seed: u64, batch: usize) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Clamp to the schedule: container-loaded models may carry
-        // shorter schedules than the zoo defaults.
-        match self {
-            Pipeline::Ddim(p) => {
-                let steps = 25.min(p.schedule.steps());
-                p.generate_batched(count, steps, batch, &mut rng)
-            }
-            Pipeline::Ldm(p) => {
-                let steps = 25.min(p.schedule.steps());
-                p.generate_batched(count, steps, batch, &mut rng)
-            }
-            Pipeline::Sd(p) => {
-                let prompts: Vec<String> = match prompt {
-                    Some(text) => vec![text.to_string(); count],
-                    None => {
-                        let all = CaptionedScenes::all_captions();
-                        (0..count).map(|i| all[i % all.len()].clone()).collect()
-                    }
-                };
-                let steps = 20.min(p.schedule.steps());
-                p.generate_batched(&prompts, steps, batch, &mut rng)
-            }
-        }
-    }
-
-    /// [`Self::generate`] with explicit per-image seeds — the same seed
-    /// list reproduces the same bytes, offline or served.
-    fn generate_seeded(&self, seeds: &[u64], prompt: Option<&str>, batch: usize) -> Tensor {
-        match self {
-            Pipeline::Ddim(p) => p.generate_seeded(seeds, 25.min(p.schedule.steps()), batch),
-            Pipeline::Ldm(p) => p.generate_seeded(seeds, 25.min(p.schedule.steps()), batch),
-            Pipeline::Sd(p) => {
-                let prompts: Vec<String> = match prompt {
-                    Some(text) => vec![text.to_string(); seeds.len()],
-                    None => {
-                        let all = CaptionedScenes::all_captions();
-                        (0..seeds.len()).map(|i| all[i % all.len()].clone()).collect()
-                    }
-                };
-                p.generate_seeded(&prompts, seeds, 20.min(p.schedule.steps()), batch)
-            }
-        }
-    }
-
-    fn reference(&self, count: usize) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(7);
-        match self {
-            Pipeline::Ddim(_) => TinyCifar::new().batch(count, &mut rng),
-            Pipeline::Ldm(_) => TinyBedrooms::new().batch(count, &mut rng),
-            Pipeline::Sd(_) => CaptionedScenes::new().batch(count, &mut rng),
-        }
+/// The dataset a pipeline family is evaluated against.
+fn reference(sim: &SimPipeline, count: usize) -> Tensor {
+    let mut rng = StdRng::seed_from_u64(7);
+    match sim.kind() {
+        PipelineKind::Ddim => TinyCifar::new().batch(count, &mut rng),
+        PipelineKind::Ldm => TinyBedrooms::new().batch(count, &mut rng),
+        PipelineKind::Sd => CaptionedScenes::new().batch(count, &mut rng),
     }
 }
 
@@ -386,17 +329,14 @@ fn quantize(opts: &HashMap<String, String>) -> ExitCode {
     let (Some(model), Some(config)) = (require(opts, "model"), require(opts, "config")) else {
         return ExitCode::FAILURE;
     };
-    let Some(pipeline) = Pipeline::load(model) else {
-        eprintln!("unknown model '{model}'");
-        return ExitCode::FAILURE;
-    };
+    let Some(sim) = named_pipeline(model) else { return ExitCode::FAILURE };
     let Some(Some(cfg)) = config_from(config) else {
         eprintln!("unknown or trivial config '{config}'");
         return ExitCode::FAILURE;
     };
-    let calib = pipeline.calibrate();
+    let calib = calibrate(model, &sim);
     let mut rng = StdRng::seed_from_u64(1);
-    let report = quantize_unet(pipeline.unet(), &calib, &cfg, &mut rng);
+    let report = quantize_unet(sim.unet(), &calib, &cfg, &mut rng);
     println!(
         "{:<26} {:<15} {:<15} {:>10} {:>9}",
         "layer", "weight fmt", "act fmt", "wMSE", "sparsity"
@@ -435,7 +375,7 @@ fn quantize(opts: &HashMap<String, String>) -> ExitCode {
         },
     };
     if flag_set(opts, "packed") {
-        pack_and_report(&pipeline, &report, sparse);
+        pack_and_report(&sim, &report, sparse);
     } else if sparse.is_some() {
         eprintln!("--sparse requires --packed (sparse kernels run in the packed engine)");
         return ExitCode::FAILURE;
@@ -450,12 +390,12 @@ fn quantize(opts: &HashMap<String, String>) -> ExitCode {
 /// pruned first (fig. 11's ablation) and per-layer sparsity / pruning
 /// error are reported alongside.
 fn pack_and_report(
-    pipeline: &Pipeline,
+    sim: &SimPipeline,
     report: &fpdq::quant::QuantReport,
     sparse: Option<fpdq::kernels::SparseMode>,
 ) {
     use std::time::Instant;
-    let [c, h, w] = pipeline.unet_input_shape();
+    let [c, h, w] = sim.model().chw();
     let x = Tensor::randn(&[1, c, h, w], &mut StdRng::seed_from_u64(11));
     let t = Tensor::from_vec(vec![5.0], &[1]);
     let reps = 3;
@@ -463,7 +403,7 @@ fn pack_and_report(
         let mut best = f64::INFINITY;
         for _ in 0..reps {
             let t0 = Instant::now();
-            std::hint::black_box(pipeline.unet().forward(&x, &t, None));
+            std::hint::black_box(sim.unet().forward(&x, &t, None));
             best = best.min(t0.elapsed().as_secs_f64());
         }
         println!("  {label:<28} {:.2} ms / forward", best * 1e3);
@@ -475,8 +415,8 @@ fn pack_and_report(
     }
     let dense = time_forward("fake-quantized dense");
     let pack = match sparse {
-        Some(mode) => fpdq::kernels::pack_unet_sparse(pipeline.unet(), report, mode),
-        None => fpdq::kernels::pack_unet(pipeline.unet(), report),
+        Some(mode) => fpdq::kernels::pack_unet_sparse(sim.unet(), report, mode),
+        None => fpdq::kernels::pack_unet(sim.unet(), report),
     };
     for l in &pack.layers {
         let sparse_cols = match (l.sparsity, l.pruning_error) {
@@ -505,17 +445,11 @@ fn pack_and_report(
     println!("  forward speedup: {:.2}x", dense / packed);
 }
 
-/// True when a `--model` value names a `.fpdq` container on disk rather
-/// than a zoo pipeline.
-fn is_container_spec(model: &str) -> bool {
-    model.ends_with(".fpdq") || std::path::Path::new(model).is_file()
-}
-
 fn generate(opts: &HashMap<String, String>) -> ExitCode {
     let count: usize = flag_or_fail!(parsed_flag(opts, "count", 8, "a positive integer"));
     let batch: usize = flag_or_fail!(parsed_flag(opts, "batch", 16, "a batch size in 1..=16"));
     let Some(model) = require(opts, "model") else { return ExitCode::FAILURE };
-    let (pipeline, label, config) = if is_container_spec(model) {
+    let (sim, label, config) = if fpdq::serve::registry::is_container_path(model) {
         // Sampling from a container: the quantized formats and packed
         // payloads are baked in — no calibration, no re-quantization. A
         // corrupt or truncated file is a typed error and a non-zero
@@ -540,23 +474,20 @@ fn generate(opts: &HashMap<String, String>) -> ExitCode {
             .and_then(|s| s.to_str())
             .unwrap_or("container")
             .to_string();
-        (Pipeline::from_sim(loaded.pipeline), stem, "packed".to_string())
+        (loaded.pipeline, stem, "packed".to_string())
     } else {
-        let Some(pipeline) = Pipeline::load(model) else {
-            eprintln!("unknown model '{model}': expected ddim, ldm, sd, sdxl or a .fpdq path");
-            return ExitCode::FAILURE;
-        };
+        let Some(sim) = named_pipeline(model) else { return ExitCode::FAILURE };
         let config = opts.get("config").map(String::as_str).unwrap_or("fp32");
         let Some(cfg) = config_from(config) else {
             eprintln!("unknown config '{config}'");
             return ExitCode::FAILURE;
         };
         if let Some(cfg) = &cfg {
-            let calib = pipeline.calibrate();
+            let calib = calibrate(model, &sim);
             let mut rng = StdRng::seed_from_u64(1);
-            let report = quantize_unet(pipeline.unet(), &calib, cfg, &mut rng);
+            let report = quantize_unet(sim.unet(), &calib, cfg, &mut rng);
             if flag_set(opts, "packed") {
-                let pack = fpdq::kernels::pack_unet(pipeline.unet(), &report);
+                let pack = fpdq::kernels::pack_unet(sim.unet(), &report);
                 println!(
                     "sampling on the packed engine: {} layers, {:.2}x weight compression",
                     pack.layers.len(),
@@ -567,14 +498,14 @@ fn generate(opts: &HashMap<String, String>) -> ExitCode {
             eprintln!("--packed requires a quantized --config (fp8/fp4/int8/int4)");
             return ExitCode::FAILURE;
         }
-        (pipeline, model.to_string(), config.to_string())
+        (sim, model.to_string(), config.to_string())
     };
     // Explicit --seeds pins per-image seeds (and the image count); the
     // default path derives seeds from the fixed master seed 42.
-    let seeds: Option<Vec<u64>> = match opts.get("seeds") {
-        None => None,
+    let seeds: Vec<u64> = match opts.get("seeds") {
+        None => per_image_seeds(count, &mut StdRng::seed_from_u64(42)),
         Some(spec) => match spec.split(',').map(|s| s.trim().parse()).collect() {
-            Ok(seeds) => Some(seeds),
+            Ok(seeds) => seeds,
             Err(_) => {
                 eprintln!("invalid value '{spec}' for --seeds: expected N,N,...");
                 return ExitCode::FAILURE;
@@ -586,9 +517,12 @@ fn generate(opts: &HashMap<String, String>) -> ExitCode {
     );
     std::fs::create_dir_all(&out_dir).expect("create output dir");
     let prompt = opts.get("prompt").map(String::as_str);
-    let (imgs, count) = match &seeds {
-        Some(seeds) => (pipeline.generate_seeded(seeds, prompt, batch), seeds.len()),
-        None => (pipeline.generate(count, prompt, 42, batch), count),
+    let imgs = match sample_images(&sim, &seeds, prompt, default_steps(&sim), batch) {
+        Ok(imgs) => imgs,
+        Err(e) => {
+            eprintln!("generate failed: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     if let Some(raw) = opts.get("raw-out") {
         // Raw little-endian f32 dump — the exact bytes `pixels_hex`
@@ -597,9 +531,9 @@ fn generate(opts: &HashMap<String, String>) -> ExitCode {
         std::fs::write(raw, &bytes).expect("write raw dump");
         println!("wrote {raw} ({} bytes raw f32)", bytes.len());
     }
-    let size = pipeline.image_size();
+    let count = imgs.dim(0);
     let tiles: Vec<Tensor> =
-        (0..count).map(|i| imgs.narrow(0, i, 1).reshape(&[3, size, size])).collect();
+        (0..count).map(|i| imgs.narrow(0, i, 1).reshape(&imgs.dims()[1..])).collect();
     let sheet = image_grid(&tiles, 4);
     let path = out_dir.join(format!("{label}_{config}.ppm"));
     save_ppm(&sheet, &path, 8).expect("write ppm");
@@ -613,25 +547,29 @@ fn evaluate_cmd(opts: &HashMap<String, String>) -> ExitCode {
     let (Some(model), Some(config)) = (require(opts, "model"), require(opts, "config")) else {
         return ExitCode::FAILURE;
     };
-    let Some(pipeline) = Pipeline::load(model) else {
-        eprintln!("unknown model '{model}'");
-        return ExitCode::FAILURE;
-    };
+    let Some(sim) = named_pipeline(model) else { return ExitCode::FAILURE };
     let Some(cfg) = config_from(config) else {
         eprintln!("unknown config '{config}'");
         return ExitCode::FAILURE;
     };
     if let Some(cfg) = &cfg {
-        let calib = pipeline.calibrate();
+        let calib = calibrate(model, &sim);
         let mut rng = StdRng::seed_from_u64(1);
-        let report = quantize_unet(pipeline.unet(), &calib, cfg, &mut rng);
+        let report = quantize_unet(sim.unet(), &calib, cfg, &mut rng);
         if flag_set(opts, "packed") {
-            fpdq::kernels::pack_unet(pipeline.unet(), &report);
+            fpdq::kernels::pack_unet(sim.unet(), &report);
         }
     }
-    let reference = pipeline.reference(count);
-    let imgs = pipeline.generate(count, None, 42, batch);
-    let net = FeatureNet::for_size(pipeline.image_size());
+    let seeds = per_image_seeds(count, &mut StdRng::seed_from_u64(42));
+    let imgs = match sample_images(&sim, &seeds, None, default_steps(&sim), batch) {
+        Ok(imgs) => imgs,
+        Err(e) => {
+            eprintln!("evaluate failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let net = FeatureNet::for_size(imgs.dim(2));
+    let reference = reference(&sim, count);
     let m = fpdq::metrics::evaluate(&reference, &imgs, &net);
     println!("{model} @ {config} over {count} samples: {m}");
     ExitCode::SUCCESS
@@ -639,20 +577,17 @@ fn evaluate_cmd(opts: &HashMap<String, String>) -> ExitCode {
 
 fn sparsity(opts: &HashMap<String, String>) -> ExitCode {
     let Some(model) = require(opts, "model") else { return ExitCode::FAILURE };
-    let Some(pipeline) = Pipeline::load(model) else {
-        eprintln!("unknown model '{model}'");
-        return ExitCode::FAILURE;
-    };
+    let Some(sim) = named_pipeline(model) else { return ExitCode::FAILURE };
     if let Some(config) = opts.get("config") {
         if let Some(Some(cfg)) = config_from(config) {
-            let calib = pipeline.calibrate();
+            let calib = calibrate(model, &sim);
             let mut rng = StdRng::seed_from_u64(1);
             let mut cfg = cfg;
             cfg.quantize_acts = false;
-            quantize_unet(pipeline.unet(), &calib, &cfg, &mut rng);
+            quantize_unet(sim.unet(), &calib, &cfg, &mut rng);
         }
     }
-    let report = weight_sparsity(pipeline.unet());
+    let report = weight_sparsity(sim.unet());
     for l in &report.per_layer {
         println!("{:<26} {:>8.3}%  ({} weights)", l.name, 100.0 * l.sparsity, l.numel);
     }
@@ -666,56 +601,19 @@ fn sparsity(opts: &HashMap<String, String>) -> ExitCode {
 /// one-step generation from the loaded model is bit-compared against
 /// the in-process packed model before the command exits 0.
 fn pack_cmd(opts: &HashMap<String, String>) -> ExitCode {
-    use fpdq::container::SimPipeline;
     let (Some(model), Some(config), Some(out)) =
         (require(opts, "model"), require(opts, "config"), require(opts, "out"))
     else {
         return ExitCode::FAILURE;
     };
-    let pipeline = match model {
-        "tiny" => Pipeline::Ddim(fpdq::serve::tiny_ddim()),
-        "tiny-sd" => Pipeline::Sd(fpdq::serve::tiny_sd()),
-        _ => match Pipeline::load(model) {
-            Some(p) => p,
-            None => {
-                eprintln!(
-                    "unknown model '{model}': expected one of tiny, tiny-sd, ddim, ldm, sd, sdxl"
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-    };
+    let Some(sim) = named_pipeline(model) else { return ExitCode::FAILURE };
     let Some(Some(cfg)) = config_from(config) else {
         eprintln!("unknown or trivial config '{config}': a container stores quantized formats");
         return ExitCode::FAILURE;
     };
-    // The tiny test models get a synthetic calibration set: they exist to
-    // exercise the pack/serve round trip (CI smoke, local experiments),
-    // and recording full trajectories would dominate their runtime. The
-    // conditional tiny model calibrates with random context rows of the
-    // text encoder's output shape (its cross-attention layers need a
-    // context to trace).
-    let calib = if matches!(model, "tiny" | "tiny-sd") {
-        let mut rng = StdRng::seed_from_u64(0xCA11B);
-        let [c, h, w] = pipeline.unet_input_shape();
-        let ctx_dims: Option<Vec<usize>> = match &pipeline {
-            Pipeline::Sd(p) => Some(p.null_context(1).dims().to_vec()),
-            _ => None,
-        };
-        let points: Vec<fpdq::quant::CalibPoint> = (0..3)
-            .map(|i| fpdq::quant::CalibPoint {
-                x: Tensor::randn(&[1, c, h, w], &mut rng),
-                t: (i * 4) as f32,
-                ctx: ctx_dims.as_ref().map(|d| Tensor::randn(d, &mut rng)),
-            })
-            .collect();
-        CalibrationSet { init: points.clone(), rl: points }
-    } else {
-        pipeline.calibrate()
-    };
+    let calib = calibrate(model, &sim);
     let mut rng = StdRng::seed_from_u64(1);
-    let report = quantize_unet(pipeline.unet(), &calib, &cfg, &mut rng);
-    let sim = pipeline.into_sim();
+    let report = quantize_unet(sim.unet(), &calib, &cfg, &mut rng);
     let out = std::path::PathBuf::from(out);
     if let Err(e) = fpdq::container::save(&out, &sim, &report) {
         eprintln!("cannot write container '{}': {e}", out.display());
@@ -734,31 +632,26 @@ fn pack_cmd(opts: &HashMap<String, String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // One-step forward bit-compare against the in-process packed model.
+    if loaded.pipeline.kind() != sim.kind() {
+        eprintln!("verify FAILED: loaded pipeline kind differs from the packed one");
+        return ExitCode::FAILURE;
+    }
+    // One-step generation bit-compare against the in-process packed model.
     fpdq::kernels::pack_unet(sim.unet(), &report);
-    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let (want, got) = match (&sim, &loaded.pipeline) {
-        (SimPipeline::Ddim(p), SimPipeline::Ddim(q)) => {
-            (bits(&p.generate_seeded(&[1], 1, 1)), bits(&q.generate_seeded(&[1], 1, 1)))
-        }
-        (SimPipeline::Ldm(p), SimPipeline::Ldm(q)) => {
-            (bits(&p.generate_seeded(&[1], 1, 1)), bits(&q.generate_seeded(&[1], 1, 1)))
-        }
-        (SimPipeline::Sd(p), SimPipeline::Sd(q)) => {
-            let prompts = vec![CaptionedScenes::all_captions()[0].clone()];
-            (
-                bits(&p.generate_seeded(&prompts, &[1], 1, 1)),
-                bits(&q.generate_seeded(&prompts, &[1], 1, 1)),
-            )
-        }
-        _ => {
-            eprintln!("verify FAILED: loaded pipeline kind differs from the packed one");
+    let one_step = |p: &SimPipeline| {
+        sample_images(p, &[1], None, 1, 1)
+            .map(|t| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+    };
+    match (one_step(&sim), one_step(&loaded.pipeline)) {
+        (Ok(want), Ok(got)) if want == got => {}
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("verify FAILED: one-step generation failed: {e}");
             return ExitCode::FAILURE;
         }
-    };
-    if want != got {
-        eprintln!("verify FAILED: loaded model is not bit-identical to the in-process model");
-        return ExitCode::FAILURE;
+        _ => {
+            eprintln!("verify FAILED: loaded model is not bit-identical to the in-process model");
+            return ExitCode::FAILURE;
+        }
     }
     println!(
         "verify OK: checksums valid, {} packed layers, one-step generation bit-identical",
@@ -773,7 +666,7 @@ fn serve_cmd(opts: &HashMap<String, String>) -> ExitCode {
     let build = match fpdq::serve::resolve(model) {
         Ok(b) => b,
         Err(e) => {
-            eprintln!("{e}\n\n{USAGE}");
+            eprintln!("{e}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -782,7 +675,7 @@ fn serve_cmd(opts: &HashMap<String, String>) -> ExitCode {
     let addr = match format!("{host}:{port}").parse() {
         Ok(addr) => addr,
         Err(_) => {
-            eprintln!("invalid value '{host}' for --addr: expected a host address\n\n{USAGE}");
+            eprintln!("invalid value '{host}' for --addr: expected a host address\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };

@@ -516,6 +516,16 @@ fn prompt_payload_errors_get_typed_400s_on_both_model_kinds() {
         (r#"{"seed": 1, "steps": 4, "prompt": ["a"]}"#, "bad_request"),
         (r#"{"seed": 1, "steps": 4, "guidance": "high"}"#, "bad_request"),
         (r#"{"seed": 1, "steps": 4, "guidance": 2.0}"#, "invalid_argument"),
+        // Overflows f32 to ±inf: non-finite guidance would serve
+        // non-finite pixels.
+        (
+            r#"{"seed": 1, "steps": 4, "prompt": "a red ball", "guidance": 1e39}"#,
+            "invalid_argument",
+        ),
+        (
+            r#"{"seed": 1, "steps": 4, "prompt": "a red ball", "guidance": -1e39}"#,
+            "invalid_argument",
+        ),
     ] {
         let (status, body) = client::post_json(addr, "/v1/generate", bad).unwrap();
         assert_eq!(status, 400, "{bad} -> {body}");
