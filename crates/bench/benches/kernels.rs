@@ -214,6 +214,44 @@ fn bench_conv(c: &mut Criterion) {
     g.finish();
 }
 
+/// The serving shape: the largest conv of the `tiny@fp8` U-Net (the
+/// up-path `conv1` over a 16-channel trunk concatenated with an 8-channel
+/// skip, `[1, 24, 8, 8]` × `[8, 24, 3, 3]`, padding 1) at batch 1 and one
+/// worker, as `fpdq serve` runs it: FP8 weights and split FP8 activation
+/// quantization (trunk and skip on different grids). `im2col_panels`
+/// times the panel lowering of the same image on its own, so the share of
+/// the conv spent lowering rather than multiplying reads off one run.
+fn bench_conv_serve_batch1(c: &mut Criterion) {
+    use fpdq_tensor::conv::{im2col_panel_into, Conv2dSpec};
+    let mut rng = StdRng::seed_from_u64(17);
+    let (ch, hw, o) = (24usize, 8usize, 8usize);
+    let x = Tensor::randn(&[1, ch, hw, hw], &mut rng);
+    let w = Tensor::randn(&[o, ch, 3, 3], &mut rng);
+    let spec = Conv2dSpec::new(1, 1);
+    let fp8 = PackedTensor::encode(&w, FpFormat::new(4, 3));
+    let trunk = TensorQuantizer::Fp(FpFormat::new(4, 3));
+    let skip = TensorQuantizer::Fp(FpFormat::with_bias(4, 3, 9.0));
+    let split = PanelQuantizer::split(&trunk, &skip, 16, ch);
+    let serve = Exec::new(simd::active(), 1);
+    let mut g = c.benchmark_group("conv_serve_batch1");
+    g.bench_function("packed_fp8_wa_split", |b| {
+        b.iter(|| black_box(conv2d_packed(&x, &fp8, None, spec, Some(&split), serve)))
+    });
+    let ohow = hw * hw;
+    let mut bank = vec![0.0f32; ohow.div_ceil(NT_NR) * ch * 9 * NT_NR];
+    g.bench_function("im2col_panels", |b| {
+        b.iter(|| {
+            for (t, panel) in bank.chunks_mut(ch * 9 * NT_NR).enumerate() {
+                let j0 = t * NT_NR;
+                let nw = NT_NR.min(ohow - j0);
+                im2col_panel_into(x.data(), ch, hw, hw, 3, 3, spec, j0, nw, panel);
+            }
+            black_box(bank[0])
+        })
+    });
+    g.finish();
+}
+
 fn bench_sparse(c: &mut Criterion) {
     let a = rand_mat(M, K, 5);
     let fp8 = TensorQuantizer::Fp(FpFormat::new(4, 3));
@@ -423,7 +461,8 @@ criterion_group! {
     name = kernels;
     config = configured();
     targets = bench_quantize, bench_pack, bench_gemm, bench_gemm_batched, bench_conv,
-        bench_conv_batched, bench_sparse, bench_cold_start, bench_sd_cfg_step
+        bench_conv_batched, bench_conv_serve_batch1, bench_sparse, bench_cold_start,
+        bench_sd_cfg_step
 }
 
 fn main() {
@@ -433,16 +472,21 @@ fn main() {
     // file name; relative paths resolve against the workspace root
     // (cargo runs benches from the package directory). The `_meta`
     // object records which ISA the dispatched kernels actually ran
-    // (scalar/avx2/neon) and whether FPDQ_FORCE_SCALAR pinned it, so
-    // cross-PR and cross-machine numbers are comparable.
+    // (scalar/avx2/neon), whether FPDQ_FORCE_SCALAR pinned it, the
+    // machine's core count and the default worker count, so numbers from
+    // different commits and machines are comparable.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = root.join(
         std::env::var("FPDQ_BENCH_JSON").unwrap_or_else(|_| "BENCH_kernels.json".to_string()),
     );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()).to_string();
+    let workers = fpdq_tensor::parallel::num_threads().to_string();
     let meta = [
         ("isa", simd::active().name()),
         ("detected_isa", simd::detected().name()),
         ("force_scalar", if simd::force_scalar() { "1" } else { "0" }),
+        ("cores", cores.as_str()),
+        ("workers", workers.as_str()),
     ];
     match criterion::write_json_report_with_meta(&path, &meta) {
         Ok(()) => eprintln!("wrote {} (isa: {})", path.display(), simd::active().name()),

@@ -8,7 +8,10 @@
 //! a misbehaving client cannot take the server down or wedge a thread:
 //!
 //! * request line, header block and body are size-capped (413/431-style
-//!   rejects mapped to 400/413),
+//!   rejects mapped to 400/413); head lines are read through the remaining
+//!   head budget, so an endless line is rejected once the cap is spent
+//!   rather than buffered until a newline arrives, and a rejected
+//!   request's unread bytes are drained briefly so the reply survives,
 //! * sockets carry read/write timeouts, so a stalled peer times out
 //!   instead of pinning a thread forever,
 //! * malformed requests get a `400` response, never a panic,
@@ -34,6 +37,8 @@ const MAX_HEAD_BYTES: usize = 64 * 1024;
 const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// Per-socket read/write timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(20);
+/// Longest a rejected request's remaining bytes are drained after the reply.
+const LINGER: Duration = Duration::from_secs(1);
 
 /// A parsed HTTP/1.1 request.
 #[derive(Clone, Debug)]
@@ -239,24 +244,48 @@ fn handle_connection(mut stream: TcpStream, svc: Service) {
             }
         }
         Ok(None) => return, // peer closed without sending a request
-        Err(status) => Response::new(status).with_body("malformed request"),
+        Err(status) => {
+            let _ = Response::new(status).with_body("malformed request").write_to(&mut stream);
+            discard_unread(&mut stream);
+            return;
+        }
     };
     let _ = response.write_to(&mut stream);
 }
 
+/// Lingering close after a rejected request: the rest of it may still be
+/// arriving, and closing a socket with unread bytes resets the connection,
+/// which can destroy the reply before the client reads it. Half-closes,
+/// then reads and drops whatever arrives until the peer closes or
+/// [`LINGER`] passes, through one fixed buffer.
+fn discard_unread(stream: &mut TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(LINGER));
+    let deadline = std::time::Instant::now() + LINGER;
+    let mut sink = [0u8; 8192];
+    while std::time::Instant::now() < deadline {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
+}
+
 /// Reads and parses one request. `Ok(None)` = clean EOF before any bytes;
 /// `Err(status)` = protocol violation to answer with `status`.
+///
+/// The request line and every header line are read through the remaining
+/// head budget ([`MAX_HEAD_BYTES`] in all), so a line that never ends
+/// costs at most that many bytes of memory and is rejected as soon as the
+/// budget runs out, without waiting for a newline.
 fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, u16> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(_) => return Ok(None),
-    }
-    if line.len() > MAX_HEAD_BYTES {
-        return Err(400);
-    }
+    let mut budget = MAX_HEAD_BYTES;
+    let line = match read_head_line(&mut reader, &mut budget) {
+        Ok(Some(line)) => line,
+        Ok(None) | Err(None) => return Ok(None),
+        Err(Some(status)) => return Err(status),
+    };
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -269,17 +298,13 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, u16> {
     let path = path.to_string();
 
     let mut headers = HashMap::new();
-    let mut head_bytes = line.len();
     loop {
-        let mut hline = String::new();
-        match reader.read_line(&mut hline) {
-            Ok(0) => return Err(400), // EOF inside the header block
-            Ok(n) => head_bytes += n,
-            Err(_) => return Err(400),
-        }
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(400);
-        }
+        let hline = match read_head_line(&mut reader, &mut budget) {
+            Ok(Some(hline)) => hline,
+            // EOF or an I/O error inside the header block.
+            Ok(None) | Err(None) => return Err(400),
+            Err(Some(status)) => return Err(status),
+        };
         let trimmed = hline.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             break;
@@ -302,6 +327,26 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, u16> {
         reader.read_exact(&mut body).map_err(|_| 400u16)?;
     }
     Ok(Some(Request { method, path, headers, body }))
+}
+
+/// Reads one `\n`-terminated head line, charging its bytes to `budget`.
+/// `Ok(None)` = EOF before any byte; `Err(None)` = I/O error;
+/// `Err(Some(400))` = the line did not end within the budget (or before
+/// EOF), or is not UTF-8.
+fn read_head_line(
+    reader: &mut impl BufRead,
+    budget: &mut usize,
+) -> Result<Option<String>, Option<u16>> {
+    let mut line = Vec::new();
+    let n = reader.take(*budget as u64).read_until(b'\n', &mut line).map_err(|_| None)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if line.last() != Some(&b'\n') {
+        return Err(Some(400));
+    }
+    *budget -= n;
+    String::from_utf8(line).map(Some).map_err(|_| Some(400))
 }
 
 #[cfg(test)]
@@ -364,6 +409,42 @@ mod tests {
         let handle = server.serve(echo_service());
         let resp = raw_roundtrip(addr, "POST / HTTP/1.1\r\ncontent-length: nope\r\n\r\n");
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn endless_request_line_gets_400_without_waiting_for_a_newline() {
+        // Twice the head cap with no newline, socket kept open: the server
+        // must answer 400 once the cap is spent, not buffer the line until
+        // a newline or the I/O timeout.
+        let server = Server::bind(&"127.0.0.1:0".parse().unwrap()).unwrap();
+        let addr = server.local_addr();
+        let handle = server.serve(echo_service());
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let start = std::time::Instant::now();
+        s.write_all(&vec![b'a'; 2 * MAX_HEAD_BYTES]).unwrap();
+        let mut buf = [0u8; 12];
+        s.read_exact(&mut buf).expect("a response within 2 s");
+        assert_eq!(&buf, b"HTTP/1.1 400", "{}", String::from_utf8_lossy(&buf));
+        assert!(start.elapsed() < Duration::from_secs(2), "{:?}", start.elapsed());
+        drop(s);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn oversized_header_block_gets_400() {
+        let server = Server::bind(&"127.0.0.1:0".parse().unwrap()).unwrap();
+        let addr = server.local_addr();
+        let handle = server.serve(echo_service());
+        let header = format!("x-pad: {}\r\n", "b".repeat(1024));
+        let payload = format!("GET / HTTP/1.1\r\n{}\r\n", header.repeat(MAX_HEAD_BYTES / 1024));
+        let resp = raw_roundtrip(addr, &payload);
+        assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+        // A head just inside the cap still parses.
+        let payload = format!("GET / HTTP/1.1\r\n{}\r\n", header.repeat(MAX_HEAD_BYTES / 1024 - 1));
+        let resp = raw_roundtrip(addr, &payload);
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         handle.shutdown();
     }
 

@@ -314,14 +314,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // on char boundaries is safe via chars()).
+                    // Copy the run up to the next quote or backslash in one
+                    // piece. Both are ASCII, so the run ends on a char
+                    // boundary of the `&str` input, and only the run itself
+                    // is validated — validating the whole remaining document
+                    // per character made parsing quadratic in its length.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| JsonError::new("invalid utf-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty rest");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -380,6 +384,10 @@ mod tests {
     fn unicode_escapes() {
         let v = Value::parse(r#""Aé""#).unwrap();
         assert_eq!(v, Value::String("Aé".to_string()));
+        // Multibyte runs between escapes, and at either end of a string.
+        let v = Value::parse(r#"["é\"ü\\ß", "\u00e9x€", "€"]"#).unwrap();
+        let want = ["é\"ü\\ß", "éx€", "€"].map(|s| Value::String(s.to_string()));
+        assert_eq!(v, Value::Array(want.to_vec()));
     }
 
     /// The writer and the parser must agree at the edges of the numeric

@@ -69,9 +69,12 @@
 //!    The convolution is *implicit GEMM on the same micro-kernel*: each
 //!    8-pixel output tile's `im2col` columns are lowered on the fly
 //!    directly into an NT micro-panel arena
-//!    ([`fpdq_tensor::conv::im2col_panel_into`]) and fed straight to
-//!    `gemm_nt_panel` against the once-per-call decoded filter bank — the
-//!    whole-image `im2col` matrix never materialises, and conv inherits
+//!    ([`fpdq_tensor::conv::im2col_panel_into`], table-driven: lane
+//!    offsets are computed once per kernel tap and reused for every input
+//!    channel as a contiguous copy, a zero fill or a masked gather) and
+//!    fed straight to `gemm_nt_panel` against the once-per-call decoded
+//!    filter bank — the whole-image `im2col` matrix never materialises,
+//!    and conv inherits
 //!    the GEMM's SIMD dispatch, fused activation quant, and decode
 //!    amortisation instead of duplicating them. Both kernels pick their
 //!    parallel regime per call from the actual tile counts against the

@@ -9,7 +9,19 @@
 //! `matmul_nt`. The whole-matrix [`im2col_into`] lowering survives for the
 //! gradient kernels (`conv2d_grad_input` / `conv2d_grad_weight`), which
 //! `fpdq-autograd` uses both for training the substrate models and for the
-//! paper's gradient-based rounding learning on convolution layers.
+//! paper's gradient-based rounding learning on convolution layers, and as
+//! the bitwise oracle of the panel lowering's tests.
+//!
+//! The panel lowering is pure data movement, table-driven so that each
+//! element costs a load and a store: for each kernel tap it computes the
+//! panel's [`NT_NR`] lane offsets within a channel plane once (offsets
+//! and padding do not depend on the input channel), classifies the tap,
+//! and then walks the channels. A tap whose lanes are all consecutive in
+//! the plane copies [`NT_NR`] contiguous floats (every in-bounds tap of a
+//! stride-1 panel that lies within one output row, and every 1×1 stride-1
+//! conv); a tap that reads only padding zero-fills; any other tap gathers
+//! and clears its padding lanes with a bit mask, so live lanes keep their
+//! exact bits.
 
 use crate::matmul::{gemm_nt_panel, NT_MR, NT_NR};
 use crate::parallel::{num_threads, parallel_rows, parallel_rows_aligned};
@@ -129,6 +141,22 @@ pub fn im2col_into(
 /// the panel is produced in exactly the interleaved layout the kernel
 /// consumes, so the classic im2col buffer never exists.
 ///
+/// The lowering is driven by a per-tap offset table. For each kernel tap
+/// `(ky, kx)` the lanes' source offsets within a channel plane, and an
+/// all-ones or all-zeros mask per lane (zero for padding and for lanes
+/// past `nw`), are computed once; they hold for every input channel. Then
+/// each channel's stripe of that tap is filled by one of three cases:
+///
+/// * **contiguous** — all [`NT_NR`] lanes read consecutive floats of the
+///   plane: one slice copy;
+/// * **zero** — every lane reads padding: a zero fill;
+/// * **masked gather** — otherwise: each lane loads its offset (padding
+///   lanes load offset 0) and is ANDed with its mask, so padding lanes
+///   become `+0.0` while live lanes keep every bit, `-0.0` and NaN
+///   payloads included.
+///
+/// The panel is bit-identical to the matching columns of [`im2col_into`].
+///
 /// # Panics
 ///
 /// Panics (debug) on size mismatches or when `[j0, j0 + nw)` leaves the
@@ -146,42 +174,54 @@ pub fn im2col_panel_into(
     nw: usize,
     bp: &mut [f32],
 ) {
-    use crate::matmul::NT_NR;
     let oh = spec.out_extent(h, kh);
     let ow = spec.out_extent(w, kw);
     debug_assert_eq!(img.len(), c * h * w);
     debug_assert_eq!(bp.len(), c * kh * kw * NT_NR);
     debug_assert!((1..=NT_NR).contains(&nw), "panel width {nw}");
     debug_assert!(j0 + nw <= oh * ow, "pixels {j0}+{nw} past output plane {oh}x{ow}");
-    let (s, p) = (spec.stride as isize, spec.padding as isize);
-    if nw < NT_NR {
-        bp.fill(0.0);
-    }
-    // Top-left input coordinate of each lane's patch.
-    let mut iy0 = [0isize; NT_NR];
-    let mut ix0 = [0isize; NT_NR];
-    for (r, (y0, x0)) in iy0.iter_mut().zip(ix0.iter_mut()).enumerate().take(nw) {
+    let (s, p) = (spec.stride, spec.padding);
+    let (plane, taps) = (h * w, kh * kw);
+    // Top-left corner of each lane's patch in padded coordinates (input
+    // coordinate + padding), so no lane ever needs a signed index.
+    let mut py = [0usize; NT_NR];
+    let mut px = [0usize; NT_NR];
+    for (r, (y0, x0)) in py.iter_mut().zip(px.iter_mut()).enumerate().take(nw) {
         let pix = j0 + r;
-        *y0 = (pix / ow) as isize * s - p;
-        *x0 = (pix % ow) as isize * s - p;
+        *y0 = (pix / ow) * s;
+        *x0 = (pix % ow) * s;
     }
-    let mut row = 0usize;
-    for ci in 0..c {
-        let cbase = ci * h * w;
-        for ky in 0..kh {
-            let ky = ky as isize;
-            for kx in 0..kw {
-                let kx = kx as isize;
-                let stripe = &mut bp[row * NT_NR..(row + 1) * NT_NR];
-                for r in 0..nw {
-                    let (iy, ix) = (iy0[r] + ky, ix0[r] + kx);
-                    stripe[r] = if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
-                        0.0
-                    } else {
-                        img[cbase + iy as usize * w + ix as usize]
-                    };
+    for ky in 0..kh {
+        for kx in 0..kw {
+            // The tap's offset table; padding lanes and lanes past `nw`
+            // keep offset 0 and a zero mask.
+            let mut off = [0usize; NT_NR];
+            let mut keep = [0u32; NT_NR];
+            for r in 0..nw {
+                let (y, x) = (py[r] + ky, px[r] + kx);
+                if (p..h + p).contains(&y) && (p..w + p).contains(&x) {
+                    off[r] = (y - p) * w + (x - p);
+                    keep[r] = !0;
                 }
-                row += 1;
+            }
+            let live = keep.iter().filter(|&&m| m != 0).count();
+            let contiguous = live == NT_NR && (1..NT_NR).all(|r| off[r] == off[0] + r);
+            // Channel `ci`'s row of this tap is `bp`'s block `ci` (one
+            // `taps × NT_NR` block per input channel) at stripe `tap`.
+            let tap = ky * kw + kx;
+            let stripes = bp.chunks_exact_mut(taps * NT_NR).map(|b| &mut b[tap * NT_NR..][..NT_NR]);
+            if live == 0 {
+                stripes.for_each(|stripe| stripe.fill(0.0));
+            } else if contiguous {
+                for (stripe, src) in stripes.zip(img.chunks_exact(plane)) {
+                    stripe.copy_from_slice(&src[off[0]..][..NT_NR]);
+                }
+            } else {
+                for (stripe, src) in stripes.zip(img.chunks_exact(plane)) {
+                    for ((dst, &o), &m) in stripe.iter_mut().zip(&off).zip(&keep) {
+                        *dst = f32::from_bits(src[o].to_bits() & m);
+                    }
+                }
             }
         }
     }
@@ -723,32 +763,66 @@ mod tests {
 
     #[test]
     fn panel_lowering_matches_whole_matrix_im2col() {
-        use crate::matmul::NT_NR;
-        // Every panel stripe of im2col_panel_into must equal the
-        // corresponding column slice of the materialised im2col matrix,
-        // across strides, paddings and kernels-larger-than-the-image.
-        for (hw, kh, kw, stride, padding) in
-            [(6, 3, 3, 1, 1), (6, 3, 3, 2, 1), (5, 2, 3, 3, 0), (2, 3, 3, 1, 1), (4, 1, 1, 1, 0)]
-        {
-            let c = 3usize;
+        // Every lane of every panel im2col_panel_into lowers must carry the
+        // exact bits of the corresponding column of the materialised
+        // im2col matrix, and every lane past `nw` must be +0.0. The sweep
+        // covers non-square images, output widths 3/4/8/12/16 (so panels
+        // start mid-row and straddle rows), stride 2 with padding, 1×1 at
+        // strides 1 and 2, kernels larger than the image, padding wider
+        // than the kernel's reach, every panel start and width, and images
+        // seeded with -0.0, NaN payloads, ±∞ and subnormals — a lowering
+        // that zeroes padding by multiplying with a 0/1 mask, or that
+        // canonicalises -0.0, fails here.
+        let specials = [
+            -0.0f32,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xff80_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+        ];
+        for (c, h, w, kh, kw, stride, padding) in [
+            (3usize, 6usize, 6usize, 3usize, 3usize, 1usize, 1usize),
+            (2, 5, 3, 3, 3, 1, 1),  // ow 3
+            (2, 3, 4, 3, 3, 1, 1),  // ow 4
+            (2, 6, 8, 3, 3, 1, 1),  // ow 8: one output row per panel
+            (2, 5, 12, 3, 3, 1, 1), // ow 12
+            (2, 3, 16, 3, 3, 1, 1), // ow 16
+            (3, 6, 6, 3, 3, 2, 1),
+            (2, 7, 9, 3, 3, 2, 1),
+            (2, 8, 5, 3, 3, 2, 1),
+            (3, 5, 5, 2, 3, 3, 0), // stride above the kernel extent
+            (3, 4, 5, 1, 1, 1, 0), // 1×1, stride 1
+            (3, 5, 7, 1, 1, 2, 0), // 1×1, stride 2
+            (3, 2, 2, 3, 3, 1, 1), // kernel larger than the image
+            (2, 2, 3, 5, 5, 1, 2),
+            (2, 3, 5, 3, 3, 1, 2), // padding past the kernel's reach
+        ] {
             let spec = Conv2dSpec::new(stride, padding);
-            let img = rand_tensor(&[c, hw, hw], (hw * kh * stride) as u64);
-            let (oh, ow) = (spec.out_extent(hw, kh), spec.out_extent(hw, kw));
+            let mut img = rand_tensor(&[c, h, w], (h * w * kh * stride + padding) as u64);
+            for (i, v) in img.data_mut().iter_mut().enumerate().filter(|(i, _)| i % 3 == 1) {
+                *v = specials[(i / 3) % specials.len()];
+            }
+            let (oh, ow) = (spec.out_extent(h, kh), spec.out_extent(w, kw));
             let (ckk, ohow) = (c * kh * kw, oh * ow);
             let mut cols = vec![0.0f32; ckk * ohow];
-            im2col_into(img.data(), c, hw, hw, kh, kw, spec, &mut cols);
-            let mut panel = vec![f32::NAN; ckk * NT_NR];
-            for j0 in (0..ohow).step_by(NT_NR) {
-                let nw = NT_NR.min(ohow - j0);
-                im2col_panel_into(img.data(), c, hw, hw, kh, kw, spec, j0, nw, &mut panel);
-                for kk in 0..ckk {
-                    for r in 0..NT_NR {
-                        let want = if r < nw { cols[kk * ohow + j0 + r] } else { 0.0 };
-                        assert_eq!(
-                            panel[kk * NT_NR + r].to_bits(),
-                            want.to_bits(),
-                            "k={kh}x{kw} s={stride} p={padding} j0={j0} kk={kk} lane={r}"
-                        );
+            im2col_into(img.data(), c, h, w, kh, kw, spec, &mut cols);
+            let mut panel = vec![0.0f32; ckk * NT_NR];
+            for j0 in 0..ohow {
+                for nw in 1..=NT_NR.min(ohow - j0) {
+                    panel.fill(f32::from_bits(0x7fc0_dead));
+                    im2col_panel_into(img.data(), c, h, w, kh, kw, spec, j0, nw, &mut panel);
+                    for kk in 0..ckk {
+                        for r in 0..NT_NR {
+                            let want = if r < nw { cols[kk * ohow + j0 + r] } else { 0.0 };
+                            assert_eq!(
+                                panel[kk * NT_NR + r].to_bits(),
+                                want.to_bits(),
+                                "img {c}x{h}x{w} k={kh}x{kw} s={stride} p={padding} \
+                                 j0={j0} nw={nw} kk={kk} lane={r}"
+                            );
+                        }
                     }
                 }
             }

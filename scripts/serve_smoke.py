@@ -27,6 +27,11 @@ Three phases, each asserting a robustness contract from the outside:
    **byte-identical** pixels — the served folded-CFG path against the
    offline pipeline. Guidance without a prompt gets a typed 400.
 
+The container-serving phase also probes the HTTP head cap: 1 MiB of
+request line with no newline gets a 400 within 5 s (the server stops
+reading at the cap instead of buffering until a newline), and the server
+stays ready afterwards.
+
 Usage: ``python3 scripts/serve_smoke.py [path/to/fpdq]``
 """
 
@@ -34,6 +39,7 @@ import json
 import os
 import re
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
@@ -162,6 +168,36 @@ def fault_injection_smoke():
             proc.kill()
 
 
+def oversized_head_probe(base):
+    """1 MiB of request line with no newline, socket left open: the server
+    answers 400 once its head cap is spent, within 5 s, and stays ready."""
+    host, port = re.match(r"http://([^:/]+):(\d+)", base).groups()
+    start = time.time()
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+
+        def send():
+            try:
+                sock.sendall(b"a" * (1 << 20))
+            except OSError:
+                pass  # the server may stop reading once it has answered
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        reply = b""
+        while len(reply) < 12:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+        elapsed = time.time() - start
+        sender.join()
+    assert reply.startswith(b"HTTP/1.1 400"), reply[:64]
+    assert elapsed < 5, f"400 took {elapsed:.1f}s"
+    status, health = http("GET", f"{base}/readyz")
+    assert status == 200, (status, health)
+    print(f"head cap OK: 1 MiB request line -> 400 in {elapsed:.2f}s, still ready")
+
+
 def pack_container(tmp):
     """Packs the tiny model with full verification; returns the path."""
     container = os.path.join(tmp, "tiny_fp8.fpdq")
@@ -216,6 +252,7 @@ def container_roundtrip_smoke(tmp, container):
         assert len(body["pixels_hex"]) == 1 * 3 * 8 * 8 * 8, body
         status, metrics = http("GET", f"{base}/metrics")
         assert status == 200 and metrics["state"] == "ready", metrics
+        oversized_head_probe(base)
         status, health = http("POST", f"{base}/admin/shutdown", b"")
         assert status == 202, (status, health)
         proc.wait(timeout=30)
