@@ -10,7 +10,7 @@
 //! recorded in CHANGES.md.)
 
 use criterion::{criterion_group, Criterion};
-use fpdq_core::{FpFormat, IntFormat, PanelQuantizer, TensorQuantizer};
+use fpdq_core::{BoundaryQuantizer, FpFormat, IntFormat, PanelQuantizer, TensorQuantizer};
 use fpdq_kernels::packed::unpack_bits_range_bitloop;
 use fpdq_kernels::{conv2d_packed, gemm_packed, CsrWeights, Exec, PackedTensor, TwoFourWeights};
 use fpdq_tensor::matmul::{gemm_nt_serial_with_as, NT_NR};
@@ -252,6 +252,29 @@ fn bench_conv_serve_batch1(c: &mut Criterion) {
     g.finish();
 }
 
+/// Fused activation quantization at serving shape: one `[1, 24, 8, 8]`
+/// slice (1,536 elements, the input of `conv_serve_batch1`) through the
+/// boundary table of a searched E2M5 activation format, as the `tiny@fp8`
+/// container carries, and of standard E4M3.
+fn bench_act_quant(c: &mut Criterion) {
+    let x = Tensor::randn(&[1, 24, 8, 8], &mut StdRng::seed_from_u64(19));
+    let mut out = vec![0.0f32; x.numel()];
+    let mut g = c.benchmark_group("act_quant");
+    for (name, fmt) in [
+        ("boundary_e2m5_serve", FpFormat::with_bias(2, 5, 1.787_683)),
+        ("boundary_e4m3_serve", FpFormat::new(4, 3)),
+    ] {
+        let bq = BoundaryQuantizer::cached(&TensorQuantizer::Fp(fmt));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                bq.quantize_slice_into(black_box(x.data()), &mut out);
+                black_box(out[0])
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_sparse(c: &mut Criterion) {
     let a = rand_mat(M, K, 5);
     let fp8 = TensorQuantizer::Fp(FpFormat::new(4, 3));
@@ -461,8 +484,8 @@ criterion_group! {
     name = kernels;
     config = configured();
     targets = bench_quantize, bench_pack, bench_gemm, bench_gemm_batched, bench_conv,
-        bench_conv_batched, bench_conv_serve_batch1, bench_sparse, bench_cold_start,
-        bench_sd_cfg_step
+        bench_conv_batched, bench_conv_serve_batch1, bench_act_quant, bench_sparse,
+        bench_cold_start, bench_sd_cfg_step
 }
 
 fn main() {

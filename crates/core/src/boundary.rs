@@ -23,18 +23,35 @@
 //! bitwise identical to the full-range bisection (kept as a test
 //! reference).
 //!
-//! # Slice path: compact bucket stripes
+//! # Slice path: rank cells
 //!
 //! The table covers the full *signed* value line (INT formats are
-//! asymmetric), and the slice path accelerates the search with a
-//! 512-bucket index over the sign+exponent byte of the input, leaving at
-//! most one binade of boundaries (≤ 2^m + 1 entries for FP formats) to
-//! scan branch-free per element in a fixed-width, `+∞`-padded stripe.
-//! Only buckets that own a boundary store a stripe; every empty bucket
-//! points at one shared all-`+∞` stripe (which counts nothing), so an
-//! FP8 table holds a few dozen stripes instead of 512. INT formats take
-//! an arithmetic shortcut that evaluates the *identical* float
-//! expression as [`IntFormat::quantize_scalar`].
+//! asymmetric). The slice path finds an element's place on it with one
+//! lookup and one compare. The top 9 bits of the element's order key
+//! (sign + f32 exponent) pick one of 512 buckets. A bucket that holds a
+//! finite boundary is split into `2^c` cells by the next `c` key bits;
+//! every other bucket is a single cell. Each cell stores only the rank
+//! `r` of the first boundary at or after its start, so every boundary
+//! below `r` is `<= v` for any `v` in the cell. If the cell holds at most
+//! one boundary, the count of boundaries `<= v` is `r + (boundaries[r]
+//! <= v)`: the one float compare decides the cell's own boundary, and
+//! everything from `boundaries[r + 1]` on lies in a later cell. A `+∞`
+//! sentinel after the last boundary keeps `boundaries[r]` in bounds for
+//! the top cell and never counts.
+//!
+//! `c` is the smallest resolution that leaves at most one finite
+//! boundary in any cell, read off in one pass from the highest differing
+//! key bit of each adjacent pair sharing a bucket. It stays small. The
+//! binades of an ExMy format are the f32 binades shifted by the
+//! fractional part of its bias, so in an f32 binade `[2^e, 2^(e+1))` its
+//! grid step is more than `2^(e-1-M)`, and its boundaries, at the
+//! midpoints of neighbouring values, are at least that far apart. A cell
+//! at resolution `M + 2` is `2^(e-M-2)` wide, so `c <= M + 2`. The ±∞
+//! boundaries of unreachable values sit in the ∓NaN/∓∞ buckets, which no
+//! clamped input addresses. Ranks are `u16`, so a table costs a 2 KB
+//! bucket index plus two bytes per cell: about 5.5 KB for E2M5 at a
+//! searched bias. INT formats take an arithmetic shortcut that evaluates
+//! the *identical* float expression as [`IntFormat::quantize_scalar`].
 //!
 //! [`PanelQuantizer`] lifts this to the granularity the fused GEMM/conv
 //! kernels need: one shared table (per-tensor, the paper's configuration),
@@ -191,23 +208,111 @@ fn gallop_search(above: &dyn Fn(u32) -> bool, start: u32) -> u32 {
 /// the order key: 1 sign × 8 exponent).
 const BUCKETS: usize = 512;
 
-/// Padding granule of the bucket stripes: the count sweep runs in fixed
-/// blocks of this many lanes so it vectorises.
-const PAD_LANES: usize = 8;
+/// Order-key bits below the bucket byte (the f32 mantissa width).
+const SUB_BITS: u32 = 23;
+
+/// The order-key bits below the bucket byte.
+const SUB_MASK: u32 = (1 << SUB_BITS) - 1;
+
+/// Low bits of a bucket entry that hold its cell shift; the bits above
+/// hold its first cell.
+const SHIFT_BITS: u32 = 5;
+
+/// The shift field of a bucket entry.
+const SHIFT_MASK: u32 = (1 << SHIFT_BITS) - 1;
 
 /// The INT arithmetic shortcut parameters (evaluating the same float
-/// expression as [`IntFormat::quantize_scalar`]), or the FP bucket index.
+/// expression as [`IntFormat::quantize_scalar`]), or the FP rank cells.
 #[derive(Clone, Debug)]
 enum FastPath {
-    /// Bucketed boundary search (FP formats): `index[t] = (lo, start)`,
-    /// where `lo` counts the boundaries in buckets below `t` and
-    /// `pad[start..start + pad_w]` is bucket `t`'s stripe — its
-    /// boundaries padded with `+∞` to a fixed width, so the per-element
-    /// count is a branch-free fixed-width sweep the compiler vectorises.
-    /// Empty buckets share the all-`+∞` stripe at `start = 0`.
-    Buckets { index: Vec<(u32, u32)>, pad: Vec<f32>, pad_w: usize },
+    /// Rank-cell lookup (FP formats).
+    Cells(RankCells),
     /// Direct affine rounding (INT formats).
     Affine { scale: f32, zero_point: f32, qmax: f32 },
+}
+
+/// The rank-cell index of a boundary table (see the module docs).
+///
+/// `index[t]` describes bucket `t` as `first << SHIFT_BITS | shift`: the
+/// cell of order key `k` is `first + ((k & SUB_MASK) >> shift)`, with
+/// `shift = SUB_BITS - c` for a bucket holding a finite boundary and
+/// `SUB_BITS` (one cell) otherwise. `ranks[cell]` counts the boundaries
+/// whose order key lies below the cell's start. One pad entry ends
+/// `ranks`, so a 32-bit gather of the last rank stays in bounds.
+#[derive(Clone, Debug)]
+struct RankCells {
+    index: Box<[u32; BUCKETS]>,
+    ranks: Vec<u16>,
+}
+
+impl RankCells {
+    /// Builds the index over the ascending `boundaries` (sentinel
+    /// excluded) in one pass over buckets, cells and boundaries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two finite boundaries are equal (no resolution separates
+    /// them) or the table has more than `u16::MAX` boundaries.
+    fn build(boundaries: &[f32]) -> Self {
+        assert!(
+            boundaries.len() <= usize::from(u16::MAX),
+            "boundary table too large for u16 ranks"
+        );
+        // Adjacent finite keys in one bucket land in different cells once
+        // the cell bits reach their highest differing bit.
+        let mut c = 0;
+        let mut populated = [false; BUCKETS];
+        let mut prev: Option<u32> = None;
+        for &b in boundaries.iter().filter(|b| b.is_finite()) {
+            let k = order_key(b);
+            populated[(k >> SUB_BITS) as usize] = true;
+            if let Some(p) = prev.filter(|p| p >> SUB_BITS == k >> SUB_BITS) {
+                c = c.max((p ^ k).leading_zeros() - (31 - SUB_BITS));
+            }
+            prev = Some(k);
+        }
+        assert!(c <= SUB_BITS, "equal finite boundaries");
+        let cells: usize = populated.iter().map(|&p| if p { 1 << c } else { 1 }).sum();
+        assert!(cells < 1 << (32 - SHIFT_BITS), "rank-cell index overflow");
+        let mut index = Box::new([0u32; BUCKETS]);
+        let mut ranks = Vec::with_capacity(cells + 1);
+        // Boundaries ascend in key order, so bucket `t` owns the run of
+        // them from `r` to `end`. Each one is the first boundary at or
+        // after the start of its own cell and of every unfilled cell
+        // before it.
+        let mut r = 0usize;
+        for (t, entry) in index.iter_mut().enumerate() {
+            let end = r + boundaries[r..]
+                .iter()
+                .take_while(|&&b| (order_key(b) >> SUB_BITS) as usize == t)
+                .count();
+            let first = ranks.len();
+            if populated[t] {
+                let shift = SUB_BITS - c;
+                *entry = (first as u32) << SHIFT_BITS | shift;
+                for (i, &b) in boundaries.iter().enumerate().take(end).skip(r) {
+                    let cell = ((order_key(b) & SUB_MASK) >> shift) as usize;
+                    ranks.resize(first + cell + 1, i as u16);
+                }
+                ranks.resize(first + (1 << c), end as u16);
+            } else {
+                *entry = (first as u32) << SHIFT_BITS | SUB_BITS;
+                ranks.push(r as u16);
+            }
+            r = end;
+        }
+        ranks.push(0);
+        RankCells { index, ranks }
+    }
+
+    /// The rank of the first boundary at or after the start of the cell
+    /// holding order key `key`.
+    #[inline]
+    fn rank(&self, key: u32) -> usize {
+        let e = self.index[(key >> SUB_BITS) as usize];
+        let cell = (e >> SHIFT_BITS) + ((key & SUB_MASK) >> (e & SHIFT_MASK));
+        usize::from(self.ranks[cell as usize])
+    }
 }
 
 /// A precomputed signed boundary table for one quantizer, bit-exact
@@ -220,7 +325,8 @@ pub struct BoundaryQuantizer {
     /// for inputs in `[boundaries[i-1], boundaries[i])`.
     values: Vec<f32>,
     /// `boundaries[i]` is the smallest float quantizing to `values[i+1]`
-    /// (`±∞` when a value is unreachable from either end).
+    /// (`±∞` when a value is unreachable from either end), followed by
+    /// one `+∞` sentinel for the rank-cell compare.
     boundaries: Vec<f32>,
     /// Output for NaN inputs.
     nan_value: f32,
@@ -229,6 +335,11 @@ pub struct BoundaryQuantizer {
 
 impl BoundaryQuantizer {
     /// Builds the table for a floating-point format.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a format wider than 16 bits: the rank cells index
+    /// boundaries with `u16`.
     pub fn from_fp(fmt: FpFormat) -> Self {
         let quantize = fp_oracle(fmt);
         // Project the enumeration through the quantizer itself: for
@@ -299,43 +410,10 @@ impl BoundaryQuantizer {
         nan_value: f32,
         fast: Option<FastPath>,
     ) -> Self {
-        let boundaries = search_boundaries(&values, quantize, gallop_search);
-        let fast = fast.unwrap_or_else(|| Self::build_buckets(&boundaries));
+        let mut boundaries = search_boundaries(&values, quantize, gallop_search);
+        let fast = fast.unwrap_or_else(|| FastPath::Cells(RankCells::build(&boundaries)));
+        boundaries.push(f32::INFINITY);
         BoundaryQuantizer { values, boundaries, nan_value, fast }
-    }
-
-    /// Counts the boundaries of each bucket (the order-key top 9 bits, so
-    /// bucket `t` owns at most one sign+binade of entries: ≤ 2^m + 1 for
-    /// an FP format) and copies each populated bucket's entries into its
-    /// own fixed-width, `+∞`-padded stripe, so the slice path counts them
-    /// without a data-dependent loop bound. Empty buckets share the
-    /// leading all-`+∞` stripe.
-    fn build_buckets(boundaries: &[f32]) -> FastPath {
-        let mut lo = vec![0u32; BUCKETS + 1];
-        for &b in boundaries {
-            let t = (order_key(b) >> 23) as usize;
-            lo[t + 1] += 1;
-        }
-        for t in 0..BUCKETS {
-            lo[t + 1] += lo[t];
-        }
-        let widest = (0..BUCKETS).map(|t| (lo[t + 1] - lo[t]) as usize).max().unwrap_or(0);
-        let pad_w = widest.next_multiple_of(PAD_LANES).max(PAD_LANES);
-        let mut pad = vec![f32::INFINITY; pad_w];
-        let index = (0..BUCKETS)
-            .map(|t| {
-                // Boundaries ascend, so bucket `t` owns one contiguous run.
-                let own = &boundaries[lo[t] as usize..lo[t + 1] as usize];
-                if own.is_empty() {
-                    return (lo[t], 0);
-                }
-                let start = pad.len();
-                pad.extend_from_slice(own);
-                pad.resize(start + pad_w, f32::INFINITY);
-                (lo[t], start as u32)
-            })
-            .collect();
-        FastPath::Buckets { index, pad, pad_w }
     }
 
     /// The representable values, ascending.
@@ -345,7 +423,7 @@ impl BoundaryQuantizer {
 
     /// The decision boundaries (reference surface for tests).
     pub fn boundaries(&self) -> &[f32] {
-        &self.boundaries
+        &self.boundaries[..self.boundaries.len() - 1]
     }
 
     /// Quantizes one value through the plain table bisection — the
@@ -361,9 +439,23 @@ impl BoundaryQuantizer {
         self.values[self.boundaries.partition_point(|&b| b <= v)]
     }
 
+    /// The scalar rank-cell path over a slice: one lookup and one compare
+    /// per element (also the tail of the AVX2 path).
+    fn quantize_cells(&self, cells: &RankCells, src: &[f32], dst: &mut [f32]) {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = if v.is_nan() {
+                self.nan_value
+            } else {
+                let v = v.clamp(-f32::MAX, f32::MAX);
+                let r = cells.rank(order_key(v));
+                self.values[r + usize::from(self.boundaries[r] <= v)]
+            };
+        }
+    }
+
     /// Quantizes a slice into caller scratch through the accelerated path
-    /// (exponent-bucketed search for FP, direct affine for INT) —
-    /// bit-exact with [`Self::quantize_scalar`].
+    /// (rank cells for FP, direct affine for INT) — bit-exact with
+    /// [`Self::quantize_scalar`].
     ///
     /// # Panics
     ///
@@ -374,11 +466,17 @@ impl BoundaryQuantizer {
 
     /// [`Self::quantize_slice_into`] on an explicit ISA path — the
     /// dispatch point the differential SIMD tests drive from both sides.
-    /// The bucketed FP sweep has an AVX2 variant (8-lane compare stripes
-    /// reduced by mask popcount, bit-exact by construction: the count of
-    /// `boundary <= v` is an integer); an unsupported `isa` falls back to
-    /// the scalar sweep. The INT affine shortcut is a single float
-    /// expression either way and does not dispatch.
+    /// An FP element is clamped to the finite line, its order key picks a
+    /// rank cell, and one float compare against the cell's first boundary
+    /// finishes the count (see the module docs); NaN maps to the table's
+    /// NaN output. The AVX2 variant runs 8 elements per iteration: a
+    /// vector order key, then gathers of the bucket entry, the cell rank,
+    /// the boundary and the value, with NaN lanes blended afterwards and a
+    /// scalar tail. It is bit-exact by construction, since the rank and
+    /// compare are the same integers and floats in every lane. An
+    /// unsupported `isa` (and NEON) takes the scalar cell path. The INT
+    /// affine shortcut is a single float expression either way and does
+    /// not dispatch.
     ///
     /// # Panics
     ///
@@ -400,48 +498,16 @@ impl BoundaryQuantizer {
                     };
                 }
             }
-            FastPath::Buckets { index, pad, pad_w } => {
-                let pad_w = *pad_w;
+            FastPath::Cells(cells) => {
                 #[cfg(target_arch = "x86_64")]
                 if isa == Isa::Avx2 && isa.is_supported() {
-                    // Safety: AVX2 (and POPCNT, which detection implies)
-                    // verified at runtime; lengths asserted above.
-                    unsafe {
-                        avx2::quantize_buckets(
-                            &self.values,
-                            index,
-                            pad,
-                            pad_w,
-                            self.nan_value,
-                            src,
-                            dst,
-                        );
-                    }
+                    // SAFETY: AVX2 verified at runtime; lengths asserted
+                    // above; `cells` was built from this table's
+                    // boundaries, which end in the `+∞` sentinel.
+                    unsafe { avx2::quantize_cells(self, cells, src, dst) };
                     return;
                 }
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    *d = if v.is_nan() {
-                        self.nan_value
-                    } else {
-                        let v = v.clamp(-f32::MAX, f32::MAX);
-                        let (lo, start) = index[(order_key(v) >> 23) as usize];
-                        // Branch-free count within the (≤ one binade)
-                        // bucket: every boundary below the bucket is ≤ v
-                        // by construction, and the `+∞` padding never
-                        // counts. Fixed 8-lane blocks keep the sweep
-                        // vectorisable.
-                        let mut idx = lo as usize;
-                        let start = start as usize;
-                        for block in pad[start..start + pad_w].chunks_exact(PAD_LANES) {
-                            let mut cnt = 0usize;
-                            for &b in block {
-                                cnt += usize::from(b <= v);
-                            }
-                            idx += cnt;
-                        }
-                        self.values[idx]
-                    };
-                }
+                self.quantize_cells(cells, src, dst);
             }
         }
     }
@@ -456,52 +522,69 @@ impl BoundaryQuantizer {
     }
 }
 
-/// AVX2 variant of the bucketed boundary sweep: the per-element stripe
-/// count runs as full 8-lane `cmp_ps` blocks reduced by `movemask` +
-/// `popcnt` (the stripes are `+∞`-padded to multiples of [`PAD_LANES`] at
-/// construction). The bucket lookup and special-case handling stay
-/// scalar and identical to the reference path.
+/// AVX2 variant of the rank-cell path: 8 elements per iteration, every
+/// table access a gather.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::order_key;
+    use super::{BoundaryQuantizer, RankCells, SHIFT_BITS, SHIFT_MASK, SUB_BITS, SUB_MASK};
     use core::arch::x86_64::*;
 
     /// # Safety
     ///
-    /// Requires AVX2 + POPCNT at runtime; `src`/`dst` must have equal
-    /// lengths, `index` must hold one `(lo, start)` per bucket with every
-    /// `pad[start..start + pad_w]` in bounds, and `pad_w` must be a
-    /// multiple of [`super::PAD_LANES`] (guaranteed by
-    /// [`super::BoundaryQuantizer::build_buckets`]).
-    #[target_feature(enable = "avx2,popcnt")]
-    pub(super) unsafe fn quantize_buckets(
-        values: &[f32],
-        index: &[(u32, u32)],
-        pad: &[f32],
-        pad_w: usize,
-        nan_value: f32,
+    /// Requires AVX2 at runtime and equal `src`/`dst` lengths. `cells`
+    /// must be [`RankCells::build`] over `bq`'s boundaries without their
+    /// sentinel, and `bq.boundaries` must end in the `+∞` sentinel: then
+    /// every bucket entry addresses cells inside `ranks` (with the pad
+    /// entry behind the last one for the 4-byte read), every rank indexes
+    /// `bq.boundaries`, and `rank + 1` is taken only below the sentinel,
+    /// inside `bq.values`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn quantize_cells(
+        bq: &BoundaryQuantizer,
+        cells: &RankCells,
         src: &[f32],
         dst: &mut [f32],
     ) {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = if v.is_nan() {
-                nan_value
-            } else {
-                let v = v.clamp(-f32::MAX, f32::MAX);
-                let (lo, start) = index[(order_key(v) >> 23) as usize];
-                let vv = _mm256_set1_ps(v);
-                let mut idx = lo as usize;
-                let stripe = &pad[start as usize..start as usize + pad_w];
-                for block in stripe.chunks_exact(super::PAD_LANES) {
-                    // b <= v is false for the +∞ padding and for NaN-free
-                    // inputs exactly matches the scalar `b <= v` count.
-                    let b = _mm256_loadu_ps(block.as_ptr());
-                    let le = _mm256_cmp_ps::<_CMP_LE_OQ>(b, vv);
-                    idx += _mm256_movemask_ps(le).count_ones() as usize;
-                }
-                values[idx]
-            };
+        let lo = _mm256_set1_ps(-f32::MAX);
+        let hi = _mm256_set1_ps(f32::MAX);
+        let sign = _mm256_set1_epi32(i32::MIN);
+        let sub_mask = _mm256_set1_epi32(SUB_MASK as i32);
+        let shift_mask = _mm256_set1_epi32(SHIFT_MASK as i32);
+        let rank_mask = _mm256_set1_epi32(0xFFFF);
+        let nan = _mm256_set1_ps(bq.nan_value);
+        let index = cells.index.as_ptr().cast::<i32>();
+        let ranks = cells.ranks.as_ptr().cast::<i32>();
+        let main = src.len() / 8 * 8;
+        for i in (0..main).step_by(8) {
+            // SAFETY: `i + 8 <= src.len() == dst.len()`; the gathers stay
+            // in bounds by the function's contract.
+            unsafe {
+                let raw = _mm256_loadu_ps(src.as_ptr().add(i));
+                // `max_ps` returns its second operand for a NaN lane, so
+                // NaNs look up -MAX (in bounds) and are blended below.
+                let v = _mm256_min_ps(_mm256_max_ps(raw, lo), hi);
+                let bits = _mm256_castps_si256(v);
+                // order_key: negatives invert, positives set the sign bit.
+                let key =
+                    _mm256_xor_si256(bits, _mm256_or_si256(_mm256_srai_epi32::<31>(bits), sign));
+                let bucket = _mm256_srli_epi32::<{ SUB_BITS as i32 }>(key);
+                let e = _mm256_i32gather_epi32::<4>(index, bucket);
+                let sub = _mm256_srlv_epi32(
+                    _mm256_and_si256(key, sub_mask),
+                    _mm256_and_si256(e, shift_mask),
+                );
+                let cell = _mm256_add_epi32(_mm256_srli_epi32::<{ SHIFT_BITS as i32 }>(e), sub);
+                let r = _mm256_and_si256(_mm256_i32gather_epi32::<2>(ranks, cell), rank_mask);
+                let b = _mm256_i32gather_ps::<4>(bq.boundaries.as_ptr(), r);
+                // An all-ones lane is -1: subtracting the mask adds the
+                // compare's 0/1.
+                let le = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(b, v));
+                let q = _mm256_i32gather_ps::<4>(bq.values.as_ptr(), _mm256_sub_epi32(r, le));
+                let is_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(raw, raw);
+                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_blendv_ps(q, nan, is_nan));
+            }
         }
+        bq.quantize_cells(cells, &src[main..], &mut dst[main..]);
     }
 }
 
@@ -722,32 +805,50 @@ mod tests {
     }
 
     #[test]
-    fn empty_buckets_share_one_infinite_stripe() {
-        for fmt in sweep_fp_formats() {
+    fn rank_cells_hold_one_boundary_and_direct_ranks() {
+        // The sweep plus two searched E2M5 biases shipped in containers.
+        let mut formats = sweep_fp_formats();
+        formats.extend([
+            FpFormat::with_bias(2, 5, 1.787_683),
+            FpFormat::with_bias(2, 5, -2.384_106_6),
+        ]);
+        for fmt in formats {
             let bq = BoundaryQuantizer::from_fp(fmt);
-            let FastPath::Buckets { index, pad, pad_w } = &bq.fast else {
-                panic!("{fmt}: FP tables use the bucket path");
+            let FastPath::Cells(cells) = &bq.fast else {
+                panic!("{fmt}: FP tables use rank cells");
             };
-            assert!(pad[..*pad_w].iter().all(|&b| b == f32::INFINITY), "{fmt}: shared stripe");
-            let mut populated = 0;
-            for t in 0..BUCKETS {
-                let lo = index[t].0 as usize;
-                let hi = index.get(t + 1).map_or(bq.boundaries().len(), |e| e.0 as usize);
-                let start = index[t].1 as usize;
-                if lo == hi {
-                    assert_eq!(start, 0, "{fmt}: empty bucket {t} owns a stripe");
-                    continue;
+            let b = bq.boundaries();
+            let finite: Vec<u32> =
+                b.iter().filter(|b| b.is_finite()).map(|&b| order_key(b)).collect();
+            let mut next_cell = 0usize;
+            let mut resolution = None;
+            for (t, &e) in cells.index.iter().enumerate() {
+                let (first, shift) = ((e >> SHIFT_BITS) as usize, e & SHIFT_MASK);
+                assert_eq!(first, next_cell, "{fmt}: bucket {t} cells are not contiguous");
+                let bucket: Vec<u32> =
+                    finite.iter().copied().filter(|&k| k >> SUB_BITS == t as u32).collect();
+                if bucket.is_empty() {
+                    assert_eq!(shift, SUB_BITS, "{fmt}: empty bucket {t} is one cell");
+                } else {
+                    let c = SUB_BITS - shift;
+                    assert_eq!(*resolution.get_or_insert(c), c, "{fmt}: one resolution per table");
                 }
-                populated += 1;
-                let stripe = &pad[start..start + pad_w];
-                assert_bits(&stripe[..hi - lo], &bq.boundaries()[lo..hi], &format!("{fmt} {t}"));
-                assert!(stripe[hi - lo..].iter().all(|&b| b == f32::INFINITY), "{fmt}: padding");
+                for j in 0..1u32 << (SUB_BITS - shift) {
+                    let start = (t as u32) << SUB_BITS | j << shift;
+                    let end = u64::from(start) + (1u64 << shift);
+                    let held = bucket.iter().filter(|&&k| k >= start && u64::from(k) < end).count();
+                    assert!(held <= 1, "{fmt}: cell {j} of bucket {t} holds {held} boundaries");
+                    let want = b.partition_point(|&x| x < key_to_float(start));
+                    let got = usize::from(cells.ranks[first + j as usize]);
+                    assert_eq!(got, want, "{fmt}: rank of cell {j} in bucket {t}");
+                }
+                next_cell = first + (1 << (SUB_BITS - shift));
             }
-            assert_eq!(
-                pad.len(),
-                (populated + 1) * pad_w,
-                "{fmt}: one stripe per populated bucket"
-            );
+            assert_eq!(cells.ranks.len(), next_cell + 1, "{fmt}: one pad entry after the cells");
+            let c = resolution.expect("an FP table has finite boundaries");
+            assert!(c <= fmt.man_bits() + 2, "{fmt}: resolution {c} above M + 2");
+            // The sentinel that keeps the top cell's compare in bounds.
+            assert_eq!(bq.boundaries.last(), Some(&f32::INFINITY), "{fmt}: +inf sentinel");
         }
     }
 
@@ -755,7 +856,7 @@ mod tests {
     fn slice_path_matches_scalar_across_the_bit_patterns_on_every_isa() {
         // A stride through all 2^32 patterns (NaNs, ±∞, subnormals, both
         // zeros among them) plus each boundary and its neighbours.
-        for fmt in fp_formats() {
+        for fmt in sweep_fp_formats() {
             let bq = BoundaryQuantizer::from_fp(fmt);
             let mut probes: Vec<f32> = (0..=u32::MAX).step_by(65_521).map(f32::from_bits).collect();
             for &b in bq.boundaries().iter().filter(|b| b.is_finite()) {
@@ -769,6 +870,26 @@ mod tests {
                 bq.quantize_slice_into_as(isa, &probes, &mut got);
                 assert_bits(&got, &want, &format!("{fmt} {isa:?}"));
             }
+        }
+    }
+
+    #[test]
+    fn slice_path_compares_floats_not_order_keys() {
+        // A table whose boundary is +0.0 exactly: -0.0 has the smaller
+        // order key but is `<=` the boundary as a float, like the plain
+        // bisection counts it. Searched FP tables never put a boundary at
+        // a zero, so this pins the compare on a hand-built table.
+        let sign = |x: f32| if x.is_sign_negative() { -1.0 } else { 1.0 };
+        let bq = BoundaryQuantizer::from_reference(vec![-1.0, 1.0], sign, 0.0, None);
+        assert_eq!(bq.boundaries()[0].to_bits(), 0.0f32.to_bits());
+        let tiny = f32::from_bits(1);
+        let probes: Vec<f32> = [-0.0f32, 0.0, -tiny, tiny].repeat(5);
+        let want: Vec<f32> = probes.iter().map(|&v| bq.quantize_scalar(v)).collect();
+        assert_eq!(want[..4], [1.0, 1.0, -1.0, 1.0]);
+        for &isa in simd::available() {
+            let mut got = vec![0.0f32; probes.len()];
+            bq.quantize_slice_into_as(isa, &probes, &mut got);
+            assert_bits(&got, &want, &format!("{isa:?}"));
         }
     }
 
@@ -954,7 +1075,7 @@ mod tests {
 
         #[test]
         fn slice_isa_paths_agree_on_any_bits(bits_pattern in 0u32..u32::MAX, pick in 0usize..3) {
-            // The SIMD bucket sweep must match the scalar sweep on every
+            // The SIMD cell path must match the scalar cell path on every
             // input class: NaNs, ±∞, subnormals, both zeros.
             let v = f32::from_bits(bits_pattern);
             let fmt = [FpFormat::new(4, 3), FpFormat::new(2, 1), FpFormat::with_bias(3, 4, 6.5)][pick];

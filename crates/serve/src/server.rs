@@ -97,10 +97,21 @@ impl ServerHandle {
 /// keeps failing with the boot error, and every request gets a typed
 /// `500 model_unavailable` until the server is drained — a corrupt or
 /// missing model artifact degrades the process instead of crashing it.
+///
+/// # Errors
+///
+/// [`std::io::ErrorKind::InvalidInput`] for a zero `queue_depth`, before
+/// anything is bound; otherwise whatever binding the address returns.
 pub fn serve<F>(cfg: ServeConfig, build: F) -> std::io::Result<ServerHandle>
 where
     F: FnOnce() -> Result<Box<dyn ServeModel>, FpdqError> + Send + 'static,
 {
+    if cfg.queue_depth == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "queue depth must be a positive integer",
+        ));
+    }
     let server = Server::bind(&cfg.addr)?;
     let addr = server.local_addr();
     let shared = Arc::new(ServeShared::default());
@@ -280,5 +291,21 @@ async fn generate(
         // possible if its thread died, which the panic isolation exists
         // to prevent; surface it rather than hang.
         Err(_) => error_response(500, "scheduler_gone", "scheduler dropped the request"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_queue_depth_is_an_error_before_binding() {
+        let cfg = ServeConfig { queue_depth: 0, ..ServeConfig::default() };
+        let err = serve(cfg, || -> Result<Box<dyn ServeModel>, FpdqError> {
+            unreachable!("a rejected config never builds its model")
+        })
+        .err()
+        .expect("queue depth 0 is rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     }
 }

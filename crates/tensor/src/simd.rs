@@ -3,7 +3,7 @@
 //! The workspace compiles for the baseline target (SSE2 on x86-64), so
 //! LLVM auto-vectorisation stops at 128-bit lanes. The explicit wide
 //! kernels (the 4×8 NT micro-kernel in [`crate::matmul`], the per-byte
-//! LUT decode in `fpdq-kernels`, the bucketed boundary quantizer in
+//! LUT decode in `fpdq-kernels`, the rank-cell boundary quantizer in
 //! `fpdq-core`) are selected *at runtime* through this module: CPU
 //! features are probed once per process, every dispatched entry point
 //! keys off the cached [`Isa`], and the `FPDQ_FORCE_SCALAR=1` environment
@@ -56,9 +56,8 @@ pub enum Isa {
     /// target; SSE2 on x86-64).
     Scalar,
     /// 256-bit paths using AVX2 integer/float ops (x86-64). Detection
-    /// also requires FMA and POPCNT — every AVX2 part ships both, and
-    /// the mask-count reductions lean on POPCNT. The kernels still never
-    /// emit fused multiply-adds (see the bit-identity contract).
+    /// also requires FMA — every AVX2 part ships it. The kernels still
+    /// never emit fused multiply-adds (see the bit-identity contract).
     Avx2,
     /// 128-bit NEON paths (aarch64, where NEON is baseline).
     Neon,
@@ -115,10 +114,7 @@ pub fn detected() -> Isa {
 
 fn probe() -> Isa {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2")
-        && std::arch::is_x86_feature_detected!("fma")
-        && std::arch::is_x86_feature_detected!("popcnt")
-    {
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
         return Isa::Avx2;
     }
     #[cfg(target_arch = "aarch64")]

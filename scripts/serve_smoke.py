@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Serve-layer smoke for CI.
 
-Three phases, each asserting a robustness contract from the outside:
+Five phases, each asserting a robustness contract from the outside:
 
 1. **Fault injection**: boots ``fpdq serve`` on the zoo-free tiny model
    with an armed fault plan and drives concurrent requests — one of
@@ -26,6 +26,10 @@ Three phases, each asserting a robustness contract from the outside:
    the same container answers a ``(seed, prompt)`` request with
    **byte-identical** pixels — the served folded-CFG path against the
    offline pipeline. Guidance without a prompt gets a typed 400.
+
+5. **CLI guard rails**: ``generate --count 0``, ``serve --queue-depth
+   0`` and ``generate --prompt`` on the unconditional container each exit
+   1 within 10 s with a message, no panic and no output file.
 
 The container-serving phase also probes the HTTP head cap: 1 MiB of
 request line with no newline gets a 400 within 5 s (the server stops
@@ -329,6 +333,35 @@ def corruption_guard_smoke(tmp, container):
             proc.kill()
 
 
+def cli_guard_smoke(tmp, container):
+    """Invalid CLI input is a message and exit 1, never a panic (exit 101)
+    or an output file."""
+    out_dir = os.path.join(tmp, "gen-guard")
+    cases = [
+        ("generate --count 0",
+         ["generate", "--model", container, "--count", "0", "--out", out_dir],
+         "invalid value '0' for --count"),
+        ("serve --queue-depth 0",
+         ["serve", "--port", "0", "--queue-depth", "0"],
+         "invalid value '0' for --queue-depth"),
+        ("generate --prompt on an unconditional model",
+         ["generate", "--model", container, "--seeds", "1", "--prompt", "x",
+          "--out", out_dir],
+         "this model is unconditional"),
+    ]
+    for name, args, message in cases:
+        start = time.time()
+        out = subprocess.run(
+            [BINARY, *args], capture_output=True, text=True, timeout=10
+        )
+        elapsed = time.time() - start
+        assert out.returncode == 1, (name, out.returncode, out.stdout, out.stderr)
+        assert "panicked" not in out.stderr, (name, out.stderr)
+        assert message in out.stderr, (name, out.stderr)
+        assert not os.path.exists(out_dir), f"{name}: output written on failure"
+        print(f"cli guard OK ({name}): exit 1 in {elapsed:.2f}s, no panic")
+
+
 SD_PROMPT = "a red ball in a dark room"
 SD_SEED = 7
 # Offline `generate` runs min(20, schedule steps) = 20 steps for the
@@ -412,6 +445,7 @@ def main():
         container = pack_container(tmp)
         container_roundtrip_smoke(tmp, container)
         corruption_guard_smoke(tmp, container)
+        cli_guard_smoke(tmp, container)
         sd_roundtrip_smoke(tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

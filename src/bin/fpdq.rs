@@ -169,6 +169,19 @@ fn parsed_flag<T: std::str::FromStr>(
     }
 }
 
+/// [`parsed_flag`] for a count documented as positive: `0` is rejected
+/// here rather than panicking deep inside the command.
+fn positive_flag(
+    opts: &HashMap<String, String>,
+    key: &str,
+    default: usize,
+) -> Result<usize, String> {
+    match parsed_flag(opts, key, default, "a positive integer")? {
+        0 => Err(format!("invalid value '0' for --{key}: expected a positive integer")),
+        n => Ok(n),
+    }
+}
+
 /// [`parsed_flag`] for flags with no default (absent stays `None`).
 fn parsed_opt_flag<T: std::str::FromStr>(
     opts: &HashMap<String, String>,
@@ -274,9 +287,10 @@ fn default_steps(sim: &SimPipeline) -> usize {
 }
 
 /// One image per seed through the shared generation loop — the same
-/// seed list reproduces the same bytes, offline or served. Conditional
-/// pipelines take `prompt` for every image, or the caption grammar
-/// cycled; unconditional ones ignore it.
+/// seed list reproduces the same bytes, offline or served. An explicit
+/// `prompt` goes to every image on every pipeline, so an unconditional
+/// one rejects it at admission exactly as the server does; without one,
+/// conditional pipelines cycle the caption grammar.
 fn sample_images(
     sim: &SimPipeline,
     seeds: &[u64],
@@ -284,13 +298,13 @@ fn sample_images(
     steps: usize,
     batch: usize,
 ) -> Result<Tensor, FpdqError> {
-    let prompts: Option<Vec<String>> = (sim.kind() == PipelineKind::Sd).then(|| match prompt {
-        Some(text) => vec![text.to_string(); seeds.len()],
-        None => {
+    let prompts: Option<Vec<String>> = match prompt {
+        Some(text) => Some(vec![text.to_string(); seeds.len()]),
+        None => (sim.kind() == PipelineKind::Sd).then(|| {
             let all = CaptionedScenes::all_captions();
             (0..seeds.len()).map(|i| all[i % all.len()].clone()).collect()
-        }
-    });
+        }),
+    };
     sample(sim.model(), seeds, prompts.as_deref(), steps, batch)
 }
 
@@ -446,7 +460,7 @@ fn pack_and_report(
 }
 
 fn generate(opts: &HashMap<String, String>) -> ExitCode {
-    let count: usize = flag_or_fail!(parsed_flag(opts, "count", 8, "a positive integer"));
+    let count = flag_or_fail!(positive_flag(opts, "count", 8));
     let batch: usize = flag_or_fail!(parsed_flag(opts, "batch", 16, "a batch size in 1..=16"));
     let Some(model) = require(opts, "model") else { return ExitCode::FAILURE };
     let (sim, label, config) = if fpdq::serve::registry::is_container_path(model) {
@@ -512,10 +526,6 @@ fn generate(opts: &HashMap<String, String>) -> ExitCode {
             }
         },
     };
-    let out_dir = std::path::PathBuf::from(
-        opts.get("out").cloned().unwrap_or_else(|| "target/fpdq-cli".into()),
-    );
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
     let prompt = opts.get("prompt").map(String::as_str);
     let imgs = match sample_images(&sim, &seeds, prompt, default_steps(&sim), batch) {
         Ok(imgs) => imgs,
@@ -524,6 +534,10 @@ fn generate(opts: &HashMap<String, String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let out_dir = std::path::PathBuf::from(
+        opts.get("out").cloned().unwrap_or_else(|| "target/fpdq-cli".into()),
+    );
+    std::fs::create_dir_all(&out_dir).expect("create output dir");
     if let Some(raw) = opts.get("raw-out") {
         // Raw little-endian f32 dump — the exact bytes `pixels_hex`
         // encodes on the serving wire, for byte-comparison.
@@ -542,7 +556,7 @@ fn generate(opts: &HashMap<String, String>) -> ExitCode {
 }
 
 fn evaluate_cmd(opts: &HashMap<String, String>) -> ExitCode {
-    let count: usize = flag_or_fail!(parsed_flag(opts, "count", 64, "a positive integer"));
+    let count = flag_or_fail!(positive_flag(opts, "count", 64));
     let batch: usize = flag_or_fail!(parsed_flag(opts, "batch", 16, "a batch size in 1..=16"));
     let (Some(model), Some(config)) = (require(opts, "model"), require(opts, "config")) else {
         return ExitCode::FAILURE;
@@ -691,8 +705,8 @@ fn serve_cmd(opts: &HashMap<String, String>) -> ExitCode {
     };
     let cfg = ServeConfig {
         addr,
-        max_batch: flag_or_fail!(parsed_flag(opts, "max-batch", 4, "a positive integer")),
-        queue_depth: flag_or_fail!(parsed_flag(opts, "queue-depth", 8, "a positive integer")),
+        max_batch: flag_or_fail!(positive_flag(opts, "max-batch", 4)),
+        queue_depth: flag_or_fail!(positive_flag(opts, "queue-depth", 8)),
         default_deadline_ms: flag_or_fail!(parsed_opt_flag(
             opts,
             "deadline-ms",
@@ -756,4 +770,27 @@ fn characterize() -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn explicit_prompt_on_an_unconditional_model_is_rejected_like_the_server() {
+        let sim = named_pipeline("tiny").expect("tiny is a registry name");
+        let err = sample_images(&sim, &[1], Some("a red ball"), 1, 1).unwrap_err();
+        assert!(err.to_string().contains("this model is unconditional"), "{err}");
+        assert!(sample_images(&sim, &[1], None, 1, 1).is_ok());
+    }
+
+    #[test]
+    fn positive_flags_reject_zero() {
+        let opts = |v: &str| HashMap::from([("count".to_string(), v.to_string())]);
+        let err = positive_flag(&opts("0"), "count", 8).unwrap_err();
+        assert_eq!(err, "invalid value '0' for --count: expected a positive integer");
+        assert_eq!(positive_flag(&opts("3"), "count", 8), Ok(3));
+        assert_eq!(positive_flag(&HashMap::new(), "count", 8), Ok(8));
+        assert!(positive_flag(&opts("-1"), "count", 8).is_err());
+    }
 }

@@ -160,9 +160,11 @@ fn packed_decode_isa_sweep_all_formats() {
 
 #[test]
 fn boundary_quantizer_isa_sweep_on_adversarial_values() {
-    // Probe exactly where the bucketed sweep can go wrong: on and one ULP
-    // around every representable value, plus non-finite and subnormal
-    // inputs.
+    // Probe exactly where the rank-cell lookup can go wrong: on and one
+    // ULP around every representable value, plus non-finite, signed-zero
+    // and subnormal inputs. The reference is the plain table bisection
+    // (`quantize_scalar`), independent of the slice path on every ISA.
+    let largest_subnormal = f32::from_bits(0x007F_FFFF);
     for q in [
         TensorQuantizer::Fp(FpFormat::new(4, 3)),
         TensorQuantizer::Fp(FpFormat::new(2, 1)),
@@ -175,7 +177,11 @@ fn boundary_quantizer_isa_sweep_on_adversarial_values() {
             f32::NAN,
             f32::INFINITY,
             f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
             f32::MIN_POSITIVE / 2.0,
+            largest_subnormal,
+            -largest_subnormal,
             f32::MAX,
             -f32::MAX,
         ];
@@ -187,9 +193,20 @@ fn boundary_quantizer_isa_sweep_on_adversarial_values() {
                 probes.push(f32::from_bits(v.to_bits().wrapping_sub(1)));
             }
         }
-        let mut want = vec![0.0f32; probes.len()];
-        bq.quantize_slice_into_as(Isa::Scalar, &probes, &mut want);
+        let want: Vec<f32> = probes.iter().map(|&v| bq.quantize_scalar(v)).collect();
         for &isa in simd::available() {
+            // Every length up to two 8-lane blocks and a tail, at every
+            // offset, then the whole probe set in one call.
+            for len in 0..=17usize {
+                for start in 0..probes.len().saturating_sub(len) {
+                    let mut got = vec![0.0f32; len];
+                    bq.quantize_slice_into_as(isa, &probes[start..start + len], &mut got);
+                    for (i, (g, w)) in got.iter().zip(&want[start..]).enumerate() {
+                        let p = probes[start + i];
+                        assert_eq!(g.to_bits(), w.to_bits(), "{q} {isa:?} len {len} probe {p}");
+                    }
+                }
+            }
             let mut got = vec![0.0f32; probes.len()];
             bq.quantize_slice_into_as(isa, &probes, &mut got);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
