@@ -17,11 +17,11 @@ use fpdq_data::{CaptionedScenes, Dataset, TinyBedrooms, TinyCifar, Tokenizer};
 use fpdq_nn::module::{load_params, save_params};
 use fpdq_nn::{Autoencoder, AutoencoderConfig, TextEncoder, TextEncoderConfig, UNet, UNetConfig};
 use fpdq_tensor::Tensor;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 /// Bump to invalidate all cached checkpoints after architecture changes.
 const ZOO_VERSION: u32 = 1;
@@ -94,7 +94,7 @@ impl Zoo {
     /// Returns the trained pixel-space DDIM pipeline (trains and caches on
     /// first use).
     pub fn ddim_sim(&self) -> DdimSim {
-        let _guard = TRAIN_LOCK.lock();
+        let _guard = TRAIN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = self.model_dir("ddim-cifar");
         let schedule = NoiseSchedule::linear_scaled(100);
         let mut rng = StdRng::seed_from_u64(101);
@@ -138,7 +138,7 @@ impl Zoo {
 
     /// Returns the trained unconditional latent-diffusion pipeline.
     pub fn ldm_sim(&self) -> LdmSim {
-        let _guard = TRAIN_LOCK.lock();
+        let _guard = TRAIN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = self.model_dir("ldm-bedroom");
         let schedule = NoiseSchedule::linear_scaled(100);
         let mut rng = StdRng::seed_from_u64(201);
@@ -235,7 +235,7 @@ impl Zoo {
         text_layers: usize,
         train_steps: usize,
     ) -> SdSim {
-        let _guard = TRAIN_LOCK.lock();
+        let _guard = TRAIN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = self.model_dir(name);
         let schedule = NoiseSchedule::linear_scaled(100);
         let tokenizer = Tokenizer::caption_grammar();

@@ -1,17 +1,23 @@
-//! Offline stand-in for `hyper`: the HTTP/1.1 server slice the serving
-//! layer uses (standing stub policy of `crates/compat/`).
+//! The HTTP/1.1 server: one request per connection, one thread per
+//! connection.
 //!
-//! One accept thread hands each connection to its own handler thread; the
-//! handler parses a single HTTP/1.1 request, drives the async service
-//! future to completion with the stand-in executor, writes the response
-//! with `Connection: close`, and exits. Robustness guards are built in so
-//! a misbehaving client cannot take the server down or wedge a thread:
+//! One accept thread hands each connection to its own thread, which
+//! parses a single HTTP/1.1 request, calls the handler (a plain
+//! `Fn(&Request) -> Response`; it may block, e.g. on the scheduler's
+//! reply, since no other connection shares the thread), writes the
+//! response with `Connection: close`, and exits. Robustness guards are
+//! built in so a misbehaving client cannot take the server down or wedge
+//! a thread:
 //!
 //! * request line, header block and body are size-capped (413/431-style
 //!   rejects mapped to 400/413); head lines are read through the remaining
 //!   head budget, so an endless line is rejected once the cap is spent
-//!   rather than buffered until a newline arrives, and a rejected
-//!   request's unread bytes are drained briefly so the reply survives,
+//!   rather than buffered until a newline arrives,
+//! * message framing is `content-length` only: a repeated
+//!   `content-length` gets a `400` and any `transfer-encoding` a `501`
+//!   (RFC 9112 §6.3, §6.1), never a misread body,
+//! * a rejected request's unread bytes are drained briefly (lingering
+//!   close) so the reply survives,
 //! * sockets carry read/write timeouts, so a stalled peer times out
 //!   instead of pinning a thread forever,
 //! * malformed requests get a `400` response, never a panic,
@@ -22,11 +28,9 @@
 //! connection threads.
 
 use std::collections::HashMap;
-use std::future::Future;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -68,6 +72,13 @@ impl Request {
     /// Raw request body.
     pub fn body(&self) -> &[u8] {
         &self.body
+    }
+
+    /// A header-less request, for calling handlers without a socket.
+    #[cfg(test)]
+    pub(crate) fn new(method: &str, path: &str, body: &str) -> Request {
+        let (method, path) = (method.to_string(), path.to_string());
+        Request { method, path, headers: HashMap::new(), body: body.as_bytes().to_vec() }
     }
 }
 
@@ -129,24 +140,11 @@ fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "",
     }
-}
-
-/// The boxed service future type handlers return.
-pub type ResponseFuture = Pin<Box<dyn Future<Output = Response> + Send>>;
-
-/// The service signature: one async response per request.
-pub type Service = Arc<dyn Fn(Request) -> ResponseFuture + Send + Sync>;
-
-/// Wraps a closure as a [`Service`].
-pub fn service_fn<F>(f: F) -> Service
-where
-    F: Fn(Request) -> ResponseFuture + Send + Sync + 'static,
-{
-    Arc::new(f)
 }
 
 /// A bound, not-yet-serving HTTP server.
@@ -168,27 +166,32 @@ impl Server {
         self.addr
     }
 
-    /// Starts serving `svc` on a background accept thread.
-    pub fn serve(self, svc: Service) -> ServeHandle {
+    /// Starts serving `handler` on a background accept thread; each
+    /// request is answered by calling it on that connection's thread.
+    pub fn serve<H>(self, handler: H) -> ServeHandle
+    where
+        H: Fn(&Request) -> Response + Send + Sync + 'static,
+    {
+        let handler = Arc::new(handler);
         let stop = Arc::new(AtomicBool::new(false));
         let in_flight = Arc::new(AtomicUsize::new(0));
         let accept_stop = stop.clone();
         let accept_in_flight = in_flight.clone();
         let addr = self.addr;
         let accept = std::thread::Builder::new()
-            .name("hyper-accept".into())
+            .name("http-accept".into())
             .spawn(move || {
                 for conn in self.listener.incoming() {
                     if accept_stop.load(Ordering::SeqCst) {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    let svc = svc.clone();
+                    let handler = handler.clone();
                     let conn_in_flight = accept_in_flight.clone();
                     accept_in_flight.fetch_add(1, Ordering::SeqCst);
                     let spawned =
-                        std::thread::Builder::new().name("hyper-conn".into()).spawn(move || {
-                            handle_connection(stream, svc);
+                        std::thread::Builder::new().name("http-conn".into()).spawn(move || {
+                            handle_connection(stream, &*handler);
                             conn_in_flight.fetch_sub(1, Ordering::SeqCst);
                         });
                     if spawned.is_err() {
@@ -232,20 +235,22 @@ impl ServeHandle {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, svc: Service) {
+fn handle_connection(mut stream: TcpStream, handler: &(dyn Fn(&Request) -> Response + Sync)) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let response = match read_request(&mut stream) {
         Ok(Some(req)) => {
             // A panicking handler degrades to a 500, never a dead server.
-            match std::panic::catch_unwind(AssertUnwindSafe(|| tokio::task::block_on(svc(req)))) {
+            match std::panic::catch_unwind(AssertUnwindSafe(|| handler(&req))) {
                 Ok(resp) => resp,
                 Err(_) => Response::new(500).with_body("handler panicked"),
             }
         }
         Ok(None) => return, // peer closed without sending a request
         Err(status) => {
-            let _ = Response::new(status).with_body("malformed request").write_to(&mut stream);
+            let body =
+                if status == 501 { "transfer-encoding not supported" } else { "malformed request" };
+            let _ = Response::new(status).with_body(body).write_to(&mut stream);
             discard_unread(&mut stream);
             return;
         }
@@ -312,7 +317,17 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, u16> {
         let Some((name, value)) = trimmed.split_once(':') else {
             return Err(400);
         };
-        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+        let name = name.trim().to_ascii_lowercase();
+        // Two lengths leave the body's end ambiguous (RFC 9112 §6.3).
+        if name == "content-length" && headers.contains_key(&name) {
+            return Err(400);
+        }
+        headers.insert(name, value.trim().to_string());
+    }
+    // No transfer coding is implemented, and reading a coded body by
+    // `content-length` would misframe it (RFC 9112 §6.1).
+    if headers.contains_key("transfer-encoding") {
+        return Err(501);
     }
 
     let content_length = match headers.get("content-length") {
@@ -353,13 +368,9 @@ fn read_head_line(
 mod tests {
     use super::*;
 
-    fn echo_service() -> Service {
-        service_fn(|req: Request| {
-            Box::pin(async move {
-                let body = format!("{} {} {}", req.method(), req.path(), req.body().len());
-                Response::new(200).with_header("x-test", "1").with_body(body)
-            })
-        })
+    fn echo(req: &Request) -> Response {
+        let body = format!("{} {} {}", req.method(), req.path(), req.body().len());
+        Response::new(200).with_header("x-test", "1").with_body(body)
     }
 
     fn raw_roundtrip(addr: SocketAddr, payload: &str) -> String {
@@ -374,7 +385,7 @@ mod tests {
     fn serves_and_shuts_down() {
         let server = Server::bind(&"127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = server.local_addr();
-        let handle = server.serve(echo_service());
+        let handle = server.serve(echo);
         let resp = raw_roundtrip(addr, "POST /x HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc");
         assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
         assert!(resp.contains("POST /x 3"), "{resp}");
@@ -396,7 +407,7 @@ mod tests {
     fn malformed_request_line_gets_400() {
         let server = Server::bind(&"127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = server.local_addr();
-        let handle = server.serve(echo_service());
+        let handle = server.serve(echo);
         let resp = raw_roundtrip(addr, "NONSENSE\r\n\r\n");
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
         handle.shutdown();
@@ -406,9 +417,26 @@ mod tests {
     fn bad_content_length_gets_400() {
         let server = Server::bind(&"127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = server.local_addr();
-        let handle = server.serve(echo_service());
-        let resp = raw_roundtrip(addr, "POST / HTTP/1.1\r\ncontent-length: nope\r\n\r\n");
-        assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+        let handle = server.serve(echo);
+        for lengths in [
+            "content-length: nope",
+            "content-length: 0\r\ncontent-length: 3",
+            "content-length: 3\r\ncontent-length: 0",
+        ] {
+            let resp = raw_roundtrip(addr, &format!("POST / HTTP/1.1\r\n{lengths}\r\n\r\nabc"));
+            assert!(resp.starts_with("HTTP/1.1 400"), "{lengths}: {resp}");
+        }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn chunked_body_gets_501() {
+        let server = Server::bind(&"127.0.0.1:0".parse().unwrap()).unwrap();
+        let addr = server.local_addr();
+        let handle = server.serve(echo);
+        let payload = "POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
+        let resp = raw_roundtrip(addr, payload);
+        assert!(resp.starts_with("HTTP/1.1 501 Not Implemented"), "{resp}");
         handle.shutdown();
     }
 
@@ -419,7 +447,7 @@ mod tests {
         // a newline or the I/O timeout.
         let server = Server::bind(&"127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = server.local_addr();
-        let handle = server.serve(echo_service());
+        let handle = server.serve(echo);
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
         let start = std::time::Instant::now();
@@ -436,7 +464,7 @@ mod tests {
     fn oversized_header_block_gets_400() {
         let server = Server::bind(&"127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = server.local_addr();
-        let handle = server.serve(echo_service());
+        let handle = server.serve(echo);
         let header = format!("x-pad: {}\r\n", "b".repeat(1024));
         let payload = format!("GET / HTTP/1.1\r\n{}\r\n", header.repeat(MAX_HEAD_BYTES / 1024));
         let resp = raw_roundtrip(addr, &payload);
@@ -452,14 +480,7 @@ mod tests {
     fn handler_panic_degrades_to_500() {
         let server = Server::bind(&"127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = server.local_addr();
-        let svc = service_fn(|_req| {
-            Box::pin(async {
-                panic!("poisoned handler");
-                #[allow(unreachable_code)]
-                Response::new(200)
-            }) as ResponseFuture
-        });
-        let handle = server.serve(svc);
+        let handle = server.serve(|_req: &Request| -> Response { panic!("poisoned handler") });
         let resp = raw_roundtrip(addr, "GET / HTTP/1.1\r\n\r\n");
         assert!(resp.starts_with("HTTP/1.1 500"), "{resp}");
         // The server survives and answers the next request.

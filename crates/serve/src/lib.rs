@@ -3,9 +3,11 @@
 //! A fault-tolerant serving layer over the diffusion pipelines:
 //! continuous batching with per-request deadlines, bounded-queue
 //! backpressure, per-step panic isolation, graceful drain, and a
-//! deterministic fault-injection harness. Built entirely on the offline
-//! compat stubs (`tokio`, `hyper`, `serde`/`serde_json` under
-//! `crates/compat/`) — no third-party code.
+//! deterministic fault-injection harness. Built on `std` threads and
+//! channels: the [`http`] server gives each connection its own thread,
+//! which blocks on the scheduler's reply. JSON goes through the offline
+//! `serde`/`serde_json` stubs under `crates/compat/` — no third-party
+//! code.
 //!
 //! # Request lifecycle
 //!
@@ -58,6 +60,7 @@
 //! | failure                        | blast radius                    | response            |
 //! |--------------------------------|---------------------------------|---------------------|
 //! | malformed / non-JSON body      | that request                    | 400 `bad_request`   |
+//! | repeated `content-length`, or any `transfer-encoding` | that request | 400 / 501 (from [`http`]) |
 //! | invalid seed/steps             | that request                    | 400 `invalid_argument` |
 //! | prompt/guidance on an unconditional model, guidance without prompt, or non-finite guidance | that request | 400 `invalid_argument` |
 //! | admission queue full           | that request                    | 429 `queue_full`    |
@@ -65,7 +68,7 @@
 //! | engine panic mid-step          | panicking request(s) only; survivors re-step solo, bit-identical | 500 `engine_panic` |
 //! | decode/finish panic            | that request                    | 500 `engine_panic`  |
 //! | shutdown begun                 | new + queued requests           | 503 `draining`      |
-//! | handler panic in the HTTP layer| that connection                 | 500 (from `hyper`)  |
+//! | handler panic in the HTTP layer| that connection                 | 500 (from [`http`]) |
 //! | model fails to load (missing / corrupt container, builder panic) | every request, but the process stays alive | 500 `model_unavailable`; `/readyz` 503 with the boot error |
 //!
 //! The scheduler thread itself never dies: every engine interaction runs
@@ -91,6 +94,7 @@
 pub mod api;
 pub mod client;
 pub mod fault;
+pub mod http;
 pub mod registry;
 pub mod scheduler;
 pub mod server;

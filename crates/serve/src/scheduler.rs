@@ -36,9 +36,9 @@ use fpdq_diffusion::ServeModel;
 use fpdq_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tokio::sync::{mpsc, oneshot};
 
 /// How long an idle scheduler blocks for new work before re-checking the
 /// lifecycle state.
@@ -77,9 +77,9 @@ pub struct Job {
     pub deadline: Option<Instant>,
     /// Fault-injection opt-in tag.
     pub fault_tag: Option<String>,
-    /// Completion channel: the finished image `[1, c, h, w]` or a typed
-    /// error.
-    pub respond: oneshot::Sender<Result<Tensor, ReqError>>,
+    /// One-slot completion channel: the finished image `[1, c, h, w]` or
+    /// a typed error.
+    pub respond: SyncSender<Result<Tensor, ReqError>>,
 }
 
 /// An admitted request inside the step loop.
@@ -88,7 +88,7 @@ struct ActiveReq {
     seed: u64,
     deadline: Option<Instant>,
     fault_tag: Option<String>,
-    respond: oneshot::Sender<Result<Tensor, ReqError>>,
+    respond: SyncSender<Result<Tensor, ReqError>>,
 }
 
 /// Scheduler knobs (a subset of `ServeConfig`, already validated).
@@ -104,7 +104,7 @@ pub struct SchedulerConfig {
 /// request answered). `model` is built by the caller *on this thread*.
 pub fn run(
     model: Box<dyn ServeModel>,
-    mut queue: mpsc::Receiver<Job>,
+    queue: Receiver<Job>,
     shared: Arc<ServeShared>,
     cfg: SchedulerConfig,
 ) {
@@ -125,9 +125,9 @@ pub fn run(
                 let job = if active.is_empty() {
                     // Idle: block briefly so an empty server doesn't spin,
                     // waking to re-check the lifecycle state.
-                    queue.blocking_recv_timeout(IDLE_POLL)
+                    queue.recv_timeout(IDLE_POLL).ok()
                 } else {
-                    queue.try_recv()
+                    queue.try_recv().ok()
                 };
                 match job {
                     Some(job) => {
@@ -189,14 +189,7 @@ pub fn run(
         shared.active.store(active.len() as u64, Ordering::SeqCst);
     }
 
-    // Drained: answer everything still in the queue, then stop. New
-    // arrivals raced the drain; they get the same typed rejection the
-    // HTTP layer gives once it sees the state change.
-    queue.close();
-    while let Some(job) = queue.try_recv() {
-        shared.queued.fetch_sub(1, Ordering::SeqCst);
-        let _ = job.respond.send(Err(ReqError::new(503, "draining", "server is draining")));
-    }
+    reject_queued(queue, &shared);
     shared.active.store(0, Ordering::SeqCst);
     shared.advance_state(ServerState::Stopped);
 }
@@ -206,13 +199,13 @@ pub fn run(
 /// (so probes and operators can see *why*) until a drain is requested,
 /// then stops exactly like the healthy loop. The heartbeat `ticks`
 /// counter keeps advancing — a failed server is degraded, not wedged.
-pub fn run_degraded(mut queue: mpsc::Receiver<Job>, shared: Arc<ServeShared>, reason: String) {
+pub fn run_degraded(queue: Receiver<Job>, shared: Arc<ServeShared>, reason: String) {
     loop {
         shared.ticks.fetch_add(1, Ordering::SeqCst);
         if shared.state() >= ServerState::Draining {
             break;
         }
-        while let Some(job) = queue.blocking_recv_timeout(IDLE_POLL) {
+        while let Ok(job) = queue.recv_timeout(IDLE_POLL) {
             shared.queued.fetch_sub(1, Ordering::SeqCst);
             shared.rejected.fetch_add(1, Ordering::SeqCst);
             let _ = job.respond.send(Err(ReqError::new(
@@ -222,12 +215,19 @@ pub fn run_degraded(mut queue: mpsc::Receiver<Job>, shared: Arc<ServeShared>, re
             )));
         }
     }
-    queue.close();
-    while let Some(job) = queue.try_recv() {
+    reject_queued(queue, &shared);
+    shared.advance_state(ServerState::Stopped);
+}
+
+/// Drained: answers everything still in the queue with 503 `draining`,
+/// then drops the queue, so later sends fail and the HTTP layer answers
+/// them. A job sent after the last `try_recv` is dropped with the queue;
+/// the handler answers its dropped reply with the same 503.
+fn reject_queued(queue: Receiver<Job>, shared: &ServeShared) {
+    while let Ok(job) = queue.try_recv() {
         shared.queued.fetch_sub(1, Ordering::SeqCst);
         let _ = job.respond.send(Err(ReqError::new(503, "draining", "server is draining")));
     }
-    shared.advance_state(ServerState::Stopped);
 }
 
 /// Validates and admits one job (or answers it with a typed error).
@@ -296,7 +296,7 @@ fn step_with_isolation(
             seed: active[i].seed,
             deadline: active[i].deadline,
             fault_tag: active[i].fault_tag.clone(),
-            respond: oneshot::channel().0, // placeholder; never used
+            respond: sync_channel(1).0, // placeholder; never used
         };
         let solo = catch_unwind(AssertUnwindSafe(|| step_group(model, fault, &mut [&mut probe])));
         match solo {

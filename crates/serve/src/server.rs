@@ -2,17 +2,17 @@
 
 use crate::api::{pixels_to_hex, ErrorBody, GenerateRequest, GenerateResponse};
 use crate::fault::FaultPlan;
+use crate::http::{self, Request, Response, Server};
 use crate::scheduler::{self, Job, ReqError, SchedulerConfig};
 use crate::shared::{ServeShared, ServerState};
 use fpdq_diffusion::ServeModel;
 use fpdq_tensor::FpdqError;
-use hyper::{service_fn, Request, Response, ResponseFuture, Server};
 use serde::Serialize;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tokio::sync::{mpsc, oneshot};
 
 /// Serving knobs.
 #[derive(Clone, Debug)]
@@ -46,7 +46,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<ServeShared>,
     scheduler: Option<std::thread::JoinHandle<()>>,
-    http: Option<hyper::ServeHandle>,
+    http: Option<http::ServeHandle>,
 }
 
 impl ServerHandle {
@@ -115,7 +115,7 @@ where
     let server = Server::bind(&cfg.addr)?;
     let addr = server.local_addr();
     let shared = Arc::new(ServeShared::default());
-    let (tx, rx) = mpsc::channel::<Job>(cfg.queue_depth);
+    let (tx, rx) = sync_channel::<Job>(cfg.queue_depth);
 
     let sched_shared = shared.clone();
     let sched_cfg = SchedulerConfig { max_batch: cfg.max_batch.max(1), fault: cfg.fault.clone() };
@@ -148,14 +148,9 @@ where
         })
         .expect("cannot spawn scheduler thread");
 
-    let svc_shared = shared.clone();
+    let route_shared = shared.clone();
     let default_deadline = cfg.default_deadline_ms;
-    let svc = service_fn(move |req: Request| {
-        let shared = svc_shared.clone();
-        let tx = tx.clone();
-        Box::pin(async move { route(&req, &shared, &tx, default_deadline).await }) as ResponseFuture
-    });
-    let http = server.serve(svc);
+    let http = server.serve(move |req: &Request| route(req, &route_shared, &tx, default_deadline));
 
     Ok(ServerHandle { addr, shared, scheduler: Some(scheduler), http: Some(http) })
 }
@@ -174,10 +169,10 @@ fn error_response(status: u16, code: &str, message: impl Into<String>) -> Respon
     )
 }
 
-async fn route(
+fn route(
     req: &Request,
-    shared: &Arc<ServeShared>,
-    tx: &mpsc::Sender<Job>,
+    shared: &ServeShared,
+    tx: &SyncSender<Job>,
     default_deadline_ms: Option<u64>,
 ) -> Response {
     match (req.method(), req.path()) {
@@ -197,7 +192,7 @@ async fn route(
                 _ => error_response(503, "not_ready", format!("server is {}", state.name())),
             }
         }
-        ("POST", "/v1/generate") => generate(req, shared, tx, default_deadline_ms).await,
+        ("POST", "/v1/generate") => generate(req, shared, tx, default_deadline_ms),
         ("POST", "/admin/shutdown") => {
             // Never moves the state backwards: a shutdown of a stopped
             // server stays stopped.
@@ -211,10 +206,10 @@ async fn route(
     }
 }
 
-async fn generate(
+fn generate(
     req: &Request,
-    shared: &Arc<ServeShared>,
-    tx: &mpsc::Sender<Job>,
+    shared: &ServeShared,
+    tx: &SyncSender<Job>,
     default_deadline_ms: Option<u64>,
 ) -> Response {
     let body = match std::str::from_utf8(req.body()) {
@@ -249,7 +244,7 @@ async fn generate(
         .deadline_ms
         .or(default_deadline_ms)
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let (respond, done) = oneshot::channel();
+    let (respond, done) = sync_channel(1);
     let job = Job {
         seed: parsed.seed,
         steps: parsed.steps,
@@ -265,16 +260,16 @@ async fn generate(
     if let Err(e) = tx.try_send(job) {
         shared.queued.fetch_sub(1, Ordering::SeqCst);
         return match e {
-            mpsc::TrySendError::Full(_) => {
+            TrySendError::Full(_) => {
                 shared.rejected.fetch_add(1, Ordering::SeqCst);
                 error_response(429, "queue_full", "admission queue is full; retry later")
             }
-            mpsc::TrySendError::Closed(_) => {
+            TrySendError::Disconnected(_) => {
                 error_response(503, "draining", "server is shutting down")
             }
         };
     }
-    match done.await {
+    match done.recv() {
         Ok(Ok(img)) => json_response(
             200,
             &GenerateResponse {
@@ -287,9 +282,14 @@ async fn generate(
         Ok(Err(ReqError { status, code, message, steps_done })) => {
             json_response(status, &ErrorBody { code: code.to_string(), error: message, steps_done })
         }
-        // The scheduler dropped the channel without answering — only
-        // possible if its thread died, which the panic isolation exists
-        // to prevent; surface it rather than hang.
+        // The scheduler stops by dropping its queue, and a job sent just
+        // before that is dropped unanswered with it: the same drain
+        // rejection it would have got from the queue.
+        Err(_) if shared.state() >= ServerState::Draining => {
+            error_response(503, "draining", "server is shutting down")
+        }
+        // Otherwise only possible if the scheduler thread died, which the
+        // panic isolation exists to prevent; surface it rather than hang.
         Err(_) => error_response(500, "scheduler_gone", "scheduler dropped the request"),
     }
 }
@@ -307,5 +307,36 @@ mod tests {
         .err()
         .expect("queue depth 0 is rejected");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+
+    /// Sends one generate request to a stand-in scheduler that takes the
+    /// job, moves the lifecycle to `state`, and drops the job unanswered.
+    fn reply_to_a_dropped_job(state: ServerState) -> (u16, ErrorBody) {
+        let shared = Arc::new(ServeShared::default());
+        shared.advance_state(ServerState::Ready);
+        let (tx, rx) = sync_channel::<Job>(1);
+        let sched_shared = shared.clone();
+        let scheduler = std::thread::spawn(move || {
+            let job = rx.recv().expect("the handler sends the job");
+            sched_shared.advance_state(state);
+            drop(job);
+        });
+        let req = Request::new("POST", "/v1/generate", r#"{"seed": 1, "steps": 2}"#);
+        let resp = generate(&req, &shared, &tx, None);
+        scheduler.join().unwrap();
+        let body = std::str::from_utf8(resp.body()).unwrap();
+        (resp.status(), serde_json::from_str(body).unwrap())
+    }
+
+    #[test]
+    fn a_job_dropped_by_the_drain_is_answered_503_draining() {
+        let (status, body) = reply_to_a_dropped_job(ServerState::Draining);
+        assert_eq!((status, body.code.as_str()), (503, "draining"), "{body:?}");
+    }
+
+    #[test]
+    fn a_job_dropped_while_ready_is_answered_500_scheduler_gone() {
+        let (status, body) = reply_to_a_dropped_job(ServerState::Ready);
+        assert_eq!((status, body.code.as_str()), (500, "scheduler_gone"), "{body:?}");
     }
 }
