@@ -275,6 +275,27 @@ fn bench_act_quant(c: &mut Criterion) {
     g.finish();
 }
 
+/// The fused attention core at `tiny-sd`'s level-1 transformer shapes
+/// under folded CFG: 2 rows of 16 positions × 16 features, 2 heads;
+/// self-attention, and cross-attention to an 8-token context. The two
+/// rows split across the default workers, so on a multi-core host each
+/// call includes starting its scoped threads.
+fn bench_attention(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(23);
+    let q = Tensor::randn(&[2, 16, 16], &mut rng);
+    let ctx_k = Tensor::randn(&[2, 8, 16], &mut rng);
+    let ctx_v = Tensor::randn(&[2, 8, 16], &mut rng);
+    let scale = 1.0 / 8f32.sqrt();
+    let mut g = c.benchmark_group("attention");
+    g.bench_function("self_2x16x16_h2", |b| {
+        b.iter(|| black_box(q.attention(black_box(&q), &q, 2, scale)))
+    });
+    g.bench_function("cross_2x16x16_m8_h2", |b| {
+        b.iter(|| black_box(q.attention(black_box(&ctx_k), &ctx_v, 2, scale)))
+    });
+    g.finish();
+}
+
 fn bench_sparse(c: &mut Criterion) {
     let a = rand_mat(M, K, 5);
     let fp8 = TensorQuantizer::Fp(FpFormat::new(4, 3));
@@ -484,7 +505,7 @@ criterion_group! {
     name = kernels;
     config = configured();
     targets = bench_quantize, bench_pack, bench_gemm, bench_gemm_batched, bench_conv,
-        bench_conv_batched, bench_conv_serve_batch1, bench_act_quant, bench_sparse,
+        bench_conv_batched, bench_conv_serve_batch1, bench_act_quant, bench_attention, bench_sparse,
         bench_cold_start, bench_sd_cfg_step
 }
 

@@ -123,30 +123,30 @@ impl PackReport {
     }
 }
 
-/// A packed Linear forward around `gemm` (`[rows, in] → [rows, out]`):
-/// flattens a 3-D `[b, l, d]` input to `b·l` rows and back, and adds the
-/// bias. Dense packed and sparse installs share it.
+/// A packed Linear forward around `gemm` (`[.., in] → [.., out]`): the
+/// packed GEMMs read a 2-D `[rows, in]` or 3-D `[b, l, in]` input as its
+/// rows in place, the bias is added in place, and the `[rows, out]`
+/// result moves into the input's leading dims ([`Tensor::into_shape`]) —
+/// no copy on either side. Dense packed and sparse installs share it.
 fn linear_forward(
     gemm: impl Fn(&Tensor) -> Tensor + 'static,
     bias: Option<Tensor>,
     out_features: usize,
 ) -> PackedForwardFn {
     Rc::new(move |x: &Tensor| {
-        let affine = |x2: &Tensor| {
-            let y = gemm(x2);
-            match &bias {
-                Some(b) => y.add(b),
-                None => y,
+        let rank = x.ndim();
+        assert!(matches!(rank, 2 | 3), "packed Linear expects 2-D or 3-D input, got rank {rank}");
+        let mut y = gemm(x);
+        if let Some(b) = &bias {
+            for row in y.data_mut().chunks_exact_mut(out_features.max(1)) {
+                for (v, &bv) in row.iter_mut().zip(b.data()) {
+                    *v += bv;
+                }
             }
-        };
-        match x.ndim() {
-            2 => affine(x),
-            3 => {
-                let (b, l, d) = (x.dim(0), x.dim(1), x.dim(2));
-                affine(&x.reshape(&[b * l, d])).reshape(&[b, l, out_features])
-            }
-            n => panic!("packed Linear expects 2-D or 3-D input, got rank {n}"),
         }
+        let mut dims = x.dims().to_vec();
+        dims[rank - 1] = out_features;
+        y.into_shape(&dims)
     })
 }
 

@@ -10,6 +10,10 @@
 //! `log2`/`powf` per element, no intermediate activation tensor — while
 //! staying bit-exact against the simulated quantizers.
 //!
+//! The activations are `[.., k]`: every leading dim folds into the `m`
+//! rows of a row-major `[m, k]` matrix, read in place; the output is
+//! `[m, n]`.
+//!
 //! # Tile schedules
 //!
 //! Two regimes, picked per call by [`pick_gemm_regime`] from the actual
@@ -62,8 +66,10 @@ use fpdq_tensor::Tensor;
 /// cache-hot (8 rows × k floats).
 const WTILE_ROWS: usize = 8;
 
-/// `a [m,k] × wᵀ [n,k] → [m,n]` for any packed weight representation —
-/// the one packed GEMM entry point.
+/// `a [.., k] × wᵀ [n,k] → [m,n]` for any packed weight representation —
+/// the one packed GEMM entry point. The activations are read as
+/// `m = numel / k` rows in place, so a `[b, l, d]` input needs no
+/// flattening copy.
 ///
 /// `act`, when set, quantizes the activations inside the tile loop (the
 /// paper's weight+activation configuration): per tensor, or per channel
@@ -85,11 +91,39 @@ pub fn gemm_packed<W: PackedWeights>(
     act: Option<&PanelQuantizer>,
     exec: Exec,
 ) -> Tensor {
-    assert_eq!(a.ndim(), 2, "activations must be [m, k]");
     assert_eq!(w.dims().len(), 2, "weights must be [n, k]");
-    let (m, k) = (a.dim(0), a.dim(1));
-    let (n, wk) = (w.dims()[0], w.dims()[1]);
-    assert_eq!(k, wk, "inner dims differ: {k} vs {wk}");
+    let (n, k) = (w.dims()[0], w.dims()[1]);
+    let m = match packed_gemm_rows(a, n, k, act) {
+        Ok(m) => m,
+        Err(empty) => return empty,
+    };
+    let Exec { isa, workers } = exec;
+    match pick_gemm_regime(m, n, workers) {
+        GemmRegime::RowParallel => gemm_row_parallel(a.data(), m, w, act, isa, workers),
+        GemmRegime::ColParallel => gemm_col_parallel(a.data(), m, w, act, isa, workers),
+    }
+}
+
+/// The entry checks every packed GEMM shares ([`gemm_packed`],
+/// [`crate::TwoFourWeights::gemm`], [`crate::CsrWeights::gemm`]):
+/// activations `[.., k]` against `n × k` weights are read as a row-major
+/// `[m, k]` matrix with `m = numel / k` (every leading dim folds into the
+/// rows, no copy). Returns `Ok(m)`, or `Err` with the all-zero `[m, n]`
+/// result when a dim is 0 (an empty sum; the tile loops would slice past
+/// the packed payload).
+///
+/// # Panics
+///
+/// Panics if `a` is 0-D or its last dim is not `k`, or if a per-channel
+/// quantizer's channel count differs from `k`.
+pub(crate) fn packed_gemm_rows(
+    a: &Tensor,
+    n: usize,
+    k: usize,
+    act: Option<&PanelQuantizer>,
+) -> Result<usize, Tensor> {
+    let (&ak, lead) = a.dims().split_last().expect("activations must be [.., k], got a scalar");
+    assert_eq!(ak, k, "inner dims differ: {ak} vs {k}");
     if let Some(pq) = act {
         assert!(
             pq.channels() == 1 || pq.channels() == k,
@@ -97,16 +131,11 @@ pub fn gemm_packed<W: PackedWeights>(
             pq.channels()
         );
     }
+    let m = lead.iter().product();
     if m == 0 || n == 0 || k == 0 {
-        // Degenerate dims: an empty sum; the tile loops would slice past
-        // the packed payload.
-        return Tensor::zeros(&[m, n]);
+        return Err(Tensor::zeros(&[m, n]));
     }
-    let Exec { isa, workers } = exec;
-    match pick_gemm_regime(m, n, workers) {
-        GemmRegime::RowParallel => gemm_row_parallel(a, w, act, isa, workers),
-        GemmRegime::ColParallel => gemm_col_parallel(a, w, act, isa, workers),
-    }
+    Ok(m)
 }
 
 /// Quantizes (when `act` is set) and interleaves activation rows
@@ -143,15 +172,14 @@ pub(crate) fn pack_act_panels(
 /// workers split the packed weight rows and decode each of their tiles
 /// exactly once per call.
 fn gemm_row_parallel<W: PackedWeights>(
-    a: &Tensor,
+    ad: &[f32],
+    m: usize,
     w: &W,
     act: Option<&PanelQuantizer>,
     isa: Isa,
     workers: usize,
 ) -> Tensor {
-    let (m, k) = (a.dim(0), a.dim(1));
-    let n = w.dims()[0];
-    let ad = a.data();
+    let (n, k) = (w.dims()[0], w.dims()[1]);
     // Fused epilogue, hoisted: every activation row quantizes + packs
     // exactly once per call, in parallel, into the shared panel bank.
     let mpanels = m.div_ceil(NT_NR);
@@ -202,15 +230,14 @@ fn gemm_row_parallel<W: PackedWeights>(
 /// and swapping which operand rides the panel only swaps the factor
 /// order of each IEEE multiply, which is bitwise commutative.
 fn gemm_col_parallel<W: PackedWeights>(
-    a: &Tensor,
+    ad: &[f32],
+    m: usize,
     w: &W,
     act: Option<&PanelQuantizer>,
     isa: Isa,
     workers: usize,
 ) -> Tensor {
-    let (m, k) = (a.dim(0), a.dim(1));
-    let n = w.dims()[0];
-    let ad = a.data();
+    let (n, k) = (w.dims()[0], w.dims()[1]);
     // Decode the packed weights exactly once per call, in parallel,
     // straight into the shared `[k][NT_NR]` panel bank: each worker
     // expands one panel's rows into a small row-major scratch and

@@ -32,7 +32,10 @@
 //! per tensor or per channel) and an [`Exec`] naming the ISA path and
 //! the worker count; [`Exec::default`] is the shipping configuration
 //! (dispatched ISA, process-wide workers). Under the bit-identity
-//! contract the output never depends on the `Exec`.
+//! contract the output never depends on the `Exec`. The three GEMMs
+//! take activations `[.., k]` and read them in place as `numel / k`
+//! rows of a `[m, k]` matrix, so a packed Linear runs a transformer's
+//! `[b, l, d]` tokens without a flattening copy and returns `[m, n]`.
 //!
 //! # Fused-epilogue packed execution architecture
 //!

@@ -45,7 +45,7 @@
 //! The byte-level layout contract (metadata encoding, index ordering,
 //! accumulation-order guarantee) is documented in `docs/sparse.md`.
 
-use crate::gemm::{gemm_packed, pack_act_panels};
+use crate::gemm::{gemm_packed, pack_act_panels, packed_gemm_rows};
 use crate::packed::{PackedTensor, PackedWeights};
 use crate::schedule::{pick_sparse_regime, SparseRegime};
 use fpdq_core::{PanelQuantizer, TensorQuantizer};
@@ -159,9 +159,9 @@ impl CsrWeights {
         relative_frobenius_error(&self.to_dense(), original)
     }
 
-    /// `a [m,k] × selfᵀ → [m,n]`, touching only stored non-zeros (or the
+    /// `a [.., k] × selfᵀ → [m,n]`, touching only stored non-zeros (or the
     /// dense packed GEMM above the density crossover) — the one CSR GEMM
-    /// entry point. `act` and `exec` work exactly as in
+    /// entry point. The activations, `act` and `exec` work exactly as in
     /// [`crate::gemm::gemm_packed`]; results are bit-identical for every
     /// `exec`.
     ///
@@ -170,15 +170,15 @@ impl CsrWeights {
     /// Panics on shape mismatches, or if a per-channel quantizer's
     /// channel count differs from `k`.
     pub fn gemm(&self, a: &Tensor, act: Option<&PanelQuantizer>, exec: Exec) -> Tensor {
-        if let Some(t) = sparse_entry_guard(a, self.n, self.k, act) {
-            return t;
-        }
-        if pick_sparse_regime(self.nnz(), a.dim(0), self.n, self.k, false) == SparseRegime::Dense {
+        let m = match packed_gemm_rows(a, self.n, self.k, act) {
+            Ok(m) => m,
+            Err(empty) => return empty,
+        };
+        if pick_sparse_regime(self.nnz(), m, self.n, self.k, false) == SparseRegime::Dense {
             return gemm_packed(a, self, act, exec);
         }
-        let (m, k) = (a.dim(0), a.dim(1));
-        let isa = exec.isa;
-        sparse_row_parallel(a, act, exec, self.n, |r0, chunk, panels| {
+        let (k, isa) = (self.k, exec.isa);
+        sparse_row_parallel(a.data(), m, k, act, exec, self.n, |r0, chunk, panels| {
             let mut vals: Vec<f32> = Vec::new();
             for (r, orow) in chunk.chunks_mut(m).enumerate() {
                 let (s, e) = (self.row_ptr[r0 + r], self.row_ptr[r0 + r + 1]);
@@ -350,29 +350,29 @@ impl TwoFourWeights {
         relative_frobenius_error(&self.to_dense(), original)
     }
 
-    /// `a [m,k] × selfᵀ → [m,n]` over the pruned structure (2 stored
+    /// `a [.., k] × selfᵀ → [m,n]` over the pruned structure (2 stored
     /// values per group of 4 — or the dense packed GEMM above the
-    /// structured crossover) — the one 2:4 GEMM entry point. `act` and
-    /// `exec` work exactly as in [`crate::gemm::gemm_packed`]; results are
-    /// bit-identical for every `exec`.
+    /// structured crossover) — the one 2:4 GEMM entry point. The
+    /// activations, `act` and `exec` work exactly as in
+    /// [`crate::gemm::gemm_packed`]; results are bit-identical for every
+    /// `exec`.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches, or if a per-channel quantizer's
     /// channel count differs from `k`.
     pub fn gemm(&self, a: &Tensor, act: Option<&PanelQuantizer>, exec: Exec) -> Tensor {
-        if let Some(t) = sparse_entry_guard(a, self.n, self.k, act) {
-            return t;
-        }
-        if pick_sparse_regime(self.stored(), a.dim(0), self.n, self.k, true) == SparseRegime::Dense
-        {
+        let m = match packed_gemm_rows(a, self.n, self.k, act) {
+            Ok(m) => m,
+            Err(empty) => return empty,
+        };
+        if pick_sparse_regime(self.stored(), m, self.n, self.k, true) == SparseRegime::Dense {
             return gemm_packed(a, self, act, exec);
         }
-        let (m, k) = (a.dim(0), a.dim(1));
-        let isa = exec.isa;
+        let (k, isa) = (self.k, exec.isa);
         let half = self.row_values();
         let groups = self.k / 4;
-        sparse_row_parallel(a, act, exec, self.n, |r0, chunk, panels| {
+        sparse_row_parallel(a.data(), m, k, act, exec, self.n, |r0, chunk, panels| {
             let rows = chunk.len() / m;
             // Per-worker scratch: decoded value tiles (amortised like the
             // dense GEMM's weight tiles) + the metadata-expanded column
@@ -451,31 +451,6 @@ fn relative_frobenius_error(got: &Tensor, want: &Tensor) -> f32 {
         / (want.data().iter().map(|v| v * v).sum::<f32>().sqrt() + 1e-12)
 }
 
-/// Shared entry asserts + degenerate-shape guard of the sparse GEMM
-/// entry points (mirrors [`crate::gemm::gemm_packed`]): returns the
-/// empty-sum result for `m == 0 || n == 0 || k == 0`, `None` otherwise.
-fn sparse_entry_guard(
-    a: &Tensor,
-    n: usize,
-    k: usize,
-    act: Option<&PanelQuantizer>,
-) -> Option<Tensor> {
-    assert_eq!(a.ndim(), 2, "activations must be [m, k]");
-    let (m, ak) = (a.dim(0), a.dim(1));
-    assert_eq!(ak, k, "inner dims differ: {ak} vs {k}");
-    if let Some(pq) = act {
-        assert!(
-            pq.channels() == 1 || pq.channels() == k,
-            "per-channel activation quantizer has {} channels for k = {k}",
-            pq.channels()
-        );
-    }
-    if m == 0 || n == 0 || k == 0 {
-        return Some(Tensor::zeros(&[m, n]));
-    }
-    None
-}
-
 /// The row-parallel sparse schedule, shared by both formats: quantize +
 /// interleave the activation rows into the `[k][NT_NR]` panel bank once
 /// (in parallel, via the dense GEMM's [`pack_act_panels`]), then split
@@ -483,7 +458,9 @@ fn sparse_entry_guard(
 /// rows `[r0, r0 + chunk.len()/m)` (each of length `m`). The `[n, m]`
 /// buffer transposes once at the end, like the dense row-parallel path.
 fn sparse_row_parallel<F>(
-    a: &Tensor,
+    ad: &[f32],
+    m: usize,
+    k: usize,
     act: Option<&PanelQuantizer>,
     exec: Exec,
     n: usize,
@@ -493,8 +470,6 @@ where
     F: Fn(usize, &mut [f32], &[f32]) + Sync,
 {
     let Exec { isa, workers } = exec;
-    let (m, k) = (a.dim(0), a.dim(1));
-    let ad = a.data();
     let mpanels = m.div_ceil(NT_NR);
     let mut panels = vec![0.0f32; mpanels * k * NT_NR];
     parallel_rows_in(workers, &mut panels, mpanels, k * NT_NR, 1, |p0, chunk| {

@@ -2,7 +2,14 @@
 //!
 //! Cross-attention is how the Stable-Diffusion-style pipeline conditions
 //! the U-Net on the text encoder's output (Figure 1 of the paper). All
-//! projections are [`Linear`] layers and therefore quantization targets.
+//! projections are [`Linear`] layers and therefore quantization targets;
+//! the attention itself (scores, softmax, weighted sum) stays in FP32.
+//!
+//! Inference runs that FP32 part through the fused per-head core
+//! [`Tensor::attention`], so the `[b, n, d]` projections are never
+//! copied into a head-major `[b·h, n, dh]` layout nor merged back. The
+//! training path ([`MultiHeadAttention::forward_var`]) keeps the explicit
+//! split and merge on autograd variables, which the backward pass needs.
 
 use crate::layers::{Linear, QuantLayer};
 use fpdq_autograd::{Param, Tape, Var};
@@ -55,36 +62,13 @@ impl MultiHeadAttention {
         1.0 / (self.head_dim as f32).sqrt()
     }
 
-    /// Splits `[b, n, d]` into `[b*h, n, dh]`.
-    fn split_heads(&self, x: &Tensor) -> Tensor {
-        let (b, n, _d) = (x.dim(0), x.dim(1), x.dim(2));
-        x.reshape(&[b, n, self.heads, self.head_dim]).permute(&[0, 2, 1, 3]).reshape(&[
-            b * self.heads,
-            n,
-            self.head_dim,
-        ])
-    }
-
-    /// Merges `[b*h, n, dh]` back into `[b, n, d]`.
-    fn merge_heads(&self, x: &Tensor, b: usize) -> Tensor {
-        let n = x.dim(1);
-        x.reshape(&[b, self.heads, n, self.head_dim]).permute(&[0, 2, 1, 3]).reshape(&[
-            b,
-            n,
-            self.heads * self.head_dim,
-        ])
-    }
-
     /// Inference forward: `x` is `[b, n, d]`, `context` (if any) `[b, m, c]`.
     pub fn forward(&self, x: &Tensor, context: Option<&Tensor>) -> Tensor {
-        let b = x.dim(0);
         let ctx = context.unwrap_or(x);
-        let q = self.split_heads(&self.to_q.forward(x));
-        let k = self.split_heads(&self.to_k.forward(ctx));
-        let v = self.split_heads(&self.to_v.forward(ctx));
-        let attn = q.bmm(&k.permute(&[0, 2, 1])).mul_scalar(self.scale()).softmax_lastdim();
-        let out = self.merge_heads(&attn.bmm(&v), b);
-        self.to_out.forward(&out)
+        let q = self.to_q.forward(x);
+        let k = self.to_k.forward(ctx);
+        let v = self.to_v.forward(ctx);
+        self.to_out.forward(&q.attention(&k, &v, self.heads, self.scale()))
     }
 
     /// Training forward over autograd variables.

@@ -80,7 +80,7 @@ impl ResBlock {
         let t = self.time_proj.forward(&temb.silu());
         // Broadcast [b, out_c] over spatial dims.
         let (b, c) = (t.dim(0), t.dim(1));
-        h = h.add(&t.reshape(&[b, c, 1, 1]));
+        h = h.add(&t.into_shape(&[b, c, 1, 1]));
         h = self.conv2.forward(&self.norm2.forward(&h).silu());
         let skip = match &self.shortcut {
             Some(conv) => conv.forward(x),
@@ -168,9 +168,9 @@ impl SpatialTransformer {
         let (b, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
         let mut t = self.proj_in.forward(&self.norm.forward(x));
         // [b, c, h, w] -> [b, hw, c]
-        t = t.reshape(&[b, c, h * w]).permute(&[0, 2, 1]);
+        t = t.into_shape(&[b, c, h * w]).permute(&[0, 2, 1]);
         t = self.block.forward(&t, context);
-        t = t.permute(&[0, 2, 1]).reshape(&[b, c, h, w]);
+        t = t.permute(&[0, 2, 1]).into_shape(&[b, c, h, w]);
         x.add(&self.proj_out.forward(&t))
     }
 

@@ -284,8 +284,10 @@ fn generate(
         }
         // The scheduler stops by dropping its queue, and a job sent just
         // before that is dropped unanswered with it: the same drain
-        // rejection it would have got from the queue.
+        // rejection it would have got from the queue. No scheduler took
+        // it off the queue, so it is still counted as queued.
         Err(_) if shared.state() >= ServerState::Draining => {
+            shared.queued.fetch_sub(1, Ordering::SeqCst);
             error_response(503, "draining", "server is shutting down")
         }
         // Otherwise only possible if the scheduler thread died, which the
@@ -310,8 +312,10 @@ mod tests {
     }
 
     /// Sends one generate request to a stand-in scheduler that takes the
-    /// job, moves the lifecycle to `state`, and drops the job unanswered.
-    fn reply_to_a_dropped_job(state: ServerState) -> (u16, ErrorBody) {
+    /// job, moves the lifecycle to `state`, and drops the job unanswered,
+    /// as a job left in the queue is dropped with it. Returns the reply
+    /// and the `queued` gauge after it.
+    fn reply_to_a_dropped_job(state: ServerState) -> (u16, ErrorBody, u64) {
         let shared = Arc::new(ServeShared::default());
         shared.advance_state(ServerState::Ready);
         let (tx, rx) = sync_channel::<Job>(1);
@@ -325,18 +329,19 @@ mod tests {
         let resp = generate(&req, &shared, &tx, None);
         scheduler.join().unwrap();
         let body = std::str::from_utf8(resp.body()).unwrap();
-        (resp.status(), serde_json::from_str(body).unwrap())
+        (resp.status(), serde_json::from_str(body).unwrap(), shared.queued.load(Ordering::SeqCst))
     }
 
     #[test]
     fn a_job_dropped_by_the_drain_is_answered_503_draining() {
-        let (status, body) = reply_to_a_dropped_job(ServerState::Draining);
+        let (status, body, queued) = reply_to_a_dropped_job(ServerState::Draining);
         assert_eq!((status, body.code.as_str()), (503, "draining"), "{body:?}");
+        assert_eq!(queued, 0, "the dropped job must leave the queued gauge");
     }
 
     #[test]
     fn a_job_dropped_while_ready_is_answered_500_scheduler_gone() {
-        let (status, body) = reply_to_a_dropped_job(ServerState::Ready);
+        let (status, body, _) = reply_to_a_dropped_job(ServerState::Ready);
         assert_eq!((status, body.code.as_str()), (500, "scheduler_gone"), "{body:?}");
     }
 }

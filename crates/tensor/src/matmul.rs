@@ -17,6 +17,10 @@
 //!   4-row block over `i`, amortising each streamed `b` row across four
 //!   output rows while keeping the innermost traversal contiguous.
 //!
+//! [`Tensor::attention`], the inference attention core, is built on
+//! [`gemm_serial`]: per (batch, head) it gathers the head's columns into
+//! scratch and runs the same calls as [`Tensor::bmm`] on them.
+//!
 //! Work is split across cores by output row chunks via [`crate::parallel`],
 //! with chunk starts pinned to the register-block grid
 //! ([`crate::parallel::parallel_rows_aligned`]) so the multi-threaded
@@ -33,6 +37,7 @@
 
 use crate::parallel::{parallel_rows, parallel_rows_aligned};
 use crate::simd::{self, Isa};
+use crate::tensor::softmax_row_inplace;
 use crate::Tensor;
 
 impl Tensor {
@@ -187,6 +192,81 @@ impl Tensor {
             }
         });
         Tensor::from_vec(out, &[b, m, n])
+    }
+
+    /// Multi-head scaled-dot-product attention, the inference core: `self`
+    /// is q `[b, n, d]`, `k` and `v` are `[b, m, d]`, and the result is
+    /// `[b, n, d]`. Head `h` owns feature columns `[h·dh, (h+1)·dh)` of all
+    /// three, with `dh = d / heads`.
+    ///
+    /// For each (batch, head) the head's q, kᵀ and v are gathered into
+    /// reused scratch; [`gemm_serial`] forms the scores, which are
+    /// multiplied by `scale` and softmaxed in place with
+    /// [`Tensor::softmax_lastdim`]'s expressions; a second [`gemm_serial`]
+    /// forms the head's output, which is written straight into its columns
+    /// of the result. These are the calls and expressions of the
+    /// split-heads → [`Tensor::bmm`] → [`Tensor::mul_scalar`] → softmax →
+    /// [`Tensor::bmm`] → merge-heads chain on the same values, so the
+    /// result is bit-identical to it, without a head-major copy of any
+    /// operand. Batches split across workers as in [`Tensor::bmm`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands are not 3-D, `k` and `v` differ in shape,
+    /// their batch or feature dims differ from q's, or `heads` does not
+    /// divide `d`.
+    pub fn attention(&self, k: &Tensor, v: &Tensor, heads: usize, scale: f32) -> Tensor {
+        assert_eq!(self.ndim(), 3, "attention q must be [b, n, d], got {}", self.shape());
+        assert_eq!(k.ndim(), 3, "attention k must be [b, m, d], got {}", k.shape());
+        assert_eq!(k.dims(), v.dims(), "attention k {} and v {} differ", k.shape(), v.shape());
+        let (b, n, d) = (self.dim(0), self.dim(1), self.dim(2));
+        let m = k.dim(1);
+        assert_eq!((k.dim(0), k.dim(2)), (b, d), "attention q {} vs k {}", self.shape(), k.shape());
+        assert!(heads > 0 && d % heads == 0, "{heads} heads do not divide d = {d}");
+        let dh = d / heads;
+        let mut out = vec![0.0f32; b * n * d];
+        if out.is_empty() {
+            return Tensor::from_vec(out, &[b, n, d]);
+        }
+        let (qd, kd, vd) = (self.data(), k.data(), v.data());
+        parallel_rows(&mut out, b, n * d, 1, |batch_start, chunk| {
+            let mut qh = vec![0.0f32; n * dh];
+            let mut kt = vec![0.0f32; dh * m];
+            let mut vh = vec![0.0f32; m * dh];
+            let mut scores = vec![0.0f32; n * m];
+            let mut oh = vec![0.0f32; n * dh];
+            for (bi, obatch) in chunk.chunks_mut(n * d).enumerate() {
+                let batch = batch_start + bi;
+                let q = &qd[batch * n * d..(batch + 1) * n * d];
+                let kb = &kd[batch * m * d..(batch + 1) * m * d];
+                let vb = &vd[batch * m * d..(batch + 1) * m * d];
+                for h in 0..heads {
+                    let c0 = h * dh;
+                    for (dst, src) in qh.chunks_exact_mut(dh).zip(q.chunks_exact(d)) {
+                        dst.copy_from_slice(&src[c0..c0 + dh]);
+                    }
+                    for (t, (krow, vrow)) in kb.chunks_exact(d).zip(vb.chunks_exact(d)).enumerate()
+                    {
+                        for (j, &kv) in krow[c0..c0 + dh].iter().enumerate() {
+                            kt[j * m + t] = kv;
+                        }
+                        vh[t * dh..(t + 1) * dh].copy_from_slice(&vrow[c0..c0 + dh]);
+                    }
+                    scores.fill(0.0);
+                    gemm_serial(&qh, &kt, &mut scores, n, dh, m);
+                    for row in scores.chunks_exact_mut(m.max(1)) {
+                        row.iter_mut().for_each(|s| *s *= scale);
+                        softmax_row_inplace(row);
+                    }
+                    oh.fill(0.0);
+                    gemm_serial(&scores, &vh, &mut oh, n, m, dh);
+                    for (orow, src) in obatch.chunks_exact_mut(d).zip(oh.chunks_exact(dh)) {
+                        orow[c0..c0 + dh].copy_from_slice(src);
+                    }
+                }
+            }
+        });
+        Tensor::from_vec(out, &[b, n, d])
     }
 }
 

@@ -478,22 +478,24 @@ impl Tensor {
     pub fn softmax_lastdim(&self) -> Tensor {
         let dims = self.dims();
         let inner = *dims.last().expect("softmax on rank-0 tensor");
-        let rows = self.numel() / inner.max(1);
-        let mut out = vec![0.0f32; self.numel()];
-        for r in 0..rows {
-            let row = &self.data[r * inner..(r + 1) * inner];
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut denom = 0.0f32;
-            for (i, &v) in row.iter().enumerate() {
-                let e = (v - m).exp();
-                out[r * inner + i] = e;
-                denom += e;
-            }
-            for v in &mut out[r * inner..(r + 1) * inner] {
-                *v /= denom;
-            }
-        }
-        Tensor { shape: self.shape.clone(), data: out }
+        let mut out = self.clone();
+        out.data.chunks_exact_mut(inner.max(1)).for_each(softmax_row_inplace);
+        out
+    }
+}
+
+/// Numerically stable softmax of one row, in place: the expressions of
+/// [`Tensor::softmax_lastdim`], shared with the attention core
+/// ([`Tensor::attention`]) so both produce the same bits.
+pub(crate) fn softmax_row_inplace(row: &mut [f32]) {
+    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut denom = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - m).exp();
+        denom += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= denom;
     }
 }
 
@@ -508,6 +510,16 @@ impl Tensor {
     ///
     /// Panics if element counts differ.
     pub fn reshape(&self, dims: &[usize]) -> Tensor {
+        self.clone().into_shape(dims)
+    }
+
+    /// [`Tensor::reshape`] by value: moves the storage instead of copying
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if element counts differ.
+    pub fn into_shape(self, dims: &[usize]) -> Tensor {
         let shape = Shape::new(dims);
         assert_eq!(
             shape.numel(),
@@ -517,7 +529,7 @@ impl Tensor {
             self.numel(),
             shape.numel()
         );
-        Tensor { shape, data: self.data.clone() }
+        Tensor { shape, data: self.data }
     }
 
     /// Flattens to 1-D.
@@ -544,17 +556,13 @@ impl Tensor {
     /// Panics if the tensor is not 2-D.
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "transpose requires a 2-D tensor, got {}", self.shape);
-        let (r, c) = (self.dim(0), self.dim(1));
-        let mut out = vec![0.0f32; r * c];
-        for i in 0..r {
-            for j in 0..c {
-                out[j * r + i] = self.data[i * c + j];
-            }
-        }
-        Tensor::from_vec(out, &[c, r])
+        self.permute(&[1, 0])
     }
 
     /// General axis permutation.
+    ///
+    /// A permutation that only swaps the last two axes runs as a batched
+    /// transpose; any other walks the output index by index.
     ///
     /// # Panics
     ///
@@ -568,6 +576,13 @@ impl Tensor {
             seen[p] = true;
         }
         let new_dims: Vec<usize> = perm.iter().map(|&p| dims[p]).collect();
+        let nd = dims.len();
+        if nd >= 2
+            && perm[..nd - 2].iter().enumerate().all(|(i, &p)| i == p)
+            && perm[nd - 2] == nd - 1
+        {
+            return Tensor::from_vec(self.transpose_last2(), &new_dims);
+        }
         let old_strides = self.shape.strides();
         let n = self.numel();
         let mut out = vec![0.0f32; n];
@@ -587,6 +602,25 @@ impl Tensor {
             }
         }
         Tensor::from_vec(out, &new_dims)
+    }
+
+    /// The data with the last two axes swapped: each `[r, c]` matrix of
+    /// the batch transposed to `[c, r]`.
+    fn transpose_last2(&self) -> Vec<f32> {
+        let nd = self.ndim();
+        let (r, c) = (self.dim(nd - 2), self.dim(nd - 1));
+        let mut out = vec![0.0f32; self.numel()];
+        if r * c == 0 {
+            return out;
+        }
+        for (src, dst) in self.data.chunks_exact(r * c).zip(out.chunks_exact_mut(r * c)) {
+            for (i, row) in src.chunks_exact(c).enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    dst[j * r + i] = v;
+                }
+            }
+        }
+        out
     }
 
     /// Materialises a broadcast of this tensor to `dims`.
@@ -839,6 +873,45 @@ mod tests {
         assert_eq!(p.at(&[3, 0, 0]), t.at(&[0, 0, 3]));
         // Permuting back restores the original.
         assert_eq!(p.permute(&[1, 2, 0]).data(), t.data());
+    }
+
+    #[test]
+    fn last_two_axes_swap_matches_the_generic_walk() {
+        // [2, 3, 5] → [2, 5, 3] on the batched-transpose fast path, against
+        // the same permutation composed from two generic walks
+        // ([2, 1, 0], then [2, 0, 1]) and against the index definition.
+        let t = Tensor::from_vec((0..30).map(|i| i as f32 - 7.5).collect(), &[2, 3, 5]);
+        let fast = t.permute(&[0, 2, 1]);
+        let generic = t.permute(&[2, 1, 0]).permute(&[2, 0, 1]);
+        assert_eq!(fast.dims(), &[2, 5, 3]);
+        assert_eq!(fast, generic);
+        for (b, i, j) in
+            (0..2).flat_map(|b| (0..3).flat_map(move |i| (0..5).map(move |j| (b, i, j))))
+        {
+            assert_eq!(fast.at(&[b, j, i]), t.at(&[b, i, j]));
+        }
+        // 4-D: only the last two axes swap.
+        let t4 = Tensor::from_vec((0..60).map(|i| i as f32).collect(), &[2, 2, 3, 5]);
+        let generic4 = t4.permute(&[3, 1, 2, 0]).permute(&[3, 1, 0, 2]);
+        assert_eq!(t4.permute(&[0, 1, 3, 2]), generic4);
+        // Degenerate and 2-D cases.
+        assert_eq!(Tensor::zeros(&[2, 0, 3]).permute(&[0, 2, 1]).dims(), &[2, 3, 0]);
+        assert_eq!(t.reshape(&[6, 5]).transpose().dims(), &[5, 6]);
+    }
+
+    #[test]
+    fn into_shape_moves_without_changing_the_data() {
+        let t = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]);
+        let moved = t.clone().into_shape(&[3, 1, 2]);
+        assert_eq!(moved.dims(), &[3, 1, 2]);
+        assert_eq!(moved.data(), t.data());
+        assert_eq!(moved, t.reshape(&[3, 1, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "reshape from")]
+    fn into_shape_rejects_a_different_element_count() {
+        let _ = Tensor::zeros(&[2, 3]).into_shape(&[4, 2]);
     }
 
     #[test]

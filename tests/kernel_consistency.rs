@@ -3,7 +3,10 @@
 //! compute — the property that licenses evaluating image quality with
 //! simulated quantization while claiming real-footprint deployment.
 
-use fpdq::kernels::{gemm_packed, install_packed_weight, CsrWeights, Exec, PackedTensor};
+use fpdq::kernels::{
+    gemm_packed, install_packed_weight, try_install_sparse_weight, CsrWeights, Exec, PackedTensor,
+    SparseMode,
+};
 use fpdq::nn::{Linear, QuantLayer};
 use fpdq::quant::{search_fp_format, FpFormat, TensorQuantizer};
 use fpdq::tensor::Tensor;
@@ -133,5 +136,141 @@ fn quant_layer_trait_exposes_what_the_driver_needs() {
     let expect = x.add(&layer.bias().unwrap().value());
     for (a, b) in y.data().iter().zip(expect.data()) {
         assert!((a - b).abs() < 1e-6);
+    }
+}
+
+/// Asserts equal dims and bit-identical elements (NaN payloads included).
+fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.dims(), want.dims(), "{what}");
+    for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+    }
+}
+
+/// The head-split chain the fused attention core replaces, rebuilt from
+/// public ops: split heads → `bmm` with kᵀ → scale → softmax → `bmm` with
+/// v → merge heads.
+fn attention_chain(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f32) -> Tensor {
+    let (b, n, d) = (q.dim(0), q.dim(1), q.dim(2));
+    let (m, dh) = (k.dim(1), d / heads);
+    let split = |x: &Tensor, len: usize| {
+        x.reshape(&[b, len, heads, dh])
+            .permute(&[0, 2, 1, 3])
+            .reshape(&[b * heads, len, dh])
+    };
+    let scores = split(q, n).bmm(&split(k, m).permute(&[0, 2, 1]));
+    let attn = scores.mul_scalar(scale).softmax_lastdim();
+    attn.bmm(&split(v, m))
+        .reshape(&[b, heads, n, dh])
+        .permute(&[0, 2, 1, 3])
+        .reshape(&[b, n, d])
+}
+
+/// Random q `[b, n, d]` and k, v `[b, m, d]` with exact zeros in q: the
+/// whole last row (the one-row tail of `gemm_serial`, skipping per
+/// element) and the first head's columns of rows 0..4 (its 4-row block,
+/// skipping all four rows at once).
+fn attention_operands(b: usize, n: usize, m: usize, d: usize, seed: u64) -> [Tensor; 3] {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut q = Tensor::randn(&[b, n, d], &mut rng);
+    for bi in 0..b {
+        for c in 0..d {
+            q.set(&[bi, n - 1, c], 0.0);
+        }
+        for i in 0..n.min(4) {
+            q.set(&[bi, i, 0], 0.0);
+            q.set(&[bi, i, 1], 0.0);
+        }
+    }
+    [q, Tensor::randn(&[b, m, d], &mut rng), Tensor::randn(&[b, m, d], &mut rng)]
+}
+
+#[test]
+fn attention_core_matches_the_head_split_chain_bitwise() {
+    let d = 12;
+    for heads in [1, 2, 4] {
+        let scale = 1.0 / ((d / heads) as f32).sqrt();
+        for b in [1, 3] {
+            // Self-attention shapes (m = n) and cross-attention (m ≠ n).
+            for (n, m) in [(6, 6), (6, 3), (2, 7)] {
+                let what = format!("heads {heads}, b {b}, n {n}, m {m}");
+                let [q, k, v] = attention_operands(b, n, m, d, (heads * 100 + b * 10 + m) as u64);
+                let got = q.attention(&k, &v, heads, scale);
+                assert_same_bits(&got, &attention_chain(&q, &k, &v, heads, scale), &what);
+                if n == m {
+                    // Literal self-attention: q, k and v are one tensor.
+                    let got = q.attention(&q, &q, heads, scale);
+                    assert_same_bits(&got, &attention_chain(&q, &q, &q, heads, scale), &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn attention_core_matches_the_chain_on_non_finite_keys_and_values() {
+    let d = 8;
+    for heads in [1, 2, 4] {
+        let scale = 1.0 / ((d / heads) as f32).sqrt();
+        for b in [1, 3] {
+            let [q, mut k, mut v] = attention_operands(b, 5, 4, d, 40 + heads as u64);
+            // Every batch: +inf and -inf keys in different heads' columns,
+            // a NaN key, and ±inf / NaN values.
+            for bi in 0..b {
+                k.set(&[bi, 0, 0], f32::INFINITY);
+                k.set(&[bi, 1, d - 1], f32::NEG_INFINITY);
+                k.set(&[bi, 2, d / 2], f32::NAN);
+                v.set(&[bi, 3, 1], f32::NAN);
+                v.set(&[bi, 0, d - 2], f32::INFINITY);
+                v.set(&[bi, 1, 2], f32::NEG_INFINITY);
+            }
+            let got = q.attention(&k, &v, heads, scale);
+            let what = format!("non-finite k/v, heads {heads}, b {b}");
+            assert_same_bits(&got, &attention_chain(&q, &k, &v, heads, scale), &what);
+        }
+    }
+}
+
+#[test]
+fn attention_core_batches_match_single_batch_runs() {
+    let (b, heads, scale) = (4, 2, 0.5);
+    let [q, k, v] = attention_operands(b, 6, 3, 8, 77);
+    let full = q.attention(&k, &v, heads, scale);
+    for i in 0..b {
+        let one = q
+            .narrow(0, i, 1)
+            .attention(&k.narrow(0, i, 1), &v.narrow(0, i, 1), heads, scale);
+        assert_same_bits(&full.narrow(0, i, 1), &one, &format!("batch {i} of {b}"));
+    }
+}
+
+#[test]
+fn packed_linears_read_3d_activations_as_rows_bitwise() {
+    // A packed linear on [b, l, d] must equal the flattened [b·l, d] run,
+    // for the dense packed install and both sparse ones. The weight is
+    // ~90 % zeros so CSR stays below its density crossover and runs the
+    // sparse kernel rather than the dense fallback.
+    let (b, l, d, out) = (2, 5, 16, 12);
+    let mut rng = StdRng::seed_from_u64(11);
+    let x = Tensor::randn(&[b, l, d], &mut rng);
+    let w = Tensor::randn(&[out, d], &mut rng).zip_map(
+        &Tensor::rand_uniform(&[out, d], 0.0, 1.0, &mut rng),
+        |v, u| if u < 0.1 { v } else { 0.0 },
+    );
+    let wfmt = TensorQuantizer::Fp(FpFormat::new(4, 3));
+    let afmt = TensorQuantizer::Fp(FpFormat::new(4, 3));
+    for mode in [None, Some(SparseMode::TwoFour), Some(SparseMode::Csr)] {
+        let lin = Linear::new("l", d, out, &mut StdRng::seed_from_u64(12));
+        lin.weight.replace(w.clone());
+        lin.tap().borrow_mut().act_quant = Some(afmt.into_act_fn());
+        let info = match mode {
+            None => install_packed_weight(&lin, &wfmt, Some(&afmt), None),
+            Some(mode) => try_install_sparse_weight(&lin, &wfmt, Some(&afmt), None, mode).unwrap(),
+        };
+        assert!(info.fused_act.is_some(), "{mode:?}: activation quantizer must fuse");
+        let rows = lin.forward(&x);
+        assert_eq!(rows.dims(), &[b, l, out], "{mode:?}");
+        let flat = lin.forward(&x.reshape(&[b * l, d]));
+        assert_same_bits(&rows.reshape(&[b * l, out]), &flat, &format!("{mode:?}"));
     }
 }
