@@ -8,7 +8,7 @@
 use crate::schedule::NoiseSchedule;
 use fpdq_autograd::{Adam, Tape};
 use fpdq_nn::module::ParamCollector;
-use fpdq_nn::{Autoencoder, TextEncoder, UNet};
+use fpdq_nn::{Autoencoder, TextEncoder, Train, UNet};
 use fpdq_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -90,7 +90,8 @@ pub fn train_unet(
         let x0 = next_batch(rng);
         let (xt, t_tensor, noise) = noised_batch(schedule, &x0, rng);
         let tape = Tape::new();
-        let pred = unet.forward_var(&tape, tape.constant(xt), &t_tensor, None);
+        let emb = unet.time_embedding(&t_tensor);
+        let pred = unet.forward_with(&Train(&tape), &tape.constant(xt), &tape.constant(emb), None);
         let loss = pred.mse_loss(tape.constant(noise));
         losses.push(loss.value().item());
         let grads = tape.backward(loss);
@@ -126,8 +127,10 @@ pub fn train_text_to_image(
         }
         let (xt, t_tensor, noise) = noised_batch(schedule, &x0, rng);
         let tape = Tape::new();
-        let ctx = text.forward_var(&tape, &tokens);
-        let pred = unet.forward_var(&tape, tape.constant(xt), &t_tensor, Some(ctx));
+        let ops = Train(&tape);
+        let ctx = text.forward_with(&ops, text.embed_on_tape(&tape, &tokens));
+        let emb = unet.time_embedding(&t_tensor);
+        let pred = unet.forward_with(&ops, &tape.constant(xt), &tape.constant(emb), Some(&ctx));
         let loss = pred.mse_loss(tape.constant(noise));
         losses.push(loss.value().item());
         let grads = tape.backward(loss);
@@ -152,7 +155,8 @@ pub fn train_autoencoder(
         let x = next_batch(rng);
         let tape = Tape::new();
         let xv = tape.constant(x);
-        let recon = ae.decode_var(&tape, ae.encode_var(&tape, xv));
+        let ops = Train(&tape);
+        let recon = ae.decode_with(&ops, &ae.encode_with(&ops, &xv));
         let loss = recon.mse_loss(xv);
         losses.push(loss.value().item());
         let grads = tape.backward(loss);
@@ -228,6 +232,41 @@ mod tests {
             Tensor::rand_uniform(&[8, 2, 8, 8], -0.5, 0.5, r)
         });
         assert!(tail_loss(&losses) < losses[0] * 0.9, "ae loss did not drop");
+    }
+
+    /// Two-step loss curves of each training loop, pinned bit for bit:
+    /// the forward, the tape it records and the Adam steps must all stay
+    /// exactly as they are, on every ISA and worker count.
+    #[test]
+    fn two_step_losses_are_pinned_bit_for_bit() {
+        let bits = |losses: Vec<f32>| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        let schedule = NoiseSchedule::linear_scaled(50);
+        let data = |r: &mut StdRng| Tensor::rand_uniform(&[2, 2, 8, 8], -1.0, 1.0, r);
+
+        let mut rng = StdRng::seed_from_u64(0);
+        let unet = UNet::new(UNetConfig::tiny(2), &mut rng);
+        let cfg = TrainConfig { steps: 2, batch: 2, lr: 3e-3, ..TrainConfig::default() };
+        let losses = train_unet(&unet, &schedule, &cfg, &mut rng, data);
+        assert_eq!(bits(losses), [0x3fce6195, 0x3fbc51b1]);
+
+        let mut rng = StdRng::seed_from_u64(1);
+        let text_cfg = TextEncoderConfig { layers: 1, ..TextEncoderConfig::small(8, 4, 8) };
+        let text = TextEncoder::new(text_cfg, &mut rng);
+        let unet_cfg = UNetConfig { context_dim: Some(8), ..UNetConfig::tiny(2) };
+        let unet = UNet::new(unet_cfg, &mut rng);
+        let cfg = TrainConfig { cfg_drop: 0.5, ..cfg };
+        let losses = train_text_to_image(&unet, &text, &schedule, &cfg, &mut rng, |r| {
+            (data(r), vec![vec![2, 3], vec![5, 1, 7]])
+        });
+        assert_eq!(bits(losses), [0x3fb80c65, 0x3f996354]);
+
+        let mut rng = StdRng::seed_from_u64(2);
+        let ae = Autoencoder::new(AutoencoderConfig::small(2, 2), &mut rng);
+        let cfg = TrainConfig { steps: 2, batch: 2, lr: 5e-3, ..TrainConfig::default() };
+        let losses = train_autoencoder(&ae, &cfg, &mut rng, |r| {
+            Tensor::rand_uniform(&[2, 2, 8, 8], -0.5, 0.5, r)
+        });
+        assert_eq!(bits(losses), [0x3f61091b, 0x3f1179d4]);
     }
 
     #[test]

@@ -5,32 +5,33 @@
 //! projections are [`Linear`] layers and therefore quantization targets;
 //! the attention itself (scores, softmax, weighted sum) stays in FP32.
 //!
-//! Inference runs that FP32 part through the fused per-head core
-//! [`Tensor::attention`], so the `[b, n, d]` projections are never
-//! copied into a head-major `[b·h, n, dh]` layout nor merged back. The
-//! training path ([`MultiHeadAttention::forward_var`]) keeps the explicit
-//! split and merge on autograd variables, which the backward pass needs.
+//! The FP32 part is one [`Ops::attention`] call. Inference runs it as the
+//! fused per-head core [`Tensor::attention`](fpdq_tensor::Tensor::attention),
+//! so the `[b, n, d]` projections are never copied into a head-major
+//! `[b·h, n, dh]` layout nor merged back. Training
+//! ([`Train`](crate::ops::Train)) records the explicit split → `bmm` →
+//! softmax → merge chain, which the backward pass needs.
 
-use crate::layers::{Linear, QuantLayer};
-use fpdq_autograd::{Param, Tape, Var};
-use fpdq_tensor::Tensor;
-use rand::Rng;
+use crate::layers::{Init, LayerNorm, Linear, QuantLayer};
+use crate::ops::Ops;
+use fpdq_autograd::Param;
 
 /// Multi-head scaled-dot-product attention.
 ///
 /// Self-attention when no context is passed; cross-attention when the
 /// key/value source differs from the query source.
 #[derive(Debug)]
-pub struct MultiHeadAttention {
-    to_q: Linear,
-    to_k: Linear,
-    to_v: Linear,
-    to_out: Linear,
-    heads: usize,
+pub struct MultiHeadAttention<P = Param> {
+    name: String,
+    to_q: Linear<P>,
+    to_k: Linear<P>,
+    to_v: Linear<P>,
+    to_out: Linear<P>,
+    pub(crate) heads: usize,
     head_dim: usize,
 }
 
-impl MultiHeadAttention {
+impl<P> MultiHeadAttention<P> {
     /// Creates an attention block over `dim` features with `heads` heads.
     ///
     /// `context_dim` is the key/value source dimensionality (defaults to
@@ -44,56 +45,42 @@ impl MultiHeadAttention {
         dim: usize,
         context_dim: Option<usize>,
         heads: usize,
-        rng: &mut impl Rng,
+        init: &mut impl Init<P = P>,
     ) -> Self {
         assert_eq!(dim % heads, 0, "dim {dim} not divisible by {heads} heads");
         let ctx = context_dim.unwrap_or(dim);
         MultiHeadAttention {
-            to_q: Linear::new(format!("{name}.to_q"), dim, dim, rng),
-            to_k: Linear::new(format!("{name}.to_k"), ctx, dim, rng),
-            to_v: Linear::new(format!("{name}.to_v"), ctx, dim, rng),
-            to_out: Linear::new(format!("{name}.to_out"), dim, dim, rng),
+            name: name.to_string(),
+            to_q: Linear::new(format!("{name}.to_q"), dim, dim, init),
+            to_k: Linear::new(format!("{name}.to_k"), ctx, dim, init),
+            to_v: Linear::new(format!("{name}.to_v"), ctx, dim, init),
+            to_out: Linear::new(format!("{name}.to_out"), dim, dim, init),
             heads,
             head_dim: dim / heads,
         }
     }
 
-    fn scale(&self) -> f32 {
+    /// Hierarchical block name (its projections are `"{name}.to_q"` etc.).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Score scale `1/√head_dim`.
+    pub(crate) fn scale(&self) -> f32 {
         1.0 / (self.head_dim as f32).sqrt()
     }
 
-    /// Inference forward: `x` is `[b, n, d]`, `context` (if any) `[b, m, c]`.
-    pub fn forward(&self, x: &Tensor, context: Option<&Tensor>) -> Tensor {
+    /// Forward: `x` is `[b, n, d]`, `context` (if any) `[b, m, c]`.
+    pub fn forward<O: Ops<P = P>>(&self, ops: &O, x: &O::V, context: Option<&O::V>) -> O::V {
         let ctx = context.unwrap_or(x);
-        let q = self.to_q.forward(x);
-        let k = self.to_k.forward(ctx);
-        let v = self.to_v.forward(ctx);
-        self.to_out.forward(&q.attention(&k, &v, self.heads, self.scale()))
+        let q = ops.linear(&self.to_q, x);
+        let k = ops.linear(&self.to_k, ctx);
+        let v = ops.linear(&self.to_v, ctx);
+        ops.linear(&self.to_out, &ops.attention(self, &q, &k, &v))
     }
+}
 
-    /// Training forward over autograd variables.
-    pub fn forward_var<'t>(&self, tape: &'t Tape, x: Var<'t>, context: Option<Var<'t>>) -> Var<'t> {
-        let dims = x.dims();
-        let (b, n) = (dims[0], dims[1]);
-        let ctx = context.unwrap_or(x);
-        let m = ctx.dims()[1];
-        let split = |v: Var<'t>, len: usize| {
-            v.reshape(&[b, len, self.heads, self.head_dim])
-                .permute(&[0, 2, 1, 3])
-                .reshape(&[b * self.heads, len, self.head_dim])
-        };
-        let q = split(self.to_q.forward_var(tape, x), n);
-        let k = split(self.to_k.forward_var(tape, ctx), m);
-        let v = split(self.to_v.forward_var(tape, ctx), m);
-        let attn = q.bmm(k.permute(&[0, 2, 1])).mul_scalar(self.scale()).softmax_lastdim();
-        let out = attn
-            .bmm(v)
-            .reshape(&[b, self.heads, n, self.head_dim])
-            .permute(&[0, 2, 1, 3])
-            .reshape(&[b, n, self.heads * self.head_dim]);
-        self.to_out.forward_var(tape, out)
-    }
-
+impl MultiHeadAttention {
     /// Collects `(name, param)` pairs.
     pub fn collect_params(&self, out: &mut Vec<(String, Param)>) {
         self.to_q.collect_params(out);
@@ -114,16 +101,17 @@ impl MultiHeadAttention {
 /// A pre-norm transformer block: self-attention, optional cross-attention,
 /// and a SiLU feed-forward, each with residual connections.
 #[derive(Debug)]
-pub struct TransformerBlock {
-    norm1: crate::layers::LayerNorm,
-    attn1: MultiHeadAttention,
-    cross: Option<(crate::layers::LayerNorm, MultiHeadAttention)>,
-    norm_ff: crate::layers::LayerNorm,
-    ff1: Linear,
-    ff2: Linear,
+pub struct TransformerBlock<P = Param> {
+    name: String,
+    norm1: LayerNorm<P>,
+    attn1: MultiHeadAttention<P>,
+    cross: Option<(LayerNorm<P>, MultiHeadAttention<P>)>,
+    norm_ff: LayerNorm<P>,
+    ff1: Linear<P>,
+    ff2: Linear<P>,
 }
 
-impl TransformerBlock {
+impl<P> TransformerBlock<P> {
     /// Creates a transformer block over `dim` features.
     ///
     /// When `context_dim` is `Some`, a cross-attention sub-block is added
@@ -133,48 +121,40 @@ impl TransformerBlock {
         dim: usize,
         context_dim: Option<usize>,
         heads: usize,
-        rng: &mut impl Rng,
+        init: &mut impl Init<P = P>,
     ) -> Self {
         let hidden = dim * 2;
         TransformerBlock {
-            norm1: crate::layers::LayerNorm::new(format!("{name}.norm1"), dim),
-            attn1: MultiHeadAttention::new(&format!("{name}.attn1"), dim, None, heads, rng),
+            name: name.to_string(),
+            norm1: LayerNorm::new(format!("{name}.norm1"), dim, init),
+            attn1: MultiHeadAttention::new(&format!("{name}.attn1"), dim, None, heads, init),
             cross: context_dim.map(|cd| {
                 (
-                    crate::layers::LayerNorm::new(format!("{name}.norm2"), dim),
-                    MultiHeadAttention::new(&format!("{name}.attn2"), dim, Some(cd), heads, rng),
+                    LayerNorm::new(format!("{name}.norm2"), dim, init),
+                    MultiHeadAttention::new(&format!("{name}.attn2"), dim, Some(cd), heads, init),
                 )
             }),
-            norm_ff: crate::layers::LayerNorm::new(format!("{name}.norm_ff"), dim),
-            ff1: Linear::new(format!("{name}.ff1"), dim, hidden, rng),
-            ff2: Linear::new(format!("{name}.ff2"), hidden, dim, rng),
+            norm_ff: LayerNorm::new(format!("{name}.norm_ff"), dim, init),
+            ff1: Linear::new(format!("{name}.ff1"), dim, hidden, init),
+            ff2: Linear::new(format!("{name}.ff2"), hidden, dim, init),
         }
     }
 
-    /// Inference forward: `x` is `[b, n, d]`.
-    pub fn forward(&self, x: &Tensor, context: Option<&Tensor>) -> Tensor {
-        let mut h = x.add(&self.attn1.forward(&self.norm1.forward(x), None));
+    /// Forward: `x` is `[b, n, d]`.
+    pub fn forward<O: Ops<P = P>>(&self, ops: &O, x: &O::V, context: Option<&O::V>) -> O::V {
+        let attn = self.attn1.forward(ops, &ops.layer_norm(&self.norm1, x), None);
+        let mut h = ops.add(x, &attn);
         if let Some((norm2, attn2)) = &self.cross {
-            h = h.add(&attn2.forward(&norm2.forward(&h), context));
+            let attn = attn2.forward(ops, &ops.layer_norm(norm2, &h), context);
+            h = ops.add(&h, &attn);
         }
-        let ff = self.ff2.forward(&self.ff1.forward(&self.norm_ff.forward(&h)).silu());
-        h.add(&ff)
+        let hidden = ops.linear(&self.ff1, &ops.layer_norm(&self.norm_ff, &h));
+        let ff = ops.linear(&self.ff2, &ops.silu(&hidden, &self.name, "ff_silu"));
+        ops.add(&h, &ff)
     }
+}
 
-    /// Training forward.
-    pub fn forward_var<'t>(&self, tape: &'t Tape, x: Var<'t>, context: Option<Var<'t>>) -> Var<'t> {
-        let mut h = x.add(self.attn1.forward_var(tape, self.norm1.forward_var(tape, x), None));
-        if let Some((norm2, attn2)) = &self.cross {
-            let n = norm2.forward_var(tape, h);
-            h = h.add(attn2.forward_var(tape, n, context));
-        }
-        let ff = self.ff2.forward_var(
-            tape,
-            self.ff1.forward_var(tape, self.norm_ff.forward_var(tape, h)).silu(),
-        );
-        h.add(ff)
-    }
-
+impl TransformerBlock {
     /// Collects `(name, param)` pairs.
     pub fn collect_params(&self, out: &mut Vec<(String, Param)>) {
         self.norm1.collect_params(out);
@@ -202,6 +182,9 @@ impl TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{Infer, Train};
+    use fpdq_autograd::Tape;
+    use fpdq_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -210,7 +193,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let attn = MultiHeadAttention::new("a", 8, None, 2, &mut rng);
         let x = Tensor::randn(&[2, 5, 8], &mut rng);
-        let y = attn.forward(&x, None);
+        let y = attn.forward(&Infer, &x, None);
         assert_eq!(y.dims(), &[2, 5, 8]);
     }
 
@@ -220,7 +203,7 @@ mod tests {
         let attn = MultiHeadAttention::new("a", 8, Some(6), 2, &mut rng);
         let x = Tensor::randn(&[2, 4, 8], &mut rng);
         let ctx = Tensor::randn(&[2, 7, 6], &mut rng);
-        let y = attn.forward(&x, Some(&ctx));
+        let y = attn.forward(&Infer, &x, Some(&ctx));
         assert_eq!(y.dims(), &[2, 4, 8]);
     }
 
@@ -229,9 +212,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let attn = MultiHeadAttention::new("a", 8, None, 4, &mut rng);
         let x = Tensor::randn(&[2, 3, 8], &mut rng);
-        let y1 = attn.forward(&x, None);
+        let y1 = attn.forward(&Infer, &x, None);
         let tape = Tape::new();
-        let y2 = attn.forward_var(&tape, tape.constant(x), None);
+        let y2 = attn.forward(&Train(&tape), &tape.constant(x), None);
         for (a, b) in y1.data().iter().zip(y2.value().data()) {
             assert!((a - b).abs() < 1e-4);
         }
@@ -243,9 +226,9 @@ mod tests {
         let blk = TransformerBlock::new("t", 8, Some(6), 2, &mut rng);
         let x = Tensor::randn(&[2, 4, 8], &mut rng);
         let ctx = Tensor::randn(&[2, 3, 6], &mut rng);
-        let y1 = blk.forward(&x, Some(&ctx));
+        let y1 = blk.forward(&Infer, &x, Some(&ctx));
         let tape = Tape::new();
-        let y2 = blk.forward_var(&tape, tape.constant(x), Some(tape.constant(ctx)));
+        let y2 = blk.forward(&Train(&tape), &tape.constant(x), Some(&tape.constant(ctx)));
         assert_eq!(y1.dims(), &[2, 4, 8]);
         for (a, b) in y1.data().iter().zip(y2.value().data()) {
             assert!((a - b).abs() < 1e-4);
@@ -260,9 +243,9 @@ mod tests {
         let attn = MultiHeadAttention::new("a", 4, None, 1, &mut rng);
         let x = Tensor::randn(&[1, 3, 4], &mut rng);
         let ctx = Tensor::randn(&[1, 3, 4], &mut rng);
-        let y = attn.forward(&x, Some(&ctx));
+        let y = attn.forward(&Infer, &x, Some(&ctx));
         let xs = x.index_select(1, &[1, 0, 2]);
-        let ys = attn.forward(&xs, Some(&ctx));
+        let ys = attn.forward(&Infer, &xs, Some(&ctx));
         for (a, b) in y.narrow(1, 0, 1).data().iter().zip(ys.narrow(1, 1, 1).data()) {
             assert!((a - b).abs() < 1e-5);
         }

@@ -6,7 +6,8 @@
 //! sampling; the autoencoder itself stays in full precision.
 
 use crate::layers::{Conv2d, GroupNorm};
-use fpdq_autograd::{Param, Tape, Var};
+use crate::ops::{Infer, Ops};
+use fpdq_autograd::Param;
 use fpdq_tensor::Tensor;
 use rand::Rng;
 
@@ -59,14 +60,14 @@ impl Autoencoder {
         Autoencoder {
             cfg: cfg.clone(),
             e_conv_in: Conv2d::new("ae.e_conv_in", ic, ch, 3, 1, 1, rng),
-            e_norm1: GroupNorm::new("ae.e_norm1", ch, g.min(ch)),
+            e_norm1: GroupNorm::new("ae.e_norm1", ch, g.min(ch), rng),
             e_down: Conv2d::new("ae.e_down", ch, ch * 2, 3, 2, 1, rng),
-            e_norm2: GroupNorm::new("ae.e_norm2", ch * 2, g.min(ch * 2)),
+            e_norm2: GroupNorm::new("ae.e_norm2", ch * 2, g.min(ch * 2), rng),
             e_out: Conv2d::new("ae.e_out", ch * 2, lc, 3, 1, 1, rng),
             d_conv_in: Conv2d::new("ae.d_conv_in", lc, ch * 2, 3, 1, 1, rng),
-            d_norm1: GroupNorm::new("ae.d_norm1", ch * 2, g.min(ch * 2)),
+            d_norm1: GroupNorm::new("ae.d_norm1", ch * 2, g.min(ch * 2), rng),
             d_up: Conv2d::new("ae.d_up", ch * 2, ch, 3, 1, 1, rng),
-            d_norm2: GroupNorm::new("ae.d_norm2", ch, g.min(ch)),
+            d_norm2: GroupNorm::new("ae.d_norm2", ch, g.min(ch), rng),
             d_out: Conv2d::new("ae.d_out", ch, ic, 3, 1, 1, rng),
         }
     }
@@ -78,16 +79,12 @@ impl Autoencoder {
 
     /// Encodes images into latents (inference path).
     pub fn encode(&self, x: &Tensor) -> Tensor {
-        let h = self.e_conv_in.forward(x);
-        let h = self.e_down.forward(&self.e_norm1.forward(&h).silu());
-        self.e_out.forward(&self.e_norm2.forward(&h).silu())
+        self.encode_with(&Infer, x)
     }
 
     /// Decodes latents into images (inference path).
     pub fn decode(&self, z: &Tensor) -> Tensor {
-        let h = self.d_conv_in.forward(z);
-        let h = self.d_up.forward(&self.d_norm1.forward(&h).silu().upsample_nearest(2));
-        self.d_out.forward(&self.d_norm2.forward(&h).silu())
+        self.decode_with(&Infer, z)
     }
 
     /// Full reconstruction (inference path).
@@ -95,20 +92,23 @@ impl Autoencoder {
         self.decode(&self.encode(x))
     }
 
-    /// Training-path encoder.
-    pub fn encode_var<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        let h = self.e_conv_in.forward_var(tape, x);
-        let h = self.e_down.forward_var(tape, self.e_norm1.forward_var(tape, h).silu());
-        self.e_out.forward_var(tape, self.e_norm2.forward_var(tape, h).silu())
+    /// The encoder on any interpreter: `[b, ic, h, w]` → `[b, lc, h/2, w/2]`.
+    pub fn encode_with<O: Ops<P = Param>>(&self, ops: &O, x: &O::V) -> O::V {
+        let h = ops.conv(&self.e_conv_in, x);
+        let h = ops.silu(&ops.group_norm(&self.e_norm1, &h), "ae", "e_silu1");
+        let h = ops.conv(&self.e_down, &h);
+        let h = ops.silu(&ops.group_norm(&self.e_norm2, &h), "ae", "e_silu2");
+        ops.conv(&self.e_out, &h)
     }
 
-    /// Training-path decoder.
-    pub fn decode_var<'t>(&self, tape: &'t Tape, z: Var<'t>) -> Var<'t> {
-        let h = self.d_conv_in.forward_var(tape, z);
-        let h = self
-            .d_up
-            .forward_var(tape, self.d_norm1.forward_var(tape, h).silu().upsample_nearest(2));
-        self.d_out.forward_var(tape, self.d_norm2.forward_var(tape, h).silu())
+    /// The decoder on any interpreter: the spatial inverse of
+    /// [`Self::encode_with`].
+    pub fn decode_with<O: Ops<P = Param>>(&self, ops: &O, z: &O::V) -> O::V {
+        let h = ops.conv(&self.d_conv_in, z);
+        let h = ops.silu(&ops.group_norm(&self.d_norm1, &h), "ae", "d_silu1");
+        let h = ops.conv(&self.d_up, &ops.upsample(&h));
+        let h = ops.silu(&ops.group_norm(&self.d_norm2, &h), "ae", "d_silu2");
+        ops.conv(&self.d_out, &h)
     }
 
     /// Collects `(name, param)` pairs.
@@ -129,7 +129,8 @@ impl Autoencoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpdq_autograd::Adam;
+    use crate::ops::Train;
+    use fpdq_autograd::{Adam, Tape};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -151,8 +152,8 @@ mod tests {
         let x = Tensor::randn(&[1, 2, 8, 8], &mut rng);
         let y1 = ae.reconstruct(&x);
         let tape = Tape::new();
-        let z = ae.encode_var(&tape, tape.constant(x));
-        let y2 = ae.decode_var(&tape, z);
+        let ops = Train(&tape);
+        let y2 = ae.decode_with(&ops, &ae.encode_with(&ops, &tape.constant(x)));
         for (a, b) in y1.data().iter().zip(y2.value().data()) {
             assert!((a - b).abs() < 1e-4);
         }
@@ -171,7 +172,8 @@ mod tests {
         for _ in 0..30 {
             let tape = Tape::new();
             let xv = tape.constant(x.clone());
-            let recon = ae.decode_var(&tape, ae.encode_var(&tape, xv));
+            let ops = Train(&tape);
+            let recon = ae.decode_with(&ops, &ae.encode_with(&ops, &xv));
             let loss = recon.mse_loss(xv);
             losses.push(loss.value().item());
             let grads = tape.backward(loss);

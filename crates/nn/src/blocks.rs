@@ -1,11 +1,11 @@
-//! U-Net building blocks: timestep embeddings, residual blocks, spatial
-//! transformers, down/upsampling.
+//! U-Net building blocks: timestep embeddings, residual blocks and spatial
+//! transformers.
 
 use crate::attention::TransformerBlock;
-use crate::layers::{Conv2d, GroupNorm, Linear, QuantLayer};
-use fpdq_autograd::{Param, Tape, Var};
+use crate::layers::{Conv2d, GroupNorm, Init, Linear, QuantLayer};
+use crate::ops::Ops;
+use fpdq_autograd::Param;
 use fpdq_tensor::Tensor;
-use rand::Rng;
 
 /// Sinusoidal timestep embedding (the DDPM positional encoding).
 ///
@@ -33,16 +33,17 @@ pub fn timestep_embedding(timesteps: &Tensor, dim: usize, max_period: f32) -> Te
 /// The U-Net residual block: two GroupNorm→SiLU→Conv stages with a timestep
 /// embedding injection and a learned shortcut when channel counts change.
 #[derive(Debug)]
-pub struct ResBlock {
-    norm1: GroupNorm,
-    conv1: Conv2d,
-    time_proj: Linear,
-    norm2: GroupNorm,
-    conv2: Conv2d,
-    shortcut: Option<Conv2d>,
+pub struct ResBlock<P = Param> {
+    name: String,
+    norm1: GroupNorm<P>,
+    conv1: Conv2d<P>,
+    time_proj: Linear<P>,
+    norm2: GroupNorm<P>,
+    conv2: Conv2d<P>,
+    shortcut: Option<Conv2d<P>>,
 }
 
-impl ResBlock {
+impl<P> ResBlock<P> {
     /// Creates a residual block mapping `in_c` to `out_c` channels, with
     /// `temb_dim`-dimensional timestep embeddings.
     ///
@@ -57,53 +58,40 @@ impl ResBlock {
         temb_dim: usize,
         groups: usize,
         concat_split: Option<usize>,
-        rng: &mut impl Rng,
+        init: &mut impl Init<P = P>,
     ) -> Self {
-        let mut conv1 = Conv2d::new(format!("{name}.conv1"), in_c, out_c, 3, 1, 1, rng);
+        let mut conv1 = Conv2d::new(format!("{name}.conv1"), in_c, out_c, 3, 1, 1, init);
         if let Some(split) = concat_split {
             conv1.set_concat_split(split);
         }
         ResBlock {
-            norm1: GroupNorm::new(format!("{name}.norm1"), in_c, groups.min(in_c)),
+            name: name.to_string(),
+            norm1: GroupNorm::new(format!("{name}.norm1"), in_c, groups.min(in_c), init),
             conv1,
-            time_proj: Linear::new(format!("{name}.time_proj"), temb_dim, out_c, rng),
-            norm2: GroupNorm::new(format!("{name}.norm2"), out_c, groups.min(out_c)),
-            conv2: Conv2d::new(format!("{name}.conv2"), out_c, out_c, 3, 1, 1, rng),
+            time_proj: Linear::new(format!("{name}.time_proj"), temb_dim, out_c, init),
+            norm2: GroupNorm::new(format!("{name}.norm2"), out_c, groups.min(out_c), init),
+            conv2: Conv2d::new(format!("{name}.conv2"), out_c, out_c, 3, 1, 1, init),
             shortcut: (in_c != out_c)
-                .then(|| Conv2d::new(format!("{name}.shortcut"), in_c, out_c, 1, 1, 0, rng)),
+                .then(|| Conv2d::new(format!("{name}.shortcut"), in_c, out_c, 1, 1, 0, init)),
         }
     }
 
-    /// Inference forward: `x` is `[b, c, h, w]`, `temb` is `[b, temb_dim]`.
-    pub fn forward(&self, x: &Tensor, temb: &Tensor) -> Tensor {
-        let mut h = self.conv1.forward(&self.norm1.forward(x).silu());
-        let t = self.time_proj.forward(&temb.silu());
-        // Broadcast [b, out_c] over spatial dims.
-        let (b, c) = (t.dim(0), t.dim(1));
-        h = h.add(&t.into_shape(&[b, c, 1, 1]));
-        h = self.conv2.forward(&self.norm2.forward(&h).silu());
-        let skip = match &self.shortcut {
-            Some(conv) => conv.forward(x),
-            None => x.clone(),
-        };
-        h.add(&skip)
+    /// Forward: `x` is `[b, c, h, w]`, `temb` is `[b, temb_dim]`.
+    pub fn forward<O: Ops<P = P>>(&self, ops: &O, x: &O::V, temb: &O::V) -> O::V {
+        let h = ops.silu(&ops.group_norm(&self.norm1, x), &self.name, "silu1");
+        let h = ops.conv(&self.conv1, &h);
+        let t = ops.linear(&self.time_proj, &ops.silu(temb, &self.name, "silu_t"));
+        let h = ops.add_channels(&h, t);
+        let h = ops.silu(&ops.group_norm(&self.norm2, &h), &self.name, "silu2");
+        let h = ops.conv(&self.conv2, &h);
+        match &self.shortcut {
+            Some(conv) => ops.add(&h, &ops.conv(conv, x)),
+            None => ops.add(&h, x),
+        }
     }
+}
 
-    /// Training forward.
-    pub fn forward_var<'t>(&self, tape: &'t Tape, x: Var<'t>, temb: Var<'t>) -> Var<'t> {
-        let mut h = self.conv1.forward_var(tape, self.norm1.forward_var(tape, x).silu());
-        let t = self.time_proj.forward_var(tape, temb.silu());
-        let tdims = t.dims();
-        let t = t.reshape(&[tdims[0], tdims[1], 1, 1]);
-        h = h.add(t);
-        h = self.conv2.forward_var(tape, self.norm2.forward_var(tape, h).silu());
-        let skip = match &self.shortcut {
-            Some(conv) => conv.forward_var(tape, x),
-            None => x,
-        };
-        h.add(skip)
-    }
-
+impl ResBlock {
     /// Collects `(name, param)` pairs.
     pub fn collect_params(&self, out: &mut Vec<(String, Param)>) {
         self.norm1.collect_params(out);
@@ -131,14 +119,14 @@ impl ResBlock {
 /// [`TransformerBlock`] over flattened spatial positions, 1×1 projection
 /// out, residual.
 #[derive(Debug)]
-pub struct SpatialTransformer {
-    norm: GroupNorm,
-    proj_in: Conv2d,
-    block: TransformerBlock,
-    proj_out: Conv2d,
+pub struct SpatialTransformer<P = Param> {
+    norm: GroupNorm<P>,
+    proj_in: Conv2d<P>,
+    block: TransformerBlock<P>,
+    proj_out: Conv2d<P>,
 }
 
-impl SpatialTransformer {
+impl<P> SpatialTransformer<P> {
     /// Creates a spatial transformer over `channels` with optional
     /// cross-attention to `context_dim` features.
     pub fn new(
@@ -147,44 +135,32 @@ impl SpatialTransformer {
         context_dim: Option<usize>,
         heads: usize,
         groups: usize,
-        rng: &mut impl Rng,
+        init: &mut impl Init<P = P>,
     ) -> Self {
         SpatialTransformer {
-            norm: GroupNorm::new(format!("{name}.norm"), channels, groups.min(channels)),
-            proj_in: Conv2d::new(format!("{name}.proj_in"), channels, channels, 1, 1, 0, rng),
+            norm: GroupNorm::new(format!("{name}.norm"), channels, groups.min(channels), init),
+            proj_in: Conv2d::new(format!("{name}.proj_in"), channels, channels, 1, 1, 0, init),
             block: TransformerBlock::new(
                 &format!("{name}.block"),
                 channels,
                 context_dim,
                 heads,
-                rng,
+                init,
             ),
-            proj_out: Conv2d::new(format!("{name}.proj_out"), channels, channels, 1, 1, 0, rng),
+            proj_out: Conv2d::new(format!("{name}.proj_out"), channels, channels, 1, 1, 0, init),
         }
     }
 
-    /// Inference forward: `x` is `[b, c, h, w]`.
-    pub fn forward(&self, x: &Tensor, context: Option<&Tensor>) -> Tensor {
-        let (b, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-        let mut t = self.proj_in.forward(&self.norm.forward(x));
-        // [b, c, h, w] -> [b, hw, c]
-        t = t.into_shape(&[b, c, h * w]).permute(&[0, 2, 1]);
-        t = self.block.forward(&t, context);
-        t = t.permute(&[0, 2, 1]).into_shape(&[b, c, h, w]);
-        x.add(&self.proj_out.forward(&t))
+    /// Forward: `x` is `[b, c, h, w]`; the block runs over `[b, h·w, c]`
+    /// tokens.
+    pub fn forward<O: Ops<P = P>>(&self, ops: &O, x: &O::V, context: Option<&O::V>) -> O::V {
+        let t = ops.conv(&self.proj_in, &ops.group_norm(&self.norm, x));
+        let t = self.block.forward(ops, &ops.to_tokens(t), context);
+        ops.add(x, &ops.conv(&self.proj_out, &ops.to_map(t, x)))
     }
+}
 
-    /// Training forward.
-    pub fn forward_var<'t>(&self, tape: &'t Tape, x: Var<'t>, context: Option<Var<'t>>) -> Var<'t> {
-        let dims = x.dims();
-        let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let mut t = self.proj_in.forward_var(tape, self.norm.forward_var(tape, x));
-        t = t.reshape(&[b, c, h * w]).permute(&[0, 2, 1]);
-        t = self.block.forward_var(tape, t, context);
-        t = t.permute(&[0, 2, 1]).reshape(&[b, c, h, w]);
-        x.add(self.proj_out.forward_var(tape, t))
-    }
-
+impl SpatialTransformer {
     /// Collects `(name, param)` pairs.
     pub fn collect_params(&self, out: &mut Vec<(String, Param)>) {
         self.norm.collect_params(out);
@@ -201,75 +177,11 @@ impl SpatialTransformer {
     }
 }
 
-/// Stride-2 convolutional downsampling.
-#[derive(Debug)]
-pub struct Downsample {
-    conv: Conv2d,
-}
-
-impl Downsample {
-    /// Creates a downsampler over `channels`.
-    pub fn new(name: &str, channels: usize, rng: &mut impl Rng) -> Self {
-        Downsample { conv: Conv2d::new(format!("{name}.conv"), channels, channels, 3, 2, 1, rng) }
-    }
-
-    /// Inference forward (halves spatial extents).
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.conv.forward(x)
-    }
-
-    /// Training forward.
-    pub fn forward_var<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        self.conv.forward_var(tape, x)
-    }
-
-    /// Collects `(name, param)` pairs.
-    pub fn collect_params(&self, out: &mut Vec<(String, Param)>) {
-        self.conv.collect_params(out);
-    }
-
-    /// Visits quantizable layers.
-    pub fn visit_quant_layers<'a>(&'a self, f: &mut dyn FnMut(&'a dyn QuantLayer)) {
-        f(&self.conv);
-    }
-}
-
-/// Nearest-neighbour 2× upsampling followed by a 3×3 convolution.
-#[derive(Debug)]
-pub struct Upsample {
-    conv: Conv2d,
-}
-
-impl Upsample {
-    /// Creates an upsampler over `channels`.
-    pub fn new(name: &str, channels: usize, rng: &mut impl Rng) -> Self {
-        Upsample { conv: Conv2d::new(format!("{name}.conv"), channels, channels, 3, 1, 1, rng) }
-    }
-
-    /// Inference forward (doubles spatial extents).
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.conv.forward(&x.upsample_nearest(2))
-    }
-
-    /// Training forward.
-    pub fn forward_var<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        self.conv.forward_var(tape, x.upsample_nearest(2))
-    }
-
-    /// Collects `(name, param)` pairs.
-    pub fn collect_params(&self, out: &mut Vec<(String, Param)>) {
-        self.conv.collect_params(out);
-    }
-
-    /// Visits quantizable layers.
-    pub fn visit_quant_layers<'a>(&'a self, f: &mut dyn FnMut(&'a dyn QuantLayer)) {
-        f(&self.conv);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{Infer, Train};
+    use fpdq_autograd::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -294,10 +206,10 @@ mod tests {
         let rb = ResBlock::new("r", 4, 8, 16, 2, None, &mut rng);
         let x = Tensor::randn(&[2, 4, 6, 6], &mut rng);
         let temb = Tensor::randn(&[2, 16], &mut rng);
-        let y = rb.forward(&x, &temb);
+        let y = rb.forward(&Infer, &x, &temb);
         assert_eq!(y.dims(), &[2, 8, 6, 6]);
         let tape = Tape::new();
-        let y2 = rb.forward_var(&tape, tape.constant(x), tape.constant(temb));
+        let y2 = rb.forward(&Train(&tape), &tape.constant(x), &tape.constant(temb));
         for (a, b) in y.data().iter().zip(y2.value().data()) {
             assert!((a - b).abs() < 1e-4);
         }
@@ -319,25 +231,13 @@ mod tests {
         let st = SpatialTransformer::new("s", 8, Some(6), 2, 4, &mut rng);
         let x = Tensor::randn(&[2, 8, 4, 4], &mut rng);
         let ctx = Tensor::randn(&[2, 3, 6], &mut rng);
-        let y = st.forward(&x, Some(&ctx));
+        let y = st.forward(&Infer, &x, Some(&ctx));
         assert_eq!(y.dims(), x.dims());
         let tape = Tape::new();
-        let y2 = st.forward_var(&tape, tape.constant(x), Some(tape.constant(ctx)));
+        let y2 = st.forward(&Train(&tape), &tape.constant(x), Some(&tape.constant(ctx)));
         for (a, b) in y.data().iter().zip(y2.value().data()) {
             assert!((a - b).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn down_up_sample_shapes() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let down = Downsample::new("d", 4, &mut rng);
-        let up = Upsample::new("u", 4, &mut rng);
-        let x = Tensor::randn(&[1, 4, 8, 8], &mut rng);
-        let lo = down.forward(&x);
-        assert_eq!(lo.dims(), &[1, 4, 4, 4]);
-        let hi = up.forward(&lo);
-        assert_eq!(hi.dims(), &[1, 4, 8, 8]);
     }
 
     #[test]

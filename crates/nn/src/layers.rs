@@ -1,9 +1,9 @@
 //! Primitive layers: [`Linear`], [`Conv2d`], [`GroupNorm`], [`LayerNorm`],
 //! and the quantization tap machinery.
 
-use fpdq_autograd::{Param, Tape, Var};
+use fpdq_autograd::Param;
 use fpdq_tensor::conv::Conv2dSpec;
-use fpdq_tensor::Tensor;
+use fpdq_tensor::{Shape, Tensor};
 use rand::Rng;
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -201,6 +201,46 @@ pub trait QuantLayer {
 }
 
 // ---------------------------------------------------------------------------
+// Parameter sources
+// ---------------------------------------------------------------------------
+
+/// The source of a layer's parameters, whose `P` is the layer's parameter
+/// type: any [`Rng`] builds [`Param`]s from its draws, [`ShapeOnly`] bare
+/// [`Shape`]s, so even an SD-scale model is built without a weight.
+pub trait Init {
+    /// The parameter type this source builds.
+    type P;
+    /// A Kaiming-normal weight of `dims` with fan-in `fan_in`.
+    fn weight(&mut self, dims: &[usize], fan_in: usize) -> Self::P;
+    /// A parameter of `dims` filled with `value` (biases, norm affines).
+    fn constant(&mut self, dims: &[usize], value: f32) -> Self::P;
+}
+
+impl<R: Rng> Init for R {
+    type P = Param;
+    fn weight(&mut self, dims: &[usize], fan_in: usize) -> Param {
+        Param::new(Tensor::kaiming(dims, fan_in, self))
+    }
+    fn constant(&mut self, dims: &[usize], value: f32) -> Param {
+        Param::new(Tensor::full(dims, value))
+    }
+}
+
+/// An [`Init`] that records parameter dims only (see [`Init`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ShapeOnly;
+
+impl Init for ShapeOnly {
+    type P = Shape;
+    fn weight(&mut self, dims: &[usize], _fan_in: usize) -> Shape {
+        Shape::new(dims)
+    }
+    fn constant(&mut self, dims: &[usize], _value: f32) -> Shape {
+        Shape::new(dims)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Linear
 // ---------------------------------------------------------------------------
 
@@ -208,44 +248,51 @@ pub trait QuantLayer {
 ///
 /// Accepts 2-D `[batch, in]` or 3-D `[batch, seq, in]` inputs.
 #[derive(Debug)]
-pub struct Linear {
+pub struct Linear<P = Param> {
     name: String,
     /// Weight `[out, in]`.
-    pub weight: Param,
+    pub weight: P,
     /// Bias `[out]`, if enabled.
-    pub bias: Option<Param>,
+    pub bias: Option<P>,
     tap: RefCell<Tap>,
     packed: PackedSlot,
     concat_split: Option<usize>,
 }
 
-impl Linear {
+impl<P> Linear<P> {
     /// Creates a linear layer with Kaiming-initialised weights.
-    pub fn new(name: impl Into<String>, in_f: usize, out_f: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        in_f: usize,
+        out_f: usize,
+        init: &mut impl Init<P = P>,
+    ) -> Self {
         Linear {
             name: name.into(),
-            weight: Param::new(Tensor::kaiming(&[out_f, in_f], in_f, rng)),
-            bias: Some(Param::new(Tensor::zeros(&[out_f]))),
+            weight: init.weight(&[out_f, in_f], in_f),
+            bias: Some(init.constant(&[out_f], 0.0)),
             tap: RefCell::new(Tap::default()),
             packed: PackedSlot::default(),
             concat_split: None,
         }
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.weight.dims()[1]
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.weight.dims()[0]
+    /// Hierarchical layer name.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Marks this layer as consuming `concat(trunk, skip)` with the skip
     /// half starting at feature `split`.
     pub fn set_concat_split(&mut self, split: usize) {
         self.concat_split = Some(split);
+    }
+}
+
+impl Linear {
+    /// Output feature count.
+    pub fn out_features(&self) -> usize {
+        self.weight.dims()[0]
     }
 
     fn affine(&self, x2: &Tensor, w: &Tensor) -> Tensor {
@@ -264,45 +311,7 @@ impl Linear {
         if let Some(y) = self.packed.run(&x) {
             return y;
         }
-        self.forward_no_tap(&x)
-    }
-
-    fn forward_no_tap(&self, x: &Tensor) -> Tensor {
-        let w = self.weight.value();
-        match x.ndim() {
-            2 => self.affine(x, &w),
-            3 => {
-                let (b, l, d) = (x.dim(0), x.dim(1), x.dim(2));
-                let y = self.affine(&x.reshape(&[b * l, d]), &w);
-                y.reshape(&[b, l, self.out_features()])
-            }
-            n => panic!("Linear expects 2-D or 3-D input, got rank {n}"),
-        }
-    }
-
-    /// Training forward over autograd variables.
-    pub fn forward_var<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        let w = tape.param(&self.weight);
-        let dims = x.dims();
-        let out = match dims.len() {
-            2 => {
-                let mut y = x.matmul_nt(w);
-                if let Some(b) = &self.bias {
-                    y = y.add(tape.param(b));
-                }
-                y
-            }
-            3 => {
-                let (b, l, d) = (dims[0], dims[1], dims[2]);
-                let mut y = x.reshape(&[b * l, d]).matmul_nt(w);
-                if let Some(bias) = &self.bias {
-                    y = y.add(tape.param(bias));
-                }
-                y.reshape(&[b, l, self.out_features()])
-            }
-            n => panic!("Linear expects 2-D or 3-D input, got rank {n}"),
-        };
-        out
+        self.forward_with_weight(&x, &self.weight.value())
     }
 
     /// Collects `(name, param)` pairs.
@@ -358,19 +367,19 @@ impl QuantLayer for Linear {
 
 /// A 2-D convolution layer with weight `[out, in, kh, kw]`.
 #[derive(Debug)]
-pub struct Conv2d {
+pub struct Conv2d<P = Param> {
     name: String,
     /// Weight `[out, in, kh, kw]`.
-    pub weight: Param,
+    pub weight: P,
     /// Bias `[out]`, if enabled.
-    pub bias: Option<Param>,
+    pub bias: Option<P>,
     spec: Conv2dSpec,
     tap: RefCell<Tap>,
     packed: PackedSlot,
     concat_split: Option<usize>,
 }
 
-impl Conv2d {
+impl<P> Conv2d<P> {
     /// Creates a convolution with Kaiming-initialised weights.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -380,13 +389,13 @@ impl Conv2d {
         kernel: usize,
         stride: usize,
         padding: usize,
-        rng: &mut impl Rng,
+        init: &mut impl Init<P = P>,
     ) -> Self {
         let fan_in = in_c * kernel * kernel;
         Conv2d {
             name: name.into(),
-            weight: Param::new(Tensor::kaiming(&[out_c, in_c, kernel, kernel], fan_in, rng)),
-            bias: Some(Param::new(Tensor::zeros(&[out_c]))),
+            weight: init.weight(&[out_c, in_c, kernel, kernel], fan_in),
+            bias: Some(init.constant(&[out_c], 0.0)),
             spec: Conv2dSpec::new(stride, padding),
             tap: RefCell::new(Tap::default()),
             packed: PackedSlot::default(),
@@ -394,14 +403,9 @@ impl Conv2d {
         }
     }
 
-    /// Input channel count.
-    pub fn in_channels(&self) -> usize {
-        self.weight.dims()[1]
-    }
-
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.weight.dims()[0]
+    /// Hierarchical layer name.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// The stride/padding specification.
@@ -414,7 +418,9 @@ impl Conv2d {
     pub fn set_concat_split(&mut self, split: usize) {
         self.concat_split = Some(split);
     }
+}
 
+impl Conv2d {
     /// Inference forward: applies the tap, then either the packed-weight
     /// override (when installed) or the dense path.
     pub fn forward(&self, x: &Tensor) -> Tensor {
@@ -422,15 +428,7 @@ impl Conv2d {
         if let Some(y) = self.packed.run(&x) {
             return y;
         }
-        let bias = self.bias.as_ref().map(|b| b.value());
-        x.conv2d(&self.weight.value(), bias.as_ref(), self.spec)
-    }
-
-    /// Training forward over autograd variables.
-    pub fn forward_var<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        let w = tape.param(&self.weight);
-        let b = self.bias.as_ref().map(|b| tape.param(b));
-        x.conv2d(w, b, self.spec)
+        self.forward_with_weight(&x, &self.weight.value())
     }
 
     /// Collects `(name, param)` pairs.
@@ -531,43 +529,45 @@ pub fn layer_norm_ref(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Te
 
 /// Group normalisation with learned affine parameters.
 #[derive(Debug)]
-pub struct GroupNorm {
+pub struct GroupNorm<P = Param> {
     name: String,
     /// Scale `[c]`.
-    pub gamma: Param,
+    pub gamma: P,
     /// Shift `[c]`.
-    pub beta: Param,
-    groups: usize,
-    eps: f32,
+    pub beta: P,
+    pub(crate) groups: usize,
+    pub(crate) eps: f32,
 }
 
-impl GroupNorm {
+impl<P> GroupNorm<P> {
     /// Creates a group norm over `channels` split into `groups`.
     ///
     /// # Panics
     ///
     /// Panics if `channels` is not divisible by `groups`.
-    pub fn new(name: impl Into<String>, channels: usize, groups: usize) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        channels: usize,
+        groups: usize,
+        init: &mut impl Init<P = P>,
+    ) -> Self {
         assert_eq!(channels % groups, 0, "channels {channels} not divisible by {groups}");
         GroupNorm {
             name: name.into(),
-            gamma: Param::new(Tensor::ones(&[channels])),
-            beta: Param::new(Tensor::zeros(&[channels])),
+            gamma: init.constant(&[channels], 1.0),
+            beta: init.constant(&[channels], 0.0),
             groups,
             eps: 1e-5,
         }
     }
 
-    /// Inference forward.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        group_norm_ref(x, &self.gamma.value(), &self.beta.value(), self.groups, self.eps)
+    /// Hierarchical layer name.
+    pub fn name(&self) -> &str {
+        &self.name
     }
+}
 
-    /// Training forward.
-    pub fn forward_var<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        x.group_norm(tape.param(&self.gamma), tape.param(&self.beta), self.groups, self.eps)
-    }
-
+impl GroupNorm {
     /// Collects `(name, param)` pairs.
     pub fn collect_params(&self, out: &mut Vec<(String, Param)>) {
         out.push((format!("{}.gamma", self.name), self.gamma.clone()));
@@ -577,36 +577,33 @@ impl GroupNorm {
 
 /// Layer normalisation over the innermost dimension.
 #[derive(Debug)]
-pub struct LayerNorm {
+pub struct LayerNorm<P = Param> {
     name: String,
     /// Scale `[d]`.
-    pub gamma: Param,
+    pub gamma: P,
     /// Shift `[d]`.
-    pub beta: Param,
-    eps: f32,
+    pub beta: P,
+    pub(crate) eps: f32,
 }
 
-impl LayerNorm {
+impl<P> LayerNorm<P> {
     /// Creates a layer norm over `dim` features.
-    pub fn new(name: impl Into<String>, dim: usize) -> Self {
+    pub fn new(name: impl Into<String>, dim: usize, init: &mut impl Init<P = P>) -> Self {
         LayerNorm {
             name: name.into(),
-            gamma: Param::new(Tensor::ones(&[dim])),
-            beta: Param::new(Tensor::zeros(&[dim])),
+            gamma: init.constant(&[dim], 1.0),
+            beta: init.constant(&[dim], 0.0),
             eps: 1e-5,
         }
     }
 
-    /// Inference forward.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        layer_norm_ref(x, &self.gamma.value(), &self.beta.value(), self.eps)
+    /// Hierarchical layer name.
+    pub fn name(&self) -> &str {
+        &self.name
     }
+}
 
-    /// Training forward.
-    pub fn forward_var<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        x.layer_norm(tape.param(&self.gamma), tape.param(&self.beta), self.eps)
-    }
-
+impl LayerNorm {
     /// Collects `(name, param)` pairs.
     pub fn collect_params(&self, out: &mut Vec<(String, Param)>) {
         out.push((format!("{}.gamma", self.name), self.gamma.clone()));
@@ -617,6 +614,8 @@ impl LayerNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{Infer, Ops, Train};
+    use fpdq_autograd::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -627,7 +626,7 @@ mod tests {
         let x = Tensor::randn(&[2, 4], &mut rng);
         let y_tensor = lin.forward(&x);
         let tape = Tape::new();
-        let y_var = lin.forward_var(&tape, tape.constant(x.clone()));
+        let y_var = Train(&tape).linear(&lin, &tape.constant(x.clone()));
         for (a, b) in y_tensor.data().iter().zip(y_var.value().data()) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -655,7 +654,7 @@ mod tests {
         let x = Tensor::randn(&[2, 3, 6, 6], &mut rng);
         let y_tensor = conv.forward(&x);
         let tape = Tape::new();
-        let y_var = conv.forward_var(&tape, tape.constant(x.clone()));
+        let y_var = Train(&tape).conv(&conv, &tape.constant(x.clone()));
         assert_eq!(y_tensor.dims(), &[2, 5, 6, 6]);
         for (a, b) in y_tensor.data().iter().zip(y_var.value().data()) {
             assert!((a - b).abs() < 1e-5);
@@ -708,9 +707,9 @@ mod tests {
     #[test]
     fn group_norm_normalises() {
         let mut rng = StdRng::seed_from_u64(7);
-        let gn = GroupNorm::new("gn", 8, 4);
+        let gn = GroupNorm::new("gn", 8, 4, &mut rng);
         let x = Tensor::randn(&[2, 8, 4, 4], &mut rng).mul_scalar(5.0).add_scalar(3.0);
-        let y = gn.forward(&x);
+        let y = Infer.group_norm(&gn, &x);
         // With unit gamma / zero beta each group is standardised.
         assert!(y.mean().abs() < 1e-4);
         assert!((y.std() - 1.0).abs() < 1e-2);
@@ -719,13 +718,13 @@ mod tests {
     #[test]
     fn group_norm_paths_agree() {
         let mut rng = StdRng::seed_from_u64(8);
-        let gn = GroupNorm::new("gn", 6, 3);
+        let gn = GroupNorm::new("gn", 6, 3, &mut rng);
         gn.gamma.replace(Tensor::rand_uniform(&[6], 0.5, 1.5, &mut rng));
         gn.beta.replace(Tensor::randn(&[6], &mut rng));
         let x = Tensor::randn(&[2, 6, 3, 3], &mut rng);
-        let y1 = gn.forward(&x);
+        let y1 = Infer.group_norm(&gn, &x);
         let tape = Tape::new();
-        let y2 = gn.forward_var(&tape, tape.constant(x));
+        let y2 = Train(&tape).group_norm(&gn, &tape.constant(x));
         for (a, b) in y1.data().iter().zip(y2.value().data()) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -734,12 +733,12 @@ mod tests {
     #[test]
     fn layer_norm_paths_agree() {
         let mut rng = StdRng::seed_from_u64(9);
-        let ln = LayerNorm::new("ln", 10);
+        let ln = LayerNorm::new("ln", 10, &mut rng);
         ln.gamma.replace(Tensor::rand_uniform(&[10], 0.5, 1.5, &mut rng));
         let x = Tensor::randn(&[4, 10], &mut rng);
-        let y1 = ln.forward(&x);
+        let y1 = Infer.layer_norm(&ln, &x);
         let tape = Tape::new();
-        let y2 = ln.forward_var(&tape, tape.constant(x));
+        let y2 = Train(&tape).layer_norm(&ln, &tape.constant(x));
         for (a, b) in y1.data().iter().zip(y2.value().data()) {
             assert!((a - b).abs() < 1e-5);
         }

@@ -6,18 +6,27 @@
 //! autoencoder (the latent-diffusion first stage), and a transformer text
 //! encoder — i.e. every subnetwork in Figure 1 of the paper.
 //!
-//! # Two forward paths
+//! # One forward, three interpreters
 //!
-//! Every layer has:
+//! Every block writes its forward once, generic over the [`Ops`] trait
+//! (conv, linear, group/layer norm, SiLU, add, channel concat, upsample,
+//! map↔token reshapes and attention). Three interpreters walk it:
 //!
-//! * an **inference path** (`forward`) over plain [`fpdq_tensor::Tensor`]s —
-//!   this is where post-training quantization hooks ([`Tap`]) live:
-//!   activation fake-quantizers, split-quantization of concatenated skip
-//!   connections, and calibration capture;
-//! * a **training path** (`forward_var`) over [`fpdq_autograd::Var`]s used
-//!   to train the substrate models from scratch.
+//! * [`Infer`] runs the ops on [`fpdq_tensor::Tensor`]s. This is the
+//!   inference path, and where the post-training quantization hooks
+//!   ([`Tap`]) live: activation fake-quantizers, split quantization of
+//!   concatenated skip connections, and calibration capture.
+//! * [`Train`] records the ops on an [`fpdq_autograd::Tape`], to train the
+//!   substrate models from scratch.
+//! * `fpdq-perf`'s census runs them on shapes, over a model built with
+//!   [`ShapeOnly`] parameters, to cost every layer without allocating a
+//!   weight.
 //!
-//! The two paths are verified against each other in tests.
+//! Layers are built by one constructor generic in their parameter source
+//! ([`Init`]): any `Rng` for real weights, [`ShapeOnly`] for dims alone.
+//! Entry points keep what is specific to them: [`UNet::try_forward`]
+//! validates its inputs and builds the timestep embedding, and the text
+//! encoder gathers its token embeddings.
 //!
 //! # Quantization interface
 //!
@@ -34,15 +43,17 @@ pub mod autoencoder;
 pub mod blocks;
 pub mod layers;
 pub mod module;
+pub mod ops;
 pub mod text;
 pub mod unet;
 
 pub use attention::{MultiHeadAttention, TransformerBlock};
 pub use autoencoder::{Autoencoder, AutoencoderConfig};
 pub use layers::{
-    group_norm_ref, layer_norm_ref, ActQuantFn, Conv2d, GroupNorm, LayerNorm, Linear,
-    PackedForwardFn, PackedSlot, QuantKind, QuantLayer, SuspendedAct, Tap,
+    group_norm_ref, layer_norm_ref, ActQuantFn, Conv2d, GroupNorm, Init, LayerNorm, Linear,
+    PackedForwardFn, PackedSlot, QuantKind, QuantLayer, ShapeOnly, SuspendedAct, Tap,
 };
 pub use module::{load_params, save_params, ParamCollector};
+pub use ops::{Infer, Ops, Train};
 pub use text::{TextEncoder, TextEncoderConfig};
 pub use unet::{UNet, UNetConfig};

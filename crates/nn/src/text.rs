@@ -7,6 +7,7 @@
 
 use crate::attention::TransformerBlock;
 use crate::layers::LayerNorm;
+use crate::ops::{Infer, Ops};
 use fpdq_autograd::{Param, Tape, Var};
 use fpdq_tensor::Tensor;
 use rand::Rng;
@@ -54,7 +55,7 @@ impl TextEncoder {
             })
             .collect();
         TextEncoder {
-            final_norm: LayerNorm::new("text.final_norm", cfg.dim),
+            final_norm: LayerNorm::new("text.final_norm", cfg.dim, rng),
             token_emb,
             pos_emb,
             blocks,
@@ -75,49 +76,46 @@ impl TextEncoder {
         out
     }
 
+    /// The padded token ids of a batch, flattened; panics on a token
+    /// outside the vocabulary.
+    fn token_ids(&self, batch: &[Vec<usize>]) -> Vec<usize> {
+        let ids: Vec<usize> = batch.iter().flat_map(|tokens| self.pad(tokens)).collect();
+        if let Some(tok) = ids.iter().find(|&&tok| tok >= self.cfg.vocab_size) {
+            panic!("token {tok} out of vocabulary");
+        }
+        ids
+    }
+
     fn gather_embeddings(&self, batch: &[Vec<usize>]) -> Tensor {
         let (b, l, d) = (batch.len(), self.cfg.max_len, self.cfg.dim);
-        let table = self.token_emb.value();
-        let pos = self.pos_emb.value();
-        let mut out = vec![0.0f32; b * l * d];
-        for (bi, tokens) in batch.iter().enumerate() {
-            let padded = self.pad(tokens);
-            for (li, &tok) in padded.iter().enumerate() {
-                assert!(tok < self.cfg.vocab_size, "token {tok} out of vocabulary");
-                for di in 0..d {
-                    out[(bi * l + li) * d + di] =
-                        table.data()[tok * d + di] + pos.data()[li * d + di];
-                }
-            }
-        }
-        Tensor::from_vec(out, &[b, l, d])
+        let tok = self.token_emb.value().index_select(0, &self.token_ids(batch));
+        tok.into_shape(&[b, l, d]).add(&self.pos_emb.value().into_shape(&[1, l, d]))
+    }
+
+    /// The token plus position embeddings of a batch on a training tape:
+    /// the [`Train`](crate::ops::Train) input of [`Self::forward_with`].
+    pub fn embed_on_tape<'t>(&self, tape: &'t Tape, batch: &[Vec<usize>]) -> Var<'t> {
+        let (b, l, d) = (batch.len(), self.cfg.max_len, self.cfg.dim);
+        let ids = self.token_ids(batch);
+        let tok = tape.param(&self.token_emb).embedding(&ids).reshape(&[b, l, d]);
+        let pos = tape.param(&self.pos_emb).reshape(&[1, l, d]);
+        tok.add(pos)
     }
 
     /// Encodes a batch of token sequences (inference path) into
     /// `[b, max_len, dim]` conditioning context.
     pub fn forward(&self, batch: &[Vec<usize>]) -> Tensor {
-        let mut h = self.gather_embeddings(batch);
-        for blk in &self.blocks {
-            h = blk.forward(&h, None);
-        }
-        self.final_norm.forward(&h)
+        self.forward_with(&Infer, self.gather_embeddings(batch))
     }
 
-    /// Training-path forward.
-    pub fn forward_var<'t>(&self, tape: &'t Tape, batch: &[Vec<usize>]) -> Var<'t> {
-        let (b, l, d) = (batch.len(), self.cfg.max_len, self.cfg.dim);
-        let mut flat_ids = Vec::with_capacity(b * l);
-        for tokens in batch {
-            flat_ids.extend(self.pad(tokens));
-        }
-        let table = tape.param(&self.token_emb);
-        let tok = table.embedding(&flat_ids).reshape(&[b, l, d]);
-        let pos = tape.param(&self.pos_emb).reshape(&[1, l, d]);
-        let mut h = tok.add(pos);
+    /// The transformer stack on any interpreter, over embedded tokens
+    /// `[b, max_len, dim]`.
+    pub fn forward_with<O: Ops<P = Param>>(&self, ops: &O, embedded: O::V) -> O::V {
+        let mut h = embedded;
         for blk in &self.blocks {
-            h = blk.forward_var(tape, h, None);
+            h = blk.forward(ops, &h, None);
         }
-        self.final_norm.forward_var(tape, h)
+        ops.layer_norm(&self.final_norm, &h)
     }
 
     /// Collects `(name, param)` pairs.
@@ -134,6 +132,7 @@ impl TextEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::Train;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -162,7 +161,7 @@ mod tests {
         let batch = vec![vec![1, 2, 3], vec![9]];
         let y1 = enc.forward(&batch);
         let tape = Tape::new();
-        let y2 = enc.forward_var(&tape, &batch);
+        let y2 = enc.forward_with(&Train(&tape), enc.embed_on_tape(&tape, &batch));
         for (a, b) in y1.data().iter().zip(y2.value().data()) {
             assert!((a - b).abs() < 1e-4);
         }

@@ -6,11 +6,11 @@
 //! block-to-block **skip connections** whose concatenation consumers the
 //! paper singles out for split activation quantization (§VI-A).
 
-use crate::blocks::{timestep_embedding, Downsample, ResBlock, SpatialTransformer, Upsample};
-use crate::layers::{Conv2d, GroupNorm, Linear, QuantLayer};
-use fpdq_autograd::{Param, Tape, Var};
+use crate::blocks::{timestep_embedding, ResBlock, SpatialTransformer};
+use crate::layers::{Conv2d, GroupNorm, Init, Linear, QuantLayer};
+use crate::ops::{Infer, Ops};
+use fpdq_autograd::Param;
 use fpdq_tensor::{FpdqError, Tensor};
-use rand::Rng;
 
 /// Architecture hyper-parameters of a [`UNet`].
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -56,39 +56,37 @@ impl UNetConfig {
     }
 }
 
+/// One resolution level: its blocks, then the conv that changes the
+/// resolution (stride 2 on the way down; after a nearest-neighbour 2×
+/// upsampling on the way up).
 #[derive(Debug)]
-struct DownLevel {
-    blocks: Vec<(ResBlock, Option<SpatialTransformer>)>,
-    down: Option<Downsample>,
+struct Level<P> {
+    blocks: Vec<(ResBlock<P>, Option<SpatialTransformer<P>>)>,
+    resample: Option<Conv2d<P>>,
 }
 
+/// The denoising U-Net (see module docs), over parameters `P` (see
+/// [`Init`]).
 #[derive(Debug)]
-struct UpLevel {
-    blocks: Vec<(ResBlock, Option<SpatialTransformer>)>,
-    up: Option<Upsample>,
-}
-
-/// The denoising U-Net (see module docs).
-#[derive(Debug)]
-pub struct UNet {
+pub struct UNet<P = Param> {
     cfg: UNetConfig,
-    conv_in: Conv2d,
-    time1: Linear,
-    time2: Linear,
-    down: Vec<DownLevel>,
-    mid: (ResBlock, Option<SpatialTransformer>, ResBlock),
-    up: Vec<UpLevel>,
-    out_norm: GroupNorm,
-    conv_out: Conv2d,
+    conv_in: Conv2d<P>,
+    time1: Linear<P>,
+    time2: Linear<P>,
+    down: Vec<Level<P>>,
+    mid: (ResBlock<P>, Option<SpatialTransformer<P>>, ResBlock<P>),
+    up: Vec<Level<P>>,
+    out_norm: GroupNorm<P>,
+    conv_out: Conv2d<P>,
 }
 
-impl UNet {
-    /// Builds a U-Net with freshly initialised weights.
+impl<P> UNet<P> {
+    /// Builds a U-Net with parameters from `init` (see [`Init`]).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (no levels, zero blocks).
-    pub fn new(cfg: UNetConfig, rng: &mut impl Rng) -> Self {
+    pub fn new(cfg: UNetConfig, init: &mut impl Init<P = P>) -> Self {
         assert!(!cfg.channel_mults.is_empty(), "need at least one level");
         assert!(cfg.num_res_blocks >= 1, "need at least one res block per level");
         let base = cfg.base_channels;
@@ -96,9 +94,9 @@ impl UNet {
         let levels = cfg.channel_mults.len();
         let groups = cfg.norm_groups;
 
-        let conv_in = Conv2d::new("conv_in", cfg.in_channels, base, 3, 1, 1, rng);
-        let time1 = Linear::new("time1", base, tdim, rng);
-        let time2 = Linear::new("time2", tdim, tdim, rng);
+        let conv_in = Conv2d::new("conv_in", cfg.in_channels, base, 3, 1, 1, init);
+        let time1 = Linear::new("time1", base, tdim, init);
+        let time2 = Linear::new("time2", tdim, tdim, init);
 
         // Track skip channels exactly as forward will push them.
         let mut skip_chs = vec![base];
@@ -109,7 +107,7 @@ impl UNet {
             let mut blocks = Vec::new();
             for j in 0..cfg.num_res_blocks {
                 let rb =
-                    ResBlock::new(&format!("down{i}.res{j}"), ch, out_ch, tdim, groups, None, rng);
+                    ResBlock::new(&format!("down{i}.res{j}"), ch, out_ch, tdim, groups, None, init);
                 ch = out_ch;
                 let attn = cfg.attn_levels.contains(&i).then(|| {
                     SpatialTransformer::new(
@@ -118,7 +116,7 @@ impl UNet {
                         cfg.context_dim,
                         cfg.heads,
                         groups,
-                        rng,
+                        init,
                     )
                 });
                 blocks.push((rb, attn));
@@ -127,18 +125,18 @@ impl UNet {
             let is_last = i == levels - 1;
             let downsample = (!is_last).then(|| {
                 skip_chs.push(ch);
-                Downsample::new(&format!("down{i}.down"), ch, rng)
+                Conv2d::new(format!("down{i}.down.conv"), ch, ch, 3, 2, 1, init)
             });
-            down.push(DownLevel { blocks, down: downsample });
+            down.push(Level { blocks, resample: downsample });
         }
 
         let mid_attn = (!cfg.attn_levels.is_empty() || cfg.context_dim.is_some()).then(|| {
-            SpatialTransformer::new("mid.attn", ch, cfg.context_dim, cfg.heads, groups, rng)
+            SpatialTransformer::new("mid.attn", ch, cfg.context_dim, cfg.heads, groups, init)
         });
         let mid = (
-            ResBlock::new("mid.res0", ch, ch, tdim, groups, None, rng),
+            ResBlock::new("mid.res0", ch, ch, tdim, groups, None, init),
             mid_attn,
-            ResBlock::new("mid.res1", ch, ch, tdim, groups, None, rng),
+            ResBlock::new("mid.res1", ch, ch, tdim, groups, None, init),
         );
 
         let mut up = Vec::new();
@@ -154,7 +152,7 @@ impl UNet {
                     tdim,
                     groups,
                     Some(ch),
-                    rng,
+                    init,
                 );
                 ch = out_ch;
                 let attn = cfg.attn_levels.contains(&i).then(|| {
@@ -164,18 +162,19 @@ impl UNet {
                         cfg.context_dim,
                         cfg.heads,
                         groups,
-                        rng,
+                        init,
                     )
                 });
                 blocks.push((rb, attn));
             }
-            let upsample = (i != 0).then(|| Upsample::new(&format!("up{i}.up"), ch, rng));
-            up.push(UpLevel { blocks, up: upsample });
+            let upsample =
+                (i != 0).then(|| Conv2d::new(format!("up{i}.up.conv"), ch, ch, 3, 1, 1, init));
+            up.push(Level { blocks, resample: upsample });
         }
         assert!(skip_chs.is_empty(), "skip channel bookkeeping out of sync");
 
-        let out_norm = GroupNorm::new("out_norm", ch, groups.min(ch));
-        let conv_out = Conv2d::new("conv_out", ch, cfg.out_channels, 3, 1, 1, rng);
+        let out_norm = GroupNorm::new("out_norm", ch, groups.min(ch), init);
+        let conv_out = Conv2d::new("conv_out", ch, cfg.out_channels, 3, 1, 1, init);
         UNet { cfg, conv_in, time1, time2, down, mid, up, out_norm, conv_out }
     }
 
@@ -184,16 +183,71 @@ impl UNet {
         &self.cfg
     }
 
+    /// The sinusoidal embedding `[b, base_channels]` of timesteps `t`
+    /// `[b]`, the `emb` input of [`Self::forward_with`].
+    pub fn time_embedding(&self, t: &Tensor) -> Tensor {
+        timestep_embedding(t, self.cfg.base_channels, 10_000.0)
+    }
+
+    /// The architecture, once, on any interpreter: predicts noise for `x`
+    /// `[b, c, h, w]` from the timesteps' embedding `emb`
+    /// ([`Self::time_embedding`]) and optional `context` `[b, l, ctx_dim]`.
+    /// Validates nothing; [`Self::try_forward`] is the checked tensor entry.
+    pub fn forward_with<O: Ops<P = P>>(
+        &self,
+        ops: &O,
+        x: &O::V,
+        emb: &O::V,
+        context: Option<&O::V>,
+    ) -> O::V {
+        // conv_in first: layers run in `visit_quant_layers` order.
+        let mut h = ops.conv(&self.conv_in, x);
+        let temb = ops.linear(&self.time1, emb);
+        let temb = ops.linear(&self.time2, &ops.silu(&temb, "", "time_silu"));
+        let mut skips = vec![h.clone()];
+        for level in &self.down {
+            for (rb, attn) in &level.blocks {
+                h = rb.forward(ops, &h, &temb);
+                if let Some(a) = attn {
+                    h = a.forward(ops, &h, context);
+                }
+                skips.push(h.clone());
+            }
+            if let Some(d) = &level.resample {
+                h = ops.conv(d, &h);
+                skips.push(h.clone());
+            }
+        }
+        h = self.mid.0.forward(ops, &h, &temb);
+        if let Some(a) = &self.mid.1 {
+            h = a.forward(ops, &h, context);
+        }
+        h = self.mid.2.forward(ops, &h, &temb);
+        for level in &self.up {
+            for (rb, attn) in &level.blocks {
+                let skip = skips.pop().expect("skip stack underflow");
+                // Trunk first, then skip: conv1.concat_split == trunk channels.
+                h = rb.forward(ops, &ops.concat(&h, &skip), &temb);
+                if let Some(a) = attn {
+                    h = a.forward(ops, &h, context);
+                }
+            }
+            if let Some(u) = &level.resample {
+                h = ops.conv(u, &ops.upsample(&h));
+            }
+        }
+        debug_assert!(skips.is_empty(), "skip stack not fully consumed");
+        let h = ops.silu(&ops.group_norm(&self.out_norm, &h), "", "out_silu");
+        ops.conv(&self.conv_out, &h)
+    }
+}
+
+impl UNet {
     /// Total parameter count.
     pub fn param_count(&self) -> usize {
         let mut params = Vec::new();
         self.collect_params(&mut params);
         params.iter().map(|(_, p)| p.numel()).sum()
-    }
-
-    fn time_embed(&self, t: &Tensor) -> Tensor {
-        let emb = timestep_embedding(t, self.cfg.base_channels, 10_000.0);
-        self.time2.forward(&self.time1.forward(&emb).silu())
     }
 
     /// Inference forward: predicts noise for `x` `[b, c, h, w]` at
@@ -246,103 +300,7 @@ impl UNet {
                 )));
             }
         }
-        let temb = self.time_embed(t);
-        let mut h = self.conv_in.forward(x);
-        let mut skips = vec![h.clone()];
-        for level in &self.down {
-            for (rb, attn) in &level.blocks {
-                h = rb.forward(&h, &temb);
-                if let Some(a) = attn {
-                    h = a.forward(&h, context);
-                }
-                skips.push(h.clone());
-            }
-            if let Some(d) = &level.down {
-                h = d.forward(&h);
-                skips.push(h.clone());
-            }
-        }
-        h = self.mid.0.forward(&h, &temb);
-        if let Some(a) = &self.mid.1 {
-            h = a.forward(&h, context);
-        }
-        h = self.mid.2.forward(&h, &temb);
-        for level in &self.up {
-            for (rb, attn) in &level.blocks {
-                let skip = skips.pop().expect("skip stack underflow");
-                // Trunk first, then skip: conv1.concat_split == trunk channels.
-                let joined = Tensor::concat(&[&h, &skip], 1);
-                h = rb.forward(&joined, &temb);
-                if let Some(a) = attn {
-                    h = a.forward(&h, context);
-                }
-            }
-            if let Some(u) = &level.up {
-                h = u.forward(&h);
-            }
-        }
-        debug_assert!(skips.is_empty(), "skip stack not fully consumed");
-        Ok(self.conv_out.forward(&self.out_norm.forward(&h).silu()))
-    }
-
-    /// Training forward over autograd variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics on missing required context or on timestep/context batch
-    /// mismatches (same hazard as [`Self::forward`]: a short `t` would
-    /// silently broadcast wrong time embeddings across the batch).
-    pub fn forward_var<'t>(
-        &self,
-        tape: &'t Tape,
-        x: Var<'t>,
-        t: &Tensor,
-        context: Option<Var<'t>>,
-    ) -> Var<'t> {
-        let b = x.dims()[0];
-        assert_eq!(t.dim(0), b, "timestep batch {} != image batch {b}", t.dim(0));
-        if self.cfg.context_dim.is_some() {
-            assert!(context.is_some(), "this U-Net is conditional: context required");
-        }
-        if let Some(ctx) = &context {
-            assert_eq!(ctx.dims()[0], b, "context batch {} != image batch {b}", ctx.dims()[0]);
-        }
-        let emb = tape.constant(timestep_embedding(t, self.cfg.base_channels, 10_000.0));
-        let temb = self.time2.forward_var(tape, self.time1.forward_var(tape, emb).silu());
-        let mut h = self.conv_in.forward_var(tape, x);
-        let mut skips = vec![h];
-        for level in &self.down {
-            for (rb, attn) in &level.blocks {
-                h = rb.forward_var(tape, h, temb);
-                if let Some(a) = attn {
-                    h = a.forward_var(tape, h, context);
-                }
-                skips.push(h);
-            }
-            if let Some(d) = &level.down {
-                h = d.forward_var(tape, h);
-                skips.push(h);
-            }
-        }
-        h = self.mid.0.forward_var(tape, h, temb);
-        if let Some(a) = &self.mid.1 {
-            h = a.forward_var(tape, h, context);
-        }
-        h = self.mid.2.forward_var(tape, h, temb);
-        for level in &self.up {
-            for (rb, attn) in &level.blocks {
-                let skip = skips.pop().expect("skip stack underflow");
-                let joined = Var::concat(&[h, skip], 1);
-                h = rb.forward_var(tape, joined, temb);
-                if let Some(a) = attn {
-                    h = a.forward_var(tape, h, context);
-                }
-            }
-            if let Some(u) = &level.up {
-                h = u.forward_var(tape, h);
-            }
-        }
-        self.conv_out.forward_var(tape, self.out_norm.forward_var(tape, h).silu())
+        Ok(self.forward_with(&Infer, x, &self.time_embedding(t), context))
     }
 
     /// Collects `(name, param)` pairs for checkpointing and optimization.
@@ -357,7 +315,7 @@ impl UNet {
                     a.collect_params(out);
                 }
             }
-            if let Some(d) = &level.down {
+            if let Some(d) = &level.resample {
                 d.collect_params(out);
             }
         }
@@ -373,7 +331,7 @@ impl UNet {
                     a.collect_params(out);
                 }
             }
-            if let Some(u) = &level.up {
+            if let Some(u) = &level.resample {
                 u.collect_params(out);
             }
         }
@@ -394,8 +352,8 @@ impl UNet {
                     a.visit_quant_layers(f);
                 }
             }
-            if let Some(d) = &level.down {
-                d.visit_quant_layers(f);
+            if let Some(d) = &level.resample {
+                f(d);
             }
         }
         self.mid.0.visit_quant_layers(f);
@@ -410,8 +368,8 @@ impl UNet {
                     a.visit_quant_layers(f);
                 }
             }
-            if let Some(u) = &level.up {
-                u.visit_quant_layers(f);
+            if let Some(u) = &level.resample {
+                f(u);
             }
         }
         f(&self.conv_out);
@@ -421,6 +379,8 @@ impl UNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::Train;
+    use fpdq_autograd::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -495,7 +455,13 @@ mod tests {
         let t = Tensor::from_vec(vec![9.0], &[1]);
         let y1 = unet.forward(&x, &t, None);
         let tape = Tape::new();
-        let y2 = unet.forward_var(&tape, tape.constant(x), &t, None);
+        let ops = Train(&tape);
+        let y2 = unet.forward_with(
+            &ops,
+            &tape.constant(x),
+            &tape.constant(unet.time_embedding(&t)),
+            None,
+        );
         for (a, b) in y1.data().iter().zip(y2.value().data()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }

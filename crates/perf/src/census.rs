@@ -1,10 +1,16 @@
 //! Layer-by-layer cost census of a U-Net architecture.
 //!
-//! Mirrors `fpdq_nn::UNet::new` exactly (the tests enforce parameter-count
-//! equality against a live model), tracking the spatial resolution at each
-//! level and emitting one [`LayerCost`] per primitive operation.
+//! Runs the model's own forward ([`UNet::forward_with`]) on a shape
+//! interpreter, over a U-Net whose parameters are bare shapes, and emits
+//! one [`LayerCost`] per primitive operation. Rows carry the model's layer
+//! names, so a conv or linear row is named after its
+//! [`QuantLayer::qname`](fpdq_nn::QuantLayer::qname).
 
-use fpdq_nn::UNetConfig;
+use fpdq_nn::{
+    Conv2d, GroupNorm, LayerNorm, Linear, MultiHeadAttention, Ops, ShapeOnly, UNet, UNetConfig,
+};
+use fpdq_tensor::{Shape, Tensor};
+use std::cell::RefCell;
 
 /// The layer classes of the paper's Figure 4 breakdown.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -90,17 +96,19 @@ impl Census {
     }
 }
 
-struct Walker {
-    census: Census,
-    batch: u64,
-    ctx_len: u64,
-    ctx_dim: u64,
-    temb_dim: u64,
+/// The shape-and-cost interpreter: runs a forward on `[..]` dims over
+/// layers that hold only parameter [`Shape`]s, and records one
+/// [`LayerCost`] per conv, linear, norm, SiLU and attention op. Adds,
+/// concats, upsampling and reshapes move data without arithmetic worth
+/// modelling and record nothing.
+#[derive(Default)]
+struct Recorder {
+    layers: RefCell<Vec<LayerCost>>,
 }
 
-impl Walker {
+impl Recorder {
     fn push(
-        &mut self,
+        &self,
         name: String,
         class: LayerClass,
         flops: f64,
@@ -108,112 +116,105 @@ impl Walker {
         reads: u64,
         writes: u64,
     ) {
-        self.census.layers.push(LayerCost { name, class, flops, params, reads, writes });
+        let row = LayerCost { name, class, flops, params, reads, writes };
+        self.layers.borrow_mut().push(row);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn conv(&mut self, name: &str, in_c: u64, out_c: u64, k: u64, h: u64, w: u64, stride: u64) {
-        let (oh, ow) = (h.div_ceil(stride), w.div_ceil(stride));
-        let flops = 2.0 * (self.batch * out_c * in_c * k * k * oh * ow) as f64;
-        self.push(
-            name.to_string(),
-            LayerClass::Conv2d,
-            flops,
-            out_c * in_c * k * k + out_c,
-            self.batch * in_c * h * w,
-            self.batch * out_c * oh * ow,
-        );
-    }
-
-    fn linear(&mut self, name: &str, in_f: u64, out_f: u64, tokens: u64) {
-        let flops = 2.0 * (self.batch * tokens * in_f * out_f) as f64;
-        self.push(
-            name.to_string(),
-            LayerClass::Linear,
-            flops,
-            in_f * out_f + out_f,
-            self.batch * tokens * in_f,
-            self.batch * tokens * out_f,
-        );
-    }
-
-    fn norm(&mut self, name: &str, channels: u64, elems_per_sample: u64) {
-        let n = self.batch * elems_per_sample;
-        self.push(name.to_string(), LayerClass::Norm, 5.0 * n as f64, 2 * channels, n, n);
-    }
-
-    fn silu(&mut self, name: &str, elems_per_sample: u64) {
-        let n = self.batch * elems_per_sample;
-        self.push(name.to_string(), LayerClass::Silu, 4.0 * n as f64, 0, n, n);
-    }
-
-    fn attention_core(&mut self, name: &str, tokens: u64, kv_tokens: u64, dim: u64) {
-        // QKᵀ and AV batched matmuls + softmax over [tokens, kv_tokens].
-        let qk = 2.0 * (self.batch * tokens * kv_tokens * dim) as f64;
-        let av = 2.0 * (self.batch * tokens * kv_tokens * dim) as f64;
-        let scores = self.batch * tokens * kv_tokens;
-        self.push(
-            format!("{name}.qk_av"),
-            LayerClass::Attention,
-            qk + av,
-            0,
-            self.batch * (tokens + kv_tokens) * dim,
-            scores,
-        );
-        self.push(
-            format!("{name}.softmax"),
-            LayerClass::Attention,
-            5.0 * scores as f64,
-            0,
-            scores,
-            scores,
-        );
-    }
-
-    fn res_block(&mut self, name: &str, in_c: u64, out_c: u64, h: u64, w: u64) {
-        self.norm(&format!("{name}.norm1"), in_c, in_c * h * w);
-        self.silu(&format!("{name}.silu1"), in_c * h * w);
-        self.conv(&format!("{name}.conv1"), in_c, out_c, 3, h, w, 1);
-        self.silu(&format!("{name}.silu_t"), self.temb_dim);
-        self.linear(&format!("{name}.time_proj"), self.temb_dim, out_c, 1);
-        self.norm(&format!("{name}.norm2"), out_c, out_c * h * w);
-        self.silu(&format!("{name}.silu2"), out_c * h * w);
-        self.conv(&format!("{name}.conv2"), out_c, out_c, 3, h, w, 1);
-        if in_c != out_c {
-            self.conv(&format!("{name}.shortcut"), in_c, out_c, 1, h, w, 1);
-        }
-    }
-
-    fn transformer(&mut self, name: &str, c: u64, h: u64, w: u64, cross: bool) {
-        let tokens = h * w;
-        self.norm(&format!("{name}.norm"), c, c * tokens);
-        self.conv(&format!("{name}.proj_in"), c, c, 1, h, w, 1);
-        // Self-attention.
-        self.norm(&format!("{name}.block.norm1"), c, c * tokens);
-        for p in ["to_q", "to_k", "to_v"] {
-            self.linear(&format!("{name}.block.attn1.{p}"), c, c, tokens);
-        }
-        self.attention_core(&format!("{name}.block.attn1"), tokens, tokens, c);
-        self.linear(&format!("{name}.block.attn1.to_out"), c, c, tokens);
-        // Cross-attention.
-        if cross {
-            self.norm(&format!("{name}.block.norm2"), c, c * tokens);
-            self.linear(&format!("{name}.block.attn2.to_q"), c, c, tokens);
-            self.linear(&format!("{name}.block.attn2.to_k"), self.ctx_dim, c, self.ctx_len);
-            self.linear(&format!("{name}.block.attn2.to_v"), self.ctx_dim, c, self.ctx_len);
-            self.attention_core(&format!("{name}.block.attn2"), tokens, self.ctx_len, c);
-            self.linear(&format!("{name}.block.attn2.to_out"), c, c, tokens);
-        }
-        // Feed-forward (hidden = 2c, SiLU between).
-        self.norm(&format!("{name}.block.norm_ff"), c, c * tokens);
-        self.linear(&format!("{name}.block.ff1"), c, 2 * c, tokens);
-        self.silu(&format!("{name}.block.ff_silu"), 2 * c * tokens);
-        self.linear(&format!("{name}.block.ff2"), 2 * c, c, tokens);
-        self.conv(&format!("{name}.proj_out"), c, c, 1, h, w, 1);
+    fn norm(&self, name: &str, gamma: &Shape, beta: &Shape, x: &[usize]) -> Vec<usize> {
+        let n = numel(x);
+        let params = (gamma.numel() + beta.numel()) as u64;
+        self.push(name.to_string(), LayerClass::Norm, 5.0 * n as f64, params, n, n);
+        x.to_vec()
     }
 }
 
-/// Walks the architecture, mirroring `UNet::new`, and returns the census.
+fn numel(dims: &[usize]) -> u64 {
+    dims.iter().product::<usize>() as u64
+}
+
+fn param_count(weight: &Shape, bias: &Option<Shape>) -> u64 {
+    (weight.numel() + bias.as_ref().map_or(0, Shape::numel)) as u64
+}
+
+impl Ops for Recorder {
+    type P = Shape;
+    type V = Vec<usize>;
+
+    fn conv(&self, layer: &Conv2d<Shape>, x: &Vec<usize>) -> Vec<usize> {
+        let (b, c, h, w) = (x[0], x[1], x[2], x[3]);
+        let wd = layer.weight.dims();
+        let (o, kh, kw) = (wd[0], wd[2], wd[3]);
+        let spec = layer.spec();
+        let out = vec![b, o, spec.out_extent(h, kh), spec.out_extent(w, kw)];
+        let flops = 2.0 * (numel(&out) * (c * kh * kw) as u64) as f64;
+        let (params, name) = (param_count(&layer.weight, &layer.bias), layer.name().to_string());
+        self.push(name, LayerClass::Conv2d, flops, params, numel(x), numel(&out));
+        out
+    }
+    fn linear(&self, layer: &Linear<Shape>, x: &Vec<usize>) -> Vec<usize> {
+        let (out_f, in_f) = (layer.weight.dims()[0], layer.weight.dims()[1]);
+        let mut out = x.clone();
+        *out.last_mut().expect("linear input has a feature axis") = out_f;
+        let flops = 2.0 * (numel(&out) * in_f as u64) as f64;
+        let (params, name) = (param_count(&layer.weight, &layer.bias), layer.name().to_string());
+        self.push(name, LayerClass::Linear, flops, params, numel(x), numel(&out));
+        out
+    }
+    fn group_norm(&self, layer: &GroupNorm<Shape>, x: &Vec<usize>) -> Vec<usize> {
+        self.norm(layer.name(), &layer.gamma, &layer.beta, x)
+    }
+    fn layer_norm(&self, layer: &LayerNorm<Shape>, x: &Vec<usize>) -> Vec<usize> {
+        self.norm(layer.name(), &layer.gamma, &layer.beta, x)
+    }
+    fn silu(&self, x: &Vec<usize>, scope: &str, tag: &str) -> Vec<usize> {
+        let name = if scope.is_empty() { tag.to_string() } else { format!("{scope}.{tag}") };
+        let n = numel(x);
+        self.push(name, LayerClass::Silu, 4.0 * n as f64, 0, n, n);
+        x.clone()
+    }
+    fn add(&self, a: &Vec<usize>, _b: &Vec<usize>) -> Vec<usize> {
+        a.clone()
+    }
+    fn add_channels(&self, x: &Vec<usize>, _t: Vec<usize>) -> Vec<usize> {
+        x.clone()
+    }
+    fn concat(&self, trunk: &Vec<usize>, skip: &Vec<usize>) -> Vec<usize> {
+        let mut out = trunk.clone();
+        out[1] += skip[1];
+        out
+    }
+    fn upsample(&self, x: &Vec<usize>) -> Vec<usize> {
+        vec![x[0], x[1], 2 * x[2], 2 * x[3]]
+    }
+    fn to_tokens(&self, x: Vec<usize>) -> Vec<usize> {
+        vec![x[0], x[2] * x[3], x[1]]
+    }
+    fn to_map(&self, _t: Vec<usize>, like: &Vec<usize>) -> Vec<usize> {
+        like.clone()
+    }
+    /// QKᵀ and AV batched matmuls, then the softmax over `[n, m]` scores
+    /// (costed over the full width `d`, so independent of the head count).
+    fn attention(
+        &self,
+        attn: &MultiHeadAttention<Shape>,
+        q: &Vec<usize>,
+        k: &Vec<usize>,
+        _v: &Vec<usize>,
+    ) -> Vec<usize> {
+        let (b, n, d, m) = (q[0] as u64, q[1] as u64, q[2] as u64, k[1] as u64);
+        let scores = b * n * m;
+        let (matmuls, softmax) = (4.0 * (scores * d) as f64, 5.0 * scores as f64);
+        let name = attn.name();
+        let qk_av = format!("{name}.qk_av");
+        self.push(qk_av, LayerClass::Attention, matmuls, 0, b * (n + m) * d, scores);
+        self.push(format!("{name}.softmax"), LayerClass::Attention, softmax, 0, scores, scores);
+        q.clone()
+    }
+}
+
+/// Costs one forward of `cfg` by running [`UNet::forward_with`] on the
+/// shape interpreter, over a U-Net built with [`ShapeOnly`] parameters
+/// (so no weight is allocated, whatever the scale).
 ///
 /// `input` is `(channels, height, width)` of the U-Net input; `ctx_len`
 /// the cross-attention sequence length (ignored for unconditional
@@ -224,71 +225,13 @@ pub fn census(
     batch: usize,
     ctx_len: usize,
 ) -> Census {
-    let base = cfg.base_channels as u64;
-    let temb = 4 * base;
-    let mut w = Walker {
-        census: Census::default(),
-        batch: batch as u64,
-        ctx_len: ctx_len as u64,
-        ctx_dim: cfg.context_dim.unwrap_or(0) as u64,
-        temb_dim: temb,
-    };
-    let cross = cfg.context_dim.is_some();
-    let (in_c, mut h, mut wd) = (input.0 as u64, input.1 as u64, input.2 as u64);
-    let levels = cfg.channel_mults.len();
-
-    w.conv("conv_in", in_c, base, 3, h, wd, 1);
-    w.linear("time1", base, temb, 1);
-    w.silu("time_silu", temb);
-    w.linear("time2", temb, temb, 1);
-
-    let mut skip_chs = vec![base];
-    let mut ch = base;
-    for (i, &mult) in cfg.channel_mults.iter().enumerate() {
-        let out_ch = base * mult as u64;
-        for j in 0..cfg.num_res_blocks {
-            w.res_block(&format!("down{i}.res{j}"), ch, out_ch, h, wd);
-            ch = out_ch;
-            if cfg.attn_levels.contains(&i) {
-                w.transformer(&format!("down{i}.attn{j}"), ch, h, wd, cross);
-            }
-            skip_chs.push(ch);
-        }
-        if i != levels - 1 {
-            w.conv(&format!("down{i}.down"), ch, ch, 3, h, wd, 2);
-            h = h.div_ceil(2);
-            wd = wd.div_ceil(2);
-            skip_chs.push(ch);
-        }
-    }
-
-    w.res_block("mid.res0", ch, ch, h, wd);
-    if !cfg.attn_levels.is_empty() || cross {
-        w.transformer("mid.attn", ch, h, wd, cross);
-    }
-    w.res_block("mid.res1", ch, ch, h, wd);
-
-    for (i, &mult) in cfg.channel_mults.iter().enumerate().rev() {
-        let out_ch = base * mult as u64;
-        for j in 0..cfg.num_res_blocks + 1 {
-            let skip_ch = skip_chs.pop().expect("census skip bookkeeping");
-            w.res_block(&format!("up{i}.res{j}"), ch + skip_ch, out_ch, h, wd);
-            ch = out_ch;
-            if cfg.attn_levels.contains(&i) {
-                w.transformer(&format!("up{i}.attn{j}"), ch, h, wd, cross);
-            }
-        }
-        if i != 0 {
-            h *= 2;
-            wd *= 2;
-            w.conv(&format!("up{i}.up"), ch, ch, 3, h, wd, 1);
-        }
-    }
-
-    w.norm("out_norm", ch, ch * h * wd);
-    w.silu("out_silu", ch * h * wd);
-    w.conv("conv_out", ch, cfg.out_channels as u64, 3, h, wd, 1);
-    w.census
+    let unet = UNet::new(cfg.clone(), &mut ShapeOnly);
+    let recorder = Recorder::default();
+    let x = vec![batch, input.0, input.1, input.2];
+    let emb = unet.time_embedding(&Tensor::zeros(&[batch])).dims().to_vec();
+    let context = cfg.context_dim.map(|d| vec![batch, ctx_len, d]);
+    unet.forward_with(&recorder, &x, &emb, context.as_ref());
+    Census { layers: recorder.layers.into_inner() }
 }
 
 /// A U-Net configuration at real Stable-Diffusion-v1 scale (≈ 860M
@@ -323,24 +266,27 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn three_level_config() -> UNetConfig {
+        UNetConfig {
+            in_channels: 4,
+            out_channels: 4,
+            base_channels: 16,
+            channel_mults: vec![1, 2, 2],
+            num_res_blocks: 2,
+            attn_levels: vec![1, 2],
+            heads: 2,
+            context_dim: Some(16),
+            norm_groups: 4,
+        }
+    }
+
     #[test]
     fn census_params_match_live_model_exactly() {
-        // The census must mirror UNet::new including every bias and norm
-        // parameter (excluding nothing).
+        // Every bias and norm parameter counts (excluding nothing).
         for cfg in [
             UNetConfig::tiny(3),
             UNetConfig { context_dim: Some(12), ..UNetConfig::tiny(4) },
-            UNetConfig {
-                in_channels: 4,
-                out_channels: 4,
-                base_channels: 16,
-                channel_mults: vec![1, 2, 2],
-                num_res_blocks: 2,
-                attn_levels: vec![1, 2],
-                heads: 2,
-                context_dim: Some(16),
-                norm_groups: 4,
-            },
+            three_level_config(),
         ] {
             let mut rng = StdRng::seed_from_u64(0);
             let unet = UNet::new(cfg.clone(), &mut rng);
@@ -355,18 +301,72 @@ mod tests {
 
     #[test]
     fn census_quant_layer_count_matches_model() {
-        let cfg = UNetConfig { context_dim: Some(12), ..UNetConfig::tiny(4) };
-        let mut rng = StdRng::seed_from_u64(1);
-        let unet = UNet::new(cfg.clone(), &mut rng);
-        let mut model_count = 0;
-        unet.visit_quant_layers(&mut |_| model_count += 1);
-        let c = census(&cfg, (4, 8, 8), 1, 6);
-        let census_count = c
-            .layers
-            .iter()
-            .filter(|l| matches!(l.class, LayerClass::Conv2d | LayerClass::Linear))
-            .count();
-        assert_eq!(census_count, model_count);
+        // The census's conv and linear rows are the model's quantizable
+        // layers, by name and in the paper's Algorithm-1 order.
+        for cfg in
+            [UNetConfig { context_dim: Some(12), ..UNetConfig::tiny(4) }, three_level_config()]
+        {
+            let mut rng = StdRng::seed_from_u64(1);
+            let unet = UNet::new(cfg.clone(), &mut rng);
+            let mut model_names = Vec::new();
+            unet.visit_quant_layers(&mut |l| model_names.push(l.qname().to_string()));
+            let c = census(&cfg, (cfg.in_channels, 8, 8), 1, 6);
+            let census_names: Vec<String> = c
+                .layers
+                .iter()
+                .filter(|l| matches!(l.class, LayerClass::Conv2d | LayerClass::Linear))
+                .map(|l| l.name.clone())
+                .collect();
+            assert_eq!(census_names, model_names);
+        }
+    }
+
+    /// `(rows, total FLOPs, params, reads, writes, FLOPs per class)`.
+    fn totals(c: &Census) -> (usize, f64, u64, u64, u64, Vec<f64>) {
+        (
+            c.layers.len(),
+            c.total_flops(),
+            c.total_params(),
+            c.layers.iter().map(|l| l.reads).sum(),
+            c.layers.iter().map(|l| l.writes).sum(),
+            c.flops_by_class().into_iter().map(|(_, f)| f).collect(),
+        )
+    }
+
+    #[test]
+    fn census_totals_are_pinned() {
+        // Figures of the hand-written census walk this one replaced; the
+        // Fig. 4 table and `fpdq characterize` are built from them.
+        let tiny = census(&UNetConfig::tiny(3), (3, 8, 8), 1, 0);
+        let tiny_expected = (
+            134,
+            2420608.0,
+            51979,
+            47112,
+            41992,
+            vec![1982464.0, 271360.0, 55040.0, 41088.0, 70656.0],
+        );
+        assert_eq!(totals(&tiny), tiny_expected);
+        let three = census(&three_level_config(), (4, 8, 8), 1, 6);
+        let three_expected = (
+            388,
+            14503312.0,
+            537604,
+            161504,
+            140784,
+            vec![11591680.0, 2334720.0, 184960.0, 125952.0, 266000.0],
+        );
+        assert_eq!(totals(&three), three_expected);
+        let sd = census(&sd_scale_config(), sd_scale_input(), 1, SD_CONTEXT_LEN);
+        let sd_expected = (
+            539,
+            702015186240.0,
+            760397764,
+            448768320,
+            486772672,
+            vec![443946106880.0, 130934046720.0, 398540800.0, 226544640.0, 126509947200.0],
+        );
+        assert_eq!(totals(&sd), sd_expected);
     }
 
     #[test]

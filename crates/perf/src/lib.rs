@@ -3,10 +3,11 @@
 //! The analytic performance model behind the paper's §III
 //! characterization of Stable Diffusion inference:
 //!
-//! * [`census()`][census::census] — walks a `fpdq-nn` U-Net architecture and emits every
-//!   layer's FLOPs, parameter bytes and activation traffic, classed the
-//!   way the paper's Figure 4 groups them (Conv2d / Linear / Norm / SiLU /
-//!   attention-internals);
+//! * [`census()`][census::census] — runs the `fpdq-nn` U-Net's forward on
+//!   a shape interpreter (no weights allocated) and emits every layer's
+//!   FLOPs, parameter bytes and activation traffic under the model's own
+//!   layer names, classed the way the paper's Figure 4 groups them
+//!   (Conv2d / Linear / Norm / SiLU / attention-internals);
 //! * [`device`] — roofline device presets calibrated to the paper's
 //!   hardware (V100-class GPU, Xeon-Gold-class CPU, plus H100/Blackwell
 //!   entries encoding the "FP8/INT8 and FP4/INT4 have equal peak

@@ -75,7 +75,6 @@ pub fn peak_memory(
                            peak_live: &mut f64| {
         // Scores and their softmax: [b·heads, tokens, kv] ×2.
         let scores = b * heads * tokens * kv * 2.0;
-        *peak_attn = (*peak_attn).max(scores * act_bytes / (b * heads).max(1.0) * (b * heads));
         *peak_attn = (*peak_attn).max(scores * act_bytes);
         *peak_live = (*peak_live).max(live_stash + 2.0 * feat);
     };
@@ -122,7 +121,8 @@ pub fn peak_memory(
         for _ in 0..cfg.num_res_blocks + 1 {
             let skip = stash.pop().unwrap_or(0.0);
             let live_stash: f64 = stash.iter().sum::<f64>() * b * act_bytes;
-            let feat = b * (ch + skip / (h * w).max(1.0) * (h * w)) * act_bytes; // concat input
+            // The concat input: trunk map plus the popped skip (elements).
+            let feat = b * (ch * h * w + skip) * act_bytes;
             let feat = feat.max(b * out_ch * h * w * act_bytes);
             ch = out_ch;
             visit_feature(live_stash, feat, &mut peak_live);
@@ -146,6 +146,29 @@ mod tests {
 
     fn sd_mem(batch: usize, wb: f64, ab: f64) -> MemoryReport {
         peak_memory(&sd_scale_config(), sd_scale_input(), batch, SD_CONTEXT_LEN, wb, ab)
+    }
+
+    #[test]
+    fn up_path_concat_counts_trunk_and_skip_elements() {
+        // One level, 4 channels on a 2×2 map, batch 1, one byte per value:
+        // every feature map holds 16 elements. The live set peaks at the
+        // first up block, whose input concatenates the 16-element trunk
+        // with a 16-element skip while one more skip (16) stays stashed:
+        // 16 + 2·(16 + 16) = 80.
+        let cfg = UNetConfig {
+            in_channels: 1,
+            out_channels: 1,
+            base_channels: 4,
+            channel_mults: vec![1],
+            num_res_blocks: 1,
+            attn_levels: vec![],
+            heads: 1,
+            context_dim: None,
+            norm_groups: 4,
+        };
+        let m = peak_memory(&cfg, (1, 2, 2), 1, 0, 1.0, 1.0);
+        assert_eq!(m.activations, 80.0);
+        assert_eq!(m.attention, 0.0);
     }
 
     #[test]
