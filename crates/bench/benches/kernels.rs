@@ -1,18 +1,16 @@
 //! Criterion microbenchmarks over the quantized kernels: packed
-//! encode/decode, dequantize-on-the-fly GEMM vs dense FP32 GEMM, and the
-//! sparsity-exploiting kernels over the zero patterns the paper's
-//! quantizer creates (§VI-G).
+//! encode/decode, dequantize-on-the-fly GEMM vs dense FP32 GEMM, the
+//! implicit-GEMM conv, activation quantization and attention.
 //!
 //! The `pack` group carries explicit before/after pairs: the `*_bitloop`
 //! entries re-run the pre-optimisation per-bit unpacking, so the
 //! LUT-decode speedup can be read off one run. (The retired seed GEMM,
-//! im2col conv and f32-gather sparse kernels' before/after figures are
-//! recorded in CHANGES.md.)
+//! im2col conv and sparse kernels' figures are recorded in CHANGES.md.)
 
 use criterion::{criterion_group, Criterion};
 use fpdq_core::{BoundaryQuantizer, FpFormat, IntFormat, PanelQuantizer, TensorQuantizer};
 use fpdq_kernels::packed::unpack_bits_range_bitloop;
-use fpdq_kernels::{conv2d_packed, gemm_packed, CsrWeights, Exec, PackedTensor, TwoFourWeights};
+use fpdq_kernels::{conv2d_packed, gemm_packed, Exec, PackedTensor};
 use fpdq_tensor::matmul::{gemm_nt_serial_with_as, NT_NR};
 use fpdq_tensor::simd::{self, Isa};
 use fpdq_tensor::Tensor;
@@ -31,14 +29,6 @@ fn rand_mat(r: usize, c: usize, seed: u64) -> Tensor {
 /// The default (threaded) worker count on an explicit ISA path.
 fn on(isa: Isa) -> Exec {
     Exec { isa, ..Exec::default() }
-}
-
-fn sparse_mat(r: usize, c: usize, keep: f32, seed: u64) -> Tensor {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Tensor::randn(&[r, c], &mut rng).zip_map(
-        &Tensor::rand_uniform(&[r, c], 0.0, 1.0, &mut rng),
-        |v, u| if u < keep { v } else { 0.0 },
-    )
 }
 
 fn bench_quantize(c: &mut Criterion) {
@@ -296,67 +286,6 @@ fn bench_attention(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_sparse(c: &mut Criterion) {
-    let a = rand_mat(M, K, 5);
-    let fp8 = TensorQuantizer::Fp(FpFormat::new(4, 3));
-    // CI asserts sparse ≤ dense ratios inside this group, so a single
-    // 10ms smoke sample is too noise-prone: pin it to min-of-5 samples
-    // in smoke mode (same pattern as the conv_batched contract group).
-    let saved = c.clone();
-    if std::env::var("FPDQ_BENCH_FAST").is_ok_and(|v| v == "1") {
-        *c = Criterion::default()
-            .sample_size(5)
-            .warm_up_time(std::time::Duration::from_millis(50))
-            .measurement_time(std::time::Duration::from_millis(250));
-    }
-    let mut g = c.benchmark_group("sparse_gemm_32x256x256");
-    let dense_w = rand_mat(N, K, 7);
-    g.bench_function("dense_reference", |b| b.iter(|| black_box(a.matmul_nt(&dense_w))));
-    let mut csr01 = None;
-    for keep in [0.5f32, 0.1, 0.01] {
-        let w = sparse_mat(N, K, keep, 6);
-        let csr = CsrWeights::from_dense(&w, &fp8);
-        g.bench_function(format!("csr_density_{keep}"), |b| {
-            b.iter(|| black_box(csr.gemm(&a, None, Exec::default())))
-        });
-        if keep == 0.1 {
-            csr01 = Some(csr);
-        }
-    }
-    let csr01 = csr01.expect("density 0.1 in sweep");
-    let tf = TwoFourWeights::prune(&dense_w, &fp8);
-    g.bench_function("two_four_structured", |b| {
-        b.iter(|| black_box(tf.gemm(&a, None, Exec::default())))
-    });
-    // Per-ISA pairs (scalar + every SIMD path this machine supports), so
-    // the sparse kernels' dispatch speedup reads off one run like the
-    // dense group's.
-    for &isa in simd::available() {
-        g.bench_function(format!("csr_density_0.1_{}", isa.name()), |b| {
-            b.iter(|| black_box(csr01.gemm(&a, None, on(isa))))
-        });
-        g.bench_function(format!("two_four_{}", isa.name()), |b| {
-            b.iter(|| black_box(tf.gemm(&a, None, on(isa))))
-        });
-    }
-    g.finish();
-    *c = saved;
-
-    // The batched serving shape (m = 256 stacked rows): sparse weight
-    // reuse across many activation rows, where the shared quantized
-    // activation panel bank amortises exactly like the dense engine's.
-    let ab = rand_mat(8 * M, K, 15);
-    let mut g = c.benchmark_group("sparse_gemm_batched_256x256x256");
-    g.bench_function("dense_reference", |b| b.iter(|| black_box(ab.matmul_nt(&dense_w))));
-    g.bench_function("csr_density_0.1", |b| {
-        b.iter(|| black_box(csr01.gemm(&ab, None, Exec::default())))
-    });
-    g.bench_function("two_four_structured", |b| {
-        b.iter(|| black_box(tf.gemm(&ab, None, Exec::default())))
-    });
-    g.finish();
-}
-
 /// Cold-start cost: what a fresh process pays before it can sample. The
 /// container is the whole point of the `cold_start` group — loading a
 /// packed `.fpdq` (`container_load`) must be dramatically cheaper than
@@ -505,7 +434,7 @@ criterion_group! {
     name = kernels;
     config = configured();
     targets = bench_quantize, bench_pack, bench_gemm, bench_gemm_batched, bench_conv,
-        bench_conv_batched, bench_conv_serve_batch1, bench_act_quant, bench_attention, bench_sparse,
+        bench_conv_batched, bench_conv_serve_batch1, bench_act_quant, bench_attention,
         bench_cold_start, bench_sd_cfg_step
 }
 

@@ -3,7 +3,9 @@
 //! Quantization forces near-zero weights to exactly zero; the paper
 //! reports that its FP method increases weight sparsity by 20-32× (FP8)
 //! and 430-620× (FP4), opening structured-sparsity optimisation
-//! opportunities (exploited by `fpdq-kernels::sparse`).
+//! opportunities. The packed engine (`fpdq-kernels`) stays dense: FP4's
+//! own zeros (~11% of `tiny-sd`'s weights) leave a density far above
+//! where an index-driven sparse kernel beats the dense micro-kernel.
 
 use fpdq_nn::UNet;
 
@@ -61,7 +63,9 @@ pub fn weight_sparsity(unet: &UNet) -> SparsityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FpFormat;
     use fpdq_nn::UNetConfig;
+    use fpdq_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -92,6 +96,16 @@ mod tests {
             report.overall()
         );
         assert!(report.zero_count() > 0);
+    }
+
+    #[test]
+    fn fp4_quantization_creates_zeros() {
+        // Standard-bias FP4 rounds small weights to exactly zero (§VI-G).
+        let mut rng = StdRng::seed_from_u64(2);
+        let w = Tensor::randn(&[16, 32], &mut rng).mul_scalar(0.02);
+        assert!(w.sparsity() < 1e-4, "random weights should be dense");
+        let quantized = FpFormat::new(2, 1).quantize(&w);
+        assert!(quantized.sparsity() > 0.2, "expected quantization-induced zeros");
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! and the fused activation quant is bit-exact with quantize-first
 //! execution.
 
-use crate::packed::PackedWeights;
+use crate::packed::PackedTensor;
 use crate::schedule::{pick_conv_regime, ConvRegime};
 use fpdq_core::PanelQuantizer;
 use fpdq_tensor::conv::{im2col_panel_into, Conv2dSpec};
@@ -56,9 +56,9 @@ use fpdq_tensor::parallel::{parallel_rows_aligned_in, parallel_rows_in, Exec};
 use fpdq_tensor::simd::Isa;
 use fpdq_tensor::Tensor;
 
-/// 2-D convolution over any packed weight representation — the one
-/// packed conv entry point: input `[n, c, h, w]`, packed weight
-/// `[o, c, kh, kw]`, optional bias `[o]`.
+/// 2-D convolution over packed weights — the one packed conv entry
+/// point: input `[n, c, h, w]`, packed weight `[o, c, kh, kw]`, optional
+/// bias `[o]`.
 ///
 /// `act`, when set, quantizes the input inside the lowering (as the model
 /// taps do): per tensor, or per input channel with `channels == c`, where
@@ -72,9 +72,9 @@ use fpdq_tensor::Tensor;
 ///
 /// Panics on rank/shape mismatches, or if a per-channel quantizer's
 /// channel count differs from `c`.
-pub fn conv2d_packed<W: PackedWeights>(
+pub fn conv2d_packed(
     x: &Tensor,
-    weight: &W,
+    weight: &PackedTensor,
     bias: Option<&Tensor>,
     spec: Conv2dSpec,
     act: Option<&PanelQuantizer>,

@@ -10,8 +10,7 @@
 //! kernels is installed into the layer's [`fpdq_nn::PackedSlot`]. From
 //! then on, end-to-end sampling streams 4-8× less weight traffic than
 //! FP32 — the execution pattern whose cost the paper's §III motivates.
-//! Dense packed, CSR and 2:4 linears share one linear forward, and every
-//! installed forward runs its kernel on [`Exec::default`].
+//! Every installed forward runs its kernel on [`Exec::default`].
 //!
 //! Activation quantization is *fused into the packed kernels*: the
 //! layer's tap quantizers are suspended (parked in the
@@ -43,7 +42,6 @@
 use crate::conv::conv2d_packed;
 use crate::gemm::gemm_packed;
 use crate::packed::PackedTensor;
-use crate::sparse::{CsrWeights, TwoFourWeights};
 use fpdq_core::{PanelQuantizer, QuantReport, TensorQuantizer};
 use fpdq_nn::{PackedForwardFn, QuantKind, QuantLayer, SuspendedAct, UNet};
 use fpdq_tensor::parallel::Exec;
@@ -68,15 +66,6 @@ pub struct PackedLayerInfo {
     pub payload_bytes: usize,
     /// Dense FP32 bytes the payload replaces.
     pub dense_bytes: usize,
-    /// Fraction of zeros in the installed weight, when the layer went
-    /// through a sparsity mode ([`pack_unet_sparse`]); `None` for plain
-    /// packed installs and for layers the mode skipped.
-    pub sparsity: Option<f32>,
-    /// Relative Frobenius error pruning introduces *on top of* value
-    /// quantization, measured against the quantized dense weights (0.0
-    /// for CSR, which only drops exact zeros); `None` when no sparsity
-    /// mode applied.
-    pub pruning_error: Option<f32>,
 }
 
 /// Outcome of [`pack_unet`]: which layers now execute packed, and the
@@ -123,20 +112,21 @@ impl PackReport {
     }
 }
 
-/// A packed Linear forward around `gemm` (`[.., in] → [.., out]`): the
-/// packed GEMMs read a 2-D `[rows, in]` or 3-D `[b, l, in]` input as its
-/// rows in place, the bias is added in place, and the `[rows, out]`
-/// result moves into the input's leading dims ([`Tensor::into_shape`]) —
-/// no copy on either side. Dense packed and sparse installs share it.
+/// A packed Linear forward (`[.., in] → [.., out]`): [`gemm_packed`]
+/// reads a 2-D `[rows, in]` or 3-D `[b, l, in]` input as its rows in
+/// place, the bias is added in place, and the `[rows, out]` result moves
+/// into the input's leading dims ([`Tensor::into_shape`]) — no copy on
+/// either side.
 fn linear_forward(
-    gemm: impl Fn(&Tensor) -> Tensor + 'static,
+    packed: PackedTensor,
+    pq: Option<PanelQuantizer>,
     bias: Option<Tensor>,
     out_features: usize,
 ) -> PackedForwardFn {
     Rc::new(move |x: &Tensor| {
         let rank = x.ndim();
         assert!(matches!(rank, 2 | 3), "packed Linear expects 2-D or 3-D input, got rank {rank}");
-        let mut y = gemm(x);
+        let mut y = gemm_packed(x, &packed, pq.as_ref(), Exec::default());
         if let Some(b) = &bias {
             for row in y.data_mut().chunks_exact_mut(out_features.max(1)) {
                 for (v, &bv) in row.iter_mut().zip(b.data()) {
@@ -212,15 +202,15 @@ pub fn try_install_prebuilt(
     install_packed(layer, packed, act, act_skip)
 }
 
-/// The front half of every install path: restore previously suspended
-/// tap closures (idempotency of re-packing), then decide how this install
-/// fuses activation quantization into its kernel, mirroring the tap's own
-/// rule. A tap that quantizes, with `act` naming its format, fuses per
-/// tensor; a tap that also splits a `concat(trunk, skip)` input at a
-/// channel below the input width fuses [`PanelQuantizer::split`] with
-/// `act_skip` on the skip half. Returns the kernel's quantizer and its
-/// description, or `None` (the tap keeps its closures) when the tap
-/// quantizes nothing or the formats do not describe it.
+/// Restore previously suspended tap closures (idempotency of re-packing),
+/// then decide how this install fuses activation quantization into its
+/// kernel, mirroring the tap's own rule. A tap that quantizes, with `act`
+/// naming its format, fuses per tensor; a tap that also splits a
+/// `concat(trunk, skip)` input at a channel below the input width fuses
+/// [`PanelQuantizer::split`] with `act_skip` on the skip half. Returns the
+/// kernel's quantizer and its description, or `None` (the tap keeps its
+/// closures) when the tap quantizes nothing or the formats do not
+/// describe it.
 fn fuse_decision(
     layer: &dyn QuantLayer,
     act: Option<&TensorQuantizer>,
@@ -242,23 +232,11 @@ fn fuse_decision(
     }
 }
 
-/// The back half of every install path: when the install fused, park the
-/// tap's quantizer closures in the slot (so unpacking can restore them),
-/// then install the forward override.
-fn finish_install(layer: &dyn QuantLayer, forward: PackedForwardFn, fused: bool) {
-    if fused {
-        // The fused kernel now owns activation quantization.
-        let suspended = SuspendedAct::take_from(&mut layer.tap().borrow_mut());
-        if let Some(s) = suspended {
-            layer.packed().suspend_act(s);
-        }
-    }
-    layer.packed().install(forward);
-}
-
-/// Shared tail of every dense packed install: conv-spec validation (before
-/// any mutation), fuse decision, forward construction, tap suspension,
-/// slot install. Prebuilt tensors have already had their shape checked.
+/// Shared tail of every packed install: conv-spec validation (before any
+/// mutation), fuse decision, forward construction, tap suspension (when
+/// the install fused, the tap's quantizer closures are parked in the slot
+/// so unpacking can restore them), slot install. Prebuilt tensors have
+/// already had their shape checked.
 fn install_packed(
     layer: &dyn QuantLayer,
     packed: PackedTensor,
@@ -280,16 +258,19 @@ fn install_packed(
     let (pq, fused_act) = fuse_decision(layer, act, act_skip).unzip();
     let (format, payload_bytes) = (packed.format(), packed.payload_bytes());
     let forward: PackedForwardFn = match spec {
-        None => linear_forward(
-            move |x| gemm_packed(x, &packed, pq.as_ref(), Exec::default()),
-            bias,
-            w.dims()[0],
-        ),
+        None => linear_forward(packed, pq, bias, w.dims()[0]),
         Some(spec) => Rc::new(move |x: &Tensor| {
             conv2d_packed(x, &packed, bias.as_ref(), spec, pq.as_ref(), Exec::default())
         }),
     };
-    finish_install(layer, forward, fused_act.is_some());
+    if fused_act.is_some() {
+        // The fused kernel now owns activation quantization.
+        let suspended = SuspendedAct::take_from(&mut layer.tap().borrow_mut());
+        if let Some(s) = suspended {
+            layer.packed().suspend_act(s);
+        }
+    }
+    layer.packed().install(forward);
     Ok(PackedLayerInfo {
         name: layer.qname().to_string(),
         kind: layer.kind(),
@@ -297,188 +278,6 @@ fn install_packed(
         fused_act,
         payload_bytes,
         dense_bytes,
-        sparsity: None,
-        pruning_error: None,
-    })
-}
-
-/// Which sparse weight structure [`pack_unet_sparse`] installs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SparseMode {
-    /// NVIDIA-style structured 2:4: prune each group of 4 consecutive
-    /// weights to its 2 largest magnitudes, then quantize the survivors
-    /// (prune-then-quantize — the order of the paper's fig. 11 sparsity
-    /// ablation).
-    TwoFour,
-    /// Unstructured CSR over the exact zeros the quantizer creates; no
-    /// pruning error by construction.
-    Csr,
-}
-
-impl SparseMode {
-    /// Parses the CLI spelling (`"2:4"` / `"csr"`, case-insensitive).
-    pub fn parse(s: &str) -> Option<SparseMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "2:4" | "24" | "two_four" => Some(SparseMode::TwoFour),
-            "csr" => Some(SparseMode::Csr),
-            _ => None,
-        }
-    }
-
-    /// CLI-facing name.
-    pub fn describe(&self) -> &'static str {
-        match self {
-            SparseMode::TwoFour => "2:4",
-            SparseMode::Csr => "csr",
-        }
-    }
-}
-
-/// Installs one layer's weight through a sparsity mode (prune, then
-/// quantize into `format`) and reports sparsity + pruning error.
-///
-/// * **Linear** layers get a true sparse forward: 2:4 or CSR structures
-///   executing the panel-packed sparse kernels, with the density
-///   crossover deciding sparse-vs-dense per call. A linear whose `k` is
-///   not a multiple of 4 cannot carry 2:4 structure and falls back to
-///   the plain packed install (`sparsity: None`).
-/// * **Conv** layers prune their flattened `[o, c·kh·kw]` filter bank
-///   (2:4 mode, when divisible by 4) but execute *dense* packed conv on
-///   the pruned-and-quantized weights — the implicit-GEMM conv has no
-///   sparse micro-kernel yet; the report still carries the sparsity and
-///   pruning error so the fig. 11 ablation measures the full model.
-///
-/// Validation happens before any mutation, so an `Err` leaves the layer
-/// exactly as it was.
-pub fn try_install_sparse_weight(
-    layer: &dyn QuantLayer,
-    format: &TensorQuantizer,
-    act: Option<&TensorQuantizer>,
-    act_skip: Option<&TensorQuantizer>,
-    mode: SparseMode,
-) -> Result<PackedLayerInfo, FpdqError> {
-    let w = layer.weight().value();
-    if layer.kind() == QuantKind::Conv
-        || (mode == SparseMode::TwoFour && !w.dim(1).is_multiple_of(4))
-    {
-        return install_sparse_dense_fallback(layer, format, act, act_skip, mode);
-    }
-    let bias = layer.bias().map(|b| b.value());
-    let dense_bytes = w.numel() * std::mem::size_of::<f32>();
-    // The sparse GEMM behind the forward; the density crossover to the
-    // dense engine lives inside the call.
-    type SparseGemm = Box<dyn Fn(&Tensor, Option<&PanelQuantizer>) -> Tensor>;
-    let (gemm, payload_bytes, sparsity, pruning_error): (SparseGemm, usize, f32, f32) = match mode {
-        SparseMode::TwoFour => {
-            let tf = TwoFourWeights::try_prune(&w, format)?;
-            // Pruning error excludes the value-quantization error that
-            // dense packed execution shares: measure against the
-            // quantized dense weights.
-            let (bytes, sparsity) = (tf.payload_bytes(), tf.sparsity());
-            let error = tf.pruning_error(&format.quantize(&w));
-            let gemm =
-                move |x: &Tensor, pq: Option<&PanelQuantizer>| tf.gemm(x, pq, Exec::default());
-            (Box::new(gemm), bytes, sparsity, error)
-        }
-        SparseMode::Csr => {
-            let csr = CsrWeights::try_from_dense(&w, format)?;
-            // CSR stores every nonzero of the quantized weights verbatim,
-            // so pruning adds no error beyond quantization.
-            let (bytes, sparsity) = (csr.payload_bytes(), csr.sparsity());
-            let gemm =
-                move |x: &Tensor, pq: Option<&PanelQuantizer>| csr.gemm(x, pq, Exec::default());
-            (Box::new(gemm), bytes, sparsity, 0.0)
-        }
-    };
-    let (pq, fused_act) = fuse_decision(layer, act, act_skip).unzip();
-    let forward = linear_forward(move |x| gemm(x, pq.as_ref()), bias, w.dims()[0]);
-    finish_install(layer, forward, fused_act.is_some());
-    Ok(PackedLayerInfo {
-        name: layer.qname().to_string(),
-        kind: layer.kind(),
-        format: format.describe(),
-        fused_act,
-        payload_bytes,
-        dense_bytes,
-        sparsity: Some(sparsity),
-        pruning_error: Some(pruning_error),
-    })
-}
-
-/// The dense-execution arm of [`try_install_sparse_weight`]: conv layers
-/// (and 2:4-incompatible linears) install the ordinary packed forward —
-/// over the *pruned* weights when 2:4 applies to their flattened shape —
-/// with the sparsity statistics reported alongside.
-fn install_sparse_dense_fallback(
-    layer: &dyn QuantLayer,
-    format: &TensorQuantizer,
-    act: Option<&TensorQuantizer>,
-    act_skip: Option<&TensorQuantizer>,
-    mode: SparseMode,
-) -> Result<PackedLayerInfo, FpdqError> {
-    let w = layer.weight().value();
-    let dims = w.dims().to_vec();
-    let (o, flat_k) = (dims[0], w.numel() / dims[0].max(1));
-    let stats = match mode {
-        SparseMode::TwoFour if flat_k % 4 == 0 && flat_k > 0 => {
-            let flat = w.reshape(&[o, flat_k]);
-            let tf = TwoFourWeights::try_prune(&flat, format)?;
-            let stats = (tf.sparsity(), tf.pruning_error(&format.quantize(&flat)));
-            // Bake the pruned values in: the installed packed tensor
-            // encodes the pruned-and-quantized matrix (encode of already
-            // quantized values is bit-exact).
-            let pruned = tf.to_dense().reshape(&dims);
-            let packed = PackedTensor::encode(&pruned, *format);
-            let mut info = install_packed(layer, packed, act, act_skip)?;
-            info.sparsity = Some(stats.0);
-            info.pruning_error = Some(stats.1);
-            return Ok(info);
-        }
-        SparseMode::TwoFour => None, // cannot carry 2:4 structure: plain install
-        SparseMode::Csr => {
-            // CSR drops only exact zeros; dense execution of the same
-            // quantized weights is value-identical, so just measure them.
-            let q = format.quantize(&w);
-            let zeros = q.data().iter().filter(|&&v| v == 0.0).count();
-            let sparsity = if q.numel() == 0 { 0.0 } else { zeros as f32 / q.numel() as f32 };
-            Some((sparsity, 0.0))
-        }
-    };
-    let mut info = try_install_packed_weight(layer, format, act, act_skip)?;
-    if let Some((sparsity, pruning_error)) = stats {
-        info.sparsity = Some(sparsity);
-        info.pruning_error = Some(pruning_error);
-    }
-    Ok(info)
-}
-
-/// [`pack_unet`] through a sparsity mode: every layer the report assigned
-/// a weight format is pruned (per `mode`), quantized, and installed —
-/// sparse kernels for compatible linears, dense packed execution on
-/// pruned weights elsewhere — so fig. 11's sparsity ablation runs on the
-/// real engine end to end.
-///
-/// # Panics
-///
-/// Panics on format/spec problems; [`try_pack_unet_sparse`] is the
-/// non-panicking variant.
-pub fn pack_unet_sparse(unet: &UNet, report: &QuantReport, mode: SparseMode) -> PackReport {
-    match try_pack_unet_sparse(unet, report, mode) {
-        Ok(packed) => packed,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Validating variant of [`pack_unet_sparse`]. On `Err`, layers already
-/// packed before the failing one are reverted via [`unpack_unet`], so
-/// the model is never left half-packed.
-pub fn try_pack_unet_sparse(
-    unet: &UNet,
-    report: &QuantReport,
-    mode: SparseMode,
-) -> Result<PackReport, FpdqError> {
-    pack_layers(unet, report, |layer, format, act, act_skip| {
-        try_install_sparse_weight(layer, format, act, act_skip, mode)
     })
 }
 
@@ -503,23 +302,6 @@ pub fn pack_unet(unet: &UNet, report: &QuantReport) -> PackReport {
 /// failing one are reverted via [`unpack_unet`], so the model is never
 /// left half-packed.
 pub fn try_pack_unet(unet: &UNet, report: &QuantReport) -> Result<PackReport, FpdqError> {
-    pack_layers(unet, report, try_install_packed_weight)
-}
-
-/// The walk both packers share: `install(layer, weight_format,
-/// act_format, act_format_skip)` for every layer the report assigned a
-/// weight format, in model order; the first error reverts the whole model
-/// via [`unpack_unet`].
-fn pack_layers(
-    unet: &UNet,
-    report: &QuantReport,
-    mut install: impl FnMut(
-        &dyn QuantLayer,
-        &TensorQuantizer,
-        Option<&TensorQuantizer>,
-        Option<&TensorQuantizer>,
-    ) -> Result<PackedLayerInfo, FpdqError>,
-) -> Result<PackReport, FpdqError> {
     let mut packed = PackReport::default();
     let mut failed = None;
     unet.visit_quant_layers(&mut |layer| {
@@ -532,7 +314,8 @@ fn pack_layers(
         let Some(format) = &rep.weight_format else {
             return;
         };
-        match install(layer, format, rep.act_format.as_ref(), rep.act_format_skip.as_ref()) {
+        let (act, act_skip) = (rep.act_format.as_ref(), rep.act_format_skip.as_ref());
+        match try_install_packed_weight(layer, format, act, act_skip) {
             Ok(info) => packed.layers.push(info),
             Err(e) => failed = Some(e),
         }
@@ -674,53 +457,6 @@ mod tests {
             "FP8 compression {} != ~4x",
             pack.compression()
         );
-    }
-
-    #[test]
-    fn sparse_packed_unet_runs_and_reports_sparsity() {
-        let (unet, report, mut rng) = quantized_tiny_unet(PtqConfig::fp(8, 8));
-        let x = Tensor::randn(&[1, 2, 8, 8], &mut rng);
-        let t = Tensor::from_vec(vec![3.0], &[1]);
-        let dense = unet.forward(&x, &t, None);
-        for mode in [SparseMode::TwoFour, SparseMode::Csr] {
-            let pack = pack_unet_sparse(&unet, &report, mode);
-            assert_eq!(pack.layers.len(), report.layers.len(), "{mode:?}: every layer packs");
-            // Every layer that went through the mode reports sparsity
-            // (2:4-incompatible linears are allowed to skip).
-            let with_stats = pack.layers.iter().filter(|l| l.sparsity.is_some()).count();
-            assert!(with_stats > 0, "{mode:?}: no layer reported sparsity");
-            for l in pack.layers.iter().filter(|l| l.sparsity.is_some()) {
-                let s = l.sparsity.unwrap();
-                assert!((0.0..=1.0).contains(&s), "{mode:?} {}: sparsity {s}", l.name);
-                let e = l.pruning_error.unwrap();
-                assert!(e.is_finite() && e >= 0.0, "{mode:?} {}: error {e}", l.name);
-                if mode == SparseMode::Csr {
-                    assert_eq!(e, 0.0, "CSR must be lossless vs the baked weights");
-                }
-            }
-            let forward = unet.forward(&x, &t, None);
-            let scale = dense.data().iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1.0);
-            if mode == SparseMode::Csr {
-                // CSR executes exactly the quantized weights.
-                for (a, b) in dense.data().iter().zip(forward.data()) {
-                    assert!((a - b).abs() < 1e-3 * scale, "{mode:?}: {a} vs {b}");
-                }
-            } else {
-                // 2:4 pruning perturbs weights; the forward must still be
-                // finite and in the same ballpark.
-                assert!(forward.data().iter().all(|v| v.is_finite()), "{mode:?}: non-finite");
-            }
-            unpack_unet(&unet);
-            assert_eq!(unet.forward(&x, &t, None).data(), dense.data(), "{mode:?}: unpack");
-        }
-    }
-
-    #[test]
-    fn sparse_mode_parses_cli_spellings() {
-        assert_eq!(SparseMode::parse("2:4"), Some(SparseMode::TwoFour));
-        assert_eq!(SparseMode::parse("CSR"), Some(SparseMode::Csr));
-        assert_eq!(SparseMode::parse("dense"), None);
-        assert_eq!(SparseMode::TwoFour.describe(), "2:4");
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //! the bit-identity contract — carries over to conv without a second
 //! implementation.
 
-use crate::packed::PackedWeights;
+use crate::packed::PackedTensor;
 use crate::schedule::{pick_gemm_regime, GemmRegime, ACT_BLOCK};
 use fpdq_core::PanelQuantizer;
 use fpdq_tensor::matmul::{gemm_nt_panel_as, pack_nt_panel, NT_MR, NT_NR};
@@ -66,10 +66,12 @@ use fpdq_tensor::Tensor;
 /// cache-hot (8 rows × k floats).
 const WTILE_ROWS: usize = 8;
 
-/// `a [.., k] × wᵀ [n,k] → [m,n]` for any packed weight representation —
-/// the one packed GEMM entry point. The activations are read as
-/// `m = numel / k` rows in place, so a `[b, l, d]` input needs no
-/// flattening copy.
+/// `a [.., k] × wᵀ [n,k] → [m,n]` over packed weights — the one packed
+/// GEMM entry point. The activations are read as `m = numel / k` rows of
+/// a row-major `[m, k]` matrix in place (every leading dim folds into the
+/// rows), so a `[b, l, d]` input needs no flattening copy. When a dim is
+/// 0 the result is the all-zero `[m, n]` (an empty sum; the tile loops
+/// would slice past the packed payload).
 ///
 /// `act`, when set, quantizes the activations inside the tile loop (the
 /// paper's weight+activation configuration): per tensor, or per channel
@@ -83,45 +85,16 @@ const WTILE_ROWS: usize = 8;
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches, or if a per-channel quantizer's channel
-/// count differs from `k`.
-pub fn gemm_packed<W: PackedWeights>(
+/// Panics on shape mismatches (including a 0-D `a`), or if a per-channel
+/// quantizer's channel count differs from `k`.
+pub fn gemm_packed(
     a: &Tensor,
-    w: &W,
+    w: &PackedTensor,
     act: Option<&PanelQuantizer>,
     exec: Exec,
 ) -> Tensor {
     assert_eq!(w.dims().len(), 2, "weights must be [n, k]");
     let (n, k) = (w.dims()[0], w.dims()[1]);
-    let m = match packed_gemm_rows(a, n, k, act) {
-        Ok(m) => m,
-        Err(empty) => return empty,
-    };
-    let Exec { isa, workers } = exec;
-    match pick_gemm_regime(m, n, workers) {
-        GemmRegime::RowParallel => gemm_row_parallel(a.data(), m, w, act, isa, workers),
-        GemmRegime::ColParallel => gemm_col_parallel(a.data(), m, w, act, isa, workers),
-    }
-}
-
-/// The entry checks every packed GEMM shares ([`gemm_packed`],
-/// [`crate::TwoFourWeights::gemm`], [`crate::CsrWeights::gemm`]):
-/// activations `[.., k]` against `n × k` weights are read as a row-major
-/// `[m, k]` matrix with `m = numel / k` (every leading dim folds into the
-/// rows, no copy). Returns `Ok(m)`, or `Err` with the all-zero `[m, n]`
-/// result when a dim is 0 (an empty sum; the tile loops would slice past
-/// the packed payload).
-///
-/// # Panics
-///
-/// Panics if `a` is 0-D or its last dim is not `k`, or if a per-channel
-/// quantizer's channel count differs from `k`.
-pub(crate) fn packed_gemm_rows(
-    a: &Tensor,
-    n: usize,
-    k: usize,
-    act: Option<&PanelQuantizer>,
-) -> Result<usize, Tensor> {
     let (&ak, lead) = a.dims().split_last().expect("activations must be [.., k], got a scalar");
     assert_eq!(ak, k, "inner dims differ: {ak} vs {k}");
     if let Some(pq) = act {
@@ -133,16 +106,19 @@ pub(crate) fn packed_gemm_rows(
     }
     let m = lead.iter().product();
     if m == 0 || n == 0 || k == 0 {
-        return Err(Tensor::zeros(&[m, n]));
+        return Tensor::zeros(&[m, n]);
     }
-    Ok(m)
+    let Exec { isa, workers } = exec;
+    match pick_gemm_regime(m, n, workers) {
+        GemmRegime::RowParallel => gemm_row_parallel(a.data(), m, w, act, isa, workers),
+        GemmRegime::ColParallel => gemm_col_parallel(a.data(), m, w, act, isa, workers),
+    }
 }
 
 /// Quantizes (when `act` is set) and interleaves activation rows
-/// `[p0 .. p0 + chunk panels)` of `a` into `[k][NT_NR]` panels. Shared
-/// with the sparse row-parallel schedule ([`crate::sparse`]), which
-/// builds the identical panel bank before its index-driven kernels.
-pub(crate) fn pack_act_panels(
+/// `[p0 .. p0 + chunk panels)` of `a` into `[k][NT_NR]` panels — the
+/// row-parallel schedule's shared activation panel bank.
+fn pack_act_panels(
     ad: &[f32],
     m: usize,
     k: usize,
@@ -171,10 +147,10 @@ pub(crate) fn pack_act_panels(
 /// Weight-stationary schedule: shared pre-quantized activation panels,
 /// workers split the packed weight rows and decode each of their tiles
 /// exactly once per call.
-fn gemm_row_parallel<W: PackedWeights>(
+fn gemm_row_parallel(
     ad: &[f32],
     m: usize,
-    w: &W,
+    w: &PackedTensor,
     act: Option<&PanelQuantizer>,
     isa: Isa,
     workers: usize,
@@ -229,10 +205,10 @@ fn gemm_row_parallel<W: PackedWeights>(
 /// accumulates each output element in plain ascending-`k` order in both,
 /// and swapping which operand rides the panel only swaps the factor
 /// order of each IEEE multiply, which is bitwise commutative.
-fn gemm_col_parallel<W: PackedWeights>(
+fn gemm_col_parallel(
     ad: &[f32],
     m: usize,
-    w: &W,
+    w: &PackedTensor,
     act: Option<&PanelQuantizer>,
     isa: Isa,
     workers: usize,
@@ -297,7 +273,6 @@ fn gemm_col_parallel<W: PackedWeights>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packed::PackedTensor;
     use fpdq_core::{FpFormat, IntFormat, TensorQuantizer};
     use fpdq_tensor::parallel::num_threads;
     use fpdq_tensor::simd;

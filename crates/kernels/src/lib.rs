@@ -11,31 +11,26 @@
 //!   over packed weights (the compute pattern of weight-only-quantized
 //!   inference);
 //! * [`exec`] — the wiring layer that flips a quantized U-Net from dense
-//!   fake-quantized execution to these packed kernels;
-//! * [`sparse`] — panel-packed sparse kernels over the zeros that the
-//!   paper's quantizer creates (§VI-G): unstructured CSR and NVIDIA-style
-//!   structured 2:4 pruning, both storing quantized codes decoded through
-//!   the same LUTs as [`packed`], running the dense GEMM's row-parallel
-//!   panel schedule with AVX2/NEON index-driven kernels under the
-//!   bit-identity contract, and dispatching back to the dense engine
-//!   above the measured density crossover
-//!   ([`schedule::pick_sparse_regime`]) so sparsity never loses to dense
-//!   (layout contract in `docs/sparse.md`).
+//!   fake-quantized execution to these packed kernels.
+//!
+//! The engine is dense: the zeros the paper's quantizer creates (§VI-G,
+//! Fig. 11) are measured by `fpdq_core::sparsity`, not exploited here —
+//! at FP4's ~11% zeros a sparse kernel loses to the dense one.
 //!
 //! # One entry point per kernel
 //!
-//! Every packed kernel has exactly one public call:
-//! [`gemm_packed`], [`conv2d_packed`], [`CsrWeights::gemm`],
-//! [`TwoFourWeights::gemm`] and the decode
-//! [`PackedWeights::decode_range_into_as`]. The GEMMs and the conv take
-//! the optional fused activation quantizer (`Option<&PanelQuantizer>`,
-//! per tensor or per channel) and an [`Exec`] naming the ISA path and
-//! the worker count; [`Exec::default`] is the shipping configuration
-//! (dispatched ISA, process-wide workers). Under the bit-identity
-//! contract the output never depends on the `Exec`. The three GEMMs
-//! take activations `[.., k]` and read them in place as `numel / k`
-//! rows of a `[m, k]` matrix, so a packed Linear runs a transformer's
-//! `[b, l, d]` tokens without a flattening copy and returns `[m, n]`.
+//! Every packed kernel has exactly one public call, all over the one
+//! packed type [`PackedTensor`]: [`gemm_packed`], [`conv2d_packed`] and
+//! the decode [`PackedTensor::decode_range_into_as`]. The GEMM and the
+//! conv take the optional fused activation quantizer
+//! (`Option<&PanelQuantizer>`, per tensor or per channel) and an
+//! [`Exec`] naming the ISA path and the worker count; [`Exec::default`]
+//! is the shipping configuration (dispatched ISA, process-wide workers).
+//! Under the bit-identity contract the output never depends on the
+//! `Exec`. The GEMM takes activations `[.., k]` and reads them in place
+//! as `numel / k` rows of a `[m, k]` matrix, so a packed Linear runs a
+//! transformer's `[b, l, d]` tokens without a flattening copy and
+//! returns `[m, n]`.
 //!
 //! # Fused-epilogue packed execution architecture
 //!
@@ -123,7 +118,7 @@
 //! same per-element order — mul-then-add per ascending `k`, never a fused
 //! multiply-add, same operand order, same NaN/±∞ handling. Every
 //! kernel takes its ISA explicitly (the packed kernels through [`Exec`];
-//! [`PackedWeights::decode_range_into_as`], `quantize_slice_into_as` and
+//! [`PackedTensor::decode_range_into_as`], `quantize_slice_into_as` and
 //! `gemm_nt_panel_as` directly) so the differential suite in
 //! `tests/simd_consistency.rs` drives both sides of every dispatch in one
 //! process; CI re-runs the whole workspace under `FPDQ_FORCE_SCALAR=1`,
@@ -162,7 +157,6 @@ pub mod conv;
 pub mod exec;
 pub mod gemm;
 pub mod packed;
-pub mod sparse;
 
 /// Batched execution-regime selection (shared with the dense kernels in
 /// `fpdq-tensor`, where the decision functions live).
@@ -170,16 +164,12 @@ pub use fpdq_tensor::schedule;
 
 pub use conv::conv2d_packed;
 pub use exec::{
-    install_packed_weight, pack_unet, pack_unet_sparse, try_install_packed_weight,
-    try_install_prebuilt, try_install_sparse_weight, try_pack_unet, try_pack_unet_sparse,
-    unpack_unet, PackReport, PackedLayerInfo, SparseMode,
+    install_packed_weight, pack_unet, try_install_packed_weight, try_install_prebuilt,
+    try_pack_unet, unpack_unet, PackReport, PackedLayerInfo,
 };
 /// The execution context every packed kernel takes (defined next to the
 /// worker-count helpers in `fpdq-tensor`).
 pub use fpdq_tensor::parallel::Exec;
 pub use gemm::gemm_packed;
-pub use packed::{PackedTensor, PackedWeights};
-pub use schedule::{
-    pick_conv_regime, pick_gemm_regime, pick_sparse_regime, ConvRegime, GemmRegime, SparseRegime,
-};
-pub use sparse::{CsrWeights, TwoFourWeights};
+pub use packed::PackedTensor;
+pub use schedule::{pick_conv_regime, pick_gemm_regime, ConvRegime, GemmRegime};

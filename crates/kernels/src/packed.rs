@@ -28,7 +28,7 @@
 //!   implementations the property tests and benchmarks compare against.
 //!
 //! Row kernels stream packed weights into caller-owned scratch through
-//! the allocation-free [`PackedWeights::decode_range_into_as`].
+//! the allocation-free [`PackedTensor::decode_range_into_as`].
 
 use bytes::Bytes;
 use fpdq_core::{FpFormat, TensorQuantizer};
@@ -201,24 +201,6 @@ pub fn unpack_bits_range_bitloop(bytes: &[u8], bits: u32, start: usize, count: u
         out.push(code);
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Shared decode surface
-// ---------------------------------------------------------------------------
-
-/// Decode surface of packed weights, letting the GEMM/conv kernels stream
-/// dense [`PackedTensor`]s and the sparse layouts ([`crate::sparse`])
-/// through one implementation.
-pub trait PackedWeights: Sync {
-    /// Logical shape.
-    fn dims(&self) -> &[usize];
-    /// Decodes elements `[start, start + out.len())` into caller scratch
-    /// on an explicit ISA path — the one decode entry point, driven from
-    /// both sides by the differential SIMD tests. Every ISA reads the
-    /// same LUT values, so outputs are bit-identical; an unsupported `isa`
-    /// falls back to the scalar walk.
-    fn decode_range_into_as(&self, isa: Isa, start: usize, out: &mut [f32]);
 }
 
 /// The signed value of every code of `format` (`2^bits` entries): an FP
@@ -681,14 +663,13 @@ impl PackedTensor {
         let data = codes.iter().map(|&c| values[c as usize]).collect();
         Tensor::from_vec(data, &self.dims)
     }
-}
 
-impl PackedWeights for PackedTensor {
-    fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    fn decode_range_into_as(&self, isa: Isa, start: usize, out: &mut [f32]) {
+    /// Decodes elements `[start, start + out.len())` into caller scratch
+    /// on an explicit ISA path — the one decode entry point, driven from
+    /// both sides by the differential SIMD tests. Every ISA reads the
+    /// same LUT values, so outputs are bit-identical; an unsupported `isa`
+    /// falls back to the scalar walk.
+    pub fn decode_range_into_as(&self, isa: Isa, start: usize, out: &mut [f32]) {
         debug_assert!(start + out.len() <= self.numel(), "decode range out of bounds");
         match self.format.bits() {
             4 => lut_decode_range(isa, &self.lut, 2, &self.bytes, start, out),

@@ -260,12 +260,13 @@ impl UNet {
     ///
     /// # Panics
     ///
-    /// Panics if the config expects context and none is given, or if the
-    /// timestep/context batch does not match `x` (a shared-timestep
-    /// tensor of the wrong length would silently pair images with wrong
-    /// time embeddings via the downstream broadcast). [`Self::try_forward`]
-    /// is the non-panicking variant for callers (like the serving layer)
-    /// that must survive malformed inputs.
+    /// Panics on every input [`Self::try_forward`] rejects: a wrong input
+    /// rank, channel count or spatial size, a missing or misshapen
+    /// context, or a timestep/context batch that does not match `x` (a
+    /// shared-timestep tensor of the wrong length would silently pair
+    /// images with wrong time embeddings via the downstream broadcast).
+    /// [`Self::try_forward`] is the non-panicking variant for callers
+    /// (like the serving layer) that must survive malformed inputs.
     pub fn forward(&self, x: &Tensor, t: &Tensor, context: Option<&Tensor>) -> Tensor {
         match self.try_forward(x, t, context) {
             Ok(y) => y,
@@ -274,31 +275,60 @@ impl UNet {
     }
 
     /// Validating forward: like [`Self::forward`] but input mistakes come
-    /// back as a typed [`FpdqError`] instead of a panic.
+    /// back as a typed [`FpdqError`] instead of a panic: `x` must be
+    /// `[b, in_channels, h, w]` with `h` and `w` positive multiples of the
+    /// total downsampling factor (so every upsampled trunk meets its skip
+    /// at the same size), `t` must be `[b]`, and a conditional U-Net needs
+    /// a `[b, l, context_dim]` context with `l ≥ 1`.
     pub fn try_forward(
         &self,
         x: &Tensor,
         t: &Tensor,
         context: Option<&Tensor>,
     ) -> Result<Tensor, FpdqError> {
-        if t.dim(0) != x.dim(0) {
+        let &[b, c, h, w] = x.dims() else {
             return Err(FpdqError::shape(format!(
-                "timestep batch {} != image batch {}",
-                t.dim(0),
-                x.dim(0)
+                "input must be [b, c, h, w], got {:?}",
+                x.dims()
+            )));
+        };
+        if c != self.cfg.in_channels {
+            return Err(FpdqError::shape(format!(
+                "input has {c} channels, this U-Net takes {}",
+                self.cfg.in_channels
             )));
         }
-        if self.cfg.context_dim.is_some() && context.is_none() {
-            return Err(FpdqError::missing("this U-Net is conditional: context required"));
+        let factor = 1 << self.down.iter().filter(|l| l.resample.is_some()).count();
+        if h == 0 || w == 0 || h % factor != 0 || w % factor != 0 {
+            return Err(FpdqError::shape(format!(
+                "input size {h}x{w} is not a positive multiple of the U-Net's downsampling factor {factor}"
+            )));
         }
-        if let Some(ctx) = context {
-            if ctx.dim(0) != x.dim(0) {
+        if t.ndim() != 1 {
+            return Err(FpdqError::shape(format!("timesteps must be [b], got {:?}", t.dims())));
+        }
+        if t.dim(0) != b {
+            return Err(FpdqError::shape(format!(
+                "timestep batch {} != image batch {b}",
+                t.dim(0)
+            )));
+        }
+        if let Some(cb) = context.map(|ctx| ctx.dims().first().copied().unwrap_or(0)) {
+            if cb != b {
+                return Err(FpdqError::shape(format!("context batch {cb} != image batch {b}")));
+            }
+        }
+        match (self.cfg.context_dim, context) {
+            (Some(_), None) => {
+                return Err(FpdqError::missing("this U-Net is conditional: context required"));
+            }
+            (Some(cd), Some(ctx)) if !matches!(ctx.dims(), &[_, l, d] if l > 0 && d == cd) => {
                 return Err(FpdqError::shape(format!(
-                    "context batch {} != image batch {}",
-                    ctx.dim(0),
-                    x.dim(0)
+                    "context must be [b, l >= 1, {cd}], got {:?}",
+                    ctx.dims()
                 )));
             }
+            _ => {}
         }
         Ok(self.forward_with(&Infer, x, &self.time_embedding(t), context))
     }
@@ -445,6 +475,71 @@ mod tests {
         assert!(matches!(err, FpdqError::ShapeMismatch(_)), "{err}");
         // And the happy path still runs.
         assert_eq!(unet.try_forward(&x, &t, Some(&ctx)).unwrap().dims(), &[2, 3, 8, 8]);
+    }
+
+    #[test]
+    fn try_forward_rejects_bad_shapes_without_panicking() {
+        // Channel counts, spatial sizes, input ranks and context shapes
+        // around the valid ones, on the unconditional and the conditional
+        // tiny configs: every bad input is a typed ShapeMismatch (or
+        // MissingInput for an absent context), never a panic, and every
+        // good one runs.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut rng = StdRng::seed_from_u64(6);
+        for cd in [None, Some(8)] {
+            let unet = UNet::new(UNetConfig { context_dim: cd, ..UNetConfig::tiny(3) }, &mut rng);
+            let b = 2;
+            let t = Tensor::from_vec(vec![1.0, 2.0], &[b]);
+            let mut xs: Vec<(Vec<usize>, bool)> = vec![
+                (vec![3, 8, 8], false),
+                (vec![1, b, 3, 8, 8], false),
+                (vec![b, 3, 0, 8], false),
+            ];
+            for c in [1, 3, 4] {
+                for (h, w) in [(8, 8), (12, 16), (7, 7), (8, 9), (1, 8), (16, 6)] {
+                    let good = c == 3 && h % 2 == 0 && w % 2 == 0;
+                    xs.push((vec![b, c, h, w], good));
+                }
+            }
+            let ctxs: Vec<(Option<Vec<usize>>, bool)> = match cd {
+                None => vec![(None, true)],
+                Some(d) => vec![
+                    (None, false),
+                    (Some(vec![b, 4, d]), true),
+                    (Some(vec![b, 4, d - 1]), false),
+                    (Some(vec![b, 4, d + 1]), false),
+                    (Some(vec![b, 0, d]), false),
+                    (Some(vec![b, d]), false),
+                    (Some(vec![b + 1, 4, d]), false),
+                ],
+            };
+            for (xd, x_ok) in &xs {
+                let x = Tensor::randn(xd, &mut rng);
+                for (ctxd, ctx_ok) in &ctxs {
+                    let ctx = ctxd.as_ref().map(|d| Tensor::randn(d, &mut rng));
+                    let case = format!("cd {cd:?} x {xd:?} ctx {ctxd:?}");
+                    let out =
+                        catch_unwind(AssertUnwindSafe(|| unet.try_forward(&x, &t, ctx.as_ref())))
+                            .unwrap_or_else(|_| panic!("{case}: try_forward panicked"));
+                    match out {
+                        Ok(y) => {
+                            assert!(x_ok & ctx_ok, "{case}: accepted a bad input");
+                            assert_eq!(y.dims(), xd.as_slice(), "{case}");
+                        }
+                        Err(e) => {
+                            assert!(!(x_ok & ctx_ok), "{case}: rejected a good input: {e}");
+                            assert!(
+                                matches!(
+                                    e,
+                                    FpdqError::ShapeMismatch(_) | FpdqError::MissingInput(_)
+                                ),
+                                "{case}: {e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -130,86 +130,6 @@ pub fn pick_conv_regime(n: usize, o: usize, workers: usize) -> ConvRegime {
     }
 }
 
-/// Execution path of a sparse-weight GEMM call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SparseRegime {
-    /// Run the panel-streaming sparse kernel: per weight row, only the
-    /// stored non-zeros multiply against the activation panels.
-    Sparse,
-    /// Hand the call to the dense packed GEMM through the sparse type's
-    /// `PackedWeights` decode — the density is too high for index-driven
-    /// accumulation to beat the dense micro-kernel.
-    Dense,
-}
-
-/// Maximum density (in 1/256ths) at which the unstructured CSR kernel
-/// still beats the dense packed GEMM. Measured on the bench shapes
-/// (`sparse_gemm_32x256x256` in `BENCH_kernels.json`): the CSR kernel
-/// runs one broadcast-multiply-add per stored non-zero per panel with an
-/// index load on the critical path, while the dense micro-kernel
-/// amortises its decode over 4-panel register blocks — the break-even
-/// sits between the 0.1-density win (~3×) and the 0.5-density loss.
-const CSR_MAX_DENSITY_256THS: usize = 72; // ≈ 0.28
-
-/// Maximum density for the structured 2:4 kernel at latency shapes
-/// (`m ≤ ACT_BLOCK`). Its metadata expands to column indices in-register
-/// (no per-non-zero index memory traffic on the build side) and its
-/// stored density is exactly 0.5, which measures ~2× faster than dense at
-/// the bench shapes — so the threshold only has to exclude degenerate
-/// "2:4" inputs that are barely sparse after decode-time zero counting is
-/// folded in by the caller.
-const STRUCTURED_MAX_DENSITY_256THS: usize = 160; // ≈ 0.63
-
-/// Picks sparse-vs-dense execution for an `[n, k]` sparse weight matrix
-/// multiplied against an `m`-row activation, with `nnz` *stored* values
-/// (the work the sparse kernel actually iterates — for 2:4 that is
-/// `n·k/2` regardless of how many survivors quantize to zero).
-///
-/// The decision is a pure (density, m) threshold — deliberately
-/// independent of the worker count and ISA: both paths parallelise over
-/// the same weight rows and carry the same bit-identity contract, so the
-/// regime (and therefore every output bit) stays fixed across
-/// `FPDQ_THREADS` and forced-scalar runs.
-///
-/// # Why `m` matters
-///
-/// The sparse kernels process **one** weight row against the packed
-/// activation panel bank, so each panel load feeds a single row where the
-/// dense NT micro-kernel feeds a 4–8 row register block. At latency
-/// shapes (`m ≤ ACT_BLOCK`, one activation panel) the bank stays
-/// register/L1-resident and fewer MACs dominate — 2:4 wins at its fixed
-/// 0.5 stored density. At batched shapes the panel bank is re-streamed
-/// per weight row, and the measured crossover flips: the
-/// `sparse_gemm_batched_256x256x256` shape runs 742µs structured vs 502µs
-/// dense, while 0.1-density CSR still wins (266µs). So above `ACT_BLOCK`
-/// the structured limit tightens to the CSR crossover
-/// (`CSR_MAX_DENSITY_256THS`), routing 2:4 (density 128/256) back to
-/// the dense engine exactly where it starts losing.
-pub fn pick_sparse_regime(
-    nnz: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    structured: bool,
-) -> SparseRegime {
-    let numel = n * k;
-    if numel == 0 {
-        // Degenerate matrices carry no work; the dense path owns the
-        // empty-shape guards.
-        return SparseRegime::Dense;
-    }
-    let limit = if structured && m <= ACT_BLOCK {
-        STRUCTURED_MAX_DENSITY_256THS
-    } else {
-        CSR_MAX_DENSITY_256THS
-    };
-    if nnz * 256 <= numel * limit {
-        SparseRegime::Sparse
-    } else {
-        SparseRegime::Dense
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,65 +209,5 @@ mod tests {
     fn degenerate_worker_counts_do_not_panic() {
         assert_eq!(pick_gemm_regime(8, 8, 0), GemmRegime::RowParallel);
         assert_eq!(pick_conv_regime(2, 8, 0), ConvRegime::BatchParallel);
-    }
-
-    #[test]
-    fn sparse_regime_boundaries() {
-        let (m, n, k) = (32usize, 256usize, 256usize);
-        let numel = n * k;
-        // The bench densities at the latency shape (m = ACT_BLOCK):
-        // 0.1 CSR must run sparse, 0.5 CSR must fall back to dense, and
-        // 2:4 (stored density exactly 0.5) must run the structured kernel.
-        assert_eq!(pick_sparse_regime(numel / 10, m, n, k, false), SparseRegime::Sparse);
-        assert_eq!(pick_sparse_regime(numel / 2, m, n, k, false), SparseRegime::Dense);
-        assert_eq!(pick_sparse_regime(numel / 2, m, n, k, true), SparseRegime::Sparse);
-        // Exact threshold boundaries (≤ runs sparse, one past is dense).
-        let csr_limit = numel * 72 / 256;
-        assert_eq!(pick_sparse_regime(csr_limit, m, n, k, false), SparseRegime::Sparse);
-        assert_eq!(pick_sparse_regime(csr_limit + 1, m, n, k, false), SparseRegime::Dense);
-        let tf_limit = numel * 160 / 256;
-        assert_eq!(pick_sparse_regime(tf_limit, m, n, k, true), SparseRegime::Sparse);
-        assert_eq!(pick_sparse_regime(tf_limit + 1, m, n, k, true), SparseRegime::Dense);
-    }
-
-    #[test]
-    fn sparse_regime_tracks_density_not_shape() {
-        // Same density, different shapes: the decision tracks density, so
-        // tiny and huge matrices at 10% both run sparse.
-        assert_eq!(pick_sparse_regime(6, 8, 8, 8, false), SparseRegime::Sparse);
-        assert_eq!(pick_sparse_regime(6554, 8, 256, 256, false), SparseRegime::Sparse);
-        // An empty matrix is dense (no work; dense path owns the guards).
-        assert_eq!(pick_sparse_regime(0, 8, 0, 8, false), SparseRegime::Dense);
-        assert_eq!(pick_sparse_regime(0, 8, 8, 0, true), SparseRegime::Dense);
-        // A fully dense "sparse" matrix is dense in both modes.
-        assert_eq!(pick_sparse_regime(64, 8, 8, 8, false), SparseRegime::Dense);
-        assert_eq!(pick_sparse_regime(64, 8, 8, 8, true), SparseRegime::Dense);
-    }
-
-    #[test]
-    fn structured_crossover_is_m_aware() {
-        let (n, k) = (256usize, 256usize);
-        let two_four = n * k / 2; // stored density exactly 0.5
-
-        // Latency shapes keep the structured win up to ACT_BLOCK rows...
-        for m in [1usize, 8, ACT_BLOCK] {
-            assert_eq!(pick_sparse_regime(two_four, m, n, k, true), SparseRegime::Sparse, "m={m}");
-        }
-        // ... and the measured batched crossover (742µs sparse vs 502µs
-        // dense at m = 256) routes back to the dense engine for every
-        // batched m.
-        for m in [ACT_BLOCK + 1, 64, 256, 1024] {
-            assert_eq!(pick_sparse_regime(two_four, m, n, k, true), SparseRegime::Dense, "m={m}");
-        }
-        // Genuinely sparse matrices are m-independent: 0.1-density CSR
-        // (and an equally sparse structured pattern) win at every batch.
-        for m in [1usize, 32, 256, 1024] {
-            assert_eq!(pick_sparse_regime(numel_tenth(n, k), m, n, k, false), SparseRegime::Sparse);
-            assert_eq!(pick_sparse_regime(numel_tenth(n, k), m, n, k, true), SparseRegime::Sparse);
-        }
-    }
-
-    fn numel_tenth(n: usize, k: usize) -> usize {
-        n * k / 10
     }
 }

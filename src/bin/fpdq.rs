@@ -63,7 +63,7 @@ USAGE: fpdq <COMMAND> [--flag value]...
 COMMANDS:
   pretrain                       train and cache every zoo model
   quantize      --model <NAME> --config <fp8|fp4|fp4-norl|int8|int4>
-                [--packed] [--sparse <2:4|csr>]
+                [--packed]
   generate      --model <NAME|FILE.fpdq> --config <...> [--prompt \"...\"] [--count N] [--batch N]
                 [--out DIR] [--packed] [--seeds N,N,...] [--raw-out FILE]
   evaluate      --model <NAME> --config <...> [--count N] [--batch N] [--packed]
@@ -86,9 +86,6 @@ MODELS:
 FLAGS:
   --packed      run the real bit-packed engine (fused W+A kernels) instead
                 of fake-quantized dense execution
-  --sparse M    prune-then-quantize through a sparsity mode (2:4 structured
-                or csr) and run the sparse kernels where they win; reports
-                per-layer sparsity and pruning error (requires --packed)
   --batch N     sample N images per U-Net call (1..=16, default 16):
                 per-image seeding makes the images identical at every
                 batch size; larger batches amortise the packed engine's
@@ -378,21 +375,8 @@ fn quantize(opts: &HashMap<String, String>) -> ExitCode {
         100.0 * report.sparsity_after(),
         report.rl_improved_layers(),
     );
-    let sparse = match opts.get("sparse").map(String::as_str) {
-        None => None,
-        Some(spec) => match fpdq::kernels::SparseMode::parse(spec) {
-            Some(mode) => Some(mode),
-            None => {
-                eprintln!("unknown sparse mode '{spec}' (expected 2:4 or csr)");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
     if flag_set(opts, "packed") {
-        pack_and_report(&sim, &report, sparse);
-    } else if sparse.is_some() {
-        eprintln!("--sparse requires --packed (sparse kernels run in the packed engine)");
-        return ExitCode::FAILURE;
+        pack_and_report(&sim, &report);
     }
     ExitCode::SUCCESS
 }
@@ -400,45 +384,34 @@ fn quantize(opts: &HashMap<String, String>) -> ExitCode {
 /// Flips the quantized U-Net into the bit-packed engine, reports the real
 /// storage footprint, and times a packed vs fake-quantized-dense forward —
 /// the paper's latency/memory experiment running on the real engine
-/// instead of simulated quantization. With a sparse mode the weights are
-/// pruned first (fig. 11's ablation) and per-layer sparsity / pruning
-/// error are reported alongside.
-fn pack_and_report(
-    sim: &SimPipeline,
-    report: &fpdq::quant::QuantReport,
-    sparse: Option<fpdq::kernels::SparseMode>,
-) {
+/// instead of simulated quantization. A conditional U-Net is timed on the
+/// null context (the encoded empty prompt).
+fn pack_and_report(sim: &SimPipeline, report: &fpdq::quant::QuantReport) {
     use std::time::Instant;
     let [c, h, w] = sim.model().chw();
     let x = Tensor::randn(&[1, c, h, w], &mut StdRng::seed_from_u64(11));
     let t = Tensor::from_vec(vec![5.0], &[1]);
+    let ctx = match sim {
+        SimPipeline::Sd(p) => Some(p.null_context(1)),
+        _ => None,
+    };
     let reps = 3;
     let time_forward = |label: &str| {
         let mut best = f64::INFINITY;
         for _ in 0..reps {
             let t0 = Instant::now();
-            std::hint::black_box(sim.unet().forward(&x, &t, None));
+            std::hint::black_box(sim.unet().forward(&x, &t, ctx.as_ref()));
             best = best.min(t0.elapsed().as_secs_f64());
         }
         println!("  {label:<28} {:.2} ms / forward", best * 1e3);
         best
     };
-    match sparse {
-        Some(mode) => println!("\npacked execution ({} sparse):", mode.describe()),
-        None => println!("\npacked execution:"),
-    }
+    println!("\npacked execution:");
     let dense = time_forward("fake-quantized dense");
-    let pack = match sparse {
-        Some(mode) => fpdq::kernels::pack_unet_sparse(sim.unet(), report, mode),
-        None => fpdq::kernels::pack_unet(sim.unet(), report),
-    };
+    let pack = fpdq::kernels::pack_unet(sim.unet(), report);
     for l in &pack.layers {
-        let sparse_cols = match (l.sparsity, l.pruning_error) {
-            (Some(s), Some(e)) => format!("  {:>6.2}% zero  prune err {:.2e}", 100.0 * s, e),
-            _ => String::new(),
-        };
         println!(
-            "  {:<26} {:<15} act {:<15} {:>8} B (dense {:>8} B){sparse_cols}",
+            "  {:<26} {:<15} act {:<15} {:>8} B (dense {:>8} B)",
             l.name,
             l.format,
             l.fused_act.as_deref().unwrap_or("-"),

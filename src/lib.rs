@@ -20,7 +20,7 @@
 //! | [`diffusion`] | `fpdq-diffusion` | schedules, DDIM/DDPM, pipelines, model zoo |
 //! | [`metrics`] | `fpdq-metrics` | FID / sFID / precision / recall / CLIP-sim |
 //! | [`perf`] | `fpdq-perf` | roofline latency + memory characterization |
-//! | [`kernels`] | `fpdq-kernels` | bit-packed storage, quantized & sparse GEMM |
+//! | [`kernels`] | `fpdq-kernels` | bit-packed storage, packed GEMM + implicit-GEMM conv with fused activation quant |
 //! | [`container`] | `fpdq-container` | the versioned `.fpdq` on-disk model format: checksummed, zero-copy, crash-safe |
 //! | [`serve`] | `fpdq-serve` | fault-tolerant HTTP serving: continuous batching, deadlines, panic isolation, model registry |
 //!

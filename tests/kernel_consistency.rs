@@ -3,10 +3,7 @@
 //! compute — the property that licenses evaluating image quality with
 //! simulated quantization while claiming real-footprint deployment.
 
-use fpdq::kernels::{
-    gemm_packed, install_packed_weight, try_install_sparse_weight, CsrWeights, Exec, PackedTensor,
-    SparseMode,
-};
+use fpdq::kernels::{gemm_packed, install_packed_weight, Exec, PackedTensor};
 use fpdq::nn::{Linear, QuantLayer};
 use fpdq::quant::{search_fp_format, FpFormat, TensorQuantizer};
 use fpdq::tensor::Tensor;
@@ -99,26 +96,6 @@ fn fp4_packing_cuts_footprint_8x_and_stays_exact() {
     let decoded = packed.decode();
     let simulated = fmt.quantize(&w);
     assert_eq!(decoded.data(), simulated.data(), "bit-exact roundtrip");
-}
-
-#[test]
-fn sparse_kernel_exploits_quantization_zeros() {
-    // FP4 quantization zeroes small weights (paper §VI-G); the CSR kernel
-    // must then reproduce the dense result while storing fewer values.
-    let mut rng = StdRng::seed_from_u64(2);
-    let w = Tensor::randn(&[16, 32], &mut rng).mul_scalar(0.02);
-    let fmt = FpFormat::new(2, 1); // standard-bias FP4 clips tiny values to 0
-    let quantized = fmt.quantize(&w);
-    assert!(quantized.sparsity() > 0.2, "expected quantization-induced zeros");
-
-    let csr = CsrWeights::from_dense(&w, &TensorQuantizer::Fp(fmt));
-    let x = Tensor::randn(&[3, 32], &mut rng);
-    let sparse_out = csr.gemm(&x, None, Exec::default());
-    let dense_out = x.matmul_nt(&quantized);
-    for (a, b) in sparse_out.data().iter().zip(dense_out.data()) {
-        assert!((a - b).abs() < 1e-4);
-    }
-    assert_eq!(csr.sparsity(), quantized.sparsity());
 }
 
 #[test]
@@ -246,10 +223,7 @@ fn attention_core_batches_match_single_batch_runs() {
 
 #[test]
 fn packed_linears_read_3d_activations_as_rows_bitwise() {
-    // A packed linear on [b, l, d] must equal the flattened [b·l, d] run,
-    // for the dense packed install and both sparse ones. The weight is
-    // ~90 % zeros so CSR stays below its density crossover and runs the
-    // sparse kernel rather than the dense fallback.
+    // A packed linear on [b, l, d] must equal the flattened [b·l, d] run.
     let (b, l, d, out) = (2, 5, 16, 12);
     let mut rng = StdRng::seed_from_u64(11);
     let x = Tensor::randn(&[b, l, d], &mut rng);
@@ -259,18 +233,13 @@ fn packed_linears_read_3d_activations_as_rows_bitwise() {
     );
     let wfmt = TensorQuantizer::Fp(FpFormat::new(4, 3));
     let afmt = TensorQuantizer::Fp(FpFormat::new(4, 3));
-    for mode in [None, Some(SparseMode::TwoFour), Some(SparseMode::Csr)] {
-        let lin = Linear::new("l", d, out, &mut StdRng::seed_from_u64(12));
-        lin.weight.replace(w.clone());
-        lin.tap().borrow_mut().act_quant = Some(afmt.into_act_fn());
-        let info = match mode {
-            None => install_packed_weight(&lin, &wfmt, Some(&afmt), None),
-            Some(mode) => try_install_sparse_weight(&lin, &wfmt, Some(&afmt), None, mode).unwrap(),
-        };
-        assert!(info.fused_act.is_some(), "{mode:?}: activation quantizer must fuse");
-        let rows = lin.forward(&x);
-        assert_eq!(rows.dims(), &[b, l, out], "{mode:?}");
-        let flat = lin.forward(&x.reshape(&[b * l, d]));
-        assert_same_bits(&rows.reshape(&[b * l, out]), &flat, &format!("{mode:?}"));
-    }
+    let lin = Linear::new("l", d, out, &mut StdRng::seed_from_u64(12));
+    lin.weight.replace(w);
+    lin.tap().borrow_mut().act_quant = Some(afmt.into_act_fn());
+    let info = install_packed_weight(&lin, &wfmt, Some(&afmt), None);
+    assert!(info.fused_act.is_some(), "activation quantizer must fuse");
+    let rows = lin.forward(&x);
+    assert_eq!(rows.dims(), &[b, l, out]);
+    let flat = lin.forward(&x.reshape(&[b * l, d]));
+    assert_same_bits(&rows.reshape(&[b * l, out]), &flat, "dense packed");
 }

@@ -14,9 +14,7 @@
 //! (threaded dispatched kernels are compared against single-threaded
 //! scalar schedules below).
 
-use fpdq::kernels::{
-    conv2d_packed, gemm_packed, CsrWeights, Exec, PackedTensor, PackedWeights, TwoFourWeights,
-};
+use fpdq::kernels::{conv2d_packed, gemm_packed, Exec, PackedTensor};
 use fpdq::quant::{BoundaryQuantizer, FpFormat, IntFormat, PanelQuantizer, TensorQuantizer};
 use fpdq::tensor::conv::Conv2dSpec;
 use fpdq::tensor::matmul::{gemm_nt_panel_as, gemm_nt_serial_as, pack_nt_panel, NT_NR};
@@ -404,107 +402,6 @@ fn fused_wa_conv_split_sweep() {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse kernels
-// ---------------------------------------------------------------------------
-
-/// Weight quantizers covering FP4/FP8/INT4/INT8 storage of sparse values.
-fn weight_quantizers() -> Vec<TensorQuantizer> {
-    vec![
-        TensorQuantizer::Fp(FpFormat::new(4, 3)),
-        TensorQuantizer::Fp(FpFormat::new(2, 1)),
-        TensorQuantizer::Int(IntFormat::from_range(8, -3.0, 3.0)),
-        TensorQuantizer::Int(IntFormat::from_range(4, -2.0, 2.0)),
-    ]
-}
-
-/// Random matrix with roughly `density · n · k` nonzeros.
-fn sparse_tensor(n: usize, k: usize, density: f32, seed: u64) -> Tensor {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Tensor::randn(&[n, k], &mut rng).zip_map(
-        &Tensor::rand_uniform(&[n, k], 0.0, 1.0, &mut rng),
-        |v, u| if u < density { v } else { 0.0 },
-    )
-}
-
-#[test]
-fn csr_gemm_isa_sweep_formats_densities_shapes() {
-    // The CSR fused GEMM on every supported ISA × FP4/FP8/INT4/INT8
-    // value storage × densities straddling the crossover (0.5 dispatches
-    // to the dense engine, which must stay bit-identical too) ×
-    // off-tile shapes (m = 1, k < 8, n % 8 ≠ 0), NaN/∞ activations
-    // included.
-    for (m, n, k) in [(1usize, 9usize, 3usize), (4, 8, 5), (7, 11, 6), (5, 8, 24)] {
-        let a = tensor_with_specials(&[m, k], (m * 7 + n) as u64);
-        for density in [0.01f32, 0.1, 0.5] {
-            let w = sparse_tensor(n, k, density, (n * 13 + k) as u64);
-            for wq in weight_quantizers() {
-                let csr = CsrWeights::from_dense(&w, &wq);
-                for act in [None, Some(TensorQuantizer::Fp(FpFormat::new(4, 3)))] {
-                    let pq = act.as_ref().map(PanelQuantizer::per_tensor);
-                    let want = csr.gemm(&a, pq.as_ref(), on(Isa::Scalar));
-                    for &isa in simd::available() {
-                        let got = csr.gemm(&a, pq.as_ref(), on(isa));
-                        let ctx =
-                            format!("csr ({m},{n},{k}) d={density} w={wq} {isa:?} act={act:?}");
-                        assert_bits_eq(&got, &want, &ctx);
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn two_four_gemm_isa_sweep_formats_shapes() {
-    // The 2:4 fused GEMM on every supported ISA × storage format ×
-    // off-tile shapes (m = 1, the k = 4 minimum quad, n % 8 ≠ 0, k % 4
-    // boundary values), NaN/∞ activations included.
-    for (m, n, k) in [(1usize, 9usize, 4usize), (4, 8, 16), (7, 11, 12), (5, 8, 24)] {
-        let a = tensor_with_specials(&[m, k], (m * 11 + n) as u64);
-        let w = Tensor::randn(&[n, k], &mut StdRng::seed_from_u64((n * 17 + k) as u64));
-        for wq in weight_quantizers() {
-            let tf = TwoFourWeights::prune(&w, &wq);
-            for act in act_quantizers() {
-                let pq = PanelQuantizer::per_tensor(&act);
-                let want = tf.gemm(&a, Some(&pq), on(Isa::Scalar));
-                for &isa in simd::available() {
-                    let got = tf.gemm(&a, Some(&pq), on(isa));
-                    let ctx = format!("2:4 ({m},{n},{k}) w={wq} act={act} {isa:?}");
-                    assert_bits_eq(&got, &want, &ctx);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn sparse_gemm_worker_sweep_matches_single_scalar_worker() {
-    // Thread schedule × ISA on both sparse layouts: every worker count
-    // must reproduce the single-worker scalar result bit-for-bit (the
-    // row-parallel split never changes per-element accumulation order).
-    let (m, n, k) = (13usize, 23usize, 32usize);
-    let a = tensor_with_specials(&[m, k], 61);
-    let act = TensorQuantizer::Fp(FpFormat::new(4, 3));
-    let pq = PanelQuantizer::per_tensor(&act);
-    for density in [0.1f32, 0.5] {
-        let w = sparse_tensor(n, k, density, 62);
-        let csr = CsrWeights::from_dense(&w, &TensorQuantizer::Fp(FpFormat::new(4, 3)));
-        let tf = TwoFourWeights::prune(&w, &TensorQuantizer::Fp(FpFormat::new(4, 3)));
-        let want_csr = csr.gemm(&a, Some(&pq), Exec::new(Isa::Scalar, 1));
-        let want_tf = tf.gemm(&a, Some(&pq), Exec::new(Isa::Scalar, 1));
-        for workers in [1usize, 2, 8] {
-            for &isa in simd::available() {
-                let ctx = format!("d={density} workers={workers} {isa:?}");
-                let got = csr.gemm(&a, Some(&pq), Exec::new(isa, workers));
-                assert_bits_eq(&got, &want_csr, &format!("csr {ctx}"));
-                let got = tf.gemm(&a, Some(&pq), Exec::new(isa, workers));
-                assert_bits_eq(&got, &want_tf, &format!("2:4 {ctx}"));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------------------
 
@@ -584,38 +481,6 @@ proptest! {
             let got = gemm_packed(&a, &p, Some(&pq), on(isa));
             for (g, wv) in got.data().iter().zip(want.data()) {
                 prop_assert_eq!(g.to_bits(), wv.to_bits(), "{:?}: {} vs {}", isa, g, wv);
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_gemm_matches_dense_of_pruned_property(
-        seed in 0u64..300,
-        m in 1usize..10,
-        n in 1usize..16,
-        kq in 1usize..8,
-        density in 0.0f32..1.0,
-    ) {
-        // Sparse execution vs the dense NT kernel over the same
-        // pruned-and-quantized matrix, on finite inputs. The two paths
-        // differ only in whether exact-zero products are added, so a
-        // small absolute tolerance covers the reassociation.
-        let k = 4 * kq;
-        let a = Tensor::randn(&[m, k], &mut StdRng::seed_from_u64(seed));
-        let w = sparse_tensor(n, k, density, seed ^ 0xC5C5);
-        let wq = TensorQuantizer::Fp(FpFormat::new(4, 3));
-        let csr = CsrWeights::from_dense(&w, &wq);
-        let tf = TwoFourWeights::prune(&w, &wq);
-        for (name, got, dense) in [
-            ("csr", csr.gemm(&a, None, Exec::default()), csr.to_dense()),
-            ("2:4", tf.gemm(&a, None, Exec::default()), tf.to_dense()),
-        ] {
-            let want = a.matmul_nt(&dense);
-            for (g, wv) in got.data().iter().zip(want.data()) {
-                prop_assert!(
-                    (g - wv).abs() <= 1e-3 * wv.abs().max(1.0),
-                    "{}: {} vs {}", name, g, wv
-                );
             }
         }
     }
