@@ -11,7 +11,7 @@ use criterion::{criterion_group, Criterion};
 use fpdq_core::{BoundaryQuantizer, FpFormat, IntFormat, PanelQuantizer, TensorQuantizer};
 use fpdq_kernels::packed::unpack_bits_range_bitloop;
 use fpdq_kernels::{conv2d_packed, gemm_packed, Exec, PackedTensor};
-use fpdq_tensor::matmul::{gemm_nt_serial_with_as, NT_NR};
+use fpdq_tensor::matmul::{gemm_nt_panel_as, gemm_nt_serial_with_as, NT_NR};
 use fpdq_tensor::simd::{self, Isa};
 use fpdq_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -208,9 +208,13 @@ fn bench_conv(c: &mut Criterion) {
 /// up-path `conv1` over a 16-channel trunk concatenated with an 8-channel
 /// skip, `[1, 24, 8, 8]` × `[8, 24, 3, 3]`, padding 1) at batch 1 and one
 /// worker, as `fpdq serve` runs it: FP8 weights and split FP8 activation
-/// quantization (trunk and skip on different grids). `im2col_panels`
-/// times the panel lowering of the same image on its own, so the share of
-/// the conv spent lowering rather than multiplying reads off one run.
+/// quantization (trunk and skip on different grids). `packed_fp8_wa_split`
+/// is the entry point, which runs this stride-1 conv on the direct path
+/// (the kernel reads the bordered image in place). `panel_fp8_wa_split`
+/// is the panel path of the same conv on the same ISA, built from its
+/// public pieces with its buffers held across iterations: filter decode,
+/// fused quantization, then each 8-pixel tile lowered by
+/// `im2col_panel_into` and swept by the panel kernel.
 fn bench_conv_serve_batch1(c: &mut Criterion) {
     use fpdq_tensor::conv::{im2col_panel_into, Conv2dSpec};
     let mut rng = StdRng::seed_from_u64(17);
@@ -227,16 +231,20 @@ fn bench_conv_serve_batch1(c: &mut Criterion) {
     g.bench_function("packed_fp8_wa_split", |b| {
         b.iter(|| black_box(conv2d_packed(&x, &fp8, None, spec, Some(&split), serve)))
     });
-    let ohow = hw * hw;
-    let mut bank = vec![0.0f32; ohow.div_ceil(NT_NR) * ch * 9 * NT_NR];
-    g.bench_function("im2col_panels", |b| {
+    let (ckk, ohow) = (ch * 9, hw * hw);
+    let mut filters = vec![0.0f32; o * ckk];
+    let mut xq = vec![0.0f32; x.numel()];
+    let mut panel = vec![0.0f32; ckk * NT_NR];
+    let mut out = vec![0.0f32; o * ohow];
+    g.bench_function("panel_fp8_wa_split", |b| {
         b.iter(|| {
-            for (t, panel) in bank.chunks_mut(ch * 9 * NT_NR).enumerate() {
-                let j0 = t * NT_NR;
-                let nw = NT_NR.min(ohow - j0);
-                im2col_panel_into(x.data(), ch, hw, hw, 3, 3, spec, j0, nw, panel);
+            fp8.decode_range_into_as(serve.isa, 0, &mut filters);
+            split.quantize_panel_into_as(serve.isa, x.data(), &mut xq, hw * hw);
+            for j0 in (0..ohow).step_by(NT_NR) {
+                im2col_panel_into(&xq, ch, hw, hw, 3, 3, spec, j0, NT_NR, &mut panel);
+                gemm_nt_panel_as(serve.isa, &filters, &panel, &mut out, o, ckk, ohow, j0, NT_NR);
             }
-            black_box(bank[0])
+            black_box(out[0])
         })
     });
     g.finish();

@@ -2,20 +2,21 @@
 //! the packed panel engine, not a parallel implementation of it.
 //!
 //! The convolution is the GEMM `out[o, oh·ow] = filters[o, ckk] ·
-//! colsᵀ[ckk, oh·ow]`, but the column matrix never exists: output-pixel
-//! tiles are lowered on the fly ([`fpdq_tensor::conv::im2col_panel_into`])
-//! straight into the interleaved `[ckk][NT_NR]` activation micro-panels
-//! that the shared NT micro-kernel
-//! ([`fpdq_tensor::matmul::gemm_nt_panel`]) consumes. Conv therefore
-//! inherits every GEMM win instead of duplicating it:
+//! colsᵀ[ckk, oh·ow]`, but the column matrix never exists: the shared NT
+//! micro-kernel reads each 8-pixel tile's `[ckk][NT_NR]` operand either
+//! straight from the staged image ([`fpdq_tensor::matmul::gemm_nt_direct_as`],
+//! the direct path) or from an im2col micro-panel lowered on the fly
+//! ([`fpdq_tensor::conv::im2col_panel_into`] +
+//! [`fpdq_tensor::matmul::gemm_nt_panel_as`], the panel path). Conv
+//! therefore inherits every GEMM win instead of duplicating it:
 //!
-//! * **AVX2/NEON dispatch** — the panel kernel is the dispatched one; the
-//!   entry point's [`Exec`] threads the same `Isa` through decode, fused
-//!   quantization and the micro-kernel.
+//! * **AVX2/NEON dispatch** — the micro-kernels are the dispatched ones;
+//!   the entry point's [`Exec`] threads the same `Isa` through decode,
+//!   fused quantization and the micro-kernel.
 //! * **Fused boundary-table activation quant** — each input image streams
-//!   through [`fpdq_core::PanelQuantizer`]'s boundary tables (per-tensor
-//!   or per-input-channel) into a per-worker scratch image exactly once
-//!   before lowering: no whole-tensor fake-quant pass, no `log2`/`powf`.
+//!   through [`fpdq_core::PanelQuantizer`]'s boundary tables (per-tensor,
+//!   per-input-channel, or split trunk/skip) into per-thread scratch
+//!   exactly once: no whole-tensor fake-quant pass, no `log2`/`powf`.
 //! * **Shared once-per-call filter-bank decode** — the packed filter bank
 //!   expands exactly once per call (in parallel, on the 8-row decode
 //!   grid) into a read-only `[o, ckk]` bank swept by every worker, so at
@@ -24,23 +25,42 @@
 //! * **Regime scheduling** — [`pick_conv_regime`] costs both parallel
 //!   decompositions in wall-clock tile units (see [`crate::schedule`]).
 //!
-//! # Tile schedule
+//! # Schedule
 //!
-//! * **Batch-parallel**: each worker owns one `ckk × NT_NR` panel arena
-//!   (plus quantized-image scratch) reused across every image and panel
-//!   tile it processes; panels are lowered and consumed in place, so the
-//!   per-image footprint is one micro-panel, not an `im2col` matrix.
-//! * **Channel-parallel** (the batch-1 sampling case, and mid-size
-//!   batches whose grains would under-fill the batch split): images run
-//!   in sequence; each image's panels are lowered once into a shared
-//!   read-only bank (in parallel over panel tiles), then the
-//!   output-channel range splits across workers on the [`NT_MR`]-row
-//!   register-block grid against the shared filter bank.
+//! Each image is *staged* once, then swept by the micro-kernel:
 //!
-//! Both regimes feed the identical micro-kernel, which accumulates every
-//! output element in plain ascending-`k` order in every code path (no
-//! FMA, same operand order — see [`fpdq_tensor::simd`]), and the bias is
-//! added in a separate epilogue after the panel sweep. Row blocking,
+//! * **Direct path** — stride-1 convs whose 8-pixel tiles are one stretch
+//!   of an output row (`ow` a multiple of 8) or two whole rows (`ow == 4`
+//!   with an even `oh`): the 3×3/pad-1 and 1×1 convs of the served 8×8
+//!   and 4×4 maps. The (quantized) image is copied once inside a border
+//!   of `padding` zeros (a 1×1 conv needs none and is read where it
+//!   lies); reduction index `k = (ci, ky, kx)` of the tile at `(oy, x0)`
+//!   is then the 4-lane halves at `base + off[k]` and `base + off[k] +
+//!   half`, with `half = 4` on contiguous rows and the bordered row pitch
+//!   when `ow == 4`. Nothing is lowered, and border lanes read `+0.0`
+//!   exactly as masked panel lanes do.
+//! * **Panel path** — every other conv (stride 2, other widths): the
+//!   image's im2col panels are lowered into scratch, in parallel over
+//!   panel tiles, and swept by the panel kernel.
+//!
+//! The two regimes split that work across workers:
+//!
+//! * **Batch-parallel** (one worker, and large batches): each worker
+//!   stages and sweeps its images one at a time in its own scratch.
+//! * **Channel-parallel** (the batch-1 case on several workers, and
+//!   mid-size batches whose grains would under-fill the batch split):
+//!   images run in sequence; each is staged once, then the output-channel
+//!   range splits across workers on the [`NT_MR`]-row register-block grid
+//!   against the shared filter bank.
+//!
+//! Scratch (filter bank, quantized and bordered image, panels, tap
+//! offsets) is per-thread and reused across calls, so a one-worker call
+//! allocates only its output.
+//!
+//! Both micro-kernels accumulate every output element as `0.0 + Σ
+//! w[k]·a[k]` in plain ascending-`k` order in every code path (no FMA,
+//! same operand order — see [`fpdq_tensor::simd`]), and the bias is
+//! added in a separate epilogue after the sweep. Path, row blocking,
 //! panel order, worker count and ISA therefore cannot change a single
 //! output bit: batch-N output for image `i` is bit-identical to the
 //! batch-1 run on image `i` (pinned by `tests/batched_consistency.rs`),
@@ -49,9 +69,10 @@
 
 use crate::packed::PackedTensor;
 use crate::schedule::{pick_conv_regime, ConvRegime};
+use crate::scratch::{Scratch, ACTS, INDEX, STAGED, WEIGHTS};
 use fpdq_core::PanelQuantizer;
 use fpdq_tensor::conv::{im2col_panel_into, Conv2dSpec};
-use fpdq_tensor::matmul::{gemm_nt_panel_as, NT_MR, NT_NR};
+use fpdq_tensor::matmul::{gemm_nt_direct_as, gemm_nt_panel_as, NT_MR, NT_NR};
 use fpdq_tensor::parallel::{parallel_rows_aligned_in, parallel_rows_in, Exec};
 use fpdq_tensor::simd::Isa;
 use fpdq_tensor::Tensor;
@@ -60,7 +81,7 @@ use fpdq_tensor::Tensor;
 /// point: input `[n, c, h, w]`, packed weight `[o, c, kh, kw]`, optional
 /// bias `[o]`.
 ///
-/// `act`, when set, quantizes the input inside the lowering (as the model
+/// `act`, when set, quantizes the input inside the kernel (as the model
 /// taps do): per tensor, or per input channel with `channels == c`, where
 /// channel `ci` quantizes through table `ci`. `exec` names the ISA path of
 /// the filter decode, the fused input quantization and the NT
@@ -97,15 +118,13 @@ pub fn conv2d_packed(
             pq.channels()
         );
     }
-    let xd = x.data();
-    let oh = spec.out_extent(h, kh);
-    let ow = spec.out_extent(w, kw);
-    let ckk = c * kh * kw;
-    let chw = c * h * w;
-    let ohow = oh * ow;
+    let geom =
+        Geom { c, h, w, kh, kw, spec, oh: spec.out_extent(h, kh), ow: spec.out_extent(w, kw) };
+    let (ckk, ohow) = (geom.ckk(), geom.ohow());
     let mut out = vec![0.0f32; n * o * ohow];
+    let out_dims = [n, o, geom.oh, geom.ow];
     if n == 0 || o == 0 || ohow == 0 {
-        return Tensor::from_vec(out, &[n, o, oh, ow]);
+        return Tensor::from_vec(out, &out_dims);
     }
     if ckk == 0 {
         // Empty reduction (zero input channels or a zero-extent kernel):
@@ -113,88 +132,191 @@ pub fn conv2d_packed(
         for obatch in out.chunks_mut(o * ohow) {
             add_bias(obatch, bias, ohow, 0);
         }
-        return Tensor::from_vec(out, &[n, o, oh, ow]);
+        return Tensor::from_vec(out, &out_dims);
     }
     // The packed filter bank expands exactly once per call — shared
     // read-only by every worker in both regimes, so the decode cost is
     // paid per step, not per image or per worker.
-    let mut filters = vec![0.0f32; o * ckk];
+    let mut filters = Scratch::take(&WEIGHTS, o * ckk);
     parallel_rows_in(workers, &mut filters, o, ckk, 8, |r0, chunk| {
         weight.decode_range_into_as(isa, r0 * ckk, chunk);
     });
-    let npanels = ohow.div_ceil(NT_NR);
+    let filters = &*filters;
+    let chw = c * h * w;
+    let image = |b: usize| &x.data()[b * chw..(b + 1) * chw];
     match pick_conv_regime(n, o, workers) {
         ConvRegime::BatchParallel => {
-            // Per-thread arena: one quantized-image scratch plus one
-            // `ckk × NT_NR` micro-panel, reused across this worker's
-            // batches — panels are lowered and consumed on the fly.
-            parallel_rows_in(workers, &mut out, n, o * ohow, 1, |batch_start, chunk| {
-                let mut panel = vec![0.0f32; ckk * NT_NR];
-                let mut xq = act.map(|_| vec![0.0f32; chw]);
+            // Each worker stages its images one at a time into its own
+            // scratch and sweeps the whole filter bank against them.
+            parallel_rows_in(workers, &mut out, n, o * ohow, 1, |b0, chunk| {
                 for (bi, obatch) in chunk.chunks_mut(o * ohow).enumerate() {
-                    let batch = batch_start + bi;
-                    let src = &xd[batch * chw..(batch + 1) * chw];
-                    let img = quantize_image(src, act, xq.as_deref_mut(), h * w, isa);
-                    for t in 0..npanels {
-                        let j0 = t * NT_NR;
-                        let nw = NT_NR.min(ohow - j0);
-                        im2col_panel_into(img, c, h, w, kh, kw, spec, j0, nw, &mut panel);
-                        gemm_nt_panel_as(isa, &filters, &panel, obatch, o, ckk, ohow, j0, nw);
-                    }
+                    geom.stage(image(b0 + bi), act, isa, 1, |img| {
+                        img.sweep(isa, filters, obatch, o);
+                    });
                     add_bias(obatch, bias, ohow, 0);
                 }
             });
         }
         ConvRegime::ChannelParallel => {
-            // Images in sequence; each image's panels are lowered once
-            // into a shared bank (parallel over panel tiles), then the
+            // Images in sequence; each image is staged once, then the
             // output channels split across workers on the register-block
             // grid against the shared filter bank.
-            let mut xq = act.map(|_| vec![0.0f32; chw]);
-            let mut bank = vec![0.0f32; npanels * ckk * NT_NR];
-            for batch in 0..n {
-                let src = &xd[batch * chw..(batch + 1) * chw];
-                let img = quantize_image(src, act, xq.as_deref_mut(), h * w, isa);
-                parallel_rows_in(workers, &mut bank, npanels, ckk * NT_NR, 1, |t0, pchunk| {
-                    for (ti, panel) in pchunk.chunks_mut(ckk * NT_NR).enumerate() {
-                        let j0 = (t0 + ti) * NT_NR;
-                        let nw = NT_NR.min(ohow - j0);
-                        im2col_panel_into(img, c, h, w, kh, kw, spec, j0, nw, panel);
-                    }
-                });
-                let obatch = &mut out[batch * o * ohow..(batch + 1) * o * ohow];
-                parallel_rows_aligned_in(workers, obatch, o, ohow, 1, NT_MR, |oc0, chunk| {
-                    let rows = chunk.len() / ohow;
-                    let frows = &filters[oc0 * ckk..(oc0 + rows) * ckk];
-                    for (t, panel) in bank.chunks(ckk * NT_NR).enumerate() {
-                        let j0 = t * NT_NR;
-                        let nw = NT_NR.min(ohow - j0);
-                        gemm_nt_panel_as(isa, frows, panel, chunk, rows, ckk, ohow, j0, nw);
-                    }
-                    add_bias(chunk, bias, ohow, oc0);
+            for (b, obatch) in out.chunks_mut(o * ohow).enumerate() {
+                geom.stage(image(b), act, isa, workers, |img| {
+                    parallel_rows_aligned_in(workers, obatch, o, ohow, 1, NT_MR, |oc0, chunk| {
+                        let rows = chunk.len() / ohow;
+                        img.sweep(isa, &filters[oc0 * ckk..(oc0 + rows) * ckk], chunk, rows);
+                        add_bias(chunk, bias, ohow, oc0);
+                    });
                 });
             }
         }
     }
-    Tensor::from_vec(out, &[n, o, oh, ow])
+    Tensor::from_vec(out, &out_dims)
 }
 
-/// Fused input quantization: streams `src` (`[c, h, w]` flat) through the
-/// boundary tables into `scratch` and returns it, or passes `src` through
-/// untouched when no quantizer is installed.
-fn quantize_image<'a>(
-    src: &'a [f32],
-    act: Option<&PanelQuantizer>,
-    scratch: Option<&'a mut [f32]>,
-    plane: usize,
-    isa: Isa,
-) -> &'a [f32] {
-    match (act, scratch) {
-        (Some(pq), Some(buf)) => {
-            pq.quantize_panel_into_as(isa, src, buf, plane);
-            buf
+/// The shape of one conv call.
+struct Geom {
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    spec: Conv2dSpec,
+    oh: usize,
+    ow: usize,
+}
+
+impl Geom {
+    fn ckk(&self) -> usize {
+        self.c * self.kh * self.kw
+    }
+
+    fn ohow(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Whether the direct path applies: stride 1, with every 8-pixel
+    /// panel either one stretch of an output row (`ow` a multiple of 8)
+    /// or two whole 4-pixel rows (`ow == 4`, even `oh`).
+    fn direct(&self) -> bool {
+        let fits =
+            self.ow.is_multiple_of(NT_NR) || (self.ow == NT_NR / 2 && self.oh.is_multiple_of(2));
+        self.spec.stride == 1 && fits
+    }
+
+    /// Stages one `[c, h, w]` image for the micro-kernel and runs `f` on
+    /// it. The input goes through the fused quantizer once (when `act` is
+    /// set); then the direct path borders it with `padding` zeros, and
+    /// the panel path lowers it into every im2col panel (in parallel over
+    /// `workers`). All buffers are this thread's scratch.
+    fn stage<R>(
+        &self,
+        src: &[f32],
+        act: Option<&PanelQuantizer>,
+        isa: Isa,
+        workers: usize,
+        f: impl FnOnce(Staged<'_>) -> R,
+    ) -> R {
+        let Geom { c, h, w, kh, kw, spec, ow, .. } = *self;
+        let (ckk, ohow) = (self.ckk(), self.ohow());
+        let npanels = ohow.div_ceil(NT_NR);
+        let mut qimg = Scratch::take(&ACTS, if act.is_some() { src.len() } else { 0 });
+        let img = match act {
+            Some(pq) => {
+                pq.quantize_panel_into_as(isa, src, &mut qimg, h * w);
+                &qimg[..]
+            }
+            None => src,
+        };
+        if !self.direct() {
+            let mut bank = Scratch::take(&STAGED, npanels * ckk * NT_NR);
+            parallel_rows_in(workers, &mut bank, npanels, ckk * NT_NR, 1, |t0, pchunk| {
+                for (ti, panel) in pchunk.chunks_mut(ckk * NT_NR).enumerate() {
+                    let j0 = (t0 + ti) * NT_NR;
+                    let nw = NT_NR.min(ohow - j0);
+                    im2col_panel_into(img, c, h, w, kh, kw, spec, j0, nw, panel);
+                }
+            });
+            return f(Staged::Panels { bank: &bank, ckk, ohow });
         }
-        _ => src,
+        let p = spec.padding;
+        let pitch = w + 2 * p;
+        let plane = (h + 2 * p) * pitch;
+        let mut index = Scratch::take(&INDEX, ckk + npanels);
+        let (off, bases) = index.split_at_mut(ckk);
+        // Tap `(ci, ky, kx)` sits at this offset from its output pixel's
+        // top-left input corner, in the bordered image.
+        let taps = (0..c).flat_map(|ci| {
+            (0..kh).flat_map(move |ky| (0..kw).map(move |kx| ci * plane + ky * pitch + kx))
+        });
+        for (slot, tap) in off.iter_mut().zip(taps) {
+            *slot = tap;
+        }
+        for (t, slot) in bases.iter_mut().enumerate() {
+            let j0 = t * NT_NR;
+            *slot = (j0 / ow) * pitch + j0 % ow;
+        }
+        // A 4-pixel row takes half a panel; the next output row is one
+        // bordered row further on.
+        let half = if ow.is_multiple_of(NT_NR) { NT_NR / 2 } else { pitch };
+        let mut bordered = Scratch::take(&STAGED, if p > 0 { c * plane } else { 0 });
+        let img = if p > 0 {
+            border_into(img, c, h, w, p, &mut bordered);
+            &bordered[..]
+        } else {
+            img
+        };
+        f(Staged::Direct { img, off, bases, half })
+    }
+}
+
+/// Copies `[c, h, w]` `img` into `dst` (`[c, h + 2p, w + 2p]`) inside a
+/// border of `p` zeros, writing every element of `dst`.
+fn border_into(img: &[f32], c: usize, h: usize, w: usize, p: usize, dst: &mut [f32]) {
+    let pitch = w + 2 * p;
+    let plane = (h + 2 * p) * pitch;
+    for ci in 0..c {
+        let dplane = &mut dst[ci * plane..(ci + 1) * plane];
+        let (top, rest) = dplane.split_at_mut(p * pitch);
+        let (mid, bottom) = rest.split_at_mut(h * pitch);
+        top.fill(0.0);
+        bottom.fill(0.0);
+        for (y, row) in mid.chunks_exact_mut(pitch).enumerate() {
+            row[..p].fill(0.0);
+            row[p..p + w].copy_from_slice(&img[(ci * h + y) * w..][..w]);
+            row[p + w..].fill(0.0);
+        }
+    }
+}
+
+/// One image staged for the NT micro-kernel.
+enum Staged<'a> {
+    /// Read in place by [`gemm_nt_direct_as`]: the (bordered) image, each
+    /// reduction index's offset, each panel's base, and the distance
+    /// between a panel's two 4-lane halves.
+    Direct { img: &'a [f32], off: &'a [usize], bases: &'a [usize], half: usize },
+    /// Lowered into `[npanels][ckk][NT_NR]` im2col panels.
+    Panels { bank: &'a [f32], ckk: usize, ohow: usize },
+}
+
+impl Staged<'_> {
+    /// Writes `rows` output channels of the image (`filters` is their
+    /// `[rows, ckk]` slice of the bank) into `out` (`[rows, oh·ow]`).
+    fn sweep(&self, isa: Isa, filters: &[f32], out: &mut [f32], rows: usize) {
+        match *self {
+            Staged::Direct { img, off, bases, half } => {
+                let ohow = bases.len() * NT_NR;
+                gemm_nt_direct_as(isa, filters, img, off, bases, half, out, rows, ohow);
+            }
+            Staged::Panels { bank, ckk, ohow } => {
+                for (t, panel) in bank.chunks(ckk * NT_NR).enumerate() {
+                    let j0 = t * NT_NR;
+                    let nw = NT_NR.min(ohow - j0);
+                    gemm_nt_panel_as(isa, filters, panel, out, rows, ckk, ohow, j0, nw);
+                }
+            }
+        }
     }
 }
 

@@ -16,29 +16,35 @@
 //!
 //! # Tile schedules
 //!
-//! Two regimes, picked per call by [`pick_gemm_regime`] from the actual
-//! `m`/`n` tile counts against the worker count (see [`crate::schedule`]):
+//! Two regimes, picked per call by [`pick_gemm_regime`] from the worker
+//! count and the actual `m`/`n` tile counts (see [`crate::schedule`]):
 //!
-//! * **Row-parallel** (weight-stationary; wide layers, the batch-1
-//!   default). The activation rows are quantized + interleaved into
-//!   shared `[k][NT_NR]` panels ([`pack_nt_panel`]) once, in parallel —
-//!   the *fused epilogue*: quantization happens as the micro-panel is
-//!   packed, via branch-free boundary-table bisection, and each
-//!   activation row is quantized exactly once per call (not once per
-//!   worker). Workers then split the weight rows on the register-block
-//!   grid ([`parallel_rows_aligned_in`]), stream their packed rows
+//! * **Column-parallel** (activation-stationary; every one-worker call,
+//!   and batched activations against narrow layers, where `⌈n/4⌉` grains
+//!   would under-fill the workers). The packed weights are decoded once
+//!   into a shared panel bank; workers split the *activation rows*,
+//!   quantize their own rows in [`ACT_BLOCK`]-row scratch blocks (panel
+//!   streaming), and sweep the weight panels — writing the `[m, n]`
+//!   output in place, with no transpose. On one worker this always wins:
+//!   the row-parallel transpose alone was a fifth of a 16×16×16 served
+//!   linear.
+//! * **Row-parallel** (weight-stationary; small activation matrices on
+//!   several workers, where it keeps more of them busy). The activation
+//!   rows are quantized + interleaved into shared `[k][NT_NR]` panels
+//!   ([`pack_nt_panel`]) once, in parallel — the *fused epilogue*:
+//!   quantization happens as the micro-panel is packed, via branch-free
+//!   boundary-table bisection, and each activation row is quantized
+//!   exactly once per call (not once per worker). Workers then split the
+//!   weight rows on the register-block grid
+//!   ([`parallel_rows_aligned_in`]), stream their packed rows
 //!   `WTILE_ROWS` at a time through the LUT decoder — each weight tile
 //!   decoded **once per call**, however many images the activation
 //!   matrix stacks — and run the shared 4×8 NT micro-kernel
-//!   ([`fpdq_tensor::matmul::gemm_nt_panel`]) tile × panel into a
-//!   `[n, m]` buffer transposed once at the end.
-//! * **Column-parallel** (activation-stationary; batched activations
-//!   against narrow layers, where `⌈n/4⌉` grains would under-fill the
-//!   workers). The packed weights are decoded once into a shared panel
-//!   bank; workers split the *activation rows*, quantize their own rows
-//!   in [`ACT_BLOCK`]-row scratch blocks (panel streaming), and sweep
-//!   the weight panels — writing the `[m, n]` output directly, no
-//!   transpose.
+//!   ([`fpdq_tensor::matmul::gemm_nt_panel`]) tile × panel into an
+//!   `[n, m]` block transposed once at the end.
+//!
+//! Panel banks, decode tiles and quantized blocks are per-thread scratch
+//! reused across calls, so a one-worker call allocates only its output.
 //!
 //! Because the micro-kernel accumulates each output element in plain `k`
 //! order in every path (and `a·w` multiplies commute bitwise), the result
@@ -47,14 +53,15 @@
 //! "fake-quantize the whole tensor first" path.
 //!
 //! The packed convolution ([`crate::conv`]) is *implicit GEMM* on the
-//! same micro-kernel: it lowers `im2col` micro-panels on the fly into
-//! the `[k][NT_NR]` layout described above, so every property of this
-//! module — once-per-call decode, fused activation quant, SIMD dispatch,
-//! the bit-identity contract — carries over to conv without a second
-//! implementation.
+//! same micro-kernel: it reads each tile's `[k][NT_NR]` operand in place
+//! from the staged image, or lowers `im2col` micro-panels on the fly, so
+//! every property of this module — once-per-call decode, fused
+//! activation quant, SIMD dispatch, the bit-identity contract — carries
+//! over to conv without a second implementation.
 
 use crate::packed::PackedTensor;
 use crate::schedule::{pick_gemm_regime, GemmRegime, ACT_BLOCK};
+use crate::scratch::{Scratch, ACTS, STAGED, WEIGHTS};
 use fpdq_core::PanelQuantizer;
 use fpdq_tensor::matmul::{gemm_nt_panel_as, pack_nt_panel, NT_MR, NT_NR};
 use fpdq_tensor::parallel::{parallel_rows_aligned_in, parallel_rows_in, Exec};
@@ -127,26 +134,26 @@ fn pack_act_panels(
     p0: usize,
     chunk: &mut [f32],
 ) {
-    let mut qrows = act.map(|_| vec![0.0f32; NT_NR * k]);
+    let mut qrows = Scratch::take(&ACTS, if act.is_some() { NT_NR * k } else { 0 });
     for (pi, bp) in chunk.chunks_mut(k * NT_NR).enumerate() {
         let j0 = (p0 + pi) * NT_NR;
         let nw = NT_NR.min(m - j0);
         let src = &ad[j0 * k..(j0 + nw) * k];
-        match (act, &mut qrows) {
-            (Some(pq), Some(qr)) => {
+        match act {
+            Some(pq) => {
                 // group = 1: the channel of element `i` within the
                 // row-major block is `i % k`, i.e. its column.
-                pq.quantize_panel_into_as(isa, src, &mut qr[..nw * k], 1);
-                pack_nt_panel(&qr[..nw * k], k, nw, bp);
+                pq.quantize_panel_into_as(isa, src, &mut qrows[..nw * k], 1);
+                pack_nt_panel(&qrows[..nw * k], k, nw, bp);
             }
-            _ => pack_nt_panel(src, k, nw, bp),
+            None => pack_nt_panel(src, k, nw, bp),
         }
     }
 }
 
 /// Weight-stationary schedule: shared pre-quantized activation panels,
 /// workers split the packed weight rows and decode each of their tiles
-/// exactly once per call.
+/// exactly once per call, into an `[n, m]` block transposed at the end.
 fn gemm_row_parallel(
     ad: &[f32],
     m: usize,
@@ -159,15 +166,16 @@ fn gemm_row_parallel(
     // Fused epilogue, hoisted: every activation row quantizes + packs
     // exactly once per call, in parallel, into the shared panel bank.
     let mpanels = m.div_ceil(NT_NR);
-    let mut panels = vec![0.0f32; mpanels * k * NT_NR];
+    let mut panels = Scratch::take(&WEIGHTS, mpanels * k * NT_NR);
     parallel_rows_in(workers, &mut panels, mpanels, k * NT_NR, 1, |p0, chunk| {
         pack_act_panels(ad, m, k, act, isa, p0, chunk);
     });
+    let panels = &*panels;
     let mut out = vec![0.0f32; n * m];
     parallel_rows_aligned_in(workers, &mut out, n, m, 4, NT_MR, |row_start, chunk| {
         let rows = chunk.len() / m;
         // Per-worker decode scratch, reused across this worker's tiles.
-        let mut wtile = vec![0.0f32; WTILE_ROWS * k];
+        let mut wtile = Scratch::take(&ACTS, WTILE_ROWS * k);
         let mut wt = 0;
         while wt < rows {
             let wh = WTILE_ROWS.min(rows - wt);
@@ -196,10 +204,10 @@ fn gemm_row_parallel(
     Tensor::from_vec(out, &[n, m]).transpose()
 }
 
-/// Activation-stationary schedule for batched activations against narrow
-/// layers: the packed weights decode once into a shared panel bank, and
-/// workers split the activation rows — quantizing their own rows in
-/// [`ACT_BLOCK`]-row blocks and writing the `[m, n]` output directly.
+/// Activation-stationary schedule: the packed weights decode once into a
+/// shared panel bank, and workers split the activation rows — quantizing
+/// their own rows in [`ACT_BLOCK`]-row blocks and writing the `[m, n]`
+/// output in place, with no transpose.
 ///
 /// Bit-identity with the row-parallel schedule: the micro-kernel
 /// accumulates each output element in plain ascending-`k` order in both,
@@ -218,11 +226,11 @@ fn gemm_col_parallel(
     // straight into the shared `[k][NT_NR]` panel bank: each worker
     // expands one panel's rows into a small row-major scratch and
     // interleaves from there, so the only weight-sized buffer is the
-    // bank itself (~`n × k` floats, transient for this call).
+    // bank itself (~`n × k` floats).
     let wtiles = n.div_ceil(NT_NR);
-    let mut wpanels = vec![0.0f32; wtiles * k * NT_NR];
+    let mut wpanels = Scratch::take(&WEIGHTS, wtiles * k * NT_NR);
     parallel_rows_in(workers, &mut wpanels, wtiles, k * NT_NR, 1, |t0, chunk| {
-        let mut wrows = vec![0.0f32; NT_NR * k];
+        let mut wrows = Scratch::take(&STAGED, NT_NR * k);
         for (ti, bp) in chunk.chunks_mut(k * NT_NR).enumerate() {
             let j0 = (t0 + ti) * NT_NR;
             let nw = NT_NR.min(n - j0);
@@ -230,23 +238,24 @@ fn gemm_col_parallel(
             pack_nt_panel(&wrows[..nw * k], k, nw, bp);
         }
     });
+    let wpanels = &*wpanels;
     let mut out = vec![0.0f32; m * n];
     parallel_rows_aligned_in(workers, &mut out, m, n, 4, NT_MR, |m0, chunk| {
         let rows = chunk.len() / n;
         // Fused epilogue: this worker quantizes its own activation rows,
         // ACT_BLOCK at a time (bounded panel streaming), then sweeps the
         // shared weight panels.
-        let mut qblock = act.map(|_| vec![0.0f32; ACT_BLOCK * k]);
+        let mut qblock = Scratch::take(&ACTS, if act.is_some() { ACT_BLOCK * k } else { 0 });
         let mut mb = 0;
         while mb < rows {
             let mh = ACT_BLOCK.min(rows - mb);
             let src = &ad[(m0 + mb) * k..(m0 + mb + mh) * k];
-            let arows = match (act, &mut qblock) {
-                (Some(pq), Some(qb)) => {
-                    pq.quantize_panel_into_as(isa, src, &mut qb[..mh * k], 1);
-                    &qb[..mh * k]
+            let arows = match act {
+                Some(pq) => {
+                    pq.quantize_panel_into_as(isa, src, &mut qblock[..mh * k], 1);
+                    &qblock[..mh * k]
                 }
-                _ => src,
+                None => src,
             };
             let cblock = &mut chunk[mb * n..(mb + mh) * n];
             for t in 0..wtiles {

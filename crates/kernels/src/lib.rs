@@ -64,25 +64,27 @@
 //!    images the batched activation matrix stacks; packed weights
 //!    therefore run at or below dense-FP32 latency while moving 4-8×
 //!    fewer weight bytes, and the per-image cost *falls* with the batch.
-//!    The convolution is *implicit GEMM on the same micro-kernel*: each
-//!    8-pixel output tile's `im2col` columns are lowered on the fly
-//!    directly into an NT micro-panel arena
-//!    ([`fpdq_tensor::conv::im2col_panel_into`], table-driven: lane
-//!    offsets are computed once per kernel tap and reused for every input
-//!    channel as a contiguous copy, a zero fill or a masked gather) and
-//!    fed straight to `gemm_nt_panel` against the once-per-call decoded
-//!    filter bank — the whole-image `im2col` matrix never materialises,
-//!    and conv inherits
-//!    the GEMM's SIMD dispatch, fused activation quant, and decode
-//!    amortisation instead of duplicating them. Both kernels pick their
-//!    parallel regime per call from the actual tile counts against the
-//!    worker count ([`schedule`]): the GEMM between weight-row-parallel
-//!    and activation-row-parallel (narrow layers under batched
-//!    activations), the convolution between batch-parallel per-worker
-//!    panel arenas and channel-parallel workers against a shared
-//!    per-image panel bank. Because the micro-kernel accumulates every
-//!    output element in plain `k` order in every code path, results are
-//!    bit-identical across regimes, tile schedules and thread counts,
+//!    The convolution is *implicit GEMM on the same micro-kernel*: a
+//!    stride-1 conv whose 8-pixel output tiles are whole panels reads
+//!    each tile in place from the quantized, zero-bordered image
+//!    ([`fpdq_tensor::matmul::gemm_nt_direct_as`], the direct path);
+//!    every other conv lowers each tile's `im2col` columns into an NT
+//!    micro-panel ([`fpdq_tensor::conv::im2col_panel_into`], table-driven:
+//!    lane offsets are computed once per kernel tap and reused for every
+//!    input channel as a contiguous copy, a zero fill or a masked gather)
+//!    and feeds it to `gemm_nt_panel`. Either way the tiles meet the
+//!    once-per-call decoded filter bank, the whole-image `im2col` matrix
+//!    never materialises, and conv inherits the GEMM's SIMD dispatch,
+//!    fused activation quant, and decode amortisation instead of
+//!    duplicating them. Both kernels pick their parallel regime per call
+//!    from the worker count and the actual tile counts ([`schedule`]):
+//!    the GEMM between activation-row-parallel (every one-worker call,
+//!    and narrow layers under batched activations) and
+//!    weight-row-parallel, the convolution between batch-parallel
+//!    workers staging their own images and channel-parallel workers
+//!    sharing one staged image. Because the micro-kernels accumulate
+//!    every output element in plain `k` order in every code path, results
+//!    are bit-identical across regimes, tile schedules and thread counts,
 //!    and the fused path is bit-exact against "fake-quantize first, then
 //!    run the same kernel" — so batch-N sampling reproduces N batch-1
 //!    runs bit-for-bit (`tests/batched_consistency.rs`).
@@ -135,12 +137,13 @@
 //! the GEMM splits packed weight rows or activation rows on the 4-row
 //! register-block grid (`parallel_rows_aligned`), the conv splits
 //! batches or output channels — regime chosen per call by [`schedule`]
-//! from tile counts vs. workers — and every worker owns a scratch arena
-//! (decoded weight tile, quantized activation block, quantized image,
-//! `im2col` micro-panel) so no synchronisation happens inside a tile;
-//! the pre-quantized activation panel bank, the decoded filter bank, and
-//! the channel-parallel conv's per-image lowered panel bank are built
-//! once per call and shared read-only. Worker-chunk boundaries are
+//! from tile counts vs. workers — and every worker owns its scratch
+//! (decoded weight tile, quantized activation block, quantized and
+//! bordered image, `im2col` micro-panels), kept per thread across calls,
+//! so no synchronisation happens inside a tile; the pre-quantized
+//! activation panel bank, the decoded filter bank, and the
+//! channel-parallel conv's staged image are built once per call and
+//! shared read-only. Worker-chunk boundaries are
 //! pinned to the block grid, which — together with the fixed-`k`-order
 //! accumulation — makes multi-threaded output bit-identical to
 //! single-threaded output. `FPDQ_THREADS` caps the default worker count;
@@ -157,6 +160,7 @@ pub mod conv;
 pub mod exec;
 pub mod gemm;
 pub mod packed;
+mod scratch;
 
 /// Batched execution-regime selection (shared with the dense kernels in
 /// `fpdq-tensor`, where the decision functions live).

@@ -476,6 +476,12 @@ impl QuantLayer for Conv2d {
 // ---------------------------------------------------------------------------
 
 /// Reference (tensor-path) group-norm forward.
+///
+/// Each (batch, group)'s mean and variance are plain `f32` sums in
+/// element order from `-0.0`, the fold of `Iterator::sum`, so the bits
+/// are those of the one-chain loop; the sums run four groups' chains
+/// side by side so their adds overlap instead of each waiting on the
+/// last.
 pub fn group_norm_ref(
     x: &Tensor,
     gamma: &Tensor,
@@ -490,24 +496,52 @@ pub fn group_norm_ref(
     let m = gsz * h * w;
     let mut out = vec![0.0f32; x.numel()];
     let xd = x.data();
+    // Group `r = b·groups + g` is the contiguous run `xd[r·m..(r+1)·m]`.
+    let mut mu = vec![0.0f32; n * groups];
+    row_sums(xd, m, &mut mu, |_, v| v);
+    mu.iter_mut().for_each(|s| *s /= m as f32);
+    let mut var = vec![0.0f32; n * groups];
+    row_sums(xd, m, &mut var, |r, v| (v - mu[r]) * (v - mu[r]));
     for b in 0..n {
         for g in 0..groups {
-            let start = (b * c + g * gsz) * h * w;
-            let slice = &xd[start..start + m];
-            let mu: f32 = slice.iter().sum::<f32>() / m as f32;
-            let var: f32 = slice.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / m as f32;
-            let is = 1.0 / (var + eps).sqrt();
+            let r = b * groups + g;
+            let is = 1.0 / (var[r] / m as f32 + eps).sqrt();
             for ci in 0..gsz {
                 let ch = g * gsz + ci;
                 let cstart = (b * c + ch) * h * w;
                 let (gv, bv) = (gamma.data()[ch], beta.data()[ch]);
                 for i in 0..h * w {
-                    out[cstart + i] = (xd[cstart + i] - mu) * is * gv + bv;
+                    out[cstart + i] = (xd[cstart + i] - mu[r]) * is * gv + bv;
                 }
             }
         }
     }
     Tensor::from_vec(out, x.dims())
+}
+
+/// `sums[r] = -0.0 + term(r, x[r·m]) + term(r, x[r·m + 1]) + …` in
+/// element order for each `m`-element row `r` of `x`. Four rows run at a
+/// time, each in its own accumulator, so four independent add chains
+/// overlap; no row's order changes.
+fn row_sums(x: &[f32], m: usize, sums: &mut [f32], term: impl Fn(usize, f32) -> f32) {
+    let full = sums.len() / 4 * 4;
+    let (quads, rest) = sums.split_at_mut(full);
+    for (q, out) in quads.chunks_exact_mut(4).enumerate() {
+        let r0 = 4 * q;
+        let [x0, x1, x2, x3]: [&[f32]; 4] =
+            std::array::from_fn(|j| &x[(r0 + j) * m..(r0 + j + 1) * m]);
+        let mut acc = [-0.0f32; 4];
+        for (((&v0, &v1), &v2), &v3) in x0.iter().zip(x1).zip(x2).zip(x3) {
+            acc[0] += term(r0, v0);
+            acc[1] += term(r0 + 1, v1);
+            acc[2] += term(r0 + 2, v2);
+            acc[3] += term(r0 + 3, v3);
+        }
+        out.copy_from_slice(&acc);
+    }
+    for (r, s) in (full..).zip(rest) {
+        *s = x[r * m..(r + 1) * m].iter().fold(-0.0, |a, &v| a + term(r, v));
+    }
 }
 
 /// Reference (tensor-path) layer-norm forward over the innermost dim.
@@ -618,6 +652,68 @@ mod tests {
     use fpdq_autograd::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The one-chain group norm `group_norm_ref` replaced, kept as the
+    /// bit oracle of its side-by-side reductions.
+    fn group_norm_one_chain(x: &Tensor, gamma: &Tensor, beta: &Tensor, groups: usize) -> Tensor {
+        let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+        let gsz = c / groups;
+        let m = gsz * h * w;
+        let mut out = vec![0.0f32; x.numel()];
+        let xd = x.data();
+        for b in 0..n {
+            for g in 0..groups {
+                let start = (b * c + g * gsz) * h * w;
+                let slice = &xd[start..start + m];
+                let mu: f32 = slice.iter().sum::<f32>() / m as f32;
+                let var: f32 = slice.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / m as f32;
+                let is = 1.0 / (var + 1e-5).sqrt();
+                for ci in 0..gsz {
+                    let ch = g * gsz + ci;
+                    let cstart = (b * c + ch) * h * w;
+                    let (gv, bv) = (gamma.data()[ch], beta.data()[ch]);
+                    for i in 0..h * w {
+                        out[cstart + i] = (xd[cstart + i] - mu) * is * gv + bv;
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(out, x.dims())
+    }
+
+    #[test]
+    fn group_norm_side_by_side_sums_keep_the_one_chain_bits() {
+        let mut rng = StdRng::seed_from_u64(9);
+        // Group counts that leave 0, 1, 2 and 3 rows past the last quad.
+        for (dims, groups) in [
+            ([2usize, 8, 8, 8], 4usize),
+            ([1, 24, 8, 8], 4),
+            ([3, 6, 2, 2], 3),
+            ([1, 6, 3, 1], 2),
+            ([1, 5, 2, 2], 5),
+            ([2, 4, 1, 1], 1),
+        ] {
+            let mut vals = Tensor::randn(&dims, &mut rng).mul_scalar(3.0).data().to_vec();
+            let m = dims[1] / groups * dims[2] * dims[3];
+            // Group 0 all -0.0 (its sum must stay -0.0), and non-finite
+            // values in the others.
+            vals[..m].fill(-0.0);
+            let n = vals.len();
+            if n > 3 * m {
+                vals[m + 1] = f32::NAN;
+                vals[2 * m] = f32::INFINITY;
+                vals[n - 1] = f32::NEG_INFINITY;
+            }
+            let x = Tensor::from_vec(vals, &dims);
+            let gamma = Tensor::randn(&[dims[1]], &mut rng);
+            let beta = Tensor::randn(&[dims[1]], &mut rng);
+            let got = group_norm_ref(&x, &gamma, &beta, groups, 1e-5);
+            let want = group_norm_one_chain(&x, &gamma, &beta, groups);
+            for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{dims:?}/{groups} elem {i}: {a} vs {b}");
+            }
+        }
+    }
 
     #[test]
     fn linear_paths_agree() {

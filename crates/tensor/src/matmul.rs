@@ -12,7 +12,10 @@
 //!   bit-identical regardless of tiling, panel boundaries, or how many
 //!   threads the work is split across — the property the fused
 //!   quantized kernels in `fpdq-kernels` lean on for their determinism
-//!   guarantees.
+//!   guarantees. Its direct twin ([`gemm_nt_direct_as`]) reads the same
+//!   `[k][NT_NR]` operand in place from an image, as two 4-lane halves
+//!   per `k` step at caller-given offsets: a stride-1 convolution runs it
+//!   without lowering its input into panels.
 //! * [`gemm_serial`] — the NN kernel (`c = a · b`) in `i-k-j` order with a
 //!   4-row block over `i`, amortising each streamed `b` row across four
 //!   output rows while keeping the innermost traversal contiguous.
@@ -477,6 +480,101 @@ pub fn gemm_nt_panel_scalar(
     }
 }
 
+/// The direct-convolution NT micro-kernel: [`gemm_nt_panel`] with the
+/// `[k][NT_NR]` operand read in place from an image instead of a packed
+/// panel. Writes the `bases.len()` full panels of columns
+/// `[t·NT_NR, (t+1)·NT_NR)` of `c` (rows of length `cstride`) with
+/// `a[m,k] · panel_tᵀ`, overwriting, where lanes `0..4` of panel `t`'s
+/// row `kk` are `img[bases[t] + off[kk]..][..4]` and lanes `4..8` are
+/// `img[bases[t] + off[kk] + half..][..4]`; `k = off.len()`.
+///
+/// A stride-1 convolution over a zero-bordered image is exactly this
+/// shape: `off` holds each tap's offset and `bases` each 8-pixel tile's
+/// top-left corner, so the im2col lowering disappears. Every output
+/// element accumulates the same products in the same ascending-`k` order
+/// as [`gemm_nt_panel`] on the lowered panel, so the two are
+/// bit-identical, and every ISA path is bit-identical to the scalar
+/// reference ([`gemm_nt_direct_scalar`]).
+///
+/// # Panics
+///
+/// Panics on size mismatches, or when a lane would read past `img`.
+/// (Real asserts, as in [`gemm_nt_panel_as`]: the SIMD paths read
+/// through raw pointers.)
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nt_direct_as(
+    isa: Isa,
+    a: &[f32],
+    img: &[f32],
+    off: &[usize],
+    bases: &[usize],
+    half: usize,
+    c: &mut [f32],
+    m: usize,
+    cstride: usize,
+) {
+    let k = off.len();
+    assert_eq!(a.len(), m * k, "lhs rows size");
+    if m == 0 || bases.is_empty() {
+        return;
+    }
+    let cols = bases.len() * NT_NR;
+    assert!(cols <= cstride, "columns past row end");
+    assert!(c.len() >= (m - 1) * cstride + cols, "output too short");
+    if let (Some(&top_off), Some(&top_base)) = (off.iter().max(), bases.iter().max()) {
+        // The farthest lane read is the last of the upper half.
+        let reach = top_base.saturating_add(top_off).saturating_add(half).saturating_add(4);
+        assert!(reach <= img.len(), "lanes read past image");
+    }
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 if isa.is_supported() => {
+            // Safety: AVX2 verified at runtime; every lane read and
+            // output write is in bounds per the asserts above.
+            unsafe { avx2::gemm_nt_direct(a, img, off, bases, half, c, m, cstride) }
+        }
+        #[cfg(target_arch = "aarch64")]
+        Isa::Neon => {
+            // Safety: NEON is baseline on aarch64; bounds as above.
+            unsafe { neon::gemm_nt_direct(a, img, off, bases, half, c, m, cstride) }
+        }
+        _ => gemm_nt_direct_scalar(a, img, off, bases, half, c, m, cstride),
+    }
+}
+
+/// The scalar reference of [`gemm_nt_direct_as`] — the bit-identity
+/// oracle of its SIMD paths.
+///
+/// # Panics
+///
+/// Panics on a lane or output index out of bounds.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nt_direct_scalar(
+    a: &[f32],
+    img: &[f32],
+    off: &[usize],
+    bases: &[usize],
+    half: usize,
+    c: &mut [f32],
+    m: usize,
+    cstride: usize,
+) {
+    let k = off.len();
+    for (t, &base) in bases.iter().enumerate() {
+        for i in 0..m {
+            let mut acc = [0.0f32; NT_NR];
+            for (&av, &o) in a[i * k..(i + 1) * k].iter().zip(off) {
+                let (lo, hi) = (&img[base + o..][..4], &img[base + o + half..][..4]);
+                for r in 0..4 {
+                    acc[r] += av * lo[r];
+                    acc[r + 4] += av * hi[r];
+                }
+            }
+            c[i * cstride + t * NT_NR..][..NT_NR].copy_from_slice(&acc);
+        }
+    }
+}
+
 /// AVX2 NT micro-kernel: accumulator rows live whole in 256-bit
 /// registers; one broadcast + multiply + add per row per `k` step. The
 /// main block is *eight* rows tall (not the scalar kernel's
@@ -572,6 +670,99 @@ mod avx2 {
             dst[..nw].copy_from_slice(&tmp[..nw]);
         }
     }
+
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime; bounds per [`super::gemm_nt_direct_as`].
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm_nt_direct(
+        a: &[f32],
+        img: &[f32],
+        off: &[usize],
+        bases: &[usize],
+        half: usize,
+        c: &mut [f32],
+        m: usize,
+        cstride: usize,
+    ) {
+        if half == NT_NR / 2 {
+            direct::<false>(a, img, off, bases, half, c, m, cstride)
+        } else {
+            direct::<true>(a, img, off, bases, half, c, m, cstride)
+        }
+    }
+
+    /// [`gemm_nt_direct`] with the two lane halves adjacent (one 256-bit
+    /// load per `k` step) or `half` apart (`SPLIT`: two 128-bit loads).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    unsafe fn direct<const SPLIT: bool>(
+        a: &[f32],
+        img: &[f32],
+        off: &[usize],
+        bases: &[usize],
+        half: usize,
+        c: &mut [f32],
+        m: usize,
+        cstride: usize,
+    ) {
+        let k = off.len();
+        for (t, &base) in bases.iter().enumerate() {
+            let src = img.as_ptr().add(base);
+            let dst = c.as_mut_ptr().add(t * NT_NR);
+            let rows = |i0: usize| (a.as_ptr().add(i0 * k), dst.add(i0 * cstride));
+            let mut i0 = 0;
+            while i0 + MR_WIDE <= m {
+                let (ap, cp) = rows(i0);
+                direct_rows::<MR_WIDE, SPLIT>(ap, k, src, off, half, cp, cstride);
+                i0 += MR_WIDE;
+            }
+            if i0 + NT_MR <= m {
+                let (ap, cp) = rows(i0);
+                direct_rows::<NT_MR, SPLIT>(ap, k, src, off, half, cp, cstride);
+                i0 += NT_MR;
+            }
+            while i0 < m {
+                let (ap, cp) = rows(i0);
+                direct_rows::<1, SPLIT>(ap, k, src, off, half, cp, cstride);
+                i0 += 1;
+            }
+        }
+    }
+
+    /// `MR` filter rows (`ap`, row length `k`) against one in-place
+    /// panel: the same mul-then-add per ascending `k` step as
+    /// [`gemm_nt_panel`], with the stripe loaded from `src + off[kk]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn direct_rows<const MR: usize, const SPLIT: bool>(
+        ap: *const f32,
+        k: usize,
+        src: *const f32,
+        off: &[usize],
+        half: usize,
+        dst: *mut f32,
+        cstride: usize,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); MR];
+        for (kk, &o) in off.iter().enumerate() {
+            let p = src.add(o);
+            let bv = if SPLIT {
+                let lo = _mm256_castps128_ps256(_mm_loadu_ps(p));
+                _mm256_insertf128_ps::<1>(lo, _mm_loadu_ps(p.add(half)))
+            } else {
+                _mm256_loadu_ps(p)
+            };
+            for (ii, accr) in acc.iter_mut().enumerate() {
+                *accr =
+                    _mm256_add_ps(*accr, _mm256_mul_ps(_mm256_set1_ps(*ap.add(ii * k + kk)), bv));
+            }
+        }
+        for (ii, accr) in acc.iter().enumerate() {
+            _mm256_storeu_ps(dst.add(ii * cstride), *accr);
+        }
+    }
 }
 
 /// NEON NT micro-kernel: the 8-lane panel stripe is two 128-bit halves;
@@ -653,6 +844,71 @@ mod neon {
             vst1q_f32(tmp.as_mut_ptr(), v[0]);
             vst1q_f32(tmp.as_mut_ptr().add(4), v[1]);
             dst[..nw].copy_from_slice(&tmp[..nw]);
+        }
+    }
+
+    /// # Safety
+    ///
+    /// NEON is baseline on aarch64; bounds per
+    /// [`super::gemm_nt_direct_as`].
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn gemm_nt_direct(
+        a: &[f32],
+        img: &[f32],
+        off: &[usize],
+        bases: &[usize],
+        half: usize,
+        c: &mut [f32],
+        m: usize,
+        cstride: usize,
+    ) {
+        let k = off.len();
+        for (t, &base) in bases.iter().enumerate() {
+            let src = img.as_ptr().add(base);
+            let dst = c.as_mut_ptr().add(t * NT_NR);
+            let mut i0 = 0;
+            while i0 + NT_MR <= m {
+                let (ap, cp) = (a.as_ptr().add(i0 * k), dst.add(i0 * cstride));
+                direct_rows::<NT_MR>(ap, k, src, off, half, cp, cstride);
+                i0 += NT_MR;
+            }
+            while i0 < m {
+                let (ap, cp) = (a.as_ptr().add(i0 * k), dst.add(i0 * cstride));
+                direct_rows::<1>(ap, k, src, off, half, cp, cstride);
+                i0 += 1;
+            }
+        }
+    }
+
+    /// `MR` filter rows against one in-place panel: the lane halves are
+    /// the two 128-bit loads at `src + off[kk]` and `+ half`, with the
+    /// same mul-then-add per ascending `k` step as [`gemm_nt_panel`].
+    #[inline]
+    #[target_feature(enable = "neon")]
+    unsafe fn direct_rows<const MR: usize>(
+        ap: *const f32,
+        k: usize,
+        src: *const f32,
+        off: &[usize],
+        half: usize,
+        dst: *mut f32,
+        cstride: usize,
+    ) {
+        let zero = vdupq_n_f32(0.0);
+        let mut acc = [[zero; 2]; MR];
+        for (kk, &o) in off.iter().enumerate() {
+            let blo = vld1q_f32(src.add(o));
+            let bhi = vld1q_f32(src.add(o + half));
+            for (ii, accr) in acc.iter_mut().enumerate() {
+                let av = vdupq_n_f32(*ap.add(ii * k + kk));
+                accr[0] = vaddq_f32(accr[0], vmulq_f32(av, blo));
+                accr[1] = vaddq_f32(accr[1], vmulq_f32(av, bhi));
+            }
+        }
+        for (ii, accr) in acc.iter().enumerate() {
+            vst1q_f32(dst.add(ii * cstride), accr[0]);
+            vst1q_f32(dst.add(ii * cstride + 4), accr[1]);
         }
     }
 }
@@ -938,6 +1194,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn direct_kernel_matches_the_packed_panel_on_every_isa() {
+        // Reading the operand in place at tap offsets must give the bits
+        // of the same panel packed explicitly, for adjacent (half = 4)
+        // and split lane halves, off-grid row counts and non-finite
+        // inputs, on every ISA.
+        let mut img = rand_tensor(&[1, 160], 30).data().to_vec();
+        img[20] = f32::NAN;
+        img[33] = f32::INFINITY;
+        img[61] = f32::NEG_INFINITY;
+        img[70] = -0.0;
+        let off = [0usize, 5, 9, 23, 40, 2, 77];
+        let bases = [0usize, 13, 50];
+        let k = off.len();
+        let cstride = bases.len() * NT_NR + 3;
+        for (m, half) in [(1usize, 4usize), (3, 4), (4, 11), (9, 4), (13, 17)] {
+            let a = rand_tensor(&[m, k], m as u64 + 31);
+            let mut want = vec![7.0f32; m * cstride];
+            let mut bp = vec![0.0f32; k * NT_NR];
+            for (t, &base) in bases.iter().enumerate() {
+                for (kk, &o) in off.iter().enumerate() {
+                    for r in 0..NT_NR {
+                        bp[kk * NT_NR + r] = img[base + o + (r / 4) * half + r % 4];
+                    }
+                }
+                gemm_nt_panel_scalar(a.data(), &bp, &mut want, m, k, cstride, t * NT_NR, NT_NR);
+            }
+            for &isa in crate::simd::available() {
+                let mut got = vec![7.0f32; m * cstride];
+                gemm_nt_direct_as(isa, a.data(), &img, &off, &bases, half, &mut got, m, cstride);
+                for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{isa:?} m {m} half {half} elem {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lanes read past image")]
+    fn direct_kernel_rejects_reads_past_the_image() {
+        let a = [1.0f32; 2];
+        let mut c = [0.0f32; NT_NR];
+        gemm_nt_direct_as(crate::simd::active(), &a, &[0.0; 11], &[0, 4], &[0], 4, &mut c, 1, 8);
     }
 
     #[test]

@@ -33,12 +33,12 @@
 /// the tile grain of both the packed GEMM and the implicit-GEMM conv.
 const BLOCK_ROWS: usize = 4;
 
-/// Activation rows per quantize/stream block of the packed GEMM (the
-/// scratch grain of `fpdq_kernels::gemm`). Below this the whole
-/// activation panel bank is cache-resident and the weight-stationary
-/// schedule is free; above it the activation-stationary schedule
-/// streams ~4× less (its hot block is a 4-panel stripe instead of an
-/// 8-row weight tile) and skips the output transpose.
+/// Activation rows per quantize/stream block of the packed GEMM's
+/// column-parallel schedule (the scratch grain of `fpdq_kernels::gemm`).
+/// Below this the row-parallel schedule's whole activation panel bank is
+/// cache-resident; above it the activation-stationary schedule streams
+/// ~4× less (its hot block is a 4-panel stripe instead of an 8-row
+/// weight tile) and skips the output transpose.
 pub const ACT_BLOCK: usize = 32;
 
 /// Parallel decomposition of the packed GEMM (`[m, k] × [n, k]ᵀ`).
@@ -46,12 +46,13 @@ pub const ACT_BLOCK: usize = 32;
 pub enum GemmRegime {
     /// Split the packed *weight rows* (`n`) across workers; each worker
     /// decodes only its own weight tiles and streams the shared
-    /// pre-quantized activation panels (the weight-stationary schedule;
-    /// the only regime prior to batched sampling).
+    /// pre-quantized activation panels (the weight-stationary schedule),
+    /// into an `[n, m]` block transposed at the end.
     RowParallel,
     /// Split the *activation rows* (`m`) across workers against a shared
     /// decoded weight-panel bank; each weight tile is decoded exactly
-    /// once per call (the activation-stationary schedule for batched
+    /// once per call, and the output is written in place (the
+    /// activation-stationary schedule: every one-worker call, and batched
     /// sampling of narrow layers).
     ColParallel,
 }
@@ -59,9 +60,8 @@ pub enum GemmRegime {
 /// Parallel decomposition of the packed convolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ConvRegime {
-    /// One batch image per work grain; each worker owns an `im2col`
-    /// micro-panel + quantize arena and sweeps the shared decoded
-    /// filter bank.
+    /// One batch image per work grain; each worker stages its images in
+    /// its own scratch and sweeps the shared decoded filter bank.
     BatchParallel,
     /// Images in sequence; within one image the output channels split
     /// across workers on the 4-row block grid.
@@ -83,17 +83,24 @@ fn wall_tiles(grains: usize, tiles_per_grain: usize, workers: usize) -> usize {
 /// Picks the packed-GEMM regime for an `[m, k] × [n, k]ᵀ` call on
 /// `workers` threads.
 ///
-/// Row-parallel offers `⌈n/4⌉` grains, column-parallel `⌈m/4⌉`. For
+/// On one worker (`0` counts as 1) there is nothing to split, and
+/// column-parallel always wins: it writes the `[m, n]` output in place,
+/// while row-parallel builds an `[n, m]` block and transposes it, which
+/// costs a fifth of a 16×16×16 served linear. On several workers,
+/// row-parallel offers `⌈n/4⌉` grains and column-parallel `⌈m/4⌉`. For
 /// small activation matrices (`m ≤` [`ACT_BLOCK`] — the batch-1 latency
-/// shapes) the panel bank is cache-resident and the weight-stationary
-/// row-parallel schedule wins unless it strictly under-fills the
-/// workers (narrow layers). At batched sizes (`m >` [`ACT_BLOCK`]) the
-/// activation-stationary schedule streams less memory per tile and
-/// writes the output untransposed, so it wins whenever it keeps at
-/// least as many workers busy.
+/// shapes) the weight-stationary row-parallel schedule then wins unless
+/// it strictly under-fills the workers (narrow layers): its activation
+/// panels are quantized once, not once per worker. At batched sizes
+/// (`m >` [`ACT_BLOCK`]) the activation-stationary schedule streams less
+/// memory per tile and skips the transpose, so it wins whenever it keeps
+/// at least as many workers busy.
 pub fn pick_gemm_regime(m: usize, n: usize, workers: usize) -> GemmRegime {
-    let row_busy = workers.max(1).min(tiles(n));
-    let col_busy = workers.max(1).min(tiles(m));
+    if workers <= 1 {
+        return GemmRegime::ColParallel;
+    }
+    let row_busy = workers.min(tiles(n));
+    let col_busy = workers.min(tiles(m));
     let col_wins = if m > ACT_BLOCK { col_busy >= row_busy } else { col_busy > row_busy };
     if col_wins {
         GemmRegime::ColParallel
@@ -108,8 +115,8 @@ pub fn pick_gemm_regime(m: usize, n: usize, workers: usize) -> GemmRegime {
 /// Compares the wall-clock tile cost of the two schedules directly:
 /// batch-parallel runs `⌈n/W⌉` rounds of a full image (`⌈o/4⌉` tiles),
 /// channel-parallel runs `n` images of `⌈⌈o/4⌉/W⌉` tiles each. Ties go
-/// to batch-parallel (its per-worker arenas also reuse one micro-panel
-/// buffer across images). With one worker both costs coincide and the
+/// to batch-parallel (it also spawns one region per call, not one per
+/// image). With one worker both costs coincide and the
 /// batch-parallel (single pass) schedule is used.
 ///
 /// The model deliberately counts tiles only. Channel-parallel spawns
@@ -207,7 +214,8 @@ mod tests {
 
     #[test]
     fn degenerate_worker_counts_do_not_panic() {
-        assert_eq!(pick_gemm_regime(8, 8, 0), GemmRegime::RowParallel);
+        // Zero workers count as one, which always writes in place.
+        assert_eq!(pick_gemm_regime(8, 8, 0), GemmRegime::ColParallel);
         assert_eq!(pick_conv_regime(2, 8, 0), ConvRegime::BatchParallel);
     }
 }

@@ -23,29 +23,45 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
+/// A subcommand: its name, the flags it reads, and its body.
+type Command = (&'static str, &'static [&'static str], fn(&HashMap<String, String>) -> ExitCode);
+
+/// Every subcommand. A flag a command does not read is a usage error,
+/// so a typo or a removed flag cannot silently fall back to a default.
+const COMMANDS: &[Command] = &[
+    ("pretrain", &[], pretrain),
+    ("quantize", &["model", "config", "packed"], quantize),
+    (
+        "generate",
+        &["model", "config", "prompt", "count", "batch", "out", "packed", "seeds", "raw-out"],
+        generate,
+    ),
+    ("evaluate", &["model", "config", "count", "batch", "packed"], evaluate_cmd),
+    ("sparsity", &["model", "config"], sparsity),
+    ("characterize", &[], characterize),
+    ("pack", &["model", "config", "out", "verify"], pack_cmd),
+    ("serve", &["model", "addr", "port", "max-batch", "queue-depth", "deadline-ms"], serve_cmd),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let opts = parse_flags(&args[1..]);
-    match cmd.as_str() {
-        "pretrain" => pretrain(),
-        "quantize" => quantize(&opts),
-        "generate" => generate(&opts),
-        "evaluate" => evaluate_cmd(&opts),
-        "sparsity" => sparsity(&opts),
-        "characterize" => characterize(),
-        "pack" => pack_cmd(&opts),
-        "serve" => serve_cmd(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("unknown command '{other}'\n{}", usage());
-            ExitCode::FAILURE
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let Some(&(_, known, run)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        eprintln!("unknown command '{cmd}'\n{}", usage());
+        return ExitCode::FAILURE;
+    };
+    match parse_flags(cmd, &args[1..], known) {
+        Ok(opts) => run(&opts),
+        Err(e) => {
+            eprintln!("{e}\n\n{}", usage());
+            ExitCode::from(2)
         }
     }
 }
@@ -115,6 +131,9 @@ SERVE FLAGS:
   --queue-depth N  admission queue depth; full queue answers 429 (default 8)
   --deadline-ms N  default per-request deadline (none unless given)
 
+A flag the command does not take, or a stray argument, is a usage error
+(exit code 2).
+
 ENVIRONMENT:
   FPDQ_ZOO_DIR   model cache directory (default target/fpdq-zoo)
   FPDQ_FAST=1    reduced training budgets
@@ -122,28 +141,36 @@ ENVIRONMENT:
     )
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parses `--flag value` pairs and boolean `--flag`s for `cmd`. A flag
+/// outside `known`, or an argument that is neither a flag nor a flag's
+/// value, is an error.
+fn parse_flags(
+    cmd: &str,
+    args: &[String],
+    known: &[&str],
+) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            // A flag followed by another flag (or nothing) is boolean.
-            match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-                Some(value) => {
-                    out.insert(key.to_string(), value.clone());
-                    i += 2;
-                }
-                None => {
-                    out.insert(key.to_string(), "1".to_string());
-                    i += 1;
-                }
+        let Some(key) = args[i].strip_prefix("--") else {
+            return Err(format!("unexpected argument '{}' for '{cmd}'", args[i]));
+        };
+        if !known.contains(&key) {
+            return Err(format!("unknown flag --{key} for '{cmd}'"));
+        }
+        // A flag followed by another flag (or nothing) is boolean.
+        match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+            Some(value) => {
+                out.insert(key.to_string(), value.clone());
+                i += 2;
             }
-        } else {
-            eprintln!("ignoring stray argument '{}'", args[i]);
-            i += 1;
+            None => {
+                out.insert(key.to_string(), "1".to_string());
+                i += 1;
+            }
         }
     }
-    out
+    Ok(out)
 }
 
 fn flag_set(opts: &HashMap<String, String>, key: &str) -> bool {
@@ -325,7 +352,7 @@ fn require<'a>(opts: &'a HashMap<String, String>, key: &str) -> Option<&'a str> 
     }
 }
 
-fn pretrain() -> ExitCode {
+fn pretrain(_: &HashMap<String, String>) -> ExitCode {
     let zoo = Zoo::open_default();
     println!("zoo: {:?} (fast = {})", zoo.dir(), zoo.is_fast());
     zoo.ddim_sim();
@@ -716,7 +743,7 @@ fn fault_armed(plan: &fpdq::serve::FaultPlan) -> bool {
     *plan != fpdq::serve::FaultPlan::default()
 }
 
-fn characterize() -> ExitCode {
+fn characterize(_: &HashMap<String, String>) -> ExitCode {
     use fpdq::perf::census::{sd_scale_config, sd_scale_input, SD_CONTEXT_LEN};
     use fpdq::perf::{census, latency, peak_memory, Device, LayerClass, NumberFormat};
     let cfg = sd_scale_config();
@@ -755,6 +782,32 @@ mod tests {
         let err = sample_images(&sim, &[1], Some("a red ball"), 1, 1).unwrap_err();
         assert!(err.to_string().contains("this model is unconditional"), "{err}");
         assert!(sample_images(&sim, &[1], None, 1, 1).is_ok());
+    }
+
+    fn flags_of(cmd: &str, line: &str) -> Result<HashMap<String, String>, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let (_, known, _) = COMMANDS.iter().find(|(name, ..)| *name == cmd).expect("a command");
+        parse_flags(cmd, &args, known)
+    }
+
+    #[test]
+    fn commands_reject_flags_they_do_not_read_and_stray_arguments() {
+        let err = flags_of("generate", "--model tiny --config fp8 --seeds 1 --bogus-flag 3");
+        assert_eq!(err.unwrap_err(), "unknown flag --bogus-flag for 'generate'");
+        let err = flags_of("quantize", "--model tiny --config fp8 --packed --sparse 2:4");
+        assert_eq!(err.unwrap_err(), "unknown flag --sparse for 'quantize'");
+        let err = flags_of("pack", "--model tiny extra --config fp8");
+        assert_eq!(err.unwrap_err(), "unexpected argument 'extra' for 'pack'");
+        assert!(flags_of("characterize", "--model tiny").is_err());
+        // The invocations of CI, the serve smoke script and fpdqbench.
+        let serve = flags_of("serve", "--model tiny.fpdq --port 0 --max-batch 4").unwrap();
+        assert_eq!(serve["port"], "0");
+        let pack = flags_of("pack", "--model tiny --config fp8 --out t.fpdq --verify").unwrap();
+        assert_eq!(pack["verify"], "1");
+        assert!(flags_of("quantize", "--model ddim --config fp8 --packed").is_ok());
+        assert!(
+            flags_of("generate", "--model t.fpdq --seeds 1 --batch 1 --raw-out r --out o").is_ok()
+        );
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! cached); the model- and sampler-level tests then pin the same property
 //! end to end through `pack_unet` and the seeded samplers.
 
+mod common;
+
+use common::{direct_act_quantizers, direct_shapes, panel_conv};
 use fpdq::diffusion::sampler::{ddim_sample_seeded, ddpm_sample_seeded, DdimParams};
 use fpdq::diffusion::NoiseSchedule;
 use fpdq::kernels::{conv2d_packed, gemm_packed, pack_unet, Exec, PackedTensor};
@@ -147,6 +150,42 @@ fn batched_conv_matches_per_image_calls_across_formats_isas_workers() {
                                 &format!("{ctx} img={img}"),
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn direct_conv_batches_match_the_panel_path_across_workers() {
+    // The direct path in both conv regimes: batches of 1, 2 and 3 images
+    // on 1, 2, 3 and 16 workers must reproduce the scalar one-thread
+    // panel path bit for bit, with every quantizer and NaN/±∞ inputs.
+    let mut rng = StdRng::seed_from_u64(70);
+    for (k, spec, hw) in direct_shapes() {
+        for (c, o) in [(1usize, 3usize), (3, 4), (8, 12), (24, 16)] {
+            let mut vals = Tensor::randn(&[3, c, hw, hw], &mut rng).data().to_vec();
+            let n = vals.len();
+            vals[n / 5] = f32::NAN;
+            vals[n / 2] = f32::INFINITY;
+            vals[n - 2] = f32::NEG_INFINITY;
+            let x3 = Tensor::from_vec(vals, &[3, c, hw, hw]);
+            let w = Tensor::randn(&[o, c, k, k], &mut rng);
+            let bias = Tensor::randn(&[o], &mut rng);
+            let packed = PackedTensor::encode(&w, FpFormat::new(4, 3));
+            for act in direct_act_quantizers(c) {
+                for batch in [1usize, 2, 3] {
+                    let x = x3.narrow(0, 0, batch);
+                    let want = panel_conv(&x, &packed, Some(&bias), spec, act.as_ref());
+                    for workers in [1usize, 2, 3, 16] {
+                        let exec = Exec::new(simd::active(), workers);
+                        let got = conv2d_packed(&x, &packed, Some(&bias), spec, act.as_ref(), exec);
+                        let ctx = format!(
+                            "{k}x{k} {hw}x{hw} c {c} o {o} act {} batch {batch} workers {workers}",
+                            act.as_ref().map_or(0, |q| q.channels())
+                        );
+                        assert_slices_bit_eq(got.data(), want.data(), &ctx);
                     }
                 }
             }

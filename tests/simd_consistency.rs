@@ -14,6 +14,9 @@
 //! (threaded dispatched kernels are compared against single-threaded
 //! scalar schedules below).
 
+mod common;
+
+use common::{direct_act_quantizers, direct_shapes, panel_conv};
 use fpdq::kernels::{conv2d_packed, gemm_packed, Exec, PackedTensor};
 use fpdq::quant::{BoundaryQuantizer, FpFormat, IntFormat, PanelQuantizer, TensorQuantizer};
 use fpdq::tensor::conv::Conv2dSpec;
@@ -394,6 +397,41 @@ fn fused_wa_conv_split_sweep() {
                         let got = conv2d_packed(&x, &packed, Some(&b), spec, Some(&pq), exec);
                         let ctx = format!("trunk {trunk} skip {skip} at {at} {isa:?} x{workers}");
                         assert_bits_eq(&got, &want, &ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn direct_conv_matches_the_panel_path_on_every_isa() {
+    // Stride-1 convs whose 8-pixel tiles are whole panels run the direct
+    // path, which reads the staged image in place. Against the panel
+    // path rebuilt from its public pieces (scalar, one thread) they must
+    // agree bit for bit on every ISA, for every quantizer, with and
+    // without bias, with NaN and ±∞ in the input.
+    for (k, spec, hw) in direct_shapes() {
+        for c in [1usize, 3, 8, 24] {
+            for o in [1usize, 3, 4, 8, 12, 16] {
+                let seed = (k * 1000 + hw * 100 + c * 10 + o) as u64;
+                let x = tensor_with_specials(&[2, c, hw, hw], seed);
+                let w = Tensor::randn(&[o, c, k, k], &mut StdRng::seed_from_u64(seed + 1));
+                let b = Tensor::randn(&[o], &mut StdRng::seed_from_u64(seed + 2));
+                let packed = PackedTensor::encode(&w, FpFormat::new(2, 1));
+                for act in direct_act_quantizers(c) {
+                    for bias in [None, Some(&b)] {
+                        let want = panel_conv(&x, &packed, bias, spec, act.as_ref());
+                        for &isa in simd::available() {
+                            let exec = Exec::new(isa, 1);
+                            let got = conv2d_packed(&x, &packed, bias, spec, act.as_ref(), exec);
+                            let ctx = format!(
+                                "{k}x{k} {hw}x{hw} c {c} o {o} act {} bias {} {isa:?}",
+                                act.as_ref().map_or(0, |q| q.channels()),
+                                bias.is_some()
+                            );
+                            assert_bits_eq(&got, &want, &ctx);
+                        }
                     }
                 }
             }
