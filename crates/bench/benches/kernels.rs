@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks over the quantized kernels: packed
 //! encode/decode, dequantize-on-the-fly GEMM vs dense FP32 GEMM, the
-//! implicit-GEMM conv, activation quantization and attention.
+//! implicit-GEMM conv, activation quantization, attention and the
+//! unquantized SiLU and softmax.
 //!
 //! The `pack` group carries explicit before/after pairs: the `*_bitloop`
 //! entries re-run the pre-optimisation per-bit unpacking, so the
@@ -294,6 +295,27 @@ fn bench_attention(c: &mut Criterion) {
     g.finish();
 }
 
+/// The full-precision ops the paper keeps unquantized, on the vector exp:
+/// SiLU over a `tiny`-sized `[2, 24, 8, 8]` map and softmax over 64 rows
+/// of 16 scores (one attention head's worth at `tiny-sd`'s level 1), on
+/// the dispatched ISA and, as the before side, on the scalar path
+/// (`f32::exp` per element).
+fn bench_unquantized(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(29);
+    let x = Tensor::randn(&[2, 24, 8, 8], &mut rng).mul_scalar(2.0);
+    let scores = Tensor::randn(&[64, 16], &mut rng).mul_scalar(3.0);
+    let mut g = c.benchmark_group("unquantized");
+    for (suffix, isa) in [("", simd::active()), ("_scalar", Isa::Scalar)] {
+        g.bench_function(format!("silu_2x24x8x8{suffix}"), |b| {
+            b.iter(|| black_box(black_box(&x).silu_as(isa)))
+        });
+        g.bench_function(format!("softmax_64x16{suffix}"), |b| {
+            b.iter(|| black_box(black_box(&scores).softmax_lastdim_as(isa)))
+        });
+    }
+    g.finish();
+}
+
 /// Cold-start cost: what a fresh process pays before it can sample. The
 /// container is the whole point of the `cold_start` group — loading a
 /// packed `.fpdq` (`container_load`) must be dramatically cheaper than
@@ -443,7 +465,7 @@ criterion_group! {
     config = configured();
     targets = bench_quantize, bench_pack, bench_gemm, bench_gemm_batched, bench_conv,
         bench_conv_batched, bench_conv_serve_batch1, bench_act_quant, bench_attention,
-        bench_cold_start, bench_sd_cfg_step
+        bench_unquantized, bench_cold_start, bench_sd_cfg_step
 }
 
 fn main() {

@@ -69,11 +69,11 @@
 
 use crate::packed::PackedTensor;
 use crate::schedule::{pick_conv_regime, ConvRegime};
-use crate::scratch::{Scratch, ACTS, INDEX, STAGED, WEIGHTS};
 use fpdq_core::PanelQuantizer;
 use fpdq_tensor::conv::{im2col_panel_into, Conv2dSpec};
 use fpdq_tensor::matmul::{gemm_nt_direct_as, gemm_nt_panel_as, NT_MR, NT_NR};
 use fpdq_tensor::parallel::{parallel_rows_aligned_in, parallel_rows_in, Exec};
+use fpdq_tensor::scratch::{Scratch, ACTS, INDEX, STAGED, WEIGHTS};
 use fpdq_tensor::simd::Isa;
 use fpdq_tensor::Tensor;
 

@@ -61,10 +61,10 @@
 
 use crate::packed::PackedTensor;
 use crate::schedule::{pick_gemm_regime, GemmRegime, ACT_BLOCK};
-use crate::scratch::{Scratch, ACTS, STAGED, WEIGHTS};
 use fpdq_core::PanelQuantizer;
 use fpdq_tensor::matmul::{gemm_nt_panel_as, pack_nt_panel, NT_MR, NT_NR};
 use fpdq_tensor::parallel::{parallel_rows_aligned_in, parallel_rows_in, Exec};
+use fpdq_tensor::scratch::{Scratch, ACTS, STAGED, WEIGHTS};
 use fpdq_tensor::simd::Isa;
 use fpdq_tensor::Tensor;
 

@@ -160,7 +160,6 @@ pub mod conv;
 pub mod exec;
 pub mod gemm;
 pub mod packed;
-mod scratch;
 
 /// Batched execution-regime selection (shared with the dense kernels in
 /// `fpdq-tensor`, where the decision functions live).

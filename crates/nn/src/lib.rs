@@ -50,8 +50,9 @@ pub mod unet;
 pub use attention::{MultiHeadAttention, TransformerBlock};
 pub use autoencoder::{Autoencoder, AutoencoderConfig};
 pub use layers::{
-    group_norm_ref, layer_norm_ref, ActQuantFn, Conv2d, GroupNorm, Init, LayerNorm, Linear,
-    PackedForwardFn, PackedSlot, QuantKind, QuantLayer, ShapeOnly, SuspendedAct, Tap,
+    group_norm_ref, group_norm_ref_as, layer_norm_ref, ActQuantFn, Conv2d, GroupNorm, Init,
+    LayerNorm, Linear, PackedForwardFn, PackedSlot, QuantKind, QuantLayer, ShapeOnly, SuspendedAct,
+    Tap,
 };
 pub use module::{load_params, save_params, ParamCollector};
 pub use ops::{Infer, Ops, Train};

@@ -25,15 +25,18 @@ fn optional<T: Deserialize>(value: &Value, key: &str) -> Result<Option<T>, JsonE
     value.get(key).map(T::from_value).transpose()
 }
 
-/// Hex-encodes `f32`s as little-endian bytes.
+/// Hex-encodes `f32`s as little-endian bytes (lowercase digits), two
+/// table lookups per byte into a buffer sized once.
 pub fn pixels_to_hex(data: &[f32]) -> String {
-    let mut out = String::with_capacity(data.len() * 8);
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = Vec::with_capacity(data.len() * 8);
     for v in data {
         for b in v.to_le_bytes() {
-            out.push_str(&format!("{b:02x}"));
+            out.push(DIGITS[usize::from(b >> 4)]);
+            out.push(DIGITS[usize::from(b & 15)]);
         }
     }
-    out
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 /// Decodes a [`pixels_to_hex`] string back into `f32`s.
@@ -289,6 +292,15 @@ mod tests {
         );
         assert!(pixels_from_hex("0011").is_err());
         assert!(pixels_from_hex("0011223x").is_err());
+    }
+
+    #[test]
+    fn hex_digits_match_format_for_every_byte() {
+        for b in 0..=255u8 {
+            let v = f32::from_le_bytes([b, 0x5a, b.wrapping_mul(7), 0xff]);
+            let want: String = v.to_le_bytes().iter().map(|x| format!("{x:02x}")).collect();
+            assert_eq!(pixels_to_hex(&[v]), want, "byte {b:#04x}");
+        }
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! * a threaded matrix multiply and batched matmul (attention), with the
 //!   NT micro-kernel runtime-dispatched over explicit AVX2/NEON paths
 //!   ([`simd`]) that stay bit-identical to the scalar reference,
+//! * SiLU, sigmoid, softmax and the fused attention core on one vector
+//!   `exp` ([`simd::exp_inplace_as`]) that returns `f32::exp`'s bits,
+//! * per-thread kernel scratch reused across calls ([`scratch`]),
 //! * `im2col`-based 2-D convolution plus the gradient kernels that the
 //!   autograd crate builds on,
 //! * pooling / nearest-neighbour upsampling,
@@ -36,6 +39,7 @@ pub mod matmul;
 pub mod parallel;
 pub mod rng;
 pub mod schedule;
+pub mod scratch;
 pub mod shape;
 pub mod simd;
 mod tensor;

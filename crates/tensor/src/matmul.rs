@@ -21,8 +21,9 @@
 //!   output rows while keeping the innermost traversal contiguous.
 //!
 //! [`Tensor::attention`], the inference attention core, is built on
-//! [`gemm_serial`]: per (batch, head) it gathers the head's columns into
-//! scratch and runs the same calls as [`Tensor::bmm`] on them.
+//! [`gemm_serial_as`], the dispatched form of [`gemm_serial`]: per
+//! (batch, head) it gathers the head's columns into per-thread scratch
+//! and runs the calls of [`Tensor::bmm`] on them.
 //!
 //! Work is split across cores by output row chunks via [`crate::parallel`],
 //! with chunk starts pinned to the register-block grid
@@ -39,8 +40,9 @@
 //! pins down.
 
 use crate::parallel::{parallel_rows, parallel_rows_aligned};
+use crate::scratch::{Scratch, HEADS};
 use crate::simd::{self, Isa};
-use crate::tensor::softmax_row_inplace;
+use crate::tensor::{mul_scalar_inplace_as, softmax_rows_inplace};
 use crate::Tensor;
 
 impl Tensor {
@@ -197,21 +199,11 @@ impl Tensor {
         Tensor::from_vec(out, &[b, m, n])
     }
 
-    /// Multi-head scaled-dot-product attention, the inference core: `self`
-    /// is q `[b, n, d]`, `k` and `v` are `[b, m, d]`, and the result is
+    /// Multi-head scaled-dot-product attention, the inference core, on
+    /// the dispatched ISA ([`Tensor::attention_as`]): `self` is q
+    /// `[b, n, d]`, `k` and `v` are `[b, m, d]`, and the result is
     /// `[b, n, d]`. Head `h` owns feature columns `[h·dh, (h+1)·dh)` of all
     /// three, with `dh = d / heads`.
-    ///
-    /// For each (batch, head) the head's q, kᵀ and v are gathered into
-    /// reused scratch; [`gemm_serial`] forms the scores, which are
-    /// multiplied by `scale` and softmaxed in place with
-    /// [`Tensor::softmax_lastdim`]'s expressions; a second [`gemm_serial`]
-    /// forms the head's output, which is written straight into its columns
-    /// of the result. These are the calls and expressions of the
-    /// split-heads → [`Tensor::bmm`] → [`Tensor::mul_scalar`] → softmax →
-    /// [`Tensor::bmm`] → merge-heads chain on the same values, so the
-    /// result is bit-identical to it, without a head-major copy of any
-    /// operand. Batches split across workers as in [`Tensor::bmm`].
     ///
     /// # Panics
     ///
@@ -219,6 +211,36 @@ impl Tensor {
     /// their batch or feature dims differ from q's, or `heads` does not
     /// divide `d`.
     pub fn attention(&self, k: &Tensor, v: &Tensor, heads: usize, scale: f32) -> Tensor {
+        self.attention_as(simd::active(), k, v, heads, scale)
+    }
+
+    /// [`Tensor::attention`] on an explicit ISA path.
+    ///
+    /// For each (batch, head) the head's q, kᵀ and v are gathered into
+    /// per-thread scratch, reused across calls; [`gemm_serial_as`] forms
+    /// the scores, which are multiplied by `scale` and softmaxed in place
+    /// with [`Tensor::softmax_lastdim_as`]'s expressions (through the
+    /// vector exp); a second [`gemm_serial_as`] forms the head's output,
+    /// which is written straight into its columns of the result. These are
+    /// the calls and expressions of the split-heads → [`Tensor::bmm`] →
+    /// [`Tensor::mul_scalar`] → softmax → [`Tensor::bmm`] → merge-heads
+    /// chain on the same values, and every ISA path of each is
+    /// bit-identical to its scalar reference, so the result is
+    /// bit-identical to that chain (up to the NaN payload that
+    /// [`crate::simd`] leaves open), without a head-major copy of any
+    /// operand. Batches split across workers as in [`Tensor::bmm`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Tensor::attention`].
+    pub fn attention_as(
+        &self,
+        isa: Isa,
+        k: &Tensor,
+        v: &Tensor,
+        heads: usize,
+        scale: f32,
+    ) -> Tensor {
         assert_eq!(self.ndim(), 3, "attention q must be [b, n, d], got {}", self.shape());
         assert_eq!(k.ndim(), 3, "attention k must be [b, m, d], got {}", k.shape());
         assert_eq!(k.dims(), v.dims(), "attention k {} and v {} differ", k.shape(), v.shape());
@@ -233,11 +255,11 @@ impl Tensor {
         }
         let (qd, kd, vd) = (self.data(), k.data(), v.data());
         parallel_rows(&mut out, b, n * d, 1, |batch_start, chunk| {
-            let mut qh = vec![0.0f32; n * dh];
-            let mut kt = vec![0.0f32; dh * m];
-            let mut vh = vec![0.0f32; m * dh];
-            let mut scores = vec![0.0f32; n * m];
-            let mut oh = vec![0.0f32; n * dh];
+            let mut scratch = Scratch::take(&HEADS, 2 * n * dh + 2 * dh * m + n * m);
+            let (qh, rest) = scratch.split_at_mut(n * dh);
+            let (kt, rest) = rest.split_at_mut(dh * m);
+            let (vh, rest) = rest.split_at_mut(m * dh);
+            let (scores, oh) = rest.split_at_mut(n * m);
             for (bi, obatch) in chunk.chunks_mut(n * d).enumerate() {
                 let batch = batch_start + bi;
                 let q = &qd[batch * n * d..(batch + 1) * n * d];
@@ -256,13 +278,11 @@ impl Tensor {
                         vh[t * dh..(t + 1) * dh].copy_from_slice(&vrow[c0..c0 + dh]);
                     }
                     scores.fill(0.0);
-                    gemm_serial(&qh, &kt, &mut scores, n, dh, m);
-                    for row in scores.chunks_exact_mut(m.max(1)) {
-                        row.iter_mut().for_each(|s| *s *= scale);
-                        softmax_row_inplace(row);
-                    }
+                    gemm_serial_as(isa, qh, kt, scores, n, dh, m);
+                    mul_scalar_inplace_as(isa, scores, scale);
+                    softmax_rows_inplace(isa, scores, m);
                     oh.fill(0.0);
-                    gemm_serial(&scores, &vh, &mut oh, n, m, dh);
+                    gemm_serial_as(isa, scores, vh, oh, n, m, dh);
                     for (orow, src) in obatch.chunks_exact_mut(d).zip(oh.chunks_exact(dh)) {
                         orow[c0..c0 + dh].copy_from_slice(src);
                     }
@@ -987,6 +1007,10 @@ pub fn gemm_nt_serial_with_as(
 /// Single-threaded NN GEMM micro-kernel (`i-k-j` order, contiguous inner
 /// loop), blocked four output rows at a time so each streamed `b` row is
 /// reused fourfold. `c` must be zeroed (accumulates).
+///
+/// A 4-row block skips step `kk` when all four of its `a` values are zero
+/// (quantization-induced sparsity), and each remainder row skips on its
+/// own zero. This is the scalar reference of [`gemm_serial_as`].
 pub fn gemm_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -1033,6 +1057,144 @@ pub fn gemm_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
             }
         }
         i += 1;
+    }
+}
+
+/// [`gemm_serial`] on an explicit ISA path: `c[m×n] += a[m×k] · b[k×n]`.
+///
+/// The AVX2 path keeps, for every element, the scalar path's ascending-`k`
+/// accumulation with a separate multiply then add (no FMA) and the same
+/// zero skips (a 4-row block skips `kk` only when all four of its `a`
+/// values are zero; a remainder row skips on its own zero), so it is
+/// bit-identical to [`gemm_serial`] (up to the NaN payload that
+/// [`crate::simd`] leaves open when an accumulator and a product are both
+/// NaN). It holds 4 rows × 16 columns of `c`
+/// in registers across the whole `k` loop, and the last `n % 8` columns
+/// in one masked tile. Other ISAs run the scalar reference.
+///
+/// # Panics
+///
+/// Panics on size mismatches (real asserts: the AVX2 path reads through
+/// raw pointers).
+pub fn gemm_serial_as(isa: Isa, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "gemm lhs size");
+    assert_eq!(b.len(), k * n, "gemm rhs size");
+    assert_eq!(c.len(), m * n, "gemm out size");
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 if isa.is_supported() => {
+            // Safety: AVX2 verified at runtime; sizes asserted above.
+            unsafe { avx2_nn::gemm_serial(a, b, c, m, k, n) }
+        }
+        _ => gemm_serial(a, b, c, m, k, n),
+    }
+}
+
+/// The AVX2 body of [`gemm_serial_as`]: a 4-row (or 1-row) block of `c`
+/// is held in registers, 8 columns per register, while `k` streams.
+/// Deliberately `_mm256_mul_ps` + `_mm256_add_ps`, never a fused
+/// multiply-add (see [`crate::simd`]).
+#[cfg(target_arch = "x86_64")]
+mod avx2_nn {
+    use core::arch::x86_64::*;
+
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime; slice sizes per [`super::gemm_serial_as`].
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm_serial(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let mut i = 0;
+        while i + 4 <= m {
+            rows::<4>(&a[i * k..(i + 4) * k], b, &mut c[i * n..(i + 4) * n], k, n);
+            i += 4;
+        }
+        while i < m {
+            rows::<1>(&a[i * k..(i + 1) * k], b, &mut c[i * n..(i + 1) * n], k, n);
+            i += 1;
+        }
+    }
+
+    /// `R` rows of `c` (`R` rows of `a` of length `k`): 16-column and
+    /// 8-column register tiles, then one masked tile over the last
+    /// `n % 8` columns.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime; `a` holds `R·k`, `b` `k·n` and `c` `R·n`
+    /// floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn rows<const R: usize>(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+        let mut j = 0;
+        while j + 16 <= n {
+            tile::<R, 2>(a, b, c, k, n, j, None);
+            j += 16;
+        }
+        if j + 8 <= n {
+            tile::<R, 1>(a, b, c, k, n, j, None);
+            j += 8;
+        }
+        if j < n {
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j) as i32), lanes);
+            tile::<R, 1>(a, b, c, k, n, j, Some(mask));
+        }
+    }
+
+    /// Columns `[j, j + 8·T)` of `R` rows, accumulated in registers; with
+    /// `mask`, only its lanes of one tile are read and written. Step `kk`
+    /// is skipped when all `R` of its `a` values are zero.
+    ///
+    /// # Safety
+    ///
+    /// As [`rows`], with `j + 8·T ≤ n`, or `mask` covering only columns
+    /// below `n`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile<const R: usize, const T: usize>(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        k: usize,
+        n: usize,
+        j: usize,
+        mask: Option<__m256i>,
+    ) {
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr().add(j), c.as_mut_ptr().add(j));
+        let load = |p: *const f32| match mask {
+            Some(mk) => _mm256_maskload_ps(p, mk),
+            None => _mm256_loadu_ps(p),
+        };
+        let mut acc: [[__m256; T]; R] =
+            core::array::from_fn(|r| core::array::from_fn(|t| load(cp.add(r * n + 8 * t))));
+        for kk in 0..k {
+            let av: [f32; R] = core::array::from_fn(|r| *ap.add(r * k + kk));
+            if av.iter().all(|&v| v == 0.0) {
+                continue; // the scalar kernel's sparsity skip
+            }
+            let bv: [__m256; T] = core::array::from_fn(|t| load(bp.add(kk * n + 8 * t)));
+            for (accr, &v) in acc.iter_mut().zip(&av) {
+                let av = _mm256_set1_ps(v);
+                for (acct, &bt) in accr.iter_mut().zip(&bv) {
+                    *acct = _mm256_add_ps(*acct, _mm256_mul_ps(av, bt));
+                }
+            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            for (t, &acct) in accr.iter().enumerate() {
+                match mask {
+                    Some(mk) => _mm256_maskstore_ps(cp.add(r * n + 8 * t), mk, acct),
+                    None => _mm256_storeu_ps(cp.add(r * n + 8 * t), acct),
+                }
+            }
+        }
     }
 }
 

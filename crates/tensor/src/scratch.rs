@@ -1,12 +1,13 @@
-//! Per-thread scratch of the packed kernels, reused across calls.
+//! Per-thread scratch of the engine's kernels, reused across calls.
 //!
 //! A served U-Net forward makes dozens of small kernel calls, and each
-//! needs a decoded weight bank and a staged activation operand for the
-//! length of the call. Allocating them afresh per call cost more than
-//! some of the multiplies, so each role owns one buffer per thread,
-//! grown on demand and kept for the next call: at one worker a call
-//! allocates only its output tensor. Buffers of the spawned workers of a
-//! multi-worker region live as long as those threads.
+//! needs a decoded weight bank, a staged activation operand or an
+//! attention head's operands for the length of the call. Allocating them
+//! afresh per call cost more than some of the multiplies, so each role
+//! owns one buffer per thread, grown on demand and kept for the next
+//! call: at one worker a packed kernel call allocates only its output.
+//! Buffers of the spawned workers of a multi-worker region live as long
+//! as those threads.
 //!
 //! Roles that are live at the same time on one thread use distinct
 //! slots. A nested take of a slot that is already taken still works: it
@@ -16,25 +17,29 @@ use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::thread::LocalKey;
 
-type Slot<T> = LocalKey<Cell<Vec<T>>>;
+/// A per-thread buffer of one role.
+pub type Slot<T> = LocalKey<Cell<Vec<T>>>;
 
 thread_local! {
-    /// The decoded weights: a conv filter bank, GEMM weight panels, or
-    /// the row-parallel GEMM's activation panels.
-    pub(crate) static WEIGHTS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// The packed kernels' decoded weights: a conv filter bank, GEMM
+    /// weight panels, or the row-parallel GEMM's activation panels.
+    pub static WEIGHTS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// A quantized activation operand: one image, or a GEMM row block.
-    pub(crate) static ACTS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    pub static ACTS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// A staged operand: a zero-bordered image, im2col panels, or
     /// decoded weight rows awaiting interleave.
-    pub(crate) static STAGED: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    pub static STAGED: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// The direct conv's tap offsets and panel bases.
-    pub(crate) static INDEX: Cell<Vec<usize>> = const { Cell::new(Vec::new()) };
+    pub static INDEX: Cell<Vec<usize>> = const { Cell::new(Vec::new()) };
+    /// The attention core's per-head operands: q, kᵀ, v, the scores and
+    /// the head's output.
+    pub(crate) static HEADS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// `len` elements of one slot of the calling thread, returned to the slot
 /// on drop. The contents on entry are unspecified: callers overwrite
 /// every element they read.
-pub(crate) struct Scratch<T: 'static> {
+pub struct Scratch<T: 'static> {
     slot: &'static Slot<T>,
     buf: Vec<T>,
     len: usize,
@@ -42,7 +47,7 @@ pub(crate) struct Scratch<T: 'static> {
 
 impl<T: Copy + Default> Scratch<T> {
     /// Takes `slot`'s buffer, grown to at least `len` elements.
-    pub(crate) fn take(slot: &'static Slot<T>, len: usize) -> Self {
+    pub fn take(slot: &'static Slot<T>, len: usize) -> Self {
         let mut buf = slot.take();
         if buf.len() < len {
             buf.resize(len, T::default());

@@ -1,6 +1,7 @@
 //! The [`Tensor`] type: a contiguous, row-major, `f32` n-d array.
 
 use crate::shape::{broadcast_rows, broadcast_shapes, Shape};
+use crate::simd::{self, Isa};
 
 /// A contiguous row-major `f32` tensor.
 ///
@@ -291,9 +292,12 @@ impl Tensor {
         self.map(f32::sqrt)
     }
 
-    /// Elementwise natural exponential.
+    /// Elementwise natural exponential, through the dispatched vector
+    /// exp ([`simd::exp_inplace_as`]): the bits of [`f32::exp`].
     pub fn exp(&self) -> Tensor {
-        self.map(f32::exp)
+        let mut out = self.clone();
+        simd::exp_inplace_as(simd::active(), &mut out.data);
+        out
     }
 
     /// Elementwise natural logarithm.
@@ -311,15 +315,52 @@ impl Tensor {
         self.map(|x| x.clamp(lo, hi))
     }
 
-    /// Elementwise logistic sigmoid `1 / (1 + e^-x)`.
+    /// Elementwise logistic sigmoid `1 / (1 + e^-x)` on the dispatched
+    /// ISA ([`Tensor::sigmoid_as`]).
     pub fn sigmoid(&self) -> Tensor {
-        self.map(|x| 1.0 / (1.0 + (-x).exp()))
+        self.sigmoid_as(simd::active())
     }
 
-    /// Elementwise SiLU (`x * sigmoid(x)`), the activation used throughout
-    /// diffusion U-Nets.
+    /// [`Tensor::sigmoid`] on an explicit ISA path: per element a negate,
+    /// the vector exp ([`simd::exp_inplace_as`]), an add and a divide, each
+    /// rounding as the scalar expression does, so every path gives the
+    /// scalar bits.
+    pub fn sigmoid_as(&self, isa: Isa) -> Tensor {
+        self.logistic_as::<false>(isa)
+    }
+
+    /// Elementwise SiLU `x / (1 + e^-x)` (`x * sigmoid(x)`), the
+    /// activation used throughout diffusion U-Nets, on the dispatched ISA
+    /// ([`Tensor::silu_as`]).
     pub fn silu(&self) -> Tensor {
-        self.map(|x| x / (1.0 + (-x).exp()))
+        self.silu_as(simd::active())
+    }
+
+    /// [`Tensor::silu`] on an explicit ISA path: per element a negate,
+    /// the vector exp ([`simd::exp_inplace_as`]), an add and a divide, 8
+    /// lanes at a time on AVX2, with the bits of the scalar expression.
+    pub fn silu_as(&self, isa: Isa) -> Tensor {
+        self.logistic_as::<true>(isa)
+    }
+
+    /// `x / (1 + e^-x)` (`SILU`) or `1 / (1 + e^-x)` of every element.
+    fn logistic_as<const SILU: bool>(&self, isa: Isa) -> Tensor {
+        let mut data = vec![0.0f32; self.numel()];
+        match isa {
+            #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+            Isa::Avx2 if isa.is_supported() => {
+                // Safety: AVX2 and FMA verified at runtime; both slices
+                // hold `numel` floats.
+                unsafe { avx2::logistic::<SILU>(&self.data, &mut data) }
+            }
+            _ => {
+                for (y, &x) in data.iter_mut().zip(&self.data) {
+                    let d = 1.0 + (-x).exp();
+                    *y = if SILU { x / d } else { 1.0 / d };
+                }
+            }
+        }
+        Tensor { shape: self.shape.clone(), data }
     }
 
     /// In-place fused multiply-add: `self = self + alpha * other`.
@@ -474,28 +515,135 @@ impl Tensor {
         best
     }
 
-    /// Numerically stable softmax over the innermost dimension.
+    /// Numerically stable softmax over the innermost dimension, on the
+    /// dispatched ISA ([`Tensor::softmax_lastdim_as`]).
     pub fn softmax_lastdim(&self) -> Tensor {
+        self.softmax_lastdim_as(simd::active())
+    }
+
+    /// [`Tensor::softmax_lastdim`] on an explicit ISA path. Per row: the
+    /// max and the sum of the exponentials run in element order; the
+    /// `exp(v - max)` pass goes through the vector exp
+    /// ([`simd::exp_inplace_as`]) and the final divide runs 8 lanes wide
+    /// on AVX2. Every path gives the scalar bits.
+    pub fn softmax_lastdim_as(&self, isa: Isa) -> Tensor {
         let dims = self.dims();
         let inner = *dims.last().expect("softmax on rank-0 tensor");
         let mut out = self.clone();
-        out.data.chunks_exact_mut(inner.max(1)).for_each(softmax_row_inplace);
+        softmax_rows_inplace(isa, &mut out.data, inner);
         out
     }
 }
 
-/// Numerically stable softmax of one row, in place: the expressions of
-/// [`Tensor::softmax_lastdim`], shared with the attention core
-/// ([`Tensor::attention`]) so both produce the same bits.
-pub(crate) fn softmax_row_inplace(row: &mut [f32]) {
-    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut denom = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - m).exp();
-        denom += *v;
+/// Numerically stable softmax of every `len`-element row of `data`, in
+/// place: the expressions of [`Tensor::softmax_lastdim_as`], shared with
+/// the attention core ([`Tensor::attention_as`]) so both produce the same
+/// bits. One dispatch covers all rows.
+pub(crate) fn softmax_rows_inplace(isa: Isa, data: &mut [f32], len: usize) {
+    match isa {
+        #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+        Isa::Avx2 if isa.is_supported() => {
+            // Safety: AVX2 and FMA verified at runtime.
+            unsafe { avx2::softmax_rows(data, len) }
+        }
+        _ => {
+            for row in data.chunks_exact_mut(len.max(1)) {
+                softmax_row(
+                    row,
+                    |row, m| row.iter_mut().for_each(|v| *v = (*v - m).exp()),
+                    |row, denom| row.iter_mut().for_each(|v| *v /= denom),
+                );
+            }
+        }
     }
-    for v in row.iter_mut() {
-        *v /= denom;
+}
+
+/// One softmax row: the max and the sum of `exp(v - max)` fold in element
+/// order; `exp_minus(row, m)` and `div_by(row, denom)` are the
+/// elementwise passes of the ISA path.
+#[inline(always)]
+fn softmax_row(
+    row: &mut [f32],
+    exp_minus: impl FnOnce(&mut [f32], f32),
+    div_by: impl FnOnce(&mut [f32], f32),
+) {
+    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    exp_minus(row, m);
+    let denom = row.iter().fold(0.0f32, |sum, &v| sum + v);
+    div_by(row, denom);
+}
+
+/// `xs[i] *= s` for every element, 8 lanes wide on AVX2 (a multiply
+/// rounds the same at any width): the attention core's score scaling.
+pub(crate) fn mul_scalar_inplace_as(isa: Isa, xs: &mut [f32], s: f32) {
+    match isa {
+        #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+        Isa::Avx2 if isa.is_supported() => {
+            // Safety: AVX2 verified at runtime.
+            unsafe { avx2::mul_by(xs, s) }
+        }
+        _ => xs.iter_mut().for_each(|v| *v *= s),
+    }
+}
+
+/// The AVX2 bodies of the exp-based elementwise ops. Each keeps the scalar
+/// expression's operations and operand order per lane (`x / d`, `v - m`,
+/// `v * s`): IEEE add, multiply and divide round the same at any width,
+/// and the exp is [`simd::exp_inplace_as`]'s bit-identical port.
+#[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+mod avx2 {
+    use crate::simd::expf_fma::{exp8, map8};
+    use core::arch::x86_64::*;
+
+    /// `x / (1 + exp(-x))` (`SILU`) or `1 / (1 + exp(-x))` of `src` into
+    /// `dst`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA at runtime; `dst.len() == src.len()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn logistic<const SILU: bool>(src: &[f32], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len());
+        let (one, sign) = (_mm256_set1_ps(1.0), _mm256_set1_ps(-0.0));
+        map8(src.as_ptr(), dst.as_mut_ptr(), src.len(), |x| {
+            let d = _mm256_add_ps(one, exp8(_mm256_xor_ps(x, sign)));
+            _mm256_div_ps(if SILU { x } else { one }, d)
+        });
+    }
+
+    /// [`super::softmax_rows_inplace`]: each row's `exp(v - m)` and divide
+    /// passes 8 lanes at a time.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA at runtime.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn softmax_rows(data: &mut [f32], len: usize) {
+        for row in data.chunks_exact_mut(len.max(1)) {
+            super::softmax_row(
+                row,
+                |row, m| {
+                    let (p, mv) = (row.as_mut_ptr(), _mm256_set1_ps(m));
+                    map8(p, p, row.len(), |v| exp8(_mm256_sub_ps(v, mv)));
+                },
+                |row, denom| {
+                    let (p, dv) = (row.as_mut_ptr(), _mm256_set1_ps(denom));
+                    map8(p, p, row.len(), |v| _mm256_div_ps(v, dv));
+                },
+            );
+        }
+    }
+
+    /// `row[i] *= s`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn mul_by(row: &mut [f32], s: f32) {
+        let sv = _mm256_set1_ps(s);
+        let p = row.as_mut_ptr();
+        map8(p, p, row.len(), |v| _mm256_mul_ps(v, sv));
     }
 }
 

@@ -422,16 +422,28 @@ fn pack_and_report(sim: &SimPipeline, report: &fpdq::quant::QuantReport) {
         SimPipeline::Sd(p) => Some(p.null_context(1)),
         _ => None,
     };
-    let reps = 3;
+    // Each side is the median of a time-boxed run: at least 200 forwards
+    // and at least half a second of them, so that a shared host's slow
+    // phases widen the printed IQR instead of moving the figure.
+    let (min_runs, min_secs) = (200, 0.5);
     let time_forward = |label: &str| {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
+        let mut times = Vec::with_capacity(min_runs);
+        let start = Instant::now();
+        while times.len() < min_runs || start.elapsed().as_secs_f64() < min_secs {
             let t0 = Instant::now();
             std::hint::black_box(sim.unet().forward(&x, &t, ctx.as_ref()));
-            best = best.min(t0.elapsed().as_secs_f64());
+            times.push(t0.elapsed().as_secs_f64());
         }
-        println!("  {label:<28} {:.2} ms / forward", best * 1e3);
-        best
+        times.sort_by(f64::total_cmp);
+        let at = |q: f64| times[((times.len() - 1) as f64 * q).round() as usize];
+        let median = at(0.5);
+        println!(
+            "  {label:<28} {:.3} ms / forward (median of {}, IQR {:.3} ms)",
+            median * 1e3,
+            times.len(),
+            (at(0.75) - at(0.25)) * 1e3
+        );
+        median
     };
     println!("\npacked execution:");
     let dense = time_forward("fake-quantized dense");

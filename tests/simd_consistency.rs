@@ -18,9 +18,12 @@ mod common;
 
 use common::{direct_act_quantizers, direct_shapes, panel_conv};
 use fpdq::kernels::{conv2d_packed, gemm_packed, Exec, PackedTensor};
+use fpdq::nn::group_norm_ref_as;
 use fpdq::quant::{BoundaryQuantizer, FpFormat, IntFormat, PanelQuantizer, TensorQuantizer};
 use fpdq::tensor::conv::Conv2dSpec;
-use fpdq::tensor::matmul::{gemm_nt_panel_as, gemm_nt_serial_as, pack_nt_panel, NT_NR};
+use fpdq::tensor::matmul::{
+    gemm_nt_panel_as, gemm_nt_serial_as, gemm_serial, gemm_serial_as, pack_nt_panel, NT_NR,
+};
 use fpdq::tensor::simd::{self, Isa};
 use fpdq::tensor::Tensor;
 use proptest::prelude::*;
@@ -71,6 +74,17 @@ fn on(isa: Isa) -> Exec {
 /// Bit views for slice comparisons that must treat NaNs as values.
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// [`bits`] with every NaN mapped to one pattern, for kernels whose adds
+/// can meet two NaNs at once: which payload survives such an add is the
+/// compiler's choice (Rust leaves it unspecified), and the scalar
+/// reference's own choice moves with its codegen. Every other bit must
+/// match, and NaN must stay NaN.
+fn bits_nan_as_one(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -434,6 +448,225 @@ fn direct_conv_matches_the_panel_path_on_every_isa() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The vector exp and the full-precision ops built on it
+// ---------------------------------------------------------------------------
+
+/// Bit patterns where an `expf` port goes wrong first: signed zeros and
+/// the denormal extremes, ±∞, quiet and signalling NaNs with payloads,
+/// both sides of the overflow (`0x42b17217`/`…18`) and underflow
+/// (`0xc2cff1b4`/`…b5`) thresholds and of `|x| = 88`, where lanes leave
+/// the vector path, and the two inputs on which the same algorithm
+/// without fused multiply-adds rounds differently (`0x4202422f`,
+/// `0xc27c65d9`).
+#[rustfmt::skip]
+const EXP_EDGE_BITS: [u32; 24] = [
+    0x0000_0000, 0x8000_0000, 0x0000_0001, 0x8000_0001, 0x007f_ffff, 0x807f_ffff, // ±0, denormals
+    0x7f80_0000, 0xff80_0000, 0x7fc0_0000, 0xffc0_1234, 0x7fa0_0001, 0xff80_0abc, // ±∞, NaNs
+    0x42b1_7217, 0x42b1_7218, 0xc2cf_f1b4, 0xc2cf_f1b5, // overflow, underflow
+    0x42af_ffff, 0x42b0_0000, 0xc2af_ffff, 0xc2b0_0000, // |x| = 88
+    0x4202_422f, 0xc27c_65d9, 0x3f80_0000, 0xbf80_0000, // FMA witnesses, ±1
+];
+
+/// Runs `exp_inplace_as` on `bits` (as `f32`s) on `isa` and returns the
+/// inputs whose output bits differ from `f32::exp`'s.
+fn exp_mismatches(isa: Isa, bits: impl Iterator<Item = u32>) -> Vec<u32> {
+    let xs: Vec<f32> = bits.map(f32::from_bits).collect();
+    let mut ys = xs.clone();
+    simd::exp_inplace_as(isa, &mut ys);
+    xs.iter()
+        .zip(&ys)
+        .filter(|(x, y)| x.exp().to_bits() != y.to_bits())
+        .map(|(x, _)| x.to_bits())
+        .collect()
+}
+
+#[test]
+fn exp_matches_libm_bitwise_on_every_isa() {
+    // Every 65,537th bit pattern (65,537 inputs spread over all
+    // exponents and both signs) plus the edge cases, at every offset of
+    // an 8-lane block and in every tail length.
+    let sweep = (0..=u32::MAX / 65_537).map(|i| i * 65_537);
+    for &isa in simd::available() {
+        assert_eq!(exp_mismatches(isa, sweep.clone()), Vec::<u32>::new(), "{isa:?} sweep");
+        for pad in 0..8 {
+            let padded = (0..pad).map(|i| 0x3e00_0000 + i).chain(EXP_EDGE_BITS);
+            assert_eq!(exp_mismatches(isa, padded), Vec::<u32>::new(), "{isa:?} pad {pad}");
+        }
+        for len in 0..=EXP_EDGE_BITS.len() {
+            let head = EXP_EDGE_BITS[..len].iter().copied();
+            assert_eq!(exp_mismatches(isa, head), Vec::<u32>::new(), "{isa:?} len {len}");
+        }
+    }
+}
+
+#[test]
+#[ignore = "all 2^32 inputs: about a minute in release"]
+fn exp_matches_libm_on_every_bit_pattern() {
+    // The proof of the port: every f32 bit pattern, NaN payloads
+    // included, on every ISA, split into contiguous ranges over at most
+    // `available_parallelism()` threads.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(64) as u64;
+    let span = (1u64 << 32).div_ceil(threads);
+    for &isa in simd::available() {
+        let bad: Vec<u32> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let (lo, hi) = (t * span, ((t + 1) * span).min(1 << 32));
+                        let mut bad = Vec::new();
+                        for block in (lo..hi).step_by(1 << 16) {
+                            let end = (block + (1 << 16)).min(hi);
+                            bad.extend(exp_mismatches(isa, (block..end).map(|b| b as u32)));
+                        }
+                        bad
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+        });
+        let first: Vec<String> = bad.iter().take(8).map(|b| format!("{b:#010x}")).collect();
+        assert!(bad.is_empty(), "{isa:?}: {} mismatches, first {first:?}", bad.len());
+    }
+}
+
+/// Row lengths around the 8-lane block: one lane, short and long tails,
+/// exact blocks.
+const ROW_LENS: [usize; 7] = [1, 3, 7, 8, 9, 16, 17];
+
+#[test]
+fn silu_and_sigmoid_isa_sweep_match_the_scalar_expressions() {
+    // Against the scalar expressions themselves (`f32::exp` per element),
+    // with NaN/±∞ planted and values past ±88 where lanes leave the
+    // vector exp.
+    for (i, &len) in ROW_LENS.iter().chain(&[64, 83]).enumerate() {
+        let mut x = tensor_with_specials(&[2, len], 60 + i as u64).mul_scalar(12.0);
+        x.data_mut()[0] = -0.0;
+        let silu = x.map(|v| v / (1.0 + (-v).exp()));
+        let sigmoid = x.map(|v| 1.0 / (1.0 + (-v).exp()));
+        for &isa in simd::available() {
+            assert_bits_eq(&x.silu_as(isa), &silu, &format!("{isa:?} silu len {len}"));
+            assert_bits_eq(&x.sigmoid_as(isa), &sigmoid, &format!("{isa:?} sigmoid len {len}"));
+        }
+    }
+}
+
+/// The softmax row as it was written before the vector exp: max, then
+/// `exp(v - max)` summed in element order, then the divide.
+fn softmax_rows_scalar(x: &Tensor) -> Tensor {
+    let inner = *x.dims().last().unwrap();
+    let mut out = x.clone();
+    for row in out.data_mut().chunks_exact_mut(inner.max(1)) {
+        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut denom = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - m).exp();
+            denom += *v;
+        }
+        row.iter_mut().for_each(|v| *v /= denom);
+    }
+    out
+}
+
+#[test]
+fn softmax_isa_sweep_matches_the_scalar_rows() {
+    for (i, &len) in ROW_LENS.iter().enumerate() {
+        // Rows of plain values, rows holding NaN/±∞, an all -∞ row and
+        // one whose range spans past the vector exp's |x| < 88.
+        let mut x = tensor_with_specials(&[5, len], 80 + i as u64).mul_scalar(4.0);
+        x.data_mut()[..len].fill(f32::NEG_INFINITY);
+        x.data_mut()[len] = 95.0;
+        let want = softmax_rows_scalar(&x);
+        for &isa in simd::available() {
+            assert_bits_eq(&x.softmax_lastdim_as(isa), &want, &format!("{isa:?} len {len}"));
+        }
+    }
+}
+
+#[test]
+fn gemm_serial_isa_sweep_keeps_the_zero_skips() {
+    // `a`'s step 0 is zero in all four rows of the first block (the block
+    // skips it), step 1 in three of them (no skip: 0·∞ reaches c), and
+    // the last row is zero at step 2 (a remainder row skips on its own
+    // zero); `b` holds ±∞ in exactly those rows, so a wrong skip shows as
+    // a NaN (or a missing one). NaNs compare as NaN: see
+    // `bits_nan_as_one`.
+    for &n in &ROW_LENS {
+        for m in [1usize, 3, 4, 5, 9] {
+            for k in [3usize, 8, 17] {
+                let mut a = tensor_with_specials(&[m, k], (m * 7 + k * 3 + n) as u64);
+                let mut b = Tensor::randn(&[k, n], &mut StdRng::seed_from_u64(n as u64 + 5));
+                for r in 0..m.min(4) {
+                    a.set(&[r, 0], if r % 2 == 0 { 0.0 } else { -0.0 });
+                    if r < 3 {
+                        a.set(&[r, 1], 0.0);
+                    }
+                }
+                a.set(&[m - 1, 2], 0.0);
+                for j in 0..n {
+                    b.set(&[0, j], f32::INFINITY);
+                    b.set(&[1, j], f32::NEG_INFINITY);
+                    b.set(&[2, j], if j % 2 == 0 { f32::INFINITY } else { f32::NAN });
+                }
+                let mut want = vec![0.0f32; m * n];
+                gemm_serial(a.data(), b.data(), &mut want, m, k, n);
+                for &isa in simd::available() {
+                    let mut got = vec![0.0f32; m * n];
+                    gemm_serial_as(isa, a.data(), b.data(), &mut got, m, k, n);
+                    let what = format!("{isa:?} m {m} k {k} n {n}");
+                    assert_eq!(bits_nan_as_one(&got), bits_nan_as_one(&want), "{what}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn attention_core_isa_sweep_with_non_finite_operands() {
+    // Head widths 1, 4 and 8, one key (m = 1) and key counts around the
+    // 8-lane block, with NaN/±∞ in q, k and v.
+    for dh in [1usize, 4, 8] {
+        for (heads, n) in [(1usize, 5usize), (2, 9)] {
+            for &m in &ROW_LENS {
+                let d = heads * dh;
+                let seed = (dh * 100 + heads * 10 + m) as u64;
+                let q = tensor_with_specials(&[2, n, d], seed);
+                let k = tensor_with_specials(&[2, m, d], seed + 1);
+                let v = tensor_with_specials(&[2, m, d], seed + 2);
+                let scale = 1.0 / (dh as f32).sqrt();
+                let want = q.attention_as(Isa::Scalar, &k, &v, heads, scale);
+                for &isa in simd::available() {
+                    let got = q.attention_as(isa, &k, &v, heads, scale);
+                    assert_bits_eq(&got, &want, &format!("{isa:?} dh {dh} heads {heads} m {m}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn group_norm_isa_sweep_with_non_finite_inputs() {
+    // Planes of 1..17 pixels (tails of the 8-lane normalize pass), a
+    // group holding NaN/±∞, and a NaN/∞ among the affine parameters
+    // (where a NaN `β` meets a NaN normalized value: see
+    // `bits_nan_as_one`).
+    for (i, &hw) in ROW_LENS.iter().enumerate() {
+        let x = tensor_with_specials(&[2, 4, 1, hw], 90 + i as u64);
+        let mut gamma = Tensor::randn(&[4], &mut StdRng::seed_from_u64(7));
+        let mut beta = Tensor::randn(&[4], &mut StdRng::seed_from_u64(8));
+        gamma.set(&[3], f32::INFINITY);
+        beta.set(&[2], f32::NAN);
+        for groups in [1, 2, 4] {
+            let want = group_norm_ref_as(Isa::Scalar, &x, &gamma, &beta, groups, 1e-5);
+            for &isa in simd::available() {
+                let got = group_norm_ref_as(isa, &x, &gamma, &beta, groups, 1e-5);
+                let what = format!("{isa:?} hw {hw} groups {groups}");
+                assert_eq!(bits_nan_as_one(got.data()), bits_nan_as_one(want.data()), "{what}");
             }
         }
     }
