@@ -55,6 +55,15 @@ impl Param {
         self.value.borrow().clone()
     }
 
+    /// Runs `f` on the current value without cloning it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` updates or replaces this parameter (or an alias).
+    pub fn with_value<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
+        f(&self.value.borrow())
+    }
+
     /// Shape of the current value.
     pub fn dims(&self) -> Vec<usize> {
         self.value.borrow().dims().to_vec()
@@ -101,6 +110,13 @@ mod tests {
         assert_eq!(a.id(), b.id());
         a.update(|t| t.data_mut()[1] = 9.0);
         assert_eq!(b.value().data(), &[0.0, 9.0]);
+    }
+
+    #[test]
+    fn with_value_reads_the_shared_storage() {
+        let a = Param::new(Tensor::zeros(&[2]));
+        a.clone().update(|t| t.data_mut()[0] = 3.0);
+        assert_eq!(a.with_value(|t| t.data()[0]), 3.0);
     }
 
     #[test]

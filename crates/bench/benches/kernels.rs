@@ -9,7 +9,7 @@
 //! im2col conv and sparse kernels' figures are recorded in CHANGES.md.)
 
 use criterion::{criterion_group, Criterion};
-use fpdq_core::{BoundaryQuantizer, FpFormat, IntFormat, PanelQuantizer, TensorQuantizer};
+use fpdq_core::{BoundaryQuantizer, FpFormat, IntFormat, PanelQuantizer, Planes, TensorQuantizer};
 use fpdq_kernels::packed::unpack_bits_range_bitloop;
 use fpdq_kernels::{conv2d_packed, gemm_packed, Exec, PackedTensor};
 use fpdq_tensor::matmul::{gemm_nt_panel_as, gemm_nt_serial_with_as, NT_NR};
@@ -216,6 +216,9 @@ fn bench_conv(c: &mut Criterion) {
 /// public pieces with its buffers held across iterations: filter decode,
 /// fused quantization, then each 8-pixel tile lowered by
 /// `im2col_panel_into` and swept by the panel kernel.
+/// `stage_fp8_wa_split` is the direct path's staging of that input alone,
+/// as the entry point does it per image: zero the bordered operand, then
+/// quantize the input straight into its interior.
 fn bench_conv_serve_batch1(c: &mut Criterion) {
     use fpdq_tensor::conv::{im2col_panel_into, Conv2dSpec};
     let mut rng = StdRng::seed_from_u64(17);
@@ -248,13 +251,26 @@ fn bench_conv_serve_batch1(c: &mut Criterion) {
             black_box(out[0])
         })
     });
+    let layout = Planes::bordered(hw, hw, 1);
+    let mut bordered = vec![0.0f32; ch * layout.plane];
+    g.bench_function("stage_fp8_wa_split", |b| {
+        b.iter(|| {
+            bordered.fill(0.0);
+            let interior = &mut bordered[layout.pitch + 1..];
+            split.quantize_planes_into_as(serve.isa, black_box(x.data()), interior, layout);
+            black_box(bordered[0])
+        })
+    });
     g.finish();
 }
 
 /// Fused activation quantization at serving shape: one `[1, 24, 8, 8]`
 /// slice (1,536 elements, the input of `conv_serve_batch1`) through the
 /// boundary table of a searched E2M5 activation format, as the `tiny@fp8`
-/// container carries, and of standard E4M3.
+/// container carries, and of standard E4M3. `boundary_e2m5_rotating`
+/// quantizes the same slice through 67 distinct searched-bias E2M5
+/// tables in turn, one per call, as a served forward's layers do, so the
+/// tables compete for cache.
 fn bench_act_quant(c: &mut Criterion) {
     let x = Tensor::randn(&[1, 24, 8, 8], &mut StdRng::seed_from_u64(19));
     let mut out = vec![0.0f32; x.numel()];
@@ -271,6 +287,17 @@ fn bench_act_quant(c: &mut Criterion) {
             })
         });
     }
+    let tables: Vec<BoundaryQuantizer> = (0..67)
+        .map(|i| BoundaryQuantizer::from_fp(FpFormat::with_bias(2, 5, 0.5 + i as f32 * 0.061_3)))
+        .collect();
+    let mut next = 0usize;
+    g.bench_function("boundary_e2m5_rotating", |b| {
+        b.iter(|| {
+            tables[next].quantize_slice_into(black_box(x.data()), &mut out);
+            next = (next + 1) % tables.len();
+            black_box(out[0])
+        })
+    });
     g.finish();
 }
 

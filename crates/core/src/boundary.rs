@@ -23,35 +23,54 @@
 //! bitwise identical to the full-range bisection (kept as a test
 //! reference).
 //!
-//! # Slice path: rank cells
+//! # Slice path: folded magnitude ranks
 //!
-//! The table covers the full *signed* value line (INT formats are
-//! asymmetric). The slice path finds an element's place on it with one
-//! lookup and one compare. The top 9 bits of the element's order key
-//! (sign + f32 exponent) pick one of 512 buckets. A bucket that holds a
-//! finite boundary is split into `2^c` cells by the next `c` key bits;
-//! every other bucket is a single cell. Each cell stores only the rank
-//! `r` of the first boundary at or after its start, so every boundary
-//! below `r` is `<= v` for any `v` in the cell. If the cell holds at most
-//! one boundary, the count of boundaries `<= v` is `r + (boundaries[r]
-//! <= v)`: the one float compare decides the cell's own boundary, and
-//! everything from `boundaries[r + 1]` on lies in a later cell. A `+∞`
-//! sentinel after the last boundary keeps `boundaries[r]` in bounds for
-//! the top cell and never counts.
+//! The table covers the full *signed* value line, which the scalar
+//! bisection searches. The slice path of an FP table searches only half
+//! of it. An FP oracle is odd-symmetric apart from the sign of zero:
+//! `q(-x) = -q(x)`, since the clip, `|x|`, the divide, round-half-away
+//! and the multiply all commute with negation. So the slice path folds
+//! the sign off, quantizes `|x|` on the non-negative half of the table,
+//! and puts the sign back (`-0.0` then canonicalises to `+0.0` with one
+//! `+ 0.0`). Construction checks the premise: the value line must be
+//! symmetric about `+0.0`, and each negative boundary must sit one ULP
+//! toward zero from its mirrored positive boundary, as round-half-away
+//! puts it. A table that fails the check keeps the plain bisection; only
+//! formats whose range leaves the finite, nonzero f32 line build one.
 //!
-//! `c` is the smallest resolution that leaves at most one finite
-//! boundary in any cell, read off in one pass from the highest differing
-//! key bit of each adjacent pair sharing a bucket. It stays small. The
-//! binades of an ExMy format are the f32 binades shifted by the
-//! fractional part of its bias, so in an f32 binade `[2^e, 2^(e+1))` its
-//! grid step is more than `2^(e-1-M)`, and its boundaries, at the
-//! midpoints of neighbouring values, are at least that far apart. A cell
-//! at resolution `M + 2` is `2^(e-M-2)` wide, so `c <= M + 2`. The ±∞
-//! boundaries of unreachable values sit in the ∓NaN/∓∞ buckets, which no
-//! clamped input addresses. Ranks are `u16`, so a table costs a 2 KB
-//! bucket index plus two bytes per cell: about 5.5 KB for E2M5 at a
-//! searched bias. INT formats take an arithmetic shortcut that evaluates
-//! the *identical* float expression as [`IntFormat::quantize_scalar`].
+//! The positive boundaries span a window of f32 binades, from the binade
+//! of the smallest to that of the largest. Each binade splits into `2^c`
+//! equal cells, so a magnitude's cell is `(exponent − e_lo) << c |
+//! mantissa >> (23 − c)`, one subtract and one shift of its bits once it
+//! is clamped into the window. Each cell stores the rank `r` of the first
+//! boundary at or after its start, so every boundary below `r` is `<= a`
+//! for any magnitude `a` in the cell. If the cell holds at most one
+//! boundary, the count of boundaries `<= a` is `r + (boundaries[r] <=
+//! a)`: the one float compare decides the cell's own boundary, and
+//! everything from `boundaries[r + 1]` on lies in a later cell.
+//! Magnitudes below the window clamp into its first cell (rank 0, and
+//! the compare against the smallest boundary stays false); magnitudes
+//! above it, `+∞` included, clamp into the last cell, whose compare
+//! counts the top boundary. A `+∞` sentinel after the last boundary keeps
+//! `boundaries[r]` in bounds and never counts.
+//!
+//! `c` is the smallest resolution that leaves at most one boundary in
+//! any cell, read off in one pass from the highest differing bit of each
+//! adjacent pair. It stays small. The binades of an ExMy format are the
+//! f32 binades shifted by the fractional part of its bias, so in an f32
+//! binade `[2^e, 2^(e+1))` its grid step is more than `2^(e-1-M)`, and
+//! its boundaries, at the midpoints of neighbouring values, are at least
+//! that far apart. A cell at resolution `M + 2` is `2^(e-M-2)` wide, so
+//! `c <= M + 2`. Ranks are `u16`, built in one pass over cells and
+//! boundaries: about 2.3 KB for E2M5 at a searched bias. Three gathers
+//! per 8 elements (rank, boundary, value) finish the AVX2 path, with the
+//! tail of a row in one masked vector and 4-wide rows two to a vector.
+//! INT formats take an arithmetic shortcut that evaluates the
+//! *identical* float expression as [`IntFormat::quantize_scalar`].
+//!
+//! Both paths quantize rows into a strided destination ([`Planes`]), so
+//! a caller can write a quantized image straight into a zero-bordered
+//! operand without a second copy.
 //!
 //! [`PanelQuantizer`] lifts this to the granularity the fused GEMM/conv
 //! kernels need: one shared table (per-tensor, the paper's configuration),
@@ -204,114 +223,198 @@ fn gallop_search(above: &dyn Fn(u32) -> bool, start: u32) -> u32 {
     ub
 }
 
-/// Number of sign+exponent buckets in the slice-path index (9 top bits of
-/// the order key: 1 sign × 8 exponent).
-const BUCKETS: usize = 512;
+/// Where a `[planes, rows, width]` source lands in a strided destination:
+/// row `y` of plane `i` starts at `dst[i * plane + y * pitch]`, and the
+/// quantizers write nothing between rows or planes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Planes {
+    /// Rows per plane.
+    pub rows: usize,
+    /// Elements per row.
+    pub width: usize,
+    /// Destination distance between row starts (at least `width`).
+    pub pitch: usize,
+    /// Destination distance between plane starts (at least `rows *
+    /// pitch`).
+    pub plane: usize,
+}
 
-/// Order-key bits below the bucket byte (the f32 mantissa width).
-const SUB_BITS: u32 = 23;
+impl Planes {
+    /// Contiguous planes of `len` elements each: source and destination
+    /// share one layout.
+    fn dense(len: usize) -> Self {
+        Planes { rows: 1, width: len, pitch: len, plane: len }
+    }
 
-/// The order-key bits below the bucket byte.
-const SUB_MASK: u32 = (1 << SUB_BITS) - 1;
+    /// The interior of `[rows + 2·pad, width + 2·pad]` planes: a
+    /// `[rows, width]` image inside a border of `pad` elements on every
+    /// side. The destination slice starts at the first interior element,
+    /// `pad · (width + 2·pad) + pad` into the bordered buffer.
+    pub fn bordered(rows: usize, width: usize, pad: usize) -> Self {
+        let pitch = width + 2 * pad;
+        Planes { rows, width, pitch, plane: (rows + 2 * pad) * pitch }
+    }
 
-/// Low bits of a bucket entry that hold its cell shift; the bits above
-/// hold its first cell.
-const SHIFT_BITS: u32 = 5;
+    /// Source elements per plane.
+    fn len(&self) -> usize {
+        self.rows * self.width
+    }
 
-/// The shift field of a bucket entry.
-const SHIFT_MASK: u32 = (1 << SHIFT_BITS) - 1;
+    /// Checks that `src` is whole planes of this layout and that `dst`
+    /// holds every row they land in; returns the plane count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout is inconsistent, `src` is not whole planes,
+    /// or `dst` is too short for them.
+    fn check(self, src: &[f32], dst: &[f32]) -> usize {
+        let Planes { rows, width, pitch, plane } = self;
+        assert!(pitch >= width && plane >= rows * pitch, "overlapping rows in {self:?}");
+        let per_plane = self.len();
+        if per_plane == 0 {
+            assert!(src.is_empty(), "source is not whole planes of {self:?}");
+            return 0;
+        }
+        assert_eq!(src.len() % per_plane, 0, "source is not whole planes of {self:?}");
+        let planes = src.len() / per_plane;
+        if planes > 0 {
+            let reach = (planes - 1) * plane + (rows - 1) * pitch + width;
+            assert!(dst.len() >= reach, "destination too short for {planes} planes of {self:?}");
+        }
+        planes
+    }
+
+    /// Writes `f` of every element of `src`'s planes into its place in
+    /// `dst`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::check`].
+    fn map(self, src: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32) {
+        if self.check(src, dst) == 0 {
+            return;
+        }
+        let Planes { rows, width, pitch, plane } = self;
+        for (p, sp) in src.chunks_exact(rows * width).enumerate() {
+            for (y, srow) in sp.chunks_exact(width).enumerate() {
+                let drow = &mut dst[p * plane + y * pitch..][..width];
+                for (d, &v) in drow.iter_mut().zip(srow) {
+                    *d = f(v);
+                }
+            }
+        }
+    }
+}
 
 /// The INT arithmetic shortcut parameters (evaluating the same float
-/// expression as [`IntFormat::quantize_scalar`]), or the FP rank cells.
+/// expression as [`IntFormat::quantize_scalar`]), or the FP magnitude
+/// ranks.
 #[derive(Clone, Debug)]
 enum FastPath {
-    /// Rank-cell lookup (FP formats).
-    Cells(RankCells),
+    /// Folded magnitude-rank lookup (FP formats).
+    Folded(MagnitudeRanks),
+    /// The plain bisection, for the FP tables the fold cannot take (see
+    /// [`MagnitudeRanks::build`]).
+    Bisect,
     /// Direct affine rounding (INT formats).
     Affine { scale: f32, zero_point: f32, qmax: f32 },
 }
 
-/// The rank-cell index of a boundary table (see the module docs).
+/// Bits of `f32::MAX`: the magnitude every larger one (`+∞`, and NaN
+/// before its blend) clamps to.
+const MAX_BITS: u32 = 0x7F7F_FFFF;
+
+/// The sign bit of an `f32`.
+const SIGN_BIT: u32 = 0x8000_0000;
+
+/// The mantissa width of an `f32`: the bits below a binade's exponent.
+const MANTISSA_BITS: u32 = 23;
+
+/// The dense cell index over the non-negative half of an odd-symmetric
+/// FP table (see the module docs).
 ///
-/// `index[t]` describes bucket `t` as `first << SHIFT_BITS | shift`: the
-/// cell of order key `k` is `first + ((k & SUB_MASK) >> shift)`, with
-/// `shift = SUB_BITS - c` for a bucket holding a finite boundary and
-/// `SUB_BITS` (one cell) otherwise. `ranks[cell]` counts the boundaries
-/// whose order key lies below the cell's start. One pad entry ends
-/// `ranks`, so a 32-bit gather of the last rank stays in bounds.
+/// The magnitude with bits `a`, clamped to `[lo, hi]`, lies in cell
+/// `(a - lo) >> shift`. `ranks[cell]` counts the positive boundaries
+/// below the cell's start. One pad entry ends `ranks`, so a 32-bit gather
+/// of the last rank stays in bounds.
 #[derive(Clone, Debug)]
-struct RankCells {
-    index: Box<[u32; BUCKETS]>,
+struct MagnitudeRanks {
+    /// Index of `+0.0` in the signed value line: the non-negative values
+    /// are `values[zero..]`, and the positive boundaries (with the
+    /// sentinel) `boundaries[zero..]`.
+    zero: usize,
+    /// Bits of the first magnitude of the window: the start of the binade
+    /// of the smallest positive boundary.
+    lo: u32,
+    /// Bits of the last magnitude of the window: the end of the binade of
+    /// the largest boundary.
+    hi: u32,
+    /// `23 - c`: the cell width is `2^shift` ULPs.
+    shift: u32,
     ranks: Vec<u16>,
 }
 
-impl RankCells {
-    /// Builds the index over the ascending `boundaries` (sentinel
-    /// excluded) in one pass over buckets, cells and boundaries.
+impl MagnitudeRanks {
+    /// Builds the index over the ascending signed `values` and their
+    /// `boundaries` (sentinel excluded): one pass over adjacent positive
+    /// boundaries for the resolution, one over cells and boundaries for
+    /// the ranks.
     ///
-    /// # Panics
-    ///
-    /// Panics if two finite boundaries are equal (no resolution separates
-    /// them) or the table has more than `u16::MAX` boundaries.
-    fn build(boundaries: &[f32]) -> Self {
-        assert!(
-            boundaries.len() <= usize::from(u16::MAX),
-            "boundary table too large for u16 ranks"
-        );
-        // Adjacent finite keys in one bucket land in different cells once
-        // the cell bits reach their highest differing bit.
-        let mut c = 0;
-        let mut populated = [false; BUCKETS];
-        let mut prev: Option<u32> = None;
-        for &b in boundaries.iter().filter(|b| b.is_finite()) {
-            let k = order_key(b);
-            populated[(k >> SUB_BITS) as usize] = true;
-            if let Some(p) = prev.filter(|p| p >> SUB_BITS == k >> SUB_BITS) {
-                c = c.max((p ^ k).leading_zeros() - (31 - SUB_BITS));
-            }
-            prev = Some(k);
+    /// Returns `None` for a table the fold cannot take: one that is not
+    /// odd-symmetric about `+0.0` (values and mirrored boundaries), whose
+    /// positive boundaries are not finite and strictly ascending, or
+    /// whose non-negative half has more than `u16::MAX` boundaries. Only
+    /// formats whose range leaves the finite, nonzero f32 line (biases
+    /// beyond about ±130) build such tables.
+    fn build(values: &[f32], boundaries: &[f32]) -> Option<Self> {
+        let zero = values.partition_point(|&v| v < 0.0);
+        let symmetric = values.get(zero).is_some_and(|v| v.to_bits() == 0)
+            && values.len() == 2 * zero + 1
+            && (1..=zero).all(|i| values[zero - i].to_bits() == (-values[zero + i]).to_bits());
+        let pos = &boundaries[zero.min(boundaries.len())..];
+        // Round-half-away: the mirror of a positive boundary `b`
+        // quantizes toward the larger magnitude, so the negative boundary
+        // sits one ULP closer to zero.
+        let mirrored = |(i, &b): (usize, &f32)| {
+            b > 0.0 && b.is_finite() && boundaries[zero - 1 - i].to_bits() == (-b).to_bits() - 1
+        };
+        if !symmetric
+            || pos.is_empty()
+            || pos.len() > usize::from(u16::MAX)
+            || !pos.iter().enumerate().all(mirrored)
+            || pos.windows(2).any(|p| p[0] >= p[1])
+        {
+            return None;
         }
-        assert!(c <= SUB_BITS, "equal finite boundaries");
-        let cells: usize = populated.iter().map(|&p| if p { 1 << c } else { 1 }).sum();
-        assert!(cells < 1 << (32 - SHIFT_BITS), "rank-cell index overflow");
-        let mut index = Box::new([0u32; BUCKETS]);
+        // Adjacent keys land in different cells once the cell width drops
+        // to their highest differing bit.
+        let shift = pos
+            .windows(2)
+            .map(|p| 31 - (p[0].to_bits() ^ p[1].to_bits()).leading_zeros())
+            .fold(MANTISSA_BITS, u32::min);
+        let binade = |b: f32| b.to_bits() >> MANTISSA_BITS << MANTISSA_BITS;
+        let lo = binade(pos[0]);
+        let hi = binade(pos[pos.len() - 1]) + ((1 << MANTISSA_BITS) - 1);
+        // At most 255 binades of at most 2^12 cells (`c <= M + 2` with
+        // `M <= 10`): the index fits the gathers' `i32` offsets.
+        let cells = ((hi - lo) >> shift) as usize + 1;
         let mut ranks = Vec::with_capacity(cells + 1);
-        // Boundaries ascend in key order, so bucket `t` owns the run of
-        // them from `r` to `end`. Each one is the first boundary at or
-        // after the start of its own cell and of every unfilled cell
-        // before it.
         let mut r = 0usize;
-        for (t, entry) in index.iter_mut().enumerate() {
-            let end = r + boundaries[r..]
-                .iter()
-                .take_while(|&&b| (order_key(b) >> SUB_BITS) as usize == t)
-                .count();
-            let first = ranks.len();
-            if populated[t] {
-                let shift = SUB_BITS - c;
-                *entry = (first as u32) << SHIFT_BITS | shift;
-                for (i, &b) in boundaries.iter().enumerate().take(end).skip(r) {
-                    let cell = ((order_key(b) & SUB_MASK) >> shift) as usize;
-                    ranks.resize(first + cell + 1, i as u16);
-                }
-                ranks.resize(first + (1 << c), end as u16);
-            } else {
-                *entry = (first as u32) << SHIFT_BITS | SUB_BITS;
-                ranks.push(r as u16);
+        for cell in 0..cells as u32 {
+            let start = lo + (cell << shift);
+            while r < pos.len() && pos[r].to_bits() < start {
+                r += 1;
             }
-            r = end;
+            ranks.push(r as u16);
         }
         ranks.push(0);
-        RankCells { index, ranks }
+        Some(MagnitudeRanks { zero, lo, hi, shift, ranks })
     }
 
-    /// The rank of the first boundary at or after the start of the cell
-    /// holding order key `key`.
+    /// The cell of the (clamped) magnitude bits `a`.
     #[inline]
-    fn rank(&self, key: u32) -> usize {
-        let e = self.index[(key >> SUB_BITS) as usize];
-        let cell = (e >> SHIFT_BITS) + ((key & SUB_MASK) >> (e & SHIFT_MASK));
-        usize::from(self.ranks[cell as usize])
+    fn cell(&self, a: u32) -> usize {
+        ((a.clamp(self.lo, self.hi) - self.lo) >> self.shift) as usize
     }
 }
 
@@ -326,7 +429,7 @@ pub struct BoundaryQuantizer {
     values: Vec<f32>,
     /// `boundaries[i]` is the smallest float quantizing to `values[i+1]`
     /// (`±∞` when a value is unreachable from either end), followed by
-    /// one `+∞` sentinel for the rank-cell compare.
+    /// one `+∞` sentinel for the slice path's compare.
     boundaries: Vec<f32>,
     /// Output for NaN inputs.
     nan_value: f32,
@@ -335,11 +438,6 @@ pub struct BoundaryQuantizer {
 
 impl BoundaryQuantizer {
     /// Builds the table for a floating-point format.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a format wider than 16 bits: the rank cells index
-    /// boundaries with `u16`.
     pub fn from_fp(fmt: FpFormat) -> Self {
         let quantize = fp_oracle(fmt);
         // Project the enumeration through the quantizer itself: for
@@ -358,7 +456,9 @@ impl BoundaryQuantizer {
             .collect();
         values.sort_by(f32::total_cmp);
         values.dedup();
-        Self::from_reference(values, quantize, 0.0, None)
+        Self::from_reference(values, quantize, 0.0, |v, b| {
+            MagnitudeRanks::build(v, b).map_or(FastPath::Bisect, FastPath::Folded)
+        })
     }
 
     /// Builds the table for an integer format.
@@ -369,7 +469,7 @@ impl BoundaryQuantizer {
             (0..1u32 << fmt.bits()).map(|q| fmt.scale() * (q as f32 - zp)).collect();
         let nan_value = fmt.quantize_scalar(f32::NAN);
         let fast = FastPath::Affine { scale: fmt.scale(), zero_point: zp, qmax };
-        Self::from_reference(values, move |x| fmt.quantize_scalar(x), nan_value, Some(fast))
+        Self::from_reference(values, move |x| fmt.quantize_scalar(x), nan_value, |_, _| fast)
     }
 
     /// Builds the table for either backend of a [`TensorQuantizer`].
@@ -403,15 +503,16 @@ impl BoundaryQuantizer {
 
     /// Core construction: the exact boundary between every adjacent pair
     /// of `values` against the (monotone) reference quantizer, bracketed
-    /// from the pair's midpoint and bisected ([`gallop_search`]).
+    /// from the pair's midpoint and bisected ([`gallop_search`]), then
+    /// the slice path `fast` builds over values and boundaries.
     fn from_reference(
         values: Vec<f32>,
         quantize: impl Fn(f32) -> f32,
         nan_value: f32,
-        fast: Option<FastPath>,
+        fast: impl FnOnce(&[f32], &[f32]) -> FastPath,
     ) -> Self {
         let mut boundaries = search_boundaries(&values, quantize, gallop_search);
-        let fast = fast.unwrap_or_else(|| FastPath::Cells(RankCells::build(&boundaries)));
+        let fast = fast(&values, &boundaries);
         boundaries.push(f32::INFINITY);
         BoundaryQuantizer { values, boundaries, nan_value, fast }
     }
@@ -439,23 +540,24 @@ impl BoundaryQuantizer {
         self.values[self.boundaries.partition_point(|&b| b <= v)]
     }
 
-    /// The scalar rank-cell path over a slice: one lookup and one compare
-    /// per element (also the tail of the AVX2 path).
-    fn quantize_cells(&self, cells: &RankCells, src: &[f32], dst: &mut [f32]) {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = if v.is_nan() {
-                self.nan_value
-            } else {
-                let v = v.clamp(-f32::MAX, f32::MAX);
-                let r = cells.rank(order_key(v));
-                self.values[r + usize::from(self.boundaries[r] <= v)]
-            };
+    /// The scalar folded path for one element (also the NEON path).
+    #[inline]
+    fn quantize_folded(&self, m: &MagnitudeRanks, v: f32) -> f32 {
+        if v.is_nan() {
+            return self.nan_value;
         }
+        let bits = v.to_bits();
+        let a = (bits & !SIGN_BIT).min(MAX_BITS);
+        let r = usize::from(m.ranks[m.cell(a)]);
+        let j = r + usize::from(self.boundaries[m.zero + r] <= f32::from_bits(a));
+        // `+ 0.0` turns the `-0.0` of a negative input rounding to zero
+        // into `+0.0`, as the signed table has it.
+        f32::from_bits(self.values[m.zero + j].to_bits() | bits & SIGN_BIT) + 0.0
     }
 
     /// Quantizes a slice into caller scratch through the accelerated path
-    /// (rank cells for FP, direct affine for INT) — bit-exact with
-    /// [`Self::quantize_scalar`].
+    /// (folded magnitude ranks for FP, direct affine for INT) — bit-exact
+    /// with [`Self::quantize_scalar`].
     ///
     /// # Panics
     ///
@@ -466,48 +568,68 @@ impl BoundaryQuantizer {
 
     /// [`Self::quantize_slice_into`] on an explicit ISA path — the
     /// dispatch point the differential SIMD tests drive from both sides.
-    /// An FP element is clamped to the finite line, its order key picks a
-    /// rank cell, and one float compare against the cell's first boundary
-    /// finishes the count (see the module docs); NaN maps to the table's
-    /// NaN output. The AVX2 variant runs 8 elements per iteration: a
-    /// vector order key, then gathers of the bucket entry, the cell rank,
-    /// the boundary and the value, with NaN lanes blended afterwards and a
-    /// scalar tail. It is bit-exact by construction, since the rank and
-    /// compare are the same integers and floats in every lane. An
-    /// unsupported `isa` (and NEON) takes the scalar cell path. The INT
-    /// affine shortcut is a single float expression either way and does
-    /// not dispatch.
     ///
     /// # Panics
     ///
     /// Panics if `src` and `dst` lengths differ.
     pub fn quantize_slice_into_as(&self, isa: Isa, src: &[f32], dst: &mut [f32]) {
         assert_eq!(src.len(), dst.len(), "quantize slice length mismatch");
+        self.quantize_planes_into_as(isa, src, dst, Planes::dense(src.len()));
+    }
+
+    /// Quantizes the planes of `src` into the strided rows of `dst` that
+    /// `layout` names, leaving every other element of `dst` as it is.
+    ///
+    /// An FP element has its sign folded off, its magnitude clamped into
+    /// the table's binade window, and its cell's rank plus one float
+    /// compare pick its value, which gets the sign back (see the module
+    /// docs); NaN maps to the table's NaN output. The AVX2 variant runs 8
+    /// elements per iteration with three gathers (rank, boundary, value),
+    /// the tail of each row in one masked vector and 4-wide rows two to a
+    /// vector. It is bit-exact by construction, since the rank and
+    /// compare are the same integers and floats in every lane. An
+    /// unsupported `isa` (and NEON) takes the scalar path. The INT affine
+    /// shortcut is a single float expression either way and does not
+    /// dispatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not whole planes of `layout`, or `dst` is too
+    /// short for them.
+    pub fn quantize_planes_into_as(&self, isa: Isa, src: &[f32], dst: &mut [f32], layout: Planes) {
+        // Contiguous planes are one long row.
+        let layout = if layout.pitch == layout.width && layout.plane == layout.len() {
+            layout.check(src, dst);
+            Planes::dense(src.len())
+        } else {
+            layout
+        };
         #[cfg(not(target_arch = "x86_64"))]
         let _ = isa;
         match &self.fast {
             FastPath::Affine { scale, zero_point, qmax } => {
                 let (s, zp, qmax) = (*scale, *zero_point, *qmax);
                 let nan = self.nan_value;
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    // The exact expression of `IntFormat::quantize_scalar`.
-                    *d = if v.is_nan() {
+                // The exact expression of `IntFormat::quantize_scalar`.
+                layout.map(src, dst, |v| {
+                    if v.is_nan() {
                         nan
                     } else {
                         s * (((v / s).round() + zp).clamp(0.0, qmax) - zp)
-                    };
-                }
+                    }
+                });
             }
-            FastPath::Cells(cells) => {
+            FastPath::Bisect => layout.map(src, dst, |v| self.quantize_scalar(v)),
+            FastPath::Folded(m) => {
                 #[cfg(target_arch = "x86_64")]
                 if isa == Isa::Avx2 && isa.is_supported() {
-                    // SAFETY: AVX2 verified at runtime; lengths asserted
-                    // above; `cells` was built from this table's
-                    // boundaries, which end in the `+∞` sentinel.
-                    unsafe { avx2::quantize_cells(self, cells, src, dst) };
+                    // SAFETY: AVX2 verified at runtime; `m` was built from
+                    // this table's values and boundaries, which end in the
+                    // `+∞` sentinel.
+                    unsafe { avx2::quantize_folded(self, m, src, dst, layout) };
                     return;
                 }
-                self.quantize_cells(cells, src, dst);
+                layout.map(src, dst, |v| self.quantize_folded(m, v));
             }
         }
     }
@@ -522,69 +644,143 @@ impl BoundaryQuantizer {
     }
 }
 
-/// AVX2 variant of the rank-cell path: 8 elements per iteration, every
-/// table access a gather.
+/// AVX2 variant of the folded path: 8 elements per iteration, every table
+/// access a gather, each row's tail in one masked vector, and 4-wide rows
+/// two to a vector.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{BoundaryQuantizer, RankCells, SHIFT_BITS, SHIFT_MASK, SUB_BITS, SUB_MASK};
+    use super::{BoundaryQuantizer, MagnitudeRanks, Planes, MAX_BITS, SIGN_BIT};
     use core::arch::x86_64::*;
+
+    /// The broadcast constants and table pointers of one table.
+    struct Table {
+        magnitude: __m256i,
+        inf: __m256i,
+        max: __m256i,
+        lo: __m256i,
+        hi: __m256i,
+        shift: __m128i,
+        rank_mask: __m256i,
+        nan: __m256,
+        ranks: *const i32,
+        bounds: *const f32,
+        values: *const i32,
+    }
 
     /// # Safety
     ///
-    /// Requires AVX2 at runtime and equal `src`/`dst` lengths. `cells`
-    /// must be [`RankCells::build`] over `bq`'s boundaries without their
-    /// sentinel, and `bq.boundaries` must end in the `+∞` sentinel: then
-    /// every bucket entry addresses cells inside `ranks` (with the pad
-    /// entry behind the last one for the 4-byte read), every rank indexes
-    /// `bq.boundaries`, and `rank + 1` is taken only below the sentinel,
-    /// inside `bq.values`.
+    /// Requires AVX2 at runtime. `m` must be [`MagnitudeRanks::build`]
+    /// over `bq`'s values and boundaries without their sentinel, and
+    /// `bq.boundaries` must end in the `+∞` sentinel: then every clamped
+    /// magnitude addresses a cell inside `ranks` (with the pad entry
+    /// behind the last one for the 4-byte read), every rank indexes the
+    /// positive boundaries, and `rank + 1` is taken only below the
+    /// sentinel, inside the non-negative values.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn quantize_cells(
+    pub(super) unsafe fn quantize_folded(
         bq: &BoundaryQuantizer,
-        cells: &RankCells,
+        m: &MagnitudeRanks,
         src: &[f32],
         dst: &mut [f32],
+        layout: Planes,
     ) {
-        let lo = _mm256_set1_ps(-f32::MAX);
-        let hi = _mm256_set1_ps(f32::MAX);
-        let sign = _mm256_set1_epi32(i32::MIN);
-        let sub_mask = _mm256_set1_epi32(SUB_MASK as i32);
-        let shift_mask = _mm256_set1_epi32(SHIFT_MASK as i32);
-        let rank_mask = _mm256_set1_epi32(0xFFFF);
-        let nan = _mm256_set1_ps(bq.nan_value);
-        let index = cells.index.as_ptr().cast::<i32>();
-        let ranks = cells.ranks.as_ptr().cast::<i32>();
-        let main = src.len() / 8 * 8;
-        for i in (0..main).step_by(8) {
-            // SAFETY: `i + 8 <= src.len() == dst.len()`; the gathers stay
-            // in bounds by the function's contract.
-            unsafe {
-                let raw = _mm256_loadu_ps(src.as_ptr().add(i));
-                // `max_ps` returns its second operand for a NaN lane, so
-                // NaNs look up -MAX (in bounds) and are blended below.
-                let v = _mm256_min_ps(_mm256_max_ps(raw, lo), hi);
-                let bits = _mm256_castps_si256(v);
-                // order_key: negatives invert, positives set the sign bit.
-                let key =
-                    _mm256_xor_si256(bits, _mm256_or_si256(_mm256_srai_epi32::<31>(bits), sign));
-                let bucket = _mm256_srli_epi32::<{ SUB_BITS as i32 }>(key);
-                let e = _mm256_i32gather_epi32::<4>(index, bucket);
-                let sub = _mm256_srlv_epi32(
-                    _mm256_and_si256(key, sub_mask),
-                    _mm256_and_si256(e, shift_mask),
-                );
-                let cell = _mm256_add_epi32(_mm256_srli_epi32::<{ SHIFT_BITS as i32 }>(e), sub);
-                let r = _mm256_and_si256(_mm256_i32gather_epi32::<2>(ranks, cell), rank_mask);
-                let b = _mm256_i32gather_ps::<4>(bq.boundaries.as_ptr(), r);
-                // An all-ones lane is -1: subtracting the mask adds the
-                // compare's 0/1.
-                let le = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(b, v));
-                let q = _mm256_i32gather_ps::<4>(bq.values.as_ptr(), _mm256_sub_epi32(r, le));
-                let is_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(raw, raw);
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_blendv_ps(q, nan, is_nan));
+        let planes = layout.check(src, dst);
+        let Planes { rows, width, pitch, plane } = layout;
+        let t = Table {
+            magnitude: _mm256_set1_epi32(!SIGN_BIT as i32),
+            inf: _mm256_set1_epi32(f32::INFINITY.to_bits() as i32),
+            max: _mm256_set1_epi32(MAX_BITS as i32),
+            lo: _mm256_set1_epi32(m.lo as i32),
+            hi: _mm256_set1_epi32(m.hi as i32),
+            shift: _mm_cvtsi32_si128(m.shift as i32),
+            rank_mask: _mm256_set1_epi32(0xFFFF),
+            nan: _mm256_set1_ps(bq.nan_value),
+            ranks: m.ranks.as_ptr().cast(),
+            bounds: bq.boundaries[m.zero..].as_ptr(),
+            values: bq.values[m.zero..].as_ptr().cast(),
+        };
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        for p in 0..planes {
+            let (s0, d0) = (p * rows * width, p * plane);
+            let mut y = 0;
+            if width == 4 {
+                // Two 4-wide rows per vector: adjacent in the source, a
+                // pitch apart in the destination.
+                while y + 2 <= rows {
+                    // SAFETY: both rows lie inside their planes, which
+                    // `check` bounds inside `src` and `dst`.
+                    unsafe {
+                        let q = quantize8(&t, _mm256_loadu_ps(sp.add(s0 + y * 4)));
+                        _mm_storeu_ps(dp.add(d0 + y * pitch), _mm256_castps256_ps128(q));
+                        _mm_storeu_ps(dp.add(d0 + (y + 1) * pitch), _mm256_extractf128_ps::<1>(q));
+                    }
+                    y += 2;
+                }
+            }
+            for y in y..rows {
+                // SAFETY: as above, for one row of `width`.
+                unsafe { quantize_row(&t, sp.add(s0 + y * width), dp.add(d0 + y * pitch), width) };
             }
         }
-        bq.quantize_cells(cells, &src[main..], &mut dst[main..]);
+    }
+
+    /// Quantizes `len` elements from `src` into `dst` through `t`: 8 at
+    /// a time, then the tail in one masked vector.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `src` and `dst` must be valid for `len` floats, and
+    /// `t` must come from a table meeting [`quantize_folded`]'s contract.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize_row(t: &Table, src: *const f32, dst: *mut f32, len: usize) {
+        let main = len / 8 * 8;
+        for i in (0..main).step_by(8) {
+            // SAFETY: `i + 8 <= len`.
+            unsafe { _mm256_storeu_ps(dst.add(i), quantize8(t, _mm256_loadu_ps(src.add(i)))) };
+        }
+        let rest = len - main;
+        if rest > 0 {
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(rest as i32), lanes);
+            // SAFETY: the mask covers lanes `main..len` only; masked-off
+            // lanes load `+0.0`, a valid magnitude.
+            unsafe {
+                let q = quantize8(t, _mm256_maskload_ps(src.add(main), mask));
+                _mm256_maskstore_ps(dst.add(main), mask, q);
+            }
+        }
+    }
+
+    /// Quantizes 8 lanes through `t`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `t` must come from a table meeting
+    /// [`quantize_folded`]'s contract.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize8(t: &Table, raw: __m256) -> __m256 {
+        let bits = _mm256_castps_si256(raw);
+        let mag = _mm256_and_si256(bits, t.magnitude);
+        let is_nan = _mm256_castsi256_ps(_mm256_cmpgt_epi32(mag, t.inf));
+        let a = _mm256_min_epi32(mag, t.max);
+        let cell = _mm256_srl_epi32(
+            _mm256_sub_epi32(_mm256_min_epi32(_mm256_max_epi32(a, t.lo), t.hi), t.lo),
+            t.shift,
+        );
+        // SAFETY (all three gathers): in bounds by the caller's contract.
+        let r =
+            unsafe { _mm256_and_si256(_mm256_i32gather_epi32::<2>(t.ranks, cell), t.rank_mask) };
+        let b = unsafe { _mm256_i32gather_ps::<4>(t.bounds, r) };
+        // An all-ones lane is -1: subtracting the mask adds the compare's
+        // 0/1.
+        let le = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(b, _mm256_castsi256_ps(a)));
+        let v = unsafe { _mm256_i32gather_epi32::<4>(t.values, _mm256_sub_epi32(r, le)) };
+        let sign = _mm256_andnot_si256(t.magnitude, bits);
+        // `+ 0.0` canonicalises a signed zero to `+0.0`.
+        let q = _mm256_add_ps(_mm256_castsi256_ps(_mm256_or_si256(v, sign)), _mm256_setzero_ps());
+        _mm256_blendv_ps(q, t.nan, is_nan)
     }
 }
 
@@ -655,38 +851,58 @@ impl PanelQuantizer {
     ///
     /// # Panics
     ///
-    /// Panics if lengths differ or `group` is zero for a per-channel
-    /// quantizer.
+    /// Panics if lengths differ, or for a per-channel quantizer if `group`
+    /// is zero or `src` is not whole groups.
     pub fn quantize_panel_into(&self, src: &[f32], dst: &mut [f32], group: usize) {
         self.quantize_panel_into_as(simd::active(), src, dst, group);
     }
 
     /// [`Self::quantize_panel_into`] on an explicit ISA path (see
-    /// [`BoundaryQuantizer::quantize_slice_into_as`]).
+    /// [`BoundaryQuantizer::quantize_planes_into_as`]).
     ///
     /// # Panics
     ///
-    /// Panics if lengths differ or `group` is zero for a per-channel
-    /// quantizer.
+    /// Panics if lengths differ, or for a per-channel quantizer if `group`
+    /// is zero or `src` is not whole groups.
     pub fn quantize_panel_into_as(&self, isa: Isa, src: &[f32], dst: &mut [f32], group: usize) {
+        assert_eq!(src.len(), dst.len(), "quantize panel length mismatch");
         if let [(_, only)] = self.runs.as_slice() {
             only.quantize_slice_into_as(isa, src, dst);
             return;
         }
         assert!(group > 0, "channel group must be positive");
-        assert_eq!(src.len(), dst.len(), "quantize panel length mismatch");
-        let mut offset = 0usize;
+        self.quantize_planes_into_as(isa, src, dst, Planes::dense(group));
+    }
+
+    /// Quantizes the planes of `src` into the strided rows of `dst` that
+    /// `layout` names (see [`Planes`]), plane `i` through channel `i %
+    /// channels`'s table. A conv writes its quantized `[c, h, w]` input
+    /// straight into the interior of its zero-bordered operand this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not whole planes of `layout`, or `dst` is too
+    /// short for them.
+    pub fn quantize_planes_into_as(&self, isa: Isa, src: &[f32], dst: &mut [f32], layout: Planes) {
+        if let [(_, only)] = self.runs.as_slice() {
+            only.quantize_planes_into_as(isa, src, dst, layout);
+            return;
+        }
+        if src.is_empty() {
+            return;
+        }
+        let per_plane = layout.len();
+        assert!(per_plane > 0 && src.len().is_multiple_of(per_plane), "source is not whole planes");
+        let planes = src.len() / per_plane;
+        let mut p = 0usize;
         // One pass over the runs per channel cycle (a GEMM panel holds
-        // several rows, each a full cycle of `group = 1` channels).
-        while offset < src.len() {
+        // several rows, each a full cycle of one-element channels).
+        while p < planes {
             for (count, q) in &self.runs {
-                let n = (count * group).min(src.len() - offset);
-                q.quantize_slice_into_as(
-                    isa,
-                    &src[offset..offset + n],
-                    &mut dst[offset..offset + n],
-                );
-                offset += n;
+                let n = (*count).min(planes - p);
+                let src = &src[p * per_plane..(p + n) * per_plane];
+                q.quantize_planes_into_as(isa, src, &mut dst[p * layout.plane..], layout);
+                p += n;
             }
         }
     }
@@ -805,7 +1021,7 @@ mod tests {
     }
 
     #[test]
-    fn rank_cells_hold_one_boundary_and_direct_ranks() {
+    fn magnitude_ranks_hold_one_boundary_per_cell() {
         // The sweep plus two searched E2M5 biases shipped in containers.
         let mut formats = sweep_fp_formats();
         formats.extend([
@@ -814,39 +1030,35 @@ mod tests {
         ]);
         for fmt in formats {
             let bq = BoundaryQuantizer::from_fp(fmt);
-            let FastPath::Cells(cells) = &bq.fast else {
-                panic!("{fmt}: FP tables use rank cells");
+            let FastPath::Folded(m) = &bq.fast else {
+                panic!("{fmt}: FP tables fold onto magnitude ranks");
             };
-            let b = bq.boundaries();
-            let finite: Vec<u32> =
-                b.iter().filter(|b| b.is_finite()).map(|&b| order_key(b)).collect();
-            let mut next_cell = 0usize;
-            let mut resolution = None;
-            for (t, &e) in cells.index.iter().enumerate() {
-                let (first, shift) = ((e >> SHIFT_BITS) as usize, e & SHIFT_MASK);
-                assert_eq!(first, next_cell, "{fmt}: bucket {t} cells are not contiguous");
-                let bucket: Vec<u32> =
-                    finite.iter().copied().filter(|&k| k >> SUB_BITS == t as u32).collect();
-                if bucket.is_empty() {
-                    assert_eq!(shift, SUB_BITS, "{fmt}: empty bucket {t} is one cell");
-                } else {
-                    let c = SUB_BITS - shift;
-                    assert_eq!(*resolution.get_or_insert(c), c, "{fmt}: one resolution per table");
-                }
-                for j in 0..1u32 << (SUB_BITS - shift) {
-                    let start = (t as u32) << SUB_BITS | j << shift;
-                    let end = u64::from(start) + (1u64 << shift);
-                    let held = bucket.iter().filter(|&&k| k >= start && u64::from(k) < end).count();
-                    assert!(held <= 1, "{fmt}: cell {j} of bucket {t} holds {held} boundaries");
-                    let want = b.partition_point(|&x| x < key_to_float(start));
-                    let got = usize::from(cells.ranks[first + j as usize]);
-                    assert_eq!(got, want, "{fmt}: rank of cell {j} in bucket {t}");
-                }
-                next_cell = first + (1 << (SUB_BITS - shift));
+            assert_eq!(bq.values()[m.zero].to_bits(), 0, "{fmt}: +0.0 heads the magnitudes");
+            let pos: Vec<u32> = bq.boundaries()[m.zero..].iter().map(|b| b.to_bits()).collect();
+            assert_eq!(m.lo & ((1 << MANTISSA_BITS) - 1), 0, "{fmt}: window starts a binade");
+            assert_eq!(m.lo, pos[0] >> MANTISSA_BITS << MANTISSA_BITS, "{fmt}: window start");
+            assert_eq!(m.hi >> MANTISSA_BITS, pos[pos.len() - 1] >> MANTISSA_BITS, "{fmt}: end");
+            assert_eq!(m.hi & ((1 << MANTISSA_BITS) - 1), (1 << MANTISSA_BITS) - 1, "{fmt}");
+            let cells = ((m.hi - m.lo) >> m.shift) as usize + 1;
+            assert_eq!(m.ranks.len(), cells + 1, "{fmt}: one pad entry after the cells");
+            for cell in 0..cells {
+                let start = m.lo + ((cell as u32) << m.shift);
+                let end = u64::from(start) + (1u64 << m.shift);
+                let held = pos.iter().filter(|&&k| k >= start && u64::from(k) < end).count();
+                assert!(held <= 1, "{fmt}: cell {cell} holds {held} boundaries");
+                let want = pos.partition_point(|&k| k < start);
+                assert_eq!(usize::from(m.ranks[cell]), want, "{fmt}: rank of cell {cell}");
             }
-            assert_eq!(cells.ranks.len(), next_cell + 1, "{fmt}: one pad entry after the cells");
-            let c = resolution.expect("an FP table has finite boundaries");
+            let c = MANTISSA_BITS - m.shift;
             assert!(c <= fmt.man_bits() + 2, "{fmt}: resolution {c} above M + 2");
+            // A coarser resolution would put two boundaries in one cell.
+            if m.shift < MANTISSA_BITS {
+                let coarse = m.shift + 1;
+                assert!(
+                    pos.windows(2).any(|p| p[0] >> coarse == p[1] >> coarse),
+                    "{fmt}: resolution {c} is not the smallest"
+                );
+            }
             // The sentinel that keeps the top cell's compare in bounds.
             assert_eq!(bq.boundaries.last(), Some(&f32::INFINITY), "{fmt}: +inf sentinel");
         }
@@ -874,22 +1086,78 @@ mod tests {
     }
 
     #[test]
-    fn slice_path_compares_floats_not_order_keys() {
-        // A table whose boundary is +0.0 exactly: -0.0 has the smaller
-        // order key but is `<=` the boundary as a float, like the plain
-        // bisection counts it. Searched FP tables never put a boundary at
-        // a zero, so this pins the compare on a hand-built table.
-        let sign = |x: f32| if x.is_sign_negative() { -1.0 } else { 1.0 };
-        let bq = BoundaryQuantizer::from_reference(vec![-1.0, 1.0], sign, 0.0, None);
-        assert_eq!(bq.boundaries()[0].to_bits(), 0.0f32.to_bits());
+    fn ranges_off_the_f32_line_keep_the_plain_bisection() {
+        // Biases that push the grid past f32::MAX or below its smallest
+        // subnormal build tables the fold cannot take; they still build,
+        // and the slice path returns the scalar bits.
+        let probes: Vec<f32> = (0..=u32::MAX).step_by(1_048_573).map(f32::from_bits).collect();
+        for fmt in [FpFormat::with_bias(4, 3, -200.0), FpFormat::with_bias(2, 5, 300.0)] {
+            let bq = BoundaryQuantizer::from_fp(fmt);
+            assert!(matches!(bq.fast, FastPath::Bisect), "{fmt}: expected the bisection");
+            let want: Vec<f32> = probes.iter().map(|&v| bq.quantize_scalar(v)).collect();
+            for &isa in simd::available() {
+                let mut got = vec![0.0f32; probes.len()];
+                bq.quantize_slice_into_as(isa, &probes, &mut got);
+                assert_bits(&got, &want, &format!("{fmt} {isa:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn folded_path_returns_plus_zero_for_both_zeros_and_tiny_magnitudes() {
+        // Inputs of either sign that round to zero must give `+0.0`, as the
+        // signed table does; the smallest subnormals sit below every
+        // window.
         let tiny = f32::from_bits(1);
-        let probes: Vec<f32> = [-0.0f32, 0.0, -tiny, tiny].repeat(5);
-        let want: Vec<f32> = probes.iter().map(|&v| bq.quantize_scalar(v)).collect();
-        assert_eq!(want[..4], [1.0, 1.0, -1.0, 1.0]);
-        for &isa in simd::available() {
-            let mut got = vec![0.0f32; probes.len()];
-            bq.quantize_slice_into_as(isa, &probes, &mut got);
-            assert_bits(&got, &want, &format!("{isa:?}"));
+        for fmt in fp_formats() {
+            let bq = BoundaryQuantizer::from_fp(fmt);
+            let min = bq.values()[bq.values().len() / 2 + 1];
+            let probes = [-0.0f32, 0.0, -tiny, tiny, min * 0.25, -min * 0.25, f32::NAN, -f32::NAN];
+            for &isa in simd::available() {
+                let mut got = [1.0f32; 8];
+                bq.quantize_slice_into_as(isa, &probes, &mut got);
+                for (&g, &p) in got.iter().zip(&probes) {
+                    assert_eq!(g.to_bits(), 0, "{fmt} {isa:?}: {p} -> {g}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strided_planes_write_only_their_rows() {
+        // Two planes inside a one-element border, for an FP and an INT
+        // table, at widths that take the masked tail, the 4-wide row pairs
+        // (with an odd row out) and a full vector plus a tail: every
+        // written element matches the slice path, and every other element
+        // keeps its sentinel. Empty sources and empty layouts write
+        // nothing.
+        assert_eq!(Planes::bordered(3, 5, 1), Planes { rows: 3, width: 5, pitch: 7, plane: 35 });
+        for (rows, width) in [(3usize, 5usize), (3, 4), (4, 4), (2, 9), (0, 4), (3, 0)] {
+            let layout = Planes::bordered(rows, width, 1);
+            let (pitch, plane) = (layout.pitch, layout.plane);
+            let src: Vec<f32> = (0..2 * rows * width).map(|i| (i as f32 - 14.5) * 0.37).collect();
+            for q in [
+                TensorQuantizer::Fp(FpFormat::with_bias(2, 5, 1.787_683)),
+                TensorQuantizer::Int(IntFormat::from_range(4, -2.0, 2.0)),
+            ] {
+                let bq = BoundaryQuantizer::from_quantizer(&q);
+                let mut want = vec![0.0f32; src.len()];
+                bq.quantize_slice_into_as(Isa::Scalar, &src, &mut want);
+                for &isa in simd::available() {
+                    let mut dst = vec![f32::NAN; 2 * plane];
+                    bq.quantize_planes_into_as(isa, &src, &mut dst[pitch + 1..], layout);
+                    for (i, d) in dst.iter().enumerate() {
+                        let (p, y, x) = (i / plane, i % plane / pitch, i % pitch);
+                        let ctx = format!("{q} {isa:?} {rows}x{width} element {i}");
+                        if (1..=rows).contains(&y) && (1..=width).contains(&x) {
+                            let w = want[(p * rows + y - 1) * width + x - 1];
+                            assert_eq!(d.to_bits(), w.to_bits(), "{ctx}");
+                        } else {
+                            assert!(d.is_nan(), "{ctx}: outside the rows written");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -48,7 +48,7 @@ pub mod rounding;
 pub mod search;
 pub mod sparsity;
 
-pub use boundary::{BoundaryQuantizer, PanelQuantizer};
+pub use boundary::{BoundaryQuantizer, PanelQuantizer, Planes};
 // The workspace error taxonomy lives in `fpdq-tensor` (the bottom of the
 // dependency graph, so `fpdq-nn`/`fpdq-diffusion` can return it too) and
 // is re-exported here as the user-facing path.

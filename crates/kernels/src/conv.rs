@@ -32,16 +32,23 @@
 //! * **Direct path** — stride-1 convs whose 8-pixel tiles are one stretch
 //!   of an output row (`ow` a multiple of 8) or two whole rows (`ow == 4`
 //!   with an even `oh`): the 3×3/pad-1 and 1×1 convs of the served 8×8
-//!   and 4×4 maps. The (quantized) image is copied once inside a border
-//!   of `padding` zeros (a 1×1 conv needs none and is read where it
-//!   lies); reduction index `k = (ci, ky, kx)` of the tile at `(oy, x0)`
-//!   is then the 4-lane halves at `base + off[k]` and `base + off[k] +
-//!   half`, with `half = 4` on contiguous rows and the bordered row pitch
-//!   when `ow == 4`. Nothing is lowered, and border lanes read `+0.0`
-//!   exactly as masked panel lanes do.
+//!   and 4×4 maps. Staging is one pass: the bordered operand is zeroed,
+//!   and the fused quantizer writes each input row straight into its
+//!   interior ([`fpdq_core::PanelQuantizer::quantize_planes_into_as`]),
+//!   so the quantized image never exists unbordered (a 1×1 conv needs no
+//!   border; its quantized input is read where it lies). Reduction index
+//!   `k = (ci, ky, kx)` of the tile at `(oy, x0)` is then the 4-lane
+//!   halves at `base + off[k]` and `base + off[k] + half`, with `half =
+//!   4` on contiguous rows and the bordered row pitch when `ow == 4`. The
+//!   tap offsets `off` and panel bases depend only on the shape, so they
+//!   are built once per call (the first channel's taps, then a plane
+//!   further on per channel) and shared by every image and worker.
+//!   Nothing is lowered, and border lanes read `+0.0` exactly as masked
+//!   panel lanes do.
 //! * **Panel path** — every other conv (stride 2, other widths): the
-//!   image's im2col panels are lowered into scratch, in parallel over
-//!   panel tiles, and swept by the panel kernel.
+//!   image is quantized once, then its im2col panels are lowered into
+//!   scratch, in parallel over panel tiles, and swept by the panel
+//!   kernel.
 //!
 //! The two regimes split that work across workers:
 //!
@@ -53,7 +60,7 @@
 //!   range splits across workers on the [`NT_MR`]-row register-block grid
 //!   against the shared filter bank.
 //!
-//! Scratch (filter bank, quantized and bordered image, panels, tap
+//! Scratch (filter bank, bordered or quantized image, panels, tap
 //! offsets) is per-thread and reused across calls, so a one-worker call
 //! allocates only its output.
 //!
@@ -69,7 +76,7 @@
 
 use crate::packed::PackedTensor;
 use crate::schedule::{pick_conv_regime, ConvRegime};
-use fpdq_core::PanelQuantizer;
+use fpdq_core::{PanelQuantizer, Planes};
 use fpdq_tensor::conv::{im2col_panel_into, Conv2dSpec};
 use fpdq_tensor::matmul::{gemm_nt_direct_as, gemm_nt_panel_as, NT_MR, NT_NR};
 use fpdq_tensor::parallel::{parallel_rows_aligned_in, parallel_rows_in, Exec};
@@ -142,6 +149,12 @@ pub fn conv2d_packed(
         weight.decode_range_into_as(isa, r0 * ckk, chunk);
     });
     let filters = &*filters;
+    // The direct path's tap offsets and panel bases depend only on the
+    // shape: built once per call, shared by every image and worker.
+    let mut index =
+        Scratch::take(&INDEX, if geom.direct() { ckk + ohow.div_ceil(NT_NR) } else { 0 });
+    geom.index_into(&mut index);
+    let index = &*index;
     let chw = c * h * w;
     let image = |b: usize| &x.data()[b * chw..(b + 1) * chw];
     match pick_conv_regime(n, o, workers) {
@@ -150,7 +163,7 @@ pub fn conv2d_packed(
             // scratch and sweeps the whole filter bank against them.
             parallel_rows_in(workers, &mut out, n, o * ohow, 1, |b0, chunk| {
                 for (bi, obatch) in chunk.chunks_mut(o * ohow).enumerate() {
-                    geom.stage(image(b0 + bi), act, isa, 1, |img| {
+                    geom.stage(image(b0 + bi), act, isa, 1, index, |img| {
                         img.sweep(isa, filters, obatch, o);
                     });
                     add_bias(obatch, bias, ohow, 0);
@@ -162,7 +175,7 @@ pub fn conv2d_packed(
             // output channels split across workers on the register-block
             // grid against the shared filter bank.
             for (b, obatch) in out.chunks_mut(o * ohow).enumerate() {
-                geom.stage(image(b), act, isa, workers, |img| {
+                geom.stage(image(b), act, isa, workers, index, |img| {
                     parallel_rows_aligned_in(workers, obatch, o, ohow, 1, NT_MR, |oc0, chunk| {
                         let rows = chunk.len() / ohow;
                         img.sweep(isa, &filters[oc0 * ckk..(oc0 + rows) * ckk], chunk, rows);
@@ -205,22 +218,73 @@ impl Geom {
         self.spec.stride == 1 && fits
     }
 
+    /// The layout of the direct path's operand: each `[h, w]` input plane
+    /// inside a border of `padding` zeros.
+    fn bordered(&self) -> Planes {
+        Planes::bordered(self.h, self.w, self.spec.padding)
+    }
+
+    /// Fills the direct path's index (empty for the panel path): the
+    /// offset of tap `(ci, ky, kx)` from its output pixel's top-left input
+    /// corner in the bordered image, for every reduction index, then each
+    /// 8-pixel panel's base.
+    fn index_into(&self, index: &mut [usize]) {
+        if index.is_empty() {
+            return;
+        }
+        let Planes { pitch, plane, .. } = self.bordered();
+        let (off, bases) = index.split_at_mut(self.ckk());
+        let taps = self.kh * self.kw;
+        let (first, rest) = off.split_at_mut(taps);
+        for (ky, row) in first.chunks_exact_mut(self.kw).enumerate() {
+            for (kx, slot) in row.iter_mut().enumerate() {
+                *slot = ky * pitch + kx;
+            }
+        }
+        // Every later channel repeats the first one's taps a plane on.
+        for (ci, chan) in rest.chunks_exact_mut(taps).enumerate() {
+            for (slot, &tap) in chan.iter_mut().zip(first.iter()) {
+                *slot = tap + (ci + 1) * plane;
+            }
+        }
+        for (t, slot) in bases.iter_mut().enumerate() {
+            let j0 = t * NT_NR;
+            *slot = (j0 / self.ow) * pitch + j0 % self.ow;
+        }
+    }
+
     /// Stages one `[c, h, w]` image for the micro-kernel and runs `f` on
-    /// it. The input goes through the fused quantizer once (when `act` is
-    /// set); then the direct path borders it with `padding` zeros, and
-    /// the panel path lowers it into every im2col panel (in parallel over
-    /// `workers`). All buffers are this thread's scratch.
+    /// it. The direct path writes the input, through the fused quantizer
+    /// when `act` is set, straight into the interior of its zero-bordered
+    /// operand (a 1×1 conv needs no border and reads the input where it
+    /// lies when unquantized), and reads `index` ([`Self::index_into`]).
+    /// The panel path quantizes the input once, then lowers it into every
+    /// im2col panel (in parallel over `workers`). All buffers are this
+    /// thread's scratch.
+    #[allow(clippy::too_many_arguments)]
     fn stage<R>(
         &self,
         src: &[f32],
         act: Option<&PanelQuantizer>,
         isa: Isa,
         workers: usize,
+        index: &[usize],
         f: impl FnOnce(Staged<'_>) -> R,
     ) -> R {
-        let Geom { c, h, w, kh, kw, spec, ow, .. } = *self;
+        let Geom { c, h, w, kh, kw, spec, .. } = *self;
         let (ckk, ohow) = (self.ckk(), self.ohow());
-        let npanels = ohow.div_ceil(NT_NR);
+        let p = spec.padding;
+        if self.direct() && p > 0 {
+            let layout = self.bordered();
+            let mut bordered = Scratch::take(&STAGED, c * layout.plane);
+            bordered.fill(0.0);
+            let interior = &mut bordered[p * layout.pitch + p..];
+            match act {
+                Some(pq) => pq.quantize_planes_into_as(isa, src, interior, layout),
+                None => copy_planes(src, interior, layout),
+            }
+            return f(self.direct_operand(&bordered, index));
+        }
         let mut qimg = Scratch::take(&ACTS, if act.is_some() { src.len() } else { 0 });
         let img = match act {
             Some(pq) => {
@@ -229,63 +293,42 @@ impl Geom {
             }
             None => src,
         };
-        if !self.direct() {
-            let mut bank = Scratch::take(&STAGED, npanels * ckk * NT_NR);
-            parallel_rows_in(workers, &mut bank, npanels, ckk * NT_NR, 1, |t0, pchunk| {
-                for (ti, panel) in pchunk.chunks_mut(ckk * NT_NR).enumerate() {
-                    let j0 = (t0 + ti) * NT_NR;
-                    let nw = NT_NR.min(ohow - j0);
-                    im2col_panel_into(img, c, h, w, kh, kw, spec, j0, nw, panel);
-                }
-            });
-            return f(Staged::Panels { bank: &bank, ckk, ohow });
+        if self.direct() {
+            return f(self.direct_operand(img, index));
         }
-        let p = spec.padding;
-        let pitch = w + 2 * p;
-        let plane = (h + 2 * p) * pitch;
-        let mut index = Scratch::take(&INDEX, ckk + npanels);
-        let (off, bases) = index.split_at_mut(ckk);
-        // Tap `(ci, ky, kx)` sits at this offset from its output pixel's
-        // top-left input corner, in the bordered image.
-        let taps = (0..c).flat_map(|ci| {
-            (0..kh).flat_map(move |ky| (0..kw).map(move |kx| ci * plane + ky * pitch + kx))
+        let npanels = ohow.div_ceil(NT_NR);
+        let mut bank = Scratch::take(&STAGED, npanels * ckk * NT_NR);
+        parallel_rows_in(workers, &mut bank, npanels, ckk * NT_NR, 1, |t0, pchunk| {
+            for (ti, panel) in pchunk.chunks_mut(ckk * NT_NR).enumerate() {
+                let j0 = (t0 + ti) * NT_NR;
+                let nw = NT_NR.min(ohow - j0);
+                im2col_panel_into(img, c, h, w, kh, kw, spec, j0, nw, panel);
+            }
         });
-        for (slot, tap) in off.iter_mut().zip(taps) {
-            *slot = tap;
-        }
-        for (t, slot) in bases.iter_mut().enumerate() {
-            let j0 = t * NT_NR;
-            *slot = (j0 / ow) * pitch + j0 % ow;
-        }
+        f(Staged::Panels { bank: &bank, ckk, ohow })
+    }
+
+    /// The direct path's view of a staged (bordered) image.
+    fn direct_operand<'a>(&self, img: &'a [f32], index: &'a [usize]) -> Staged<'a> {
+        let (off, bases) = index.split_at(self.ckk());
         // A 4-pixel row takes half a panel; the next output row is one
         // bordered row further on.
-        let half = if ow.is_multiple_of(NT_NR) { NT_NR / 2 } else { pitch };
-        let mut bordered = Scratch::take(&STAGED, if p > 0 { c * plane } else { 0 });
-        let img = if p > 0 {
-            border_into(img, c, h, w, p, &mut bordered);
-            &bordered[..]
-        } else {
-            img
-        };
-        f(Staged::Direct { img, off, bases, half })
+        let half = if self.ow.is_multiple_of(NT_NR) { NT_NR / 2 } else { self.bordered().pitch };
+        Staged::Direct { img, off, bases, half }
     }
 }
 
-/// Copies `[c, h, w]` `img` into `dst` (`[c, h + 2p, w + 2p]`) inside a
-/// border of `p` zeros, writing every element of `dst`.
-fn border_into(img: &[f32], c: usize, h: usize, w: usize, p: usize, dst: &mut [f32]) {
-    let pitch = w + 2 * p;
-    let plane = (h + 2 * p) * pitch;
-    for ci in 0..c {
-        let dplane = &mut dst[ci * plane..(ci + 1) * plane];
-        let (top, rest) = dplane.split_at_mut(p * pitch);
-        let (mid, bottom) = rest.split_at_mut(h * pitch);
-        top.fill(0.0);
-        bottom.fill(0.0);
-        for (y, row) in mid.chunks_exact_mut(pitch).enumerate() {
-            row[..p].fill(0.0);
-            row[p..p + w].copy_from_slice(&img[(ci * h + y) * w..][..w]);
-            row[p + w..].fill(0.0);
+/// Copies the planes of `src` into the rows of `dst` that `layout` names
+/// (the unquantized counterpart of
+/// [`PanelQuantizer::quantize_planes_into_as`]).
+fn copy_planes(src: &[f32], dst: &mut [f32], layout: Planes) {
+    let Planes { rows, width, pitch, plane } = layout;
+    if src.is_empty() {
+        return;
+    }
+    for (sp, dp) in src.chunks_exact(rows * width).zip(dst.chunks_mut(plane)) {
+        for (s, d) in sp.chunks_exact(width).zip(dp.chunks_mut(pitch)) {
+            d[..width].copy_from_slice(s);
         }
     }
 }
@@ -337,7 +380,7 @@ fn add_bias(chunk: &mut [f32], bias: Option<&Tensor>, ohow: usize, oc0: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packed::PackedTensor;
+    use crate::packed::{decode_log, PackedTensor};
     use fpdq_core::{FpFormat, IntFormat, TensorQuantizer};
     use fpdq_tensor::simd;
     use rand::rngs::StdRng;
@@ -636,6 +679,31 @@ mod tests {
                         (a - e).abs() < 1e-4,
                         "k={kh}x{kw} s={stride} p={padding} workers={workers}: {a} vs {e}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_calls_decode_each_filter_element_once() {
+        // The filter bank expands once per call, whatever the batch, the
+        // regime or the path: every element of the packed weight is
+        // decoded exactly once.
+        let mut rng = StdRng::seed_from_u64(50);
+        let act = PanelQuantizer::per_tensor(&TensorQuantizer::Fp(FpFormat::new(4, 3)));
+        for (hw, spec) in [(8usize, Conv2dSpec::new(1, 1)), (6, Conv2dSpec::new(2, 1))] {
+            for n in [1usize, 8] {
+                for workers in [1usize, 2] {
+                    let x = Tensor::randn(&[n, 3, hw, hw], &mut rng);
+                    let w = Tensor::randn(&[16, 3, 3, 3], &mut rng);
+                    let packed = PackedTensor::encode(&w, FpFormat::new(2, 1));
+                    let exec = Exec::new(simd::active(), workers);
+                    let payload = packed.payload().as_ptr();
+                    decode_log::watch(payload, w.numel());
+                    conv2d_packed(&x, &packed, None, spec, Some(&act), exec);
+                    let counts = decode_log::take(payload);
+                    let ctx = format!("{hw}x{hw} stride {} n {n} workers {workers}", spec.stride);
+                    assert!(counts.iter().all(|&k| k == 1), "{ctx}: decode counts {counts:?}");
                 }
             }
         }

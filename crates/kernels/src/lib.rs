@@ -49,8 +49,10 @@
 //!    / [`fpdq_core::PanelQuantizer`]). The weight+activation
 //!    configuration no longer fake-quantizes the whole activation tensor
 //!    up front: activations are quantized *inside* the tile loops through
-//!    signed boundary tables (one rank-cell lookup and one compare per
-//!    element — no transcendentals, no intermediate tensor), per tensor,
+//!    boundary tables (the sign folded off, then one magnitude-rank
+//!    lookup and one compare per element — no transcendentals, no
+//!    intermediate tensor; a conv's input lands straight in its
+//!    zero-bordered operand), per tensor,
 //!    per channel, or split at a skip-connection concatenation (trunk and
 //!    skip halves each through their own table), bit-exact with the
 //!    simulated quantizers.
@@ -104,11 +106,11 @@
 //!
 //! The three hot loops — the 4×8 NT micro-kernel
 //! ([`fpdq_tensor::matmul::gemm_nt_panel`]), the per-byte LUT decode
-//! ([`packed`]), and the rank-cell boundary-table activation quantizer
+//! ([`packed`]), and the folded boundary-table activation quantizer
 //! ([`fpdq_core::BoundaryQuantizer`]) — carry explicit SIMD
 //! implementations selected at *runtime* by [`fpdq_tensor::simd`]: AVX2
 //! on x86-64 (4×8 accumulator blocks in 256-bit registers; 32-byte
-//! gather/shuffle LUT decode; 8-element rank-cell gathers), NEON
+//! gather/shuffle LUT decode; three gathers per 8 quantized elements), NEON
 //! on aarch64 (micro-kernel only; decode and quantize run the scalar walk
 //! there). CPU features are probed once per process and
 //! `FPDQ_FORCE_SCALAR=1` pins everything to the scalar reference

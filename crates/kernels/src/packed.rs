@@ -671,11 +671,50 @@ impl PackedTensor {
     /// falls back to the scalar walk.
     pub fn decode_range_into_as(&self, isa: Isa, start: usize, out: &mut [f32]) {
         debug_assert!(start + out.len() <= self.numel(), "decode range out of bounds");
+        #[cfg(test)]
+        decode_log::record(self.bytes.as_ptr(), start, out.len());
         match self.format.bits() {
             4 => lut_decode_range(isa, &self.lut, 2, &self.bytes, start, out),
             8 => lut_decode_range(isa, &self.lut, 1, &self.bytes, start, out),
             bits => generic_decode_range(&self.bytes, bits, start, out, |c| self.lut[c as usize]),
         }
+    }
+}
+
+/// A test-build count of decodes per element of watched packed tensors,
+/// so kernel tests can prove how often a kernel expands its weights.
+#[cfg(test)]
+pub(crate) mod decode_log {
+    use std::sync::Mutex;
+
+    /// Per watched payload address, how often each element was decoded.
+    static WATCHED: Mutex<Vec<(usize, Vec<usize>)>> = Mutex::new(Vec::new());
+
+    fn watched() -> std::sync::MutexGuard<'static, Vec<(usize, Vec<usize>)>> {
+        WATCHED.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Starts counting the decodes of the `numel`-element tensor whose
+    /// payload starts at `payload`. Keep the tensor alive until
+    /// [`take`], so that no other tensor reuses the address.
+    pub(crate) fn watch(payload: *const u8, numel: usize) {
+        watched().push((payload as usize, vec![0; numel]));
+    }
+
+    pub(crate) fn record(payload: *const u8, start: usize, len: usize) {
+        for (_, counts) in watched().iter_mut().filter(|(p, _)| *p == payload as usize) {
+            counts[start..start + len].iter_mut().for_each(|n| *n += 1);
+        }
+    }
+
+    /// Stops watching `payload` and returns its per-element counts.
+    pub(crate) fn take(payload: *const u8) -> Vec<usize> {
+        let mut watched = watched();
+        let i = watched
+            .iter()
+            .position(|(p, _)| *p == payload as usize)
+            .expect("watched payload");
+        watched.swap_remove(i).1
     }
 }
 

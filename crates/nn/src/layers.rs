@@ -299,7 +299,7 @@ impl Linear {
     fn affine(&self, x2: &Tensor, w: &Tensor) -> Tensor {
         let mut y = x2.matmul_nt(w);
         if let Some(b) = &self.bias {
-            y = y.add(&b.value());
+            y = b.with_value(|b| y.add(b));
         }
         y
     }

@@ -67,11 +67,16 @@ impl Ops for Infer {
         layer.forward(x)
     }
     fn group_norm(&self, layer: &GroupNorm, x: &Tensor) -> Tensor {
-        let (gamma, beta) = (layer.gamma.value(), layer.beta.value());
-        group_norm_ref(x, &gamma, &beta, layer.groups, layer.eps)
+        layer.gamma.with_value(|gamma| {
+            layer
+                .beta
+                .with_value(|beta| group_norm_ref(x, gamma, beta, layer.groups, layer.eps))
+        })
     }
     fn layer_norm(&self, layer: &LayerNorm, x: &Tensor) -> Tensor {
-        layer_norm_ref(x, &layer.gamma.value(), &layer.beta.value(), layer.eps)
+        layer.gamma.with_value(|gamma| {
+            layer.beta.with_value(|beta| layer_norm_ref(x, gamma, beta, layer.eps))
+        })
     }
     fn silu(&self, x: &Tensor, _scope: &str, _tag: &str) -> Tensor {
         x.silu()

@@ -5,7 +5,7 @@
 //! kernels (the 4×8 NT micro-kernel and the attention core's NN kernel in
 //! [`crate::matmul`], the vector exp ([`exp_inplace_as`]) with SiLU,
 //! sigmoid and softmax on it, the per-byte LUT decode in `fpdq-kernels`,
-//! the rank-cell boundary quantizer in `fpdq-core`, GroupNorm's normalize
+//! the folded boundary quantizer in `fpdq-core`, GroupNorm's normalize
 //! pass in `fpdq-nn`) are selected *at runtime* through this module: CPU
 //! features are probed once per process, every dispatched entry point
 //! keys off the cached [`Isa`], and the `FPDQ_FORCE_SCALAR=1` environment
