@@ -12,7 +12,7 @@ use criterion::{criterion_group, Criterion};
 use fpdq_core::{BoundaryQuantizer, FpFormat, IntFormat, PanelQuantizer, Planes, TensorQuantizer};
 use fpdq_kernels::packed::unpack_bits_range_bitloop;
 use fpdq_kernels::{conv2d_packed, gemm_packed, Exec, PackedTensor};
-use fpdq_tensor::matmul::{gemm_nt_panel_as, gemm_nt_serial_with_as, NT_NR};
+use fpdq_tensor::matmul::{gemm_nt_panel_as, gemm_nt_serial_as, NT_NR};
 use fpdq_tensor::simd::{self, Isa};
 use fpdq_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -94,10 +94,9 @@ fn bench_gemm(c: &mut Criterion) {
     // serial NT micro-kernel, and the full fused W+A packed GEMM.
     for &isa in simd::available() {
         let mut c_out = vec![0.0f32; M * N];
-        let mut bp = vec![0.0f32; K * NT_NR];
         g.bench_function(format!("matmul_nt_serial_{}", isa.name()), |b| {
             b.iter(|| {
-                gemm_nt_serial_with_as(isa, a.data(), w.data(), &mut c_out, M, K, N, &mut bp);
+                gemm_nt_serial_as(isa, a.data(), w.data(), &mut c_out, M, K, N);
                 black_box(c_out[0])
             })
         });

@@ -82,6 +82,7 @@
 use crate::format::FpFormat;
 use crate::int::IntFormat;
 use crate::quantizer::TensorQuantizer;
+use fpdq_tensor::operand::{ActStage, Planes};
 use fpdq_tensor::simd::{self, Isa};
 use fpdq_tensor::Tensor;
 use std::sync::{Arc, Mutex};
@@ -221,89 +222,6 @@ fn gallop_search(above: &dyn Fn(u32) -> bool, start: u32) -> u32 {
         }
     }
     ub
-}
-
-/// Where a `[planes, rows, width]` source lands in a strided destination:
-/// row `y` of plane `i` starts at `dst[i * plane + y * pitch]`, and the
-/// quantizers write nothing between rows or planes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Planes {
-    /// Rows per plane.
-    pub rows: usize,
-    /// Elements per row.
-    pub width: usize,
-    /// Destination distance between row starts (at least `width`).
-    pub pitch: usize,
-    /// Destination distance between plane starts (at least `rows *
-    /// pitch`).
-    pub plane: usize,
-}
-
-impl Planes {
-    /// Contiguous planes of `len` elements each: source and destination
-    /// share one layout.
-    fn dense(len: usize) -> Self {
-        Planes { rows: 1, width: len, pitch: len, plane: len }
-    }
-
-    /// The interior of `[rows + 2·pad, width + 2·pad]` planes: a
-    /// `[rows, width]` image inside a border of `pad` elements on every
-    /// side. The destination slice starts at the first interior element,
-    /// `pad · (width + 2·pad) + pad` into the bordered buffer.
-    pub fn bordered(rows: usize, width: usize, pad: usize) -> Self {
-        let pitch = width + 2 * pad;
-        Planes { rows, width, pitch, plane: (rows + 2 * pad) * pitch }
-    }
-
-    /// Source elements per plane.
-    fn len(&self) -> usize {
-        self.rows * self.width
-    }
-
-    /// Checks that `src` is whole planes of this layout and that `dst`
-    /// holds every row they land in; returns the plane count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout is inconsistent, `src` is not whole planes,
-    /// or `dst` is too short for them.
-    fn check(self, src: &[f32], dst: &[f32]) -> usize {
-        let Planes { rows, width, pitch, plane } = self;
-        assert!(pitch >= width && plane >= rows * pitch, "overlapping rows in {self:?}");
-        let per_plane = self.len();
-        if per_plane == 0 {
-            assert!(src.is_empty(), "source is not whole planes of {self:?}");
-            return 0;
-        }
-        assert_eq!(src.len() % per_plane, 0, "source is not whole planes of {self:?}");
-        let planes = src.len() / per_plane;
-        if planes > 0 {
-            let reach = (planes - 1) * plane + (rows - 1) * pitch + width;
-            assert!(dst.len() >= reach, "destination too short for {planes} planes of {self:?}");
-        }
-        planes
-    }
-
-    /// Writes `f` of every element of `src`'s planes into its place in
-    /// `dst`.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::check`].
-    fn map(self, src: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32) {
-        if self.check(src, dst) == 0 {
-            return;
-        }
-        let Planes { rows, width, pitch, plane } = self;
-        for (p, sp) in src.chunks_exact(rows * width).enumerate() {
-            for (y, srow) in sp.chunks_exact(width).enumerate() {
-                let drow = &mut dst[p * plane + y * pitch..][..width];
-                for (d, &v) in drow.iter_mut().zip(srow) {
-                    *d = f(v);
-                }
-            }
-        }
-    }
 }
 
 /// The INT arithmetic shortcut parameters (evaluating the same float
@@ -905,6 +823,17 @@ impl PanelQuantizer {
                 p += n;
             }
         }
+    }
+}
+
+/// The fused activation stage of the GEMM and conv engines.
+impl ActStage for PanelQuantizer {
+    fn channels(&self) -> usize {
+        PanelQuantizer::channels(self)
+    }
+
+    fn quantize_planes_into_as(&self, isa: Isa, src: &[f32], dst: &mut [f32], layout: Planes) {
+        PanelQuantizer::quantize_planes_into_as(self, isa, src, dst, layout);
     }
 }
 

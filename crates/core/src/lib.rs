@@ -48,7 +48,10 @@ pub mod rounding;
 pub mod search;
 pub mod sparsity;
 
-pub use boundary::{BoundaryQuantizer, PanelQuantizer, Planes};
+pub use boundary::{BoundaryQuantizer, PanelQuantizer};
+/// The strided row layout the quantizers write through (defined next to
+/// the engines' operands in `fpdq-tensor`).
+pub use fpdq_tensor::operand::Planes;
 // The workspace error taxonomy lives in `fpdq-tensor` (the bottom of the
 // dependency graph, so `fpdq-nn`/`fpdq-diffusion` can return it too) and
 // is re-exported here as the user-facing path.

@@ -1,100 +1,41 @@
-//! Implicit-GEMM 2-D convolution over packed weights — the conv face of
-//! the packed panel engine, not a parallel implementation of it.
+//! The packed convolution entry point: [`fpdq_tensor::conv::conv2d`]
+//! with its filter bank decoded from a [`PackedTensor`] and the
+//! activation quantizer fused into the staging.
 //!
-//! The convolution is the GEMM `out[o, oh·ow] = filters[o, ckk] ·
-//! colsᵀ[ckk, oh·ow]`, but the column matrix never exists: the shared NT
-//! micro-kernel reads each 8-pixel tile's `[ckk][NT_NR]` operand either
-//! straight from the staged image ([`fpdq_tensor::matmul::gemm_nt_direct_as`],
-//! the direct path) or from an im2col micro-panel lowered on the fly
-//! ([`fpdq_tensor::conv::im2col_panel_into`] +
-//! [`fpdq_tensor::matmul::gemm_nt_panel_as`], the panel path). Conv
-//! therefore inherits every GEMM win instead of duplicating it:
+//! The convolution is implicit GEMM on the NT micro-kernel shared with
+//! the GEMM: each image is staged once (quantized straight into its
+//! zero-bordered operand and read in place by the direct kernel, or
+//! lowered into im2col micro-panels), and swept against a filter bank
+//! that a packed weight expands into exactly once per call, in parallel,
+//! so at batch scale the decode cost is amortised across every image of
+//! the step. The input streams through [`fpdq_core::PanelQuantizer`]'s
+//! boundary tables (per tensor, per input channel, or split trunk/skip)
+//! exactly once: no whole-tensor fake-quant pass, no `log2`/`powf`.
 //!
-//! * **AVX2/NEON dispatch** — the micro-kernels are the dispatched ones;
-//!   the entry point's [`Exec`] threads the same `Isa` through decode,
-//!   fused quantization and the micro-kernel.
-//! * **Fused boundary-table activation quant** — each input image streams
-//!   through [`fpdq_core::PanelQuantizer`]'s boundary tables (per-tensor,
-//!   per-input-channel, or split trunk/skip) into per-thread scratch
-//!   exactly once: no whole-tensor fake-quant pass, no `log2`/`powf`.
-//! * **Shared once-per-call filter-bank decode** — the packed filter bank
-//!   expands exactly once per call (in parallel, on the 8-row decode
-//!   grid) into a read-only `[o, ckk]` bank swept by every worker, so at
-//!   batch scale the weight-decode cost is amortised across every image
-//!   of the step — the packed GEMM's batching property.
-//! * **Regime scheduling** — [`pick_conv_regime`] costs both parallel
-//!   decompositions in wall-clock tile units (see [`crate::schedule`]).
-//!
-//! # Schedule
-//!
-//! Each image is *staged* once, then swept by the micro-kernel:
-//!
-//! * **Direct path** — stride-1 convs whose 8-pixel tiles are one stretch
-//!   of an output row (`ow` a multiple of 8) or two whole rows (`ow == 4`
-//!   with an even `oh`): the 3×3/pad-1 and 1×1 convs of the served 8×8
-//!   and 4×4 maps. Staging is one pass: the bordered operand is zeroed,
-//!   and the fused quantizer writes each input row straight into its
-//!   interior ([`fpdq_core::PanelQuantizer::quantize_planes_into_as`]),
-//!   so the quantized image never exists unbordered (a 1×1 conv needs no
-//!   border; its quantized input is read where it lies). Reduction index
-//!   `k = (ci, ky, kx)` of the tile at `(oy, x0)` is then the 4-lane
-//!   halves at `base + off[k]` and `base + off[k] + half`, with `half =
-//!   4` on contiguous rows and the bordered row pitch when `ow == 4`. The
-//!   tap offsets `off` and panel bases depend only on the shape, so they
-//!   are built once per call (the first channel's taps, then a plane
-//!   further on per channel) and shared by every image and worker.
-//!   Nothing is lowered, and border lanes read `+0.0` exactly as masked
-//!   panel lanes do.
-//! * **Panel path** — every other conv (stride 2, other widths): the
-//!   image is quantized once, then its im2col panels are lowered into
-//!   scratch, in parallel over panel tiles, and swept by the panel
-//!   kernel.
-//!
-//! The two regimes split that work across workers:
-//!
-//! * **Batch-parallel** (one worker, and large batches): each worker
-//!   stages and sweeps its images one at a time in its own scratch.
-//! * **Channel-parallel** (the batch-1 case on several workers, and
-//!   mid-size batches whose grains would under-fill the batch split):
-//!   images run in sequence; each is staged once, then the output-channel
-//!   range splits across workers on the [`NT_MR`]-row register-block grid
-//!   against the shared filter bank.
-//!
-//! Scratch (filter bank, bordered or quantized image, panels, tap
-//! offsets) is per-thread and reused across calls, so a one-worker call
-//! allocates only its output.
-//!
-//! Both micro-kernels accumulate every output element as `0.0 + Σ
-//! w[k]·a[k]` in plain ascending-`k` order in every code path (no FMA,
-//! same operand order — see [`fpdq_tensor::simd`]), and the bias is
-//! added in a separate epilogue after the sweep. Path, row blocking,
-//! panel order, worker count and ISA therefore cannot change a single
-//! output bit: batch-N output for image `i` is bit-identical to the
-//! batch-1 run on image `i` (pinned by `tests/batched_consistency.rs`),
-//! and the fused activation quant is bit-exact with quantize-first
-//! execution.
+//! Dense `Tensor::conv2d` runs the same engine on `f32` filters read in
+//! place, so on the same decoded weights the two entry points return the
+//! same bits. The staging paths, the two parallel regimes
+//! ([`crate::schedule`]) and the bit-identity argument are documented in
+//! [`fpdq_tensor::conv`].
 
 use crate::packed::PackedTensor;
-use crate::schedule::{pick_conv_regime, ConvRegime};
-use fpdq_core::{PanelQuantizer, Planes};
-use fpdq_tensor::conv::{im2col_panel_into, Conv2dSpec};
-use fpdq_tensor::matmul::{gemm_nt_direct_as, gemm_nt_panel_as, NT_MR, NT_NR};
-use fpdq_tensor::parallel::{parallel_rows_aligned_in, parallel_rows_in, Exec};
-use fpdq_tensor::scratch::{Scratch, ACTS, INDEX, STAGED, WEIGHTS};
-use fpdq_tensor::simd::Isa;
+use fpdq_core::PanelQuantizer;
+use fpdq_tensor::conv::{conv2d, Conv2dSpec};
+use fpdq_tensor::operand::{ActStage, Weights};
+use fpdq_tensor::parallel::Exec;
 use fpdq_tensor::Tensor;
 
 /// 2-D convolution over packed weights — the one packed conv entry
 /// point: input `[n, c, h, w]`, packed weight `[o, c, kh, kw]`, optional
 /// bias `[o]`.
 ///
-/// `act`, when set, quantizes the input inside the kernel (as the model
+/// `act`, when set, quantizes the input inside the engine (as the model
 /// taps do): per tensor, or per input channel with `channels == c`, where
 /// channel `ci` quantizes through table `ci`. `exec` names the ISA path of
 /// the filter decode, the fused input quantization and the NT
 /// micro-kernel (see [`fpdq_tensor::simd`]), and the worker count of both
-/// the regime decision ([`pick_conv_regime`]) and the parallel splits.
-/// Results are bit-identical for every `exec`.
+/// the regime decision ([`crate::schedule::pick_conv_regime`]) and the
+/// parallel splits. Results are bit-identical for every `exec`.
 ///
 /// # Panics
 ///
@@ -108,273 +49,7 @@ pub fn conv2d_packed(
     act: Option<&PanelQuantizer>,
     exec: Exec,
 ) -> Tensor {
-    let Exec { isa, workers } = exec;
-    assert_eq!(x.ndim(), 4, "input must be [n, c, h, w]");
-    let wd = weight.dims();
-    assert_eq!(wd.len(), 4, "packed weight must be [o, c, kh, kw]");
-    let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (o, wc, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
-    assert_eq!(c, wc, "channel mismatch: input {c}, weight {wc}");
-    if let Some(b) = bias {
-        assert_eq!(b.numel(), o, "bias must have {o} elements");
-    }
-    if let Some(pq) = act {
-        assert!(
-            pq.channels() == 1 || pq.channels() == c,
-            "per-channel activation quantizer has {} channels for c = {c}",
-            pq.channels()
-        );
-    }
-    let geom =
-        Geom { c, h, w, kh, kw, spec, oh: spec.out_extent(h, kh), ow: spec.out_extent(w, kw) };
-    let (ckk, ohow) = (geom.ckk(), geom.ohow());
-    let mut out = vec![0.0f32; n * o * ohow];
-    let out_dims = [n, o, geom.oh, geom.ow];
-    if n == 0 || o == 0 || ohow == 0 {
-        return Tensor::from_vec(out, &out_dims);
-    }
-    if ckk == 0 {
-        // Empty reduction (zero input channels or a zero-extent kernel):
-        // every output pixel is the bare bias — same as the dense path.
-        for obatch in out.chunks_mut(o * ohow) {
-            add_bias(obatch, bias, ohow, 0);
-        }
-        return Tensor::from_vec(out, &out_dims);
-    }
-    // The packed filter bank expands exactly once per call — shared
-    // read-only by every worker in both regimes, so the decode cost is
-    // paid per step, not per image or per worker.
-    let mut filters = Scratch::take(&WEIGHTS, o * ckk);
-    parallel_rows_in(workers, &mut filters, o, ckk, 8, |r0, chunk| {
-        weight.decode_range_into_as(isa, r0 * ckk, chunk);
-    });
-    let filters = &*filters;
-    // The direct path's tap offsets and panel bases depend only on the
-    // shape: built once per call, shared by every image and worker.
-    let mut index =
-        Scratch::take(&INDEX, if geom.direct() { ckk + ohow.div_ceil(NT_NR) } else { 0 });
-    geom.index_into(&mut index);
-    let index = &*index;
-    let chw = c * h * w;
-    let image = |b: usize| &x.data()[b * chw..(b + 1) * chw];
-    match pick_conv_regime(n, o, workers) {
-        ConvRegime::BatchParallel => {
-            // Each worker stages its images one at a time into its own
-            // scratch and sweeps the whole filter bank against them.
-            parallel_rows_in(workers, &mut out, n, o * ohow, 1, |b0, chunk| {
-                for (bi, obatch) in chunk.chunks_mut(o * ohow).enumerate() {
-                    geom.stage(image(b0 + bi), act, isa, 1, index, |img| {
-                        img.sweep(isa, filters, obatch, o);
-                    });
-                    add_bias(obatch, bias, ohow, 0);
-                }
-            });
-        }
-        ConvRegime::ChannelParallel => {
-            // Images in sequence; each image is staged once, then the
-            // output channels split across workers on the register-block
-            // grid against the shared filter bank.
-            for (b, obatch) in out.chunks_mut(o * ohow).enumerate() {
-                geom.stage(image(b), act, isa, workers, index, |img| {
-                    parallel_rows_aligned_in(workers, obatch, o, ohow, 1, NT_MR, |oc0, chunk| {
-                        let rows = chunk.len() / ohow;
-                        img.sweep(isa, &filters[oc0 * ckk..(oc0 + rows) * ckk], chunk, rows);
-                        add_bias(chunk, bias, ohow, oc0);
-                    });
-                });
-            }
-        }
-    }
-    Tensor::from_vec(out, &out_dims)
-}
-
-/// The shape of one conv call.
-struct Geom {
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    spec: Conv2dSpec,
-    oh: usize,
-    ow: usize,
-}
-
-impl Geom {
-    fn ckk(&self) -> usize {
-        self.c * self.kh * self.kw
-    }
-
-    fn ohow(&self) -> usize {
-        self.oh * self.ow
-    }
-
-    /// Whether the direct path applies: stride 1, with every 8-pixel
-    /// panel either one stretch of an output row (`ow` a multiple of 8)
-    /// or two whole 4-pixel rows (`ow == 4`, even `oh`).
-    fn direct(&self) -> bool {
-        let fits =
-            self.ow.is_multiple_of(NT_NR) || (self.ow == NT_NR / 2 && self.oh.is_multiple_of(2));
-        self.spec.stride == 1 && fits
-    }
-
-    /// The layout of the direct path's operand: each `[h, w]` input plane
-    /// inside a border of `padding` zeros.
-    fn bordered(&self) -> Planes {
-        Planes::bordered(self.h, self.w, self.spec.padding)
-    }
-
-    /// Fills the direct path's index (empty for the panel path): the
-    /// offset of tap `(ci, ky, kx)` from its output pixel's top-left input
-    /// corner in the bordered image, for every reduction index, then each
-    /// 8-pixel panel's base.
-    fn index_into(&self, index: &mut [usize]) {
-        if index.is_empty() {
-            return;
-        }
-        let Planes { pitch, plane, .. } = self.bordered();
-        let (off, bases) = index.split_at_mut(self.ckk());
-        let taps = self.kh * self.kw;
-        let (first, rest) = off.split_at_mut(taps);
-        for (ky, row) in first.chunks_exact_mut(self.kw).enumerate() {
-            for (kx, slot) in row.iter_mut().enumerate() {
-                *slot = ky * pitch + kx;
-            }
-        }
-        // Every later channel repeats the first one's taps a plane on.
-        for (ci, chan) in rest.chunks_exact_mut(taps).enumerate() {
-            for (slot, &tap) in chan.iter_mut().zip(first.iter()) {
-                *slot = tap + (ci + 1) * plane;
-            }
-        }
-        for (t, slot) in bases.iter_mut().enumerate() {
-            let j0 = t * NT_NR;
-            *slot = (j0 / self.ow) * pitch + j0 % self.ow;
-        }
-    }
-
-    /// Stages one `[c, h, w]` image for the micro-kernel and runs `f` on
-    /// it. The direct path writes the input, through the fused quantizer
-    /// when `act` is set, straight into the interior of its zero-bordered
-    /// operand (a 1×1 conv needs no border and reads the input where it
-    /// lies when unquantized), and reads `index` ([`Self::index_into`]).
-    /// The panel path quantizes the input once, then lowers it into every
-    /// im2col panel (in parallel over `workers`). All buffers are this
-    /// thread's scratch.
-    #[allow(clippy::too_many_arguments)]
-    fn stage<R>(
-        &self,
-        src: &[f32],
-        act: Option<&PanelQuantizer>,
-        isa: Isa,
-        workers: usize,
-        index: &[usize],
-        f: impl FnOnce(Staged<'_>) -> R,
-    ) -> R {
-        let Geom { c, h, w, kh, kw, spec, .. } = *self;
-        let (ckk, ohow) = (self.ckk(), self.ohow());
-        let p = spec.padding;
-        if self.direct() && p > 0 {
-            let layout = self.bordered();
-            let mut bordered = Scratch::take(&STAGED, c * layout.plane);
-            bordered.fill(0.0);
-            let interior = &mut bordered[p * layout.pitch + p..];
-            match act {
-                Some(pq) => pq.quantize_planes_into_as(isa, src, interior, layout),
-                None => copy_planes(src, interior, layout),
-            }
-            return f(self.direct_operand(&bordered, index));
-        }
-        let mut qimg = Scratch::take(&ACTS, if act.is_some() { src.len() } else { 0 });
-        let img = match act {
-            Some(pq) => {
-                pq.quantize_panel_into_as(isa, src, &mut qimg, h * w);
-                &qimg[..]
-            }
-            None => src,
-        };
-        if self.direct() {
-            return f(self.direct_operand(img, index));
-        }
-        let npanels = ohow.div_ceil(NT_NR);
-        let mut bank = Scratch::take(&STAGED, npanels * ckk * NT_NR);
-        parallel_rows_in(workers, &mut bank, npanels, ckk * NT_NR, 1, |t0, pchunk| {
-            for (ti, panel) in pchunk.chunks_mut(ckk * NT_NR).enumerate() {
-                let j0 = (t0 + ti) * NT_NR;
-                let nw = NT_NR.min(ohow - j0);
-                im2col_panel_into(img, c, h, w, kh, kw, spec, j0, nw, panel);
-            }
-        });
-        f(Staged::Panels { bank: &bank, ckk, ohow })
-    }
-
-    /// The direct path's view of a staged (bordered) image.
-    fn direct_operand<'a>(&self, img: &'a [f32], index: &'a [usize]) -> Staged<'a> {
-        let (off, bases) = index.split_at(self.ckk());
-        // A 4-pixel row takes half a panel; the next output row is one
-        // bordered row further on.
-        let half = if self.ow.is_multiple_of(NT_NR) { NT_NR / 2 } else { self.bordered().pitch };
-        Staged::Direct { img, off, bases, half }
-    }
-}
-
-/// Copies the planes of `src` into the rows of `dst` that `layout` names
-/// (the unquantized counterpart of
-/// [`PanelQuantizer::quantize_planes_into_as`]).
-fn copy_planes(src: &[f32], dst: &mut [f32], layout: Planes) {
-    let Planes { rows, width, pitch, plane } = layout;
-    if src.is_empty() {
-        return;
-    }
-    for (sp, dp) in src.chunks_exact(rows * width).zip(dst.chunks_mut(plane)) {
-        for (s, d) in sp.chunks_exact(width).zip(dp.chunks_mut(pitch)) {
-            d[..width].copy_from_slice(s);
-        }
-    }
-}
-
-/// One image staged for the NT micro-kernel.
-enum Staged<'a> {
-    /// Read in place by [`gemm_nt_direct_as`]: the (bordered) image, each
-    /// reduction index's offset, each panel's base, and the distance
-    /// between a panel's two 4-lane halves.
-    Direct { img: &'a [f32], off: &'a [usize], bases: &'a [usize], half: usize },
-    /// Lowered into `[npanels][ckk][NT_NR]` im2col panels.
-    Panels { bank: &'a [f32], ckk: usize, ohow: usize },
-}
-
-impl Staged<'_> {
-    /// Writes `rows` output channels of the image (`filters` is their
-    /// `[rows, ckk]` slice of the bank) into `out` (`[rows, oh·ow]`).
-    fn sweep(&self, isa: Isa, filters: &[f32], out: &mut [f32], rows: usize) {
-        match *self {
-            Staged::Direct { img, off, bases, half } => {
-                let ohow = bases.len() * NT_NR;
-                gemm_nt_direct_as(isa, filters, img, off, bases, half, out, rows, ohow);
-            }
-            Staged::Panels { bank, ckk, ohow } => {
-                for (t, panel) in bank.chunks(ckk * NT_NR).enumerate() {
-                    let j0 = t * NT_NR;
-                    let nw = NT_NR.min(ohow - j0);
-                    gemm_nt_panel_as(isa, filters, panel, out, rows, ckk, ohow, j0, nw);
-                }
-            }
-        }
-    }
-}
-
-/// Adds the bias to an output-channel block *after* the panel sweep (the
-/// NT micro-kernel overwrites its output columns, so the bias cannot be
-/// prefilled). One add per output element, identical in both regimes.
-fn add_bias(chunk: &mut [f32], bias: Option<&Tensor>, ohow: usize, oc0: usize) {
-    if let Some(b) = bias {
-        for (oc, plane) in chunk.chunks_mut(ohow).enumerate() {
-            let bv = b.data()[oc0 + oc];
-            for v in plane.iter_mut() {
-                *v += bv;
-            }
-        }
-    }
+    conv2d(x, Weights::Decoded(weight), bias, spec, act.map(|q| q as &dyn ActStage), exec)
 }
 
 #[cfg(test)]

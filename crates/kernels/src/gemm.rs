@@ -1,94 +1,45 @@
-//! Dequantize-on-the-fly GEMM over packed weights, with the activation
-//! quantizer fused into the tile loop.
+//! The packed GEMM entry point: [`fpdq_tensor::matmul::gemm_nt`] with
+//! its weight rows decoded from a [`PackedTensor`] and the activation
+//! quantizer fused into the staging.
 //!
 //! The execution pattern of weight-quantized inference on hardware without
 //! native low-bit units: weights stream from memory in packed form (4-8×
-//! less traffic than FP32) and are expanded to the accumulator type at the
-//! register level. In the weight+activation configuration the activations
-//! are quantized *inside* the tile loop through the boundary tables of
-//! [`fpdq_core::BoundaryQuantizer`] — no whole-tensor fake-quant pass, no
-//! `log2`/`powf` per element, no intermediate activation tensor — while
-//! staying bit-exact against the simulated quantizers.
+//! less traffic than FP32) and are expanded to the accumulator type in
+//! per-thread scratch, each tile once per call. In the weight+activation
+//! configuration the activations are quantized as they are staged for the
+//! micro-kernel, through the boundary tables of
+//! [`fpdq_core::BoundaryQuantizer`]: no whole-tensor fake-quant pass, no
+//! `log2`/`powf` per element, no intermediate activation tensor, and
+//! bit-exact against the simulated quantizers.
 //!
-//! The activations are `[.., k]`: every leading dim folds into the `m`
-//! rows of a row-major `[m, k]` matrix, read in place; the output is
-//! `[m, n]`.
-//!
-//! # Tile schedules
-//!
-//! Two regimes, picked per call by [`pick_gemm_regime`] from the worker
-//! count and the actual `m`/`n` tile counts (see [`crate::schedule`]):
-//!
-//! * **Column-parallel** (activation-stationary; every one-worker call,
-//!   and batched activations against narrow layers, where `⌈n/4⌉` grains
-//!   would under-fill the workers). The packed weights are decoded once
-//!   into a shared panel bank; workers split the *activation rows*,
-//!   quantize their own rows in [`ACT_BLOCK`]-row scratch blocks (panel
-//!   streaming), and sweep the weight panels — writing the `[m, n]`
-//!   output in place, with no transpose. On one worker this always wins:
-//!   the row-parallel transpose alone was a fifth of a 16×16×16 served
-//!   linear.
-//! * **Row-parallel** (weight-stationary; small activation matrices on
-//!   several workers, where it keeps more of them busy). The activation
-//!   rows are quantized + interleaved into shared `[k][NT_NR]` panels
-//!   ([`pack_nt_panel`]) once, in parallel — the *fused epilogue*:
-//!   quantization happens as the micro-panel is packed, via branch-free
-//!   boundary-table bisection, and each activation row is quantized
-//!   exactly once per call (not once per worker). Workers then split the
-//!   weight rows on the register-block grid
-//!   ([`parallel_rows_aligned_in`]), stream their packed rows
-//!   `WTILE_ROWS` at a time through the LUT decoder — each weight tile
-//!   decoded **once per call**, however many images the activation
-//!   matrix stacks — and run the shared 4×8 NT micro-kernel
-//!   ([`fpdq_tensor::matmul::gemm_nt_panel`]) tile × panel into an
-//!   `[n, m]` block transposed once at the end.
-//!
-//! Panel banks, decode tiles and quantized blocks are per-thread scratch
-//! reused across calls, so a one-worker call allocates only its output.
-//!
-//! Because the micro-kernel accumulates each output element in plain `k`
-//! order in every path (and `a·w` multiplies commute bitwise), the result
-//! is bit-identical however the tiles are scheduled — across regimes,
-//! thread counts, and between the fused path and the reference
-//! "fake-quantize the whole tensor first" path.
-//!
-//! The packed convolution ([`crate::conv`]) is *implicit GEMM* on the
-//! same micro-kernel: it reads each tile's `[k][NT_NR]` operand in place
-//! from the staged image, or lowers `im2col` micro-panels on the fly, so
-//! every property of this module — once-per-call decode, fused
-//! activation quant, SIMD dispatch, the bit-identity contract — carries
-//! over to conv without a second implementation.
+//! Dense `Tensor::matmul_nt` runs the same engine on `f32` rows read in
+//! place, so on the same decoded weights the two entry points return the
+//! same bits. The engine's two tile schedules, its regime choice
+//! ([`crate::schedule`]) and its bit-identity argument are documented on
+//! [`fpdq_tensor::matmul::gemm_nt`].
 
 use crate::packed::PackedTensor;
-use crate::schedule::{pick_gemm_regime, GemmRegime, ACT_BLOCK};
 use fpdq_core::PanelQuantizer;
-use fpdq_tensor::matmul::{gemm_nt_panel_as, pack_nt_panel, NT_MR, NT_NR};
-use fpdq_tensor::parallel::{parallel_rows_aligned_in, parallel_rows_in, Exec};
-use fpdq_tensor::scratch::{Scratch, ACTS, STAGED, WEIGHTS};
-use fpdq_tensor::simd::Isa;
+use fpdq_tensor::matmul::gemm_nt;
+use fpdq_tensor::operand::{ActStage, Weights};
+use fpdq_tensor::parallel::Exec;
 use fpdq_tensor::Tensor;
-
-/// Packed weight rows decoded per scratch refill. Large enough to
-/// amortise the decode across the register blocks, small enough to stay
-/// cache-hot (8 rows × k floats).
-const WTILE_ROWS: usize = 8;
 
 /// `a [.., k] × wᵀ [n,k] → [m,n]` over packed weights — the one packed
 /// GEMM entry point. The activations are read as `m = numel / k` rows of
 /// a row-major `[m, k]` matrix in place (every leading dim folds into the
 /// rows), so a `[b, l, d]` input needs no flattening copy. When a dim is
-/// 0 the result is the all-zero `[m, n]` (an empty sum; the tile loops
-/// would slice past the packed payload).
+/// 0 the result is the all-zero `[m, n]` (an empty sum).
 ///
-/// `act`, when set, quantizes the activations inside the tile loop (the
+/// `act`, when set, quantizes the activations inside the engine (the
 /// paper's weight+activation configuration): per tensor, or per channel
 /// with `channels == k`, where column `j` quantizes through table `j`.
 /// `exec` names the ISA path of the weight decode, the activation
 /// quantization and the NT micro-kernel (see [`fpdq_tensor::simd`]), and
-/// the worker count of both the regime decision ([`pick_gemm_regime`])
-/// and the parallel split. Results are bit-identical for every `exec` —
-/// the property `tests/simd_consistency.rs` and
-/// `tests/batched_consistency.rs` pin.
+/// the worker count of both the regime decision
+/// ([`crate::schedule::pick_gemm_regime`]) and the parallel split.
+/// Results are bit-identical for every `exec` — the property
+/// `tests/simd_consistency.rs` and `tests/batched_consistency.rs` pin.
 ///
 /// # Panics
 ///
@@ -100,189 +51,14 @@ pub fn gemm_packed(
     act: Option<&PanelQuantizer>,
     exec: Exec,
 ) -> Tensor {
-    assert_eq!(w.dims().len(), 2, "weights must be [n, k]");
-    let (n, k) = (w.dims()[0], w.dims()[1]);
-    let (&ak, lead) = a.dims().split_last().expect("activations must be [.., k], got a scalar");
-    assert_eq!(ak, k, "inner dims differ: {ak} vs {k}");
-    if let Some(pq) = act {
-        assert!(
-            pq.channels() == 1 || pq.channels() == k,
-            "per-channel activation quantizer has {} channels for k = {k}",
-            pq.channels()
-        );
-    }
-    let m = lead.iter().product();
-    if m == 0 || n == 0 || k == 0 {
-        return Tensor::zeros(&[m, n]);
-    }
-    let Exec { isa, workers } = exec;
-    match pick_gemm_regime(m, n, workers) {
-        GemmRegime::RowParallel => gemm_row_parallel(a.data(), m, w, act, isa, workers),
-        GemmRegime::ColParallel => gemm_col_parallel(a.data(), m, w, act, isa, workers),
-    }
-}
-
-/// Quantizes (when `act` is set) and interleaves activation rows
-/// `[p0 .. p0 + chunk panels)` of `a` into `[k][NT_NR]` panels — the
-/// row-parallel schedule's shared activation panel bank.
-fn pack_act_panels(
-    ad: &[f32],
-    m: usize,
-    k: usize,
-    act: Option<&PanelQuantizer>,
-    isa: Isa,
-    p0: usize,
-    chunk: &mut [f32],
-) {
-    let mut qrows = Scratch::take(&ACTS, if act.is_some() { NT_NR * k } else { 0 });
-    for (pi, bp) in chunk.chunks_mut(k * NT_NR).enumerate() {
-        let j0 = (p0 + pi) * NT_NR;
-        let nw = NT_NR.min(m - j0);
-        let src = &ad[j0 * k..(j0 + nw) * k];
-        match act {
-            Some(pq) => {
-                // group = 1: the channel of element `i` within the
-                // row-major block is `i % k`, i.e. its column.
-                pq.quantize_panel_into_as(isa, src, &mut qrows[..nw * k], 1);
-                pack_nt_panel(&qrows[..nw * k], k, nw, bp);
-            }
-            None => pack_nt_panel(src, k, nw, bp),
-        }
-    }
-}
-
-/// Weight-stationary schedule: shared pre-quantized activation panels,
-/// workers split the packed weight rows and decode each of their tiles
-/// exactly once per call, into an `[n, m]` block transposed at the end.
-fn gemm_row_parallel(
-    ad: &[f32],
-    m: usize,
-    w: &PackedTensor,
-    act: Option<&PanelQuantizer>,
-    isa: Isa,
-    workers: usize,
-) -> Tensor {
-    let (n, k) = (w.dims()[0], w.dims()[1]);
-    // Fused epilogue, hoisted: every activation row quantizes + packs
-    // exactly once per call, in parallel, into the shared panel bank.
-    let mpanels = m.div_ceil(NT_NR);
-    let mut panels = Scratch::take(&WEIGHTS, mpanels * k * NT_NR);
-    parallel_rows_in(workers, &mut panels, mpanels, k * NT_NR, 1, |p0, chunk| {
-        pack_act_panels(ad, m, k, act, isa, p0, chunk);
-    });
-    let panels = &*panels;
-    let mut out = vec![0.0f32; n * m];
-    parallel_rows_aligned_in(workers, &mut out, n, m, 4, NT_MR, |row_start, chunk| {
-        let rows = chunk.len() / m;
-        // Per-worker decode scratch, reused across this worker's tiles.
-        let mut wtile = Scratch::take(&ACTS, WTILE_ROWS * k);
-        let mut wt = 0;
-        while wt < rows {
-            let wh = WTILE_ROWS.min(rows - wt);
-            // Each weight tile decodes once per call — then streams
-            // against every activation panel (the whole batch).
-            w.decode_range_into_as(isa, (row_start + wt) * k, &mut wtile[..wh * k]);
-            for p in 0..mpanels {
-                let j0 = p * NT_NR;
-                let nw = NT_NR.min(m - j0);
-                gemm_nt_panel_as(
-                    isa,
-                    &wtile[..wh * k],
-                    &panels[p * k * NT_NR..(p + 1) * k * NT_NR],
-                    &mut chunk[wt * m..(wt + wh) * m],
-                    wh,
-                    k,
-                    m,
-                    j0,
-                    nw,
-                );
-            }
-            wt += wh;
-        }
-    });
-    // `out` is laid out [n, m]; transpose to [m, n].
-    Tensor::from_vec(out, &[n, m]).transpose()
-}
-
-/// Activation-stationary schedule: the packed weights decode once into a
-/// shared panel bank, and workers split the activation rows — quantizing
-/// their own rows in [`ACT_BLOCK`]-row blocks and writing the `[m, n]`
-/// output in place, with no transpose.
-///
-/// Bit-identity with the row-parallel schedule: the micro-kernel
-/// accumulates each output element in plain ascending-`k` order in both,
-/// and swapping which operand rides the panel only swaps the factor
-/// order of each IEEE multiply, which is bitwise commutative.
-fn gemm_col_parallel(
-    ad: &[f32],
-    m: usize,
-    w: &PackedTensor,
-    act: Option<&PanelQuantizer>,
-    isa: Isa,
-    workers: usize,
-) -> Tensor {
-    let (n, k) = (w.dims()[0], w.dims()[1]);
-    // Decode the packed weights exactly once per call, in parallel,
-    // straight into the shared `[k][NT_NR]` panel bank: each worker
-    // expands one panel's rows into a small row-major scratch and
-    // interleaves from there, so the only weight-sized buffer is the
-    // bank itself (~`n × k` floats).
-    let wtiles = n.div_ceil(NT_NR);
-    let mut wpanels = Scratch::take(&WEIGHTS, wtiles * k * NT_NR);
-    parallel_rows_in(workers, &mut wpanels, wtiles, k * NT_NR, 1, |t0, chunk| {
-        let mut wrows = Scratch::take(&STAGED, NT_NR * k);
-        for (ti, bp) in chunk.chunks_mut(k * NT_NR).enumerate() {
-            let j0 = (t0 + ti) * NT_NR;
-            let nw = NT_NR.min(n - j0);
-            w.decode_range_into_as(isa, j0 * k, &mut wrows[..nw * k]);
-            pack_nt_panel(&wrows[..nw * k], k, nw, bp);
-        }
-    });
-    let wpanels = &*wpanels;
-    let mut out = vec![0.0f32; m * n];
-    parallel_rows_aligned_in(workers, &mut out, m, n, 4, NT_MR, |m0, chunk| {
-        let rows = chunk.len() / n;
-        // Fused epilogue: this worker quantizes its own activation rows,
-        // ACT_BLOCK at a time (bounded panel streaming), then sweeps the
-        // shared weight panels.
-        let mut qblock = Scratch::take(&ACTS, if act.is_some() { ACT_BLOCK * k } else { 0 });
-        let mut mb = 0;
-        while mb < rows {
-            let mh = ACT_BLOCK.min(rows - mb);
-            let src = &ad[(m0 + mb) * k..(m0 + mb + mh) * k];
-            let arows = match act {
-                Some(pq) => {
-                    pq.quantize_panel_into_as(isa, src, &mut qblock[..mh * k], 1);
-                    &qblock[..mh * k]
-                }
-                None => src,
-            };
-            let cblock = &mut chunk[mb * n..(mb + mh) * n];
-            for t in 0..wtiles {
-                let j0 = t * NT_NR;
-                let nw = NT_NR.min(n - j0);
-                gemm_nt_panel_as(
-                    isa,
-                    arows,
-                    &wpanels[t * k * NT_NR..(t + 1) * k * NT_NR],
-                    cblock,
-                    mh,
-                    k,
-                    n,
-                    j0,
-                    nw,
-                );
-            }
-            mb += mh;
-        }
-    });
-    Tensor::from_vec(out, &[m, n])
+    gemm_nt(a, Weights::Decoded(w), act.map(|q| q as &dyn ActStage), exec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fpdq_core::{FpFormat, IntFormat, TensorQuantizer};
+    use fpdq_tensor::matmul::{gemm_nt_panel_as, pack_nt_panel, NT_NR};
     use fpdq_tensor::parallel::num_threads;
     use fpdq_tensor::simd;
     use proptest::prelude::*;

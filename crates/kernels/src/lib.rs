@@ -9,7 +9,8 @@
 //!   §III;
 //! * [`gemm`] / [`conv`] — dequantize-on-the-fly matmul and convolution
 //!   over packed weights (the compute pattern of weight-only-quantized
-//!   inference);
+//!   inference): entry points of the one GEMM and the one conv of
+//!   `fpdq-tensor`, which dense `matmul_nt` and `conv2d` run too;
 //! * [`exec`] — the wiring layer that flips a quantized U-Net from dense
 //!   fake-quantized execution to these packed kernels.
 //!
@@ -32,6 +33,18 @@
 //! transformer's `[b, l, d]` tokens without a flattening copy and
 //! returns `[m, n]`.
 //!
+//! Each of the two is a thin call into one engine of `fpdq-tensor`:
+//! [`fpdq_tensor::matmul::gemm_nt`] and [`fpdq_tensor::conv::conv2d`],
+//! with the packed weight as their decoded weight operand
+//! ([`fpdq_tensor::operand::Weights::Decoded`]) and the quantizer as
+//! their activation stage ([`fpdq_tensor::operand::ActStage`]). Dense
+//! `Tensor::matmul_nt` and `Tensor::conv2d` are the same engines on
+//! `f32` weights read in place, so on a packed weight's decoded values
+//! the dense and packed entry points return the same bits by
+//! construction: the images the fake-quantized harnesses score and the
+//! images the packed engine serves differ only where their weights or
+//! activation quantizers do.
+//!
 //! # Fused-epilogue packed execution architecture
 //!
 //! The hot path is built from four layers, each independently tested for
@@ -48,48 +61,49 @@
 //! 2. **Fused activation quantization** ([`fpdq_core::BoundaryQuantizer`]
 //!    / [`fpdq_core::PanelQuantizer`]). The weight+activation
 //!    configuration no longer fake-quantizes the whole activation tensor
-//!    up front: activations are quantized *inside* the tile loops through
-//!    boundary tables (the sign folded off, then one magnitude-rank
-//!    lookup and one compare per element — no transcendentals, no
-//!    intermediate tensor; a conv's input lands straight in its
-//!    zero-bordered operand), per tensor,
-//!    per channel, or split at a skip-connection concatenation (trunk and
-//!    skip halves each through their own table), bit-exact with the
-//!    simulated quantizers.
-//! 3. **Tiled dequantize-on-the-fly with batched regimes** ([`gemm`],
-//!    [`conv`], [`schedule`]). The GEMM packs activation micro-panels
-//!    (quantizing as it packs — each row exactly once per call) into the
-//!    `[k][8]` interleaved layout of the 4×8 NT panel micro-kernel shared
-//!    with dense `matmul_nt` ([`fpdq_tensor::matmul::gemm_nt_panel`]),
-//!    and streams packed weight rows through the LUT decoder 8 rows at a
-//!    time — each weight tile decoded **once per call**, however many
-//!    images the batched activation matrix stacks; packed weights
-//!    therefore run at or below dense-FP32 latency while moving 4-8×
-//!    fewer weight bytes, and the per-image cost *falls* with the batch.
-//!    The convolution is *implicit GEMM on the same micro-kernel*: a
-//!    stride-1 conv whose 8-pixel output tiles are whole panels reads
-//!    each tile in place from the quantized, zero-bordered image
+//!    up front: activations are quantized *inside* the engines as they
+//!    are staged, through boundary tables (the sign folded off, then one
+//!    magnitude-rank lookup and one compare per element — no
+//!    transcendentals, no intermediate tensor; a conv's input lands
+//!    straight in its zero-bordered operand), per tensor, per channel,
+//!    or split at a skip-connection concatenation (trunk and skip halves
+//!    each through their own table), bit-exact with the simulated
+//!    quantizers.
+//! 3. **One tiled GEMM and one implicit-GEMM conv, with batched regimes**
+//!    ([`fpdq_tensor::matmul::gemm_nt`], [`fpdq_tensor::conv::conv2d`],
+//!    [`schedule`]). Each engine takes its weight rows from either source
+//!    — `f32` rows read in place, or packed rows decoded into per-thread
+//!    scratch — so dense and packed execution share one code path. The
+//!    GEMM stages activation micro-panels (quantizing as it packs — each
+//!    row exactly once per call) into the `[k][8]` interleaved layout of
+//!    the 4×8 NT panel micro-kernel
+//!    ([`fpdq_tensor::matmul::gemm_nt_panel_as`]), and decodes packed
+//!    weight rows through the LUT decoder 8 rows at a time — each weight
+//!    tile decoded **once per call**, however many images the batched
+//!    activation matrix stacks; packed weights therefore run at or below
+//!    dense-FP32 latency while moving 4-8× fewer weight bytes, and the
+//!    per-image cost *falls* with the batch. The convolution is
+//!    *implicit GEMM on the same micro-kernel*: a stride-1 conv whose
+//!    8-pixel output tiles are whole panels reads each tile in place from
+//!    the staged, zero-bordered image
 //!    ([`fpdq_tensor::matmul::gemm_nt_direct_as`], the direct path);
 //!    every other conv lowers each tile's `im2col` columns into an NT
-//!    micro-panel ([`fpdq_tensor::conv::im2col_panel_into`], table-driven:
-//!    lane offsets are computed once per kernel tap and reused for every
-//!    input channel as a contiguous copy, a zero fill or a masked gather)
-//!    and feeds it to `gemm_nt_panel`. Either way the tiles meet the
-//!    once-per-call decoded filter bank, the whole-image `im2col` matrix
-//!    never materialises, and conv inherits the GEMM's SIMD dispatch,
-//!    fused activation quant, and decode amortisation instead of
-//!    duplicating them. Both kernels pick their parallel regime per call
-//!    from the worker count and the actual tile counts ([`schedule`]):
-//!    the GEMM between activation-row-parallel (every one-worker call,
-//!    and narrow layers under batched activations) and
+//!    micro-panel ([`fpdq_tensor::conv::im2col_panel_into`]) and feeds it
+//!    to the panel kernel. Either way the tiles meet a filter bank read in
+//!    place or decoded once per call, and the whole-image `im2col` matrix
+//!    never materialises. Both engines pick their parallel regime per
+//!    call from the worker count and the actual tile counts
+//!    ([`schedule`]): the GEMM between activation-row-parallel (every
+//!    one-worker call, and narrow layers under batched activations) and
 //!    weight-row-parallel, the convolution between batch-parallel
 //!    workers staging their own images and channel-parallel workers
 //!    sharing one staged image. Because the micro-kernels accumulate
 //!    every output element in plain `k` order in every code path, results
-//!    are bit-identical across regimes, tile schedules and thread counts,
-//!    and the fused path is bit-exact against "fake-quantize first, then
-//!    run the same kernel" — so batch-N sampling reproduces N batch-1
-//!    runs bit-for-bit (`tests/batched_consistency.rs`).
+//!    are bit-identical across regimes, tile schedules, thread counts and
+//!    weight sources, and the fused path is bit-exact against
+//!    "fake-quantize first, then run the same kernel" — so batch-N
+//!    sampling reproduces N batch-1 runs bit-for-bit
+//!    (`tests/batched_consistency.rs`).
 //! 4. **Model wiring** ([`exec`]). `pack_unet` re-encodes a PTQ'd model's
 //!    baked weights into their searched formats and installs packed
 //!    forward overrides into every quantized Linear/Conv layer
@@ -105,7 +119,7 @@
 //! # Runtime SIMD dispatch
 //!
 //! The three hot loops — the 4×8 NT micro-kernel
-//! ([`fpdq_tensor::matmul::gemm_nt_panel`]), the per-byte LUT decode
+//! ([`fpdq_tensor::matmul::gemm_nt_panel_as`]), the per-byte LUT decode
 //! ([`packed`]), and the folded boundary-table activation quantizer
 //! ([`fpdq_core::BoundaryQuantizer`]) — carry explicit SIMD
 //! implementations selected at *runtime* by [`fpdq_tensor::simd`]: AVX2
@@ -163,8 +177,8 @@ pub mod exec;
 pub mod gemm;
 pub mod packed;
 
-/// Batched execution-regime selection (shared with the dense kernels in
-/// `fpdq-tensor`, where the decision functions live).
+/// Batched execution-regime selection of the GEMM and conv engines (which
+/// live in `fpdq-tensor`, next to their decision functions).
 pub use fpdq_tensor::schedule;
 
 pub use conv::conv2d_packed;

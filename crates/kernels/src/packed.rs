@@ -32,6 +32,7 @@
 
 use bytes::Bytes;
 use fpdq_core::{FpFormat, TensorQuantizer};
+use fpdq_tensor::operand::DecodeRows;
 use fpdq_tensor::simd::{self, Isa};
 use fpdq_tensor::{FpdqError, Tensor};
 
@@ -678,6 +679,18 @@ impl PackedTensor {
             8 => lut_decode_range(isa, &self.lut, 1, &self.bytes, start, out),
             bits => generic_decode_range(&self.bytes, bits, start, out, |c| self.lut[c as usize]),
         }
+    }
+}
+
+/// Packed rows as the weight operand of the `fpdq-tensor` GEMM and conv
+/// ([`fpdq_tensor::operand::Weights::Decoded`]).
+impl DecodeRows for PackedTensor {
+    fn dims(&self) -> &[usize] {
+        PackedTensor::dims(self)
+    }
+
+    fn decode_range_into_as(&self, isa: Isa, start: usize, dst: &mut [f32]) {
+        PackedTensor::decode_range_into_as(self, isa, start, dst);
     }
 }
 

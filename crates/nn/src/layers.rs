@@ -296,14 +296,6 @@ impl Linear {
         self.weight.dims()[0]
     }
 
-    fn affine(&self, x2: &Tensor, w: &Tensor) -> Tensor {
-        let mut y = x2.matmul_nt(w);
-        if let Some(b) = &self.bias {
-            y = b.with_value(|b| y.add(b));
-        }
-        y
-    }
-
     /// Inference forward: applies the tap, then either the packed-weight
     /// override (when installed) or the dense path.
     pub fn forward(&self, x: &Tensor) -> Tensor {
@@ -312,7 +304,7 @@ impl Linear {
         if let Some(y) = self.packed.run(&x) {
             return y;
         }
-        self.forward_with_weight(&x, &self.weight.value())
+        self.weight.with_value(|w| self.forward_with_weight(&x, w))
     }
 
     /// Collects `(name, param)` pairs.
@@ -350,15 +342,23 @@ impl QuantLayer for Linear {
         &self.packed
     }
     fn forward_with_weight(&self, x: &Tensor, weight: &Tensor) -> Tensor {
-        match x.ndim() {
-            2 => self.affine(x, weight),
-            3 => {
-                let (b, l, d) = (x.dim(0), x.dim(1), x.dim(2));
-                self.affine(&x.reshape(&[b * l, d]), weight)
-                    .reshape(&[b, l, self.out_features()])
-            }
-            n => panic!("Linear expects 2-D or 3-D input, got rank {n}"),
+        let rank = x.ndim();
+        assert!(matches!(rank, 2 | 3), "Linear expects 2-D or 3-D input, got rank {rank}");
+        // A `[b, l, d]` input is read in place as `b·l` rows.
+        let mut y = x.matmul_nt(weight);
+        let out = weight.dim(0);
+        if let Some(b) = &self.bias {
+            b.with_value(|b| {
+                for row in y.data_mut().chunks_exact_mut(out.max(1)) {
+                    for (v, &bv) in row.iter_mut().zip(b.data()) {
+                        *v += bv;
+                    }
+                }
+            });
         }
+        let mut dims = x.dims().to_vec();
+        dims[rank - 1] = out;
+        y.into_shape(&dims)
     }
 }
 
@@ -429,7 +429,7 @@ impl Conv2d {
         if let Some(y) = self.packed.run(&x) {
             return y;
         }
-        self.forward_with_weight(&x, &self.weight.value())
+        self.weight.with_value(|w| self.forward_with_weight(&x, w))
     }
 
     /// Collects `(name, param)` pairs.
@@ -467,8 +467,10 @@ impl QuantLayer for Conv2d {
         &self.packed
     }
     fn forward_with_weight(&self, x: &Tensor, weight: &Tensor) -> Tensor {
-        let bias = self.bias.as_ref().map(|b| b.value());
-        x.conv2d(weight, bias.as_ref(), self.spec)
+        match &self.bias {
+            Some(b) => b.with_value(|b| x.conv2d(weight, Some(b), self.spec)),
+            None => x.conv2d(weight, None, self.spec),
+        }
     }
 }
 

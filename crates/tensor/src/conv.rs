@@ -1,31 +1,80 @@
 //! 2-D convolution, pooling and upsampling kernels (NCHW layout).
 //!
-//! Convolution runs as *implicit GEMM*: output-pixel tiles are lowered on
-//! the fly ([`im2col_panel_into`]) straight into the interleaved
-//! `[k][NT_NR]` micro-panels of the shared NT kernel
-//! ([`crate::matmul::gemm_nt_panel`]) — the textbook `im2col` + GEMM
-//! strategy without ever materialising the `[c·kh·kw, oh·ow]` column
-//! matrix, and with the same SIMD dispatch and bit-identity contract as
-//! `matmul_nt`. The whole-matrix [`im2col_into`] lowering survives for the
-//! gradient kernels (`conv2d_grad_input` / `conv2d_grad_weight`), which
-//! `fpdq-autograd` uses both for training the substrate models and for the
-//! paper's gradient-based rounding learning on convolution layers, and as
-//! the bitwise oracle of the panel lowering's tests.
+//! # The conv engine
+//!
+//! [`conv2d`] is the one convolution, over dense and packed weights
+//! alike: [`Tensor::conv2d`] runs it on `f32` filters read in place, and
+//! `fpdq_kernels::conv2d_packed` on a packed filter bank decoded once per
+//! call (its [`Weights`] operand), with an optional fused activation
+//! quantizer (its [`ActStage`] operand). It is *implicit GEMM*: the
+//! product `out[o, oh·ow] = filters[o, ckk] · colsᵀ[ckk, oh·ow]` runs on
+//! the NT micro-kernel of [`crate::matmul`], and the column matrix never
+//! exists. Each image is *staged* once, then swept:
+//!
+//! * **Direct path** — stride-1 convs whose 8-pixel tiles are one stretch
+//!   of an output row (`ow` a multiple of 8) or two whole rows (`ow == 4`
+//!   with an even `oh`): the 3×3/pad-1 and 1×1 convs of the served 8×8
+//!   and 4×4 maps. Staging is one pass: the bordered operand is zeroed,
+//!   and each input row is copied, or quantized by the stage, straight
+//!   into its interior (a 1×1 conv needs no border; its input is read
+//!   where it lies). Reduction index `k = (ci, ky, kx)` of the tile at
+//!   `(oy, x0)` is then the 4-lane halves at `base + off[k]` and `base +
+//!   off[k] + half`, read in place by [`gemm_nt_direct_as`], with `half =
+//!   4` on contiguous rows and the bordered row pitch when `ow == 4`. The
+//!   tap offsets `off` and panel bases depend only on the shape, so they
+//!   are built once per call and shared by every image and worker.
+//!   Border lanes read `+0.0` exactly as masked panel lanes do.
+//! * **Panel path** — every other conv (stride 2, other widths): the
+//!   image is quantized once (when staged), then its 8-pixel tiles are
+//!   lowered into `[ckk][NT_NR]` micro-panels ([`im2col_panel_into`]), in
+//!   parallel over tiles, and swept by [`gemm_nt_panel_as`].
+//!
+//! Two regimes split that work across workers ([`pick_conv_regime`]):
+//!
+//! * **Batch-parallel** (one worker, and large batches): each worker
+//!   stages and sweeps its images one at a time in its own scratch.
+//! * **Channel-parallel** (the batch-1 case on several workers, and
+//!   mid-size batches whose grains would under-fill the batch split):
+//!   images run in sequence; each is staged once, then the output-channel
+//!   range splits across workers on the [`NT_MR`]-row register-block grid
+//!   against the shared filter bank.
+//!
+//! Scratch (decoded filter bank, bordered or quantized image, panels, tap
+//! offsets) is per-thread and reused across calls ([`crate::scratch`]),
+//! so a one-worker call allocates only its output.
+//!
+//! Both micro-kernels accumulate every output element as `0.0 + Σ
+//! w[k]·a[k]` in plain ascending-`k` order in every code path (no FMA,
+//! same operand order — see [`crate::simd`]), and the bias is added in a
+//! separate epilogue after the sweep. Path, regime, row blocking, panel
+//! order, worker count, ISA and weight source therefore cannot change a
+//! single output bit: batch-N output for image `i` is bit-identical to
+//! the batch-1 run on image `i`, the dense and packed entry points agree
+//! on the same decoded weights, and the fused activation stage is
+//! bit-exact with quantize-first execution.
+//!
+//! # Lowering
 //!
 //! The panel lowering is pure data movement, table-driven so that each
 //! element costs a load and a store: for each kernel tap it computes the
 //! panel's [`NT_NR`] lane offsets within a channel plane once (offsets
 //! and padding do not depend on the input channel), classifies the tap,
 //! and then walks the channels. A tap whose lanes are all consecutive in
-//! the plane copies [`NT_NR`] contiguous floats (every in-bounds tap of a
-//! stride-1 panel that lies within one output row, and every 1×1 stride-1
-//! conv); a tap that reads only padding zero-fills; any other tap gathers
-//! and clears its padding lanes with a bit mask, so live lanes keep their
-//! exact bits.
+//! the plane copies [`NT_NR`] contiguous floats; a tap that reads only
+//! padding zero-fills; any other tap gathers and clears its padding lanes
+//! with a bit mask, so live lanes keep their exact bits. The
+//! whole-matrix [`im2col_into`] lowering survives for the gradient
+//! kernels (`conv2d_grad_input` / `conv2d_grad_weight`), which
+//! `fpdq-autograd` uses both for training the substrate models and for
+//! the paper's gradient-based rounding learning on convolution layers,
+//! and as the bitwise oracle of the panel lowering's tests.
 
-use crate::matmul::{gemm_nt_panel, NT_MR, NT_NR};
-use crate::parallel::{num_threads, parallel_rows, parallel_rows_aligned};
+use crate::matmul::{gemm_nt_direct_as, gemm_nt_panel_as, NT_MR, NT_NR};
+use crate::operand::{ActStage, Planes, Weights};
+use crate::parallel::{parallel_rows, parallel_rows_aligned_in, parallel_rows_in, Exec};
 use crate::schedule::{pick_conv_regime, ConvRegime};
+use crate::scratch::{Scratch, ACTS, INDEX, STAGED, WEIGHTS};
+use crate::simd::Isa;
 use crate::Tensor;
 
 /// Hyper-parameters of a 2-D convolution (square stride/padding).
@@ -60,28 +109,10 @@ impl Conv2dSpec {
     }
 }
 
-/// Unfolds one image `[c, h, w]` into a column matrix
-/// `[c·kh·kw, oh·ow]` (the GEMM lowering used by [`Tensor::conv2d`];
-/// public so quantized kernels can share the exact same lowering).
-///
-/// # Panics
-///
-/// Panics if `img` is not 3-D.
-pub fn im2col_matrix(img: &Tensor, kh: usize, kw: usize, spec: Conv2dSpec) -> Tensor {
-    assert_eq!(img.ndim(), 3, "im2col_matrix expects [c, h, w]");
-    let (c, h, w) = (img.dim(0), img.dim(1), img.dim(2));
-    let oh = spec.out_extent(h, kh);
-    let ow = spec.out_extent(w, kw);
-    let mut cols = vec![0.0f32; c * kh * kw * oh * ow];
-    im2col_into(img.data(), c, h, w, kh, kw, spec, &mut cols);
-    Tensor::from_vec(cols, &[c * kh * kw, oh * ow])
-}
-
 /// Unfolds one image `[c, h, w]` (given as a raw `c*h*w` slice) into
 /// columns `[c*kh*kw, oh*ow]` written into caller-owned scratch — the
-/// allocation-free core shared by the dense conv, the gradient kernels and
-/// the packed conv in `fpdq-kernels`, whose per-thread arenas reuse one
-/// `cols` buffer across batches.
+/// lowering of the gradient kernels, which reuse one `cols` buffer
+/// across batches.
 ///
 /// # Panics
 ///
@@ -129,7 +160,7 @@ pub fn im2col_into(
 /// Lowers `nw` (1 ≤ `nw` ≤ [`NT_NR`]) consecutive output pixels
 /// `[j0, j0 + nw)` of one image `[c, h, w]` directly into a `[ckk][NT_NR]`
 /// activation micro-panel for the NT panel kernel
-/// ([`crate::matmul::gemm_nt_panel`]): `bp[kk * NT_NR + r]` is element `kk`
+/// ([`crate::matmul::gemm_nt_panel_as`]): `bp[kk * NT_NR + r]` is element `kk`
 /// of output pixel `j0 + r`'s im2col patch (zero where the patch reads
 /// padding; missing lanes beyond `nw` are zeroed like
 /// [`crate::matmul::pack_nt_panel`]).
@@ -271,105 +302,15 @@ fn col2im(
 
 impl Tensor {
     /// 2-D convolution: input `[n, c, h, w]`, weight `[o, c, kh, kw]`,
-    /// optional bias `[o]`, producing `[n, o, oh, ow]`.
+    /// optional bias `[o]`, producing `[n, o, oh, ow]` — [`conv2d`] on
+    /// dense weights, with the dispatched ISA and the process-wide
+    /// workers.
     ///
     /// # Panics
     ///
-    /// Panics on rank or channel mismatches.
+    /// Panics on rank, channel or bias-length mismatches.
     pub fn conv2d(&self, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Tensor {
-        assert_eq!(self.ndim(), 4, "conv2d input must be 4-D [n,c,h,w], got {}", self.shape());
-        assert_eq!(weight.ndim(), 4, "conv2d weight must be 4-D [o,c,kh,kw]");
-        let (n, c, h, w) = (self.dim(0), self.dim(1), self.dim(2), self.dim(3));
-        let (o, wc, kh, kw) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
-        assert_eq!(c, wc, "conv2d channel mismatch: input {c}, weight {wc}");
-        if let Some(b) = bias {
-            assert_eq!(b.numel(), o, "conv2d bias must have {o} elements");
-        }
-        let oh = spec.out_extent(h, kh);
-        let ow = spec.out_extent(w, kw);
-        let ckk = c * kh * kw;
-        let ohow = oh * ow;
-        let mut out = vec![0.0f32; n * o * ohow];
-        let input = self.data();
-        let wdat = weight.data();
-        let add_bias = |chunk: &mut [f32], oc0: usize| {
-            if let Some(b) = bias {
-                for (oc, plane) in chunk.chunks_mut(ohow).enumerate() {
-                    let bv = b.data()[oc0 + oc];
-                    for v in plane.iter_mut() {
-                        *v += bv;
-                    }
-                }
-            }
-        };
-        if n == 0 || o == 0 || ohow == 0 {
-            return Tensor::from_vec(out, &[n, o, oh, ow]);
-        }
-        if ckk == 0 {
-            // Empty reduction (zero input channels or a zero-extent
-            // kernel): every output pixel is the bare bias.
-            for obatch in out.chunks_mut(o * ohow) {
-                add_bias(obatch, 0);
-            }
-            return Tensor::from_vec(out, &[n, o, oh, ow]);
-        }
-        // Implicit GEMM: output-pixel tiles are lowered one NT panel at a
-        // time ([`im2col_panel_into`]) straight into the interleaved
-        // layout of the shared NT micro-kernel — the same engine as
-        // `matmul_nt` and the packed conv, SIMD dispatch included. The
-        // whole-image column matrix is never materialised.
-        let chw = c * h * w;
-        let npanels = ohow.div_ceil(NT_NR);
-        if pick_conv_regime(n, o, num_threads()) == ConvRegime::BatchParallel {
-            // Batch-parallel: one `ckk × NT_NR` panel arena per worker,
-            // reused across its batches and panel tiles. The regime is
-            // decided by measured tile counts (see [`crate::schedule`]) —
-            // the same rule as the packed conv, and bit-neutral: the
-            // micro-kernel accumulates each output element in plain
-            // ascending-`k` order in every code path.
-            parallel_rows(&mut out, n, o * ohow, 1, |batch_start, chunk| {
-                let mut panel = vec![0.0f32; ckk * NT_NR];
-                for (bi, obatch) in chunk.chunks_mut(o * ohow).enumerate() {
-                    let batch = batch_start + bi;
-                    let img = &input[batch * chw..(batch + 1) * chw];
-                    for t in 0..npanels {
-                        let j0 = t * NT_NR;
-                        let nw = NT_NR.min(ohow - j0);
-                        im2col_panel_into(img, c, h, w, kh, kw, spec, j0, nw, &mut panel);
-                        gemm_nt_panel(wdat, &panel, obatch, o, ckk, ohow, j0, nw);
-                    }
-                    add_bias(obatch, 0);
-                }
-            });
-        } else {
-            // Channel-parallel for small batches (the batch-1 sampling
-            // case): lower each image's panels once (in parallel over
-            // panel tiles) into a shared bank, then split the filter rows
-            // across workers on the register-block grid.
-            let mut bank = vec![0.0f32; npanels * ckk * NT_NR];
-            for batch in 0..n {
-                let img = &input[batch * chw..(batch + 1) * chw];
-                parallel_rows(&mut bank, npanels, ckk * NT_NR, 1, |t0, pchunk| {
-                    for (ti, panel) in pchunk.chunks_mut(ckk * NT_NR).enumerate() {
-                        let j0 = (t0 + ti) * NT_NR;
-                        let nw = NT_NR.min(ohow - j0);
-                        im2col_panel_into(img, c, h, w, kh, kw, spec, j0, nw, panel);
-                    }
-                });
-                let obatch = &mut out[batch * o * ohow..(batch + 1) * o * ohow];
-                parallel_rows_aligned(obatch, o, ohow, 1, NT_MR, |oc0, chunk| {
-                    let rows = chunk.len() / ohow;
-                    let frows = &wdat[oc0 * ckk..(oc0 + rows) * ckk];
-                    for (t, panel) in bank.chunks(ckk * NT_NR).enumerate() {
-                        let j0 = t * NT_NR;
-                        let nw = NT_NR.min(ohow - j0);
-                        gemm_nt_panel(frows, panel, chunk, rows, ckk, ohow, j0, nw);
-                    }
-                    add_bias(chunk, oc0);
-                });
-            }
-        }
-        Tensor::from_vec(out, &[n, o, oh, ow])
+        conv2d(self, Weights::Dense(weight), bias, spec, None, Exec::default())
     }
 
     /// Average pooling with a square `k`×`k` window and stride `k`.
@@ -424,6 +365,283 @@ impl Tensor {
             }
         }
         Tensor::from_vec(out, &[n, c, oh, ow])
+    }
+}
+
+/// 2-D convolution — the one conv, over dense and packed weights alike
+/// ([`Tensor::conv2d`] and `fpdq_kernels::conv2d_packed` are its entry
+/// points): input `[n, c, h, w]`, weight `[o, c, kh, kw]`, optional bias
+/// `[o]`, producing `[n, o, oh, ow]`.
+///
+/// `act`, when set, quantizes the input as it is staged (as the model
+/// taps do): per tensor, or per input channel with `channels == c`,
+/// where channel `ci` quantizes through table `ci`. `exec` names the ISA
+/// path of the weight decode, the activation stage and the micro-kernel,
+/// and the worker count of both the regime decision
+/// ([`pick_conv_regime`]) and the parallel splits. See the module docs
+/// for the schedule. Results are bit-identical for every `exec` and
+/// weight source.
+///
+/// # Panics
+///
+/// Panics on rank, channel or bias-length mismatches, or if a
+/// per-channel stage's channel count differs from `c`.
+pub fn conv2d(
+    x: &Tensor,
+    weight: Weights<'_>,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+    act: Option<&dyn ActStage>,
+    exec: Exec,
+) -> Tensor {
+    let Exec { isa, workers } = exec;
+    assert_eq!(x.ndim(), 4, "conv2d input must be [n, c, h, w], got {}", x.shape());
+    let wd = weight.dims();
+    assert_eq!(wd.len(), 4, "conv2d weight must be [o, c, kh, kw], got {wd:?}");
+    let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+    let (o, wc, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
+    assert_eq!(c, wc, "conv2d channel mismatch: input {c}, weight {wc}");
+    if let Some(b) = bias {
+        assert_eq!(b.numel(), o, "conv2d bias must have {o} elements");
+    }
+    if let Some(st) = act {
+        assert!(
+            st.channels() == 1 || st.channels() == c,
+            "per-channel activation quantizer has {} channels for c = {c}",
+            st.channels()
+        );
+    }
+    let geom =
+        Geom { c, h, w, kh, kw, spec, oh: spec.out_extent(h, kh), ow: spec.out_extent(w, kw) };
+    let (ckk, ohow) = (geom.ckk(), geom.ohow());
+    let mut out = vec![0.0f32; n * o * ohow];
+    let out_dims = [n, o, geom.oh, geom.ow];
+    if n == 0 || o == 0 || ohow == 0 {
+        return Tensor::from_vec(out, &out_dims);
+    }
+    if ckk == 0 {
+        // Empty reduction (zero input channels or a zero-extent kernel):
+        // every output pixel is the bare bias.
+        for obatch in out.chunks_mut(o * ohow) {
+            add_bias(obatch, bias, ohow, 0);
+        }
+        return Tensor::from_vec(out, &out_dims);
+    }
+    // The filter bank is read in place, or a packed one expands exactly
+    // once per call: shared read-only by every worker in both regimes, so
+    // the decode cost is paid per call, not per image or per worker.
+    let mut bank = Scratch::take(&WEIGHTS, weight.scratch_len(o * ckk));
+    let filters = weight.all(isa, workers, o, ckk, &mut bank);
+    // The direct path's tap offsets and panel bases depend only on the
+    // shape: built once per call, shared by every image and worker.
+    let mut index =
+        Scratch::take(&INDEX, if geom.direct() { ckk + ohow.div_ceil(NT_NR) } else { 0 });
+    geom.index_into(&mut index);
+    let index = &*index;
+    let chw = c * h * w;
+    let image = |b: usize| &x.data()[b * chw..(b + 1) * chw];
+    match pick_conv_regime(n, o, workers) {
+        ConvRegime::BatchParallel => {
+            // Each worker stages its images one at a time into its own
+            // scratch and sweeps the whole filter bank against them.
+            parallel_rows_in(workers, &mut out, n, o * ohow, 1, |b0, chunk| {
+                for (bi, obatch) in chunk.chunks_mut(o * ohow).enumerate() {
+                    geom.stage(image(b0 + bi), act, isa, 1, index, |img| {
+                        img.sweep(isa, filters, obatch, o);
+                    });
+                    add_bias(obatch, bias, ohow, 0);
+                }
+            });
+        }
+        ConvRegime::ChannelParallel => {
+            // Images in sequence; each image is staged once, then the
+            // output channels split across workers on the register-block
+            // grid against the shared filter bank.
+            for (b, obatch) in out.chunks_mut(o * ohow).enumerate() {
+                geom.stage(image(b), act, isa, workers, index, |img| {
+                    parallel_rows_aligned_in(workers, obatch, o, ohow, 1, NT_MR, |oc0, chunk| {
+                        let rows = chunk.len() / ohow;
+                        img.sweep(isa, &filters[oc0 * ckk..(oc0 + rows) * ckk], chunk, rows);
+                        add_bias(chunk, bias, ohow, oc0);
+                    });
+                });
+            }
+        }
+    }
+    Tensor::from_vec(out, &out_dims)
+}
+
+/// The shape of one conv call.
+struct Geom {
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    spec: Conv2dSpec,
+    oh: usize,
+    ow: usize,
+}
+
+impl Geom {
+    fn ckk(&self) -> usize {
+        self.c * self.kh * self.kw
+    }
+
+    fn ohow(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Whether the direct path applies: stride 1, with every 8-pixel
+    /// panel either one stretch of an output row (`ow` a multiple of 8)
+    /// or two whole 4-pixel rows (`ow == 4`, even `oh`).
+    fn direct(&self) -> bool {
+        let fits =
+            self.ow.is_multiple_of(NT_NR) || (self.ow == NT_NR / 2 && self.oh.is_multiple_of(2));
+        self.spec.stride == 1 && fits
+    }
+
+    /// The layout of the direct path's operand: each `[h, w]` input plane
+    /// inside a border of `padding` zeros.
+    fn bordered(&self) -> Planes {
+        Planes::bordered(self.h, self.w, self.spec.padding)
+    }
+
+    /// Fills the direct path's index (empty for the panel path): the
+    /// offset of tap `(ci, ky, kx)` from its output pixel's top-left input
+    /// corner in the bordered image, for every reduction index, then each
+    /// 8-pixel panel's base.
+    fn index_into(&self, index: &mut [usize]) {
+        if index.is_empty() {
+            return;
+        }
+        let Planes { pitch, plane, .. } = self.bordered();
+        let (off, bases) = index.split_at_mut(self.ckk());
+        let taps = self.kh * self.kw;
+        let (first, rest) = off.split_at_mut(taps);
+        for (ky, row) in first.chunks_exact_mut(self.kw).enumerate() {
+            for (kx, slot) in row.iter_mut().enumerate() {
+                *slot = ky * pitch + kx;
+            }
+        }
+        // Every later channel repeats the first one's taps a plane on.
+        for (ci, chan) in rest.chunks_exact_mut(taps).enumerate() {
+            for (slot, &tap) in chan.iter_mut().zip(first.iter()) {
+                *slot = tap + (ci + 1) * plane;
+            }
+        }
+        for (t, slot) in bases.iter_mut().enumerate() {
+            let j0 = t * NT_NR;
+            *slot = (j0 / self.ow) * pitch + j0 % self.ow;
+        }
+    }
+
+    /// Stages one `[c, h, w]` image for the micro-kernel and runs `f` on
+    /// it. The direct path writes the input, through the fused stage when
+    /// `act` is set, straight into the interior of its zero-bordered
+    /// operand (a 1×1 conv needs no border and reads the input where it
+    /// lies when unquantized), and reads `index` ([`Self::index_into`]).
+    /// The panel path quantizes the input once, then lowers it into every
+    /// im2col panel (in parallel over `workers`). All buffers are this
+    /// thread's scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn stage<R>(
+        &self,
+        src: &[f32],
+        act: Option<&dyn ActStage>,
+        isa: Isa,
+        workers: usize,
+        index: &[usize],
+        f: impl FnOnce(Staged<'_>) -> R,
+    ) -> R {
+        let Geom { c, h, w, kh, kw, spec, .. } = *self;
+        let (ckk, ohow) = (self.ckk(), self.ohow());
+        let p = spec.padding;
+        if self.direct() && p > 0 {
+            let layout = self.bordered();
+            let mut bordered = Scratch::take(&STAGED, c * layout.plane);
+            bordered.fill(0.0);
+            let interior = &mut bordered[p * layout.pitch + p..];
+            match act {
+                Some(st) => st.quantize_planes_into_as(isa, src, interior, layout),
+                None => layout.copy(src, interior),
+            }
+            return f(self.direct_operand(&bordered, index));
+        }
+        let mut qimg = Scratch::take(&ACTS, if act.is_some() { src.len() } else { 0 });
+        let img = match act {
+            Some(st) => {
+                st.quantize_planes_into_as(isa, src, &mut qimg, Planes::dense(h * w));
+                &qimg[..]
+            }
+            None => src,
+        };
+        if self.direct() {
+            return f(self.direct_operand(img, index));
+        }
+        let npanels = ohow.div_ceil(NT_NR);
+        let mut bank = Scratch::take(&STAGED, npanels * ckk * NT_NR);
+        parallel_rows_in(workers, &mut bank, npanels, ckk * NT_NR, 1, |t0, pchunk| {
+            for (ti, panel) in pchunk.chunks_mut(ckk * NT_NR).enumerate() {
+                let j0 = (t0 + ti) * NT_NR;
+                let nw = NT_NR.min(ohow - j0);
+                im2col_panel_into(img, c, h, w, kh, kw, spec, j0, nw, panel);
+            }
+        });
+        f(Staged::Panels { bank: &bank, ckk, ohow })
+    }
+
+    /// The direct path's view of a staged (bordered) image.
+    fn direct_operand<'a>(&self, img: &'a [f32], index: &'a [usize]) -> Staged<'a> {
+        let (off, bases) = index.split_at(self.ckk());
+        // A 4-pixel row takes half a panel; the next output row is one
+        // bordered row further on.
+        let half = if self.ow.is_multiple_of(NT_NR) { NT_NR / 2 } else { self.bordered().pitch };
+        Staged::Direct { img, off, bases, half }
+    }
+}
+
+/// One image staged for the NT micro-kernel.
+enum Staged<'a> {
+    /// Read in place by [`gemm_nt_direct_as`]: the (bordered) image, each
+    /// reduction index's offset, each panel's base, and the distance
+    /// between a panel's two 4-lane halves.
+    Direct { img: &'a [f32], off: &'a [usize], bases: &'a [usize], half: usize },
+    /// Lowered into `[npanels][ckk][NT_NR]` im2col panels.
+    Panels { bank: &'a [f32], ckk: usize, ohow: usize },
+}
+
+impl Staged<'_> {
+    /// Writes `rows` output channels of the image (`filters` is their
+    /// `[rows, ckk]` slice of the bank) into `out` (`[rows, oh·ow]`).
+    fn sweep(&self, isa: Isa, filters: &[f32], out: &mut [f32], rows: usize) {
+        match *self {
+            Staged::Direct { img, off, bases, half } => {
+                let ohow = bases.len() * NT_NR;
+                gemm_nt_direct_as(isa, filters, img, off, bases, half, out, rows, ohow);
+            }
+            Staged::Panels { bank, ckk, ohow } => {
+                for (t, panel) in bank.chunks(ckk * NT_NR).enumerate() {
+                    let j0 = t * NT_NR;
+                    let nw = NT_NR.min(ohow - j0);
+                    gemm_nt_panel_as(isa, filters, panel, out, rows, ckk, ohow, j0, nw);
+                }
+            }
+        }
+    }
+}
+
+/// Adds the bias to an output-channel block *after* the sweep (the NT
+/// micro-kernels overwrite their output columns, so the bias cannot be
+/// prefilled). One add per output element, identical in both regimes.
+fn add_bias(chunk: &mut [f32], bias: Option<&Tensor>, ohow: usize, oc0: usize) {
+    if let Some(b) = bias {
+        for (oc, plane) in chunk.chunks_mut(ohow).enumerate() {
+            let bv = b.data()[oc0 + oc];
+            for v in plane.iter_mut() {
+                *v += bv;
+            }
+        }
     }
 }
 

@@ -14,8 +14,10 @@
 //! * SiLU, sigmoid, softmax and the fused attention core on one vector
 //!   `exp` ([`simd::exp_inplace_as`]) that returns `f32::exp`'s bits,
 //! * per-thread kernel scratch reused across calls ([`scratch`]),
-//! * `im2col`-based 2-D convolution plus the gradient kernels that the
-//!   autograd crate builds on,
+//! * one NT GEMM ([`matmul::gemm_nt`]) and one implicit-GEMM 2-D
+//!   convolution ([`conv::conv2d`]) for dense and packed weights alike,
+//!   with an optional fused activation stage ([`operand`]), plus the
+//!   convolution gradient kernels that the autograd crate builds on,
 //! * pooling / nearest-neighbour upsampling,
 //! * deterministic random initialisation helpers, and
 //! * a simple named-tensor binary serialization format for model
@@ -36,6 +38,7 @@ pub mod conv;
 pub mod error;
 pub mod io;
 pub mod matmul;
+pub mod operand;
 pub mod parallel;
 pub mod rng;
 pub mod schedule;

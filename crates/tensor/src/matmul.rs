@@ -2,23 +2,31 @@
 //!
 //! Two serial micro-kernels back every matmul in the workspace:
 //!
-//! * The packed-panel NT kernel ([`pack_nt_panel`] + [`gemm_nt_panel`],
-//!   wrapped by [`gemm_nt_serial`]) — `c = a · bᵀ` with the `b` tile
-//!   pre-interleaved into a `[k][NT_NR]` panel so the inner loop reads one
-//!   contiguous [`NT_NR`]-lane stripe per `k` step. Each 4×8 register
-//!   block keeps 32 accumulators live across the whole `k` loop. Crucially
-//!   every output element accumulates its products in plain `k` order in
-//!   *every* path (full blocks and edges alike), so results are
-//!   bit-identical regardless of tiling, panel boundaries, or how many
-//!   threads the work is split across — the property the fused
-//!   quantized kernels in `fpdq-kernels` lean on for their determinism
-//!   guarantees. Its direct twin ([`gemm_nt_direct_as`]) reads the same
+//! * The packed-panel NT kernel ([`pack_nt_panel`] + [`gemm_nt_panel_as`]) —
+//!   `c = a · bᵀ` with the `b` tile pre-interleaved into a `[k][NT_NR]`
+//!   panel so the inner loop reads one contiguous [`NT_NR`]-lane stripe
+//!   per `k` step. Each 4×8 register block keeps 32 accumulators live
+//!   across the whole `k` loop. Crucially every output element
+//!   accumulates its products in plain `k` order in *every* path (full
+//!   blocks and edges alike), so results are bit-identical regardless of
+//!   tiling, panel boundaries, or how many threads the work is split
+//!   across. Its direct twin ([`gemm_nt_direct_as`]) reads the same
 //!   `[k][NT_NR]` operand in place from an image, as two 4-lane halves
 //!   per `k` step at caller-given offsets: a stride-1 convolution runs it
 //!   without lowering its input into panels.
 //! * [`gemm_serial`] — the NN kernel (`c = a · b`) in `i-k-j` order with a
 //!   4-row block over `i`, amortising each streamed `b` row across four
 //!   output rows while keeping the innermost traversal contiguous.
+//!
+//! [`gemm_nt`] is the one NT GEMM, over dense and packed weights alike
+//! (its [`Weights`] operand) with an optional fused activation quantizer
+//! (its [`ActStage`] operand): [`Tensor::matmul_nt`] and
+//! `fpdq_kernels::gemm_packed` are its entry points, and it picks one of
+//! two tile schedules per call from the row counts and the workers
+//! ([`pick_gemm_regime`]). The convolution engine ([`crate::conv`]) runs
+//! on the same two micro-kernels. [`gemm_nt_serial_as`] is the
+//! single-threaded whole-matrix reference the differential tests hold
+//! the engine to.
 //!
 //! [`Tensor::attention`], the inference attention core, is built on
 //! [`gemm_serial_as`], the dispatched form of [`gemm_serial`]: per
@@ -27,7 +35,7 @@
 //!
 //! Work is split across cores by output row chunks via [`crate::parallel`],
 //! with chunk starts pinned to the register-block grid
-//! ([`crate::parallel::parallel_rows_aligned`]) so the multi-threaded
+//! ([`crate::parallel::parallel_rows_aligned_in`]) so the multi-threaded
 //! block decomposition matches the serial one.
 //!
 //! The NT micro-kernel is additionally *runtime-dispatched* over explicit
@@ -39,8 +47,10 @@
 //! ([`gemm_nt_panel_scalar`]) — the contract `tests/simd_consistency.rs`
 //! pins down.
 
-use crate::parallel::{parallel_rows, parallel_rows_aligned};
-use crate::scratch::{Scratch, HEADS};
+use crate::operand::{ActStage, Planes, Weights};
+use crate::parallel::{parallel_rows, parallel_rows_aligned_in, parallel_rows_in, Exec};
+use crate::schedule::{pick_gemm_regime, workers_for, GemmRegime, ACT_BLOCK};
+use crate::scratch::{Scratch, ACTS, HEADS, STAGED, WEIGHTS};
 use crate::simd::{self, Isa};
 use crate::tensor::{mul_scalar_inplace_as, softmax_rows_inplace};
 use crate::Tensor;
@@ -62,76 +72,22 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// `self × otherᵀ` for 2-D tensors: `[m, k] × [n, k]ᵀ → [m, n]`.
-    ///
-    /// Avoids materialising the transpose; rows of both operands are
-    /// contiguous, so this uses a dot-product kernel.
+    /// `self [.., k] × otherᵀ [n, k] → [m, n]`: the NT GEMM ([`gemm_nt`])
+    /// on dense weights, with the dispatched ISA and the process-wide
+    /// workers, of which it starts only as many as its multiply-adds pay
+    /// for ([`workers_for`]): the small linears of a text encoder run
+    /// inline. Every leading dim of `self` folds into the `m` rows, read
+    /// in place, so a `[b, l, d]` input needs no flattening copy.
     ///
     /// # Panics
     ///
-    /// Panics if either operand is not 2-D or the `k` dimensions differ.
+    /// Panics if `other` is not 2-D, `self` is 0-D, or the `k` dimensions
+    /// differ.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2, "matmul_nt lhs must be 2-D");
-        assert_eq!(other.ndim(), 2, "matmul_nt rhs must be 2-D");
-        let (m, k) = (self.dim(0), self.dim(1));
-        let (n, k2) = (other.dim(0), other.dim(1));
-        assert_eq!(k, k2, "matmul_nt inner dims differ: {k} vs {k2}");
-        let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f32; m * n];
-        if m == 0 || n == 0 || k == 0 {
-            // Degenerate inner/outer dims: the product is all zeros (an
-            // empty sum); slicing or panel-packing would index past the
-            // operands.
-            return Tensor::from_vec(out, &[m, n]);
-        }
-        if m < NT_MR {
-            // Too few rows to amortise packing the whole of `b` into
-            // panels (the O(n·k) interleave would rival the O(m·n·k)
-            // compute): plain row dots, split over the columns. The dots
-            // accumulate in ascending-`k` order ([`dot_ordered`]), the
-            // same per-element order as the panel kernel — so a layer
-            // whose row count is the batch size (e.g. a time-embedding
-            // linear) produces bit-identical rows whether it lands on
-            // this path (small batch) or the panel path (large batch).
-            parallel_rows(&mut out, m * n, 1, 4096, |start, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let (r, col) = ((start + i) / n, (start + i) % n);
-                    *slot = dot_ordered(&a[r * k..(r + 1) * k], &b[col * k..(col + 1) * k]);
-                }
-            });
-            return Tensor::from_vec(out, &[m, n]);
-        }
-        // Interleave b into [k][NT_NR] panels once (in parallel), then
-        // every row-chunk worker streams the shared panels.
-        let tiles = n.div_ceil(NT_NR);
-        let mut packed = vec![0.0f32; tiles * k * NT_NR];
-        parallel_rows(&mut packed, tiles, k * NT_NR, 4, |tile_start, chunk| {
-            for (t, bp) in chunk.chunks_mut(k * NT_NR).enumerate() {
-                let j0 = (tile_start + t) * NT_NR;
-                let nw = NT_NR.min(n - j0);
-                pack_nt_panel(&b[j0 * k..(j0 + nw) * k], k, nw, bp);
-            }
-        });
-        parallel_rows_aligned(&mut out, m, n, 8, NT_MR, |row_start, chunk| {
-            let rows = chunk.len() / n;
-            let arows = &a[row_start * k..(row_start + rows) * k];
-            for t in 0..tiles {
-                let j0 = t * NT_NR;
-                let nw = NT_NR.min(n - j0);
-                gemm_nt_panel(
-                    arows,
-                    &packed[t * k * NT_NR..(t + 1) * k * NT_NR],
-                    chunk,
-                    rows,
-                    k,
-                    n,
-                    j0,
-                    nw,
-                );
-            }
-        });
-        Tensor::from_vec(out, &[m, n])
+        let Exec { isa, workers } = Exec::default();
+        let n = other.dims().first().map_or(0, |&n| n);
+        let workers = workers_for(self.numel().saturating_mul(n), workers);
+        gemm_nt(self, Weights::Dense(other), None, Exec::new(isa, workers))
     }
 
     /// `selfᵀ × other` for 2-D tensors: `[k, m]ᵀ × [k, n] → [m, n]`.
@@ -293,21 +249,6 @@ impl Tensor {
     }
 }
 
-/// Dot product accumulating in plain ascending-`k` order — the exact
-/// per-element order of the NT panel kernel ([`gemm_nt_panel_scalar`]),
-/// so results are bit-identical to a 1-row panel pass. `matmul_nt` uses
-/// this on its small-`m` shortcut to keep outputs independent of which
-/// kernel path the row count selects (batch-size invariance).
-#[inline]
-pub fn dot_ordered(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut s = 0.0f32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        s += x * y;
-    }
-    s
-}
-
 /// Dot product with 4-way unrolled accumulation.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -367,8 +308,8 @@ pub fn pack_nt_panel(brows: &[f32], k: usize, rows: usize, bp: &mut [f32]) {
     }
 }
 
-/// The NT micro-kernel over one packed panel: writes columns
-/// `[j0, j0 + nw)` of `c` (rows of length `cstride`) with
+/// The NT micro-kernel over one packed panel, on an explicit ISA path:
+/// writes columns `[j0, j0 + nw)` of `c` (rows of length `cstride`) with
 /// `a[m,k] · panelᵀ`, overwriting.
 ///
 /// `bp` is a `[k][NT_NR]` panel from [`pack_nt_panel`]. Full 4-row blocks
@@ -378,28 +319,10 @@ pub fn pack_nt_panel(brows: &[f32], k: usize, rows: usize, bp: &mut [f32]) {
 /// depend on block or panel boundaries — the bit-determinism property
 /// the threaded and fused-quantized callers rely on.
 ///
-/// # Panics
-///
-/// Panics (debug) on size mismatches.
-#[allow(clippy::too_many_arguments)] // raw-slice micro-kernel signature
-#[inline] // cross-crate: let the packed kernels fuse the call into their tile loop
-pub fn gemm_nt_panel(
-    a: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    cstride: usize,
-    j0: usize,
-    nw: usize,
-) {
-    gemm_nt_panel_as(simd::active(), a, bp, c, m, k, cstride, j0, nw);
-}
-
-/// [`gemm_nt_panel`] on an explicit ISA path — the dispatch point the
-/// differential tests drive from both sides. An `isa` this machine cannot
-/// execute falls back to the scalar reference (never faults), so callers
-/// may pass any variant; results are bit-identical either way.
+/// This is the dispatch point the differential tests drive from both
+/// sides. An `isa` this machine cannot execute falls back to the scalar
+/// reference (never faults), so callers may pass any variant; results
+/// are bit-identical either way.
 ///
 /// # Panics
 ///
@@ -444,7 +367,7 @@ pub fn gemm_nt_panel_as(
     }
 }
 
-/// The scalar reference implementation of [`gemm_nt_panel`] — the
+/// The scalar reference implementation of [`gemm_nt_panel_as`] — the
 /// bit-identity oracle every SIMD path is pinned to.
 ///
 /// # Panics
@@ -500,7 +423,7 @@ pub fn gemm_nt_panel_scalar(
     }
 }
 
-/// The direct-convolution NT micro-kernel: [`gemm_nt_panel`] with the
+/// The direct-convolution NT micro-kernel: [`gemm_nt_panel_as`] with the
 /// `[k][NT_NR]` operand read in place from an image instead of a packed
 /// panel. Writes the `bases.len()` full panels of columns
 /// `[t·NT_NR, (t+1)·NT_NR)` of `c` (rows of length `cstride`) with
@@ -512,7 +435,7 @@ pub fn gemm_nt_panel_scalar(
 /// shape: `off` holds each tap's offset and `bases` each 8-pixel tile's
 /// top-left corner, so the im2col lowering disappears. Every output
 /// element accumulates the same products in the same ascending-`k` order
-/// as [`gemm_nt_panel`] on the lowered panel, so the two are
+/// as [`gemm_nt_panel_as`] on the lowered panel, so the two are
 /// bit-identical, and every ISA path is bit-identical to the scalar
 /// reference ([`gemm_nt_direct_scalar`]).
 ///
@@ -616,7 +539,7 @@ mod avx2 {
 
     /// # Safety
     ///
-    /// Requires AVX2 at runtime; slice sizes per [`super::gemm_nt_panel`].
+    /// Requires AVX2 at runtime; slice sizes per [`super::gemm_nt_panel_as`].
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn gemm_nt_panel(
@@ -753,7 +676,7 @@ mod avx2 {
 
     /// `MR` filter rows (`ap`, row length `k`) against one in-place
     /// panel: the same mul-then-add per ascending `k` step as
-    /// [`gemm_nt_panel`], with the stripe loaded from `src + off[kk]`.
+    /// [`super::gemm_nt_panel_as`], with the stripe loaded from `src + off[kk]`.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn direct_rows<const MR: usize, const SPLIT: bool>(
@@ -798,7 +721,7 @@ mod neon {
     /// # Safety
     ///
     /// NEON is baseline on aarch64; slice sizes per
-    /// [`super::gemm_nt_panel`].
+    /// [`super::gemm_nt_panel_as`].
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn gemm_nt_panel(
@@ -903,7 +826,7 @@ mod neon {
 
     /// `MR` filter rows against one in-place panel: the lane halves are
     /// the two 128-bit loads at `src + off[kk]` and `+ half`, with the
-    /// same mul-then-add per ascending `k` step as [`gemm_nt_panel`].
+    /// same mul-then-add per ascending `k` step as [`gemm_nt_panel_as`].
     #[inline]
     #[target_feature(enable = "neon")]
     unsafe fn direct_rows<const MR: usize>(
@@ -933,18 +856,15 @@ mod neon {
     }
 }
 
-/// Serial NT kernel: `c[m,n] = a[m,k] · b[n,k]ᵀ` (overwrites `c`). Rows
-/// of `a`, `b` and `c` are contiguous. Convenience wrapper packing each
-/// `b` tile into a fresh panel; hot loops that can reuse scratch call
-/// [`gemm_nt_serial_with`] instead.
-pub fn gemm_nt_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut bp = vec![0.0f32; k * NT_NR];
-    gemm_nt_serial_with(a, b, c, m, k, n, &mut bp);
-}
-
-/// [`gemm_nt_serial`] on an explicit ISA path (see
-/// [`gemm_nt_panel_as`]) — the single-threaded whole-matrix reference the
-/// differential SIMD tests compare the threaded dispatched paths against.
+/// Serial NT kernel on an explicit ISA path (see [`gemm_nt_panel_as`]):
+/// `c[m,n] = a[m,k] · b[n,k]ᵀ`, overwriting `c`, one freshly packed `b`
+/// panel at a time. The single-threaded whole-matrix reference the
+/// differential SIMD tests compare the threaded dispatched paths
+/// against.
+///
+/// # Panics
+///
+/// Panics (debug) on size mismatches.
 pub fn gemm_nt_serial_as(
     isa: Isa,
     a: &[f32],
@@ -954,53 +874,178 @@ pub fn gemm_nt_serial_as(
     k: usize,
     n: usize,
 ) {
-    let mut bp = vec![0.0f32; k * NT_NR];
-    gemm_nt_serial_with_as(isa, a, b, c, m, k, n, &mut bp);
-}
-
-/// [`gemm_nt_serial`] with caller-owned panel scratch (`k * NT_NR`
-/// floats), keeping per-tile packing allocation-free.
-///
-/// # Panics
-///
-/// Panics (debug) on size mismatches.
-pub fn gemm_nt_serial_with(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    bp: &mut [f32],
-) {
-    gemm_nt_serial_with_as(simd::active(), a, b, c, m, k, n, bp);
-}
-
-/// [`gemm_nt_serial_with`] on an explicit ISA path.
-///
-/// # Panics
-///
-/// Panics (debug) on size mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_serial_with_as(
-    isa: Isa,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    bp: &mut [f32],
-) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    let mut j0 = 0;
-    while j0 < n {
+    let mut bp = vec![0.0f32; k * NT_NR];
+    for j0 in (0..n).step_by(NT_NR) {
         let nw = NT_NR.min(n - j0);
-        pack_nt_panel(&b[j0 * k..(j0 + nw) * k], k, nw, bp);
-        gemm_nt_panel_as(isa, a, bp, c, m, k, n, j0, nw);
-        j0 += nw;
+        pack_nt_panel(&b[j0 * k..(j0 + nw) * k], k, nw, &mut bp);
+        gemm_nt_panel_as(isa, a, &bp, c, m, k, n, j0, nw);
+    }
+}
+
+/// `a [.., k] × wᵀ [n, k] → [m, n]` — the one NT GEMM, over dense and
+/// packed weights alike ([`Tensor::matmul_nt`] and
+/// `fpdq_kernels::gemm_packed` are its entry points). The activations
+/// are read in place as the `m = numel / k` rows of a row-major `[m, k]`
+/// matrix. When a dim is 0 the result is the all-zero `[m, n]` (an empty
+/// sum).
+///
+/// `act`, when set, quantizes the activations as they are staged: per
+/// tensor, or per channel with `channels == k`, where column `j`
+/// quantizes through table `j`. `exec` names the ISA path of the weight
+/// decode, the activation stage and the micro-kernel, and the worker
+/// count of both the regime decision ([`pick_gemm_regime`]) and the
+/// parallel split:
+///
+/// * **Column-parallel** (activation-stationary; every one-worker call,
+///   and batched activations against narrow layers). The weights are
+///   interleaved once, in parallel, into a shared `[k][NT_NR]` panel bank
+///   (decoded rows first, for packed weights); workers split the
+///   *activation rows*, stage their own rows [`ACT_BLOCK`] at a time, and
+///   sweep the weight panels, writing the `[m, n]` output in place.
+/// * **Row-parallel** (weight-stationary; small activation matrices on
+///   several workers). The activation rows are staged and interleaved
+///   into shared `[k][NT_NR]` panels ([`pack_nt_panel`]) once, in
+///   parallel, so each row is quantized exactly once per call. Workers
+///   then split the weight rows on the register-block grid and read them
+///   8 at a time (each packed tile decoded once per call, however many
+///   images the activation matrix stacks), into an `[n, m]` block
+///   transposed once at the end.
+///
+/// Every output element accumulates `0.0 + Σ w·a` in ascending `k`,
+/// multiply then add, in both schedules (swapping which operand rides the
+/// panel only swaps the factor order of each IEEE multiply, which is
+/// bitwise commutative). The result is therefore bit-identical for every
+/// `exec`, regime and weight source, and the fused stage is bit-exact
+/// with quantizing the whole tensor first.
+///
+/// # Panics
+///
+/// Panics on shape mismatches (including a 0-D `a` or a weight that is
+/// not 2-D), or if a per-channel stage's channel count differs from `k`.
+pub fn gemm_nt(a: &Tensor, w: Weights<'_>, act: Option<&dyn ActStage>, exec: Exec) -> Tensor {
+    let wd = w.dims();
+    assert_eq!(wd.len(), 2, "weights must be [n, k], got {wd:?}");
+    let (n, k) = (wd[0], wd[1]);
+    let (&ak, lead) = a.dims().split_last().expect("activations must be [.., k], got a scalar");
+    assert_eq!(ak, k, "inner dims differ: {ak} vs {k}");
+    if let Some(st) = act {
+        assert!(
+            st.channels() == 1 || st.channels() == k,
+            "per-channel activation quantizer has {} channels for k = {k}",
+            st.channels()
+        );
+    }
+    let m = lead.iter().product();
+    if m == 0 || n == 0 || k == 0 {
+        return Tensor::zeros(&[m, n]);
+    }
+    let gemm = Gemm { a: a.data(), m, n, k, w, act, isa: exec.isa };
+    match pick_gemm_regime(m, n, exec.workers) {
+        GemmRegime::RowParallel => gemm.row_parallel(exec.workers),
+        GemmRegime::ColParallel => gemm.col_parallel(exec.workers),
+    }
+}
+
+/// Weight rows read per scratch refill of the row-parallel schedule.
+/// Large enough to amortise a packed decode across the register blocks,
+/// small enough to stay cache-hot (8 rows × k floats).
+const WTILE_ROWS: usize = 8;
+
+/// One [`gemm_nt`] call.
+struct Gemm<'a> {
+    a: &'a [f32],
+    m: usize,
+    n: usize,
+    k: usize,
+    w: Weights<'a>,
+    act: Option<&'a dyn ActStage>,
+    isa: Isa,
+}
+
+impl Gemm<'_> {
+    /// Activation rows `[r0, r0 + len / k)`: staged into `scratch`
+    /// through the fused stage, or read in place without one.
+    fn act_rows<'s>(&'s self, r0: usize, len: usize, scratch: &'s mut [f32]) -> &'s [f32] {
+        let src = &self.a[r0 * self.k..][..len];
+        match self.act {
+            Some(st) => {
+                // One-element planes: element `i` of the block quantizes
+                // through channel `i % channels`, its column.
+                st.quantize_planes_into_as(self.isa, src, &mut scratch[..len], Planes::dense(1));
+                &scratch[..len]
+            }
+            None => src,
+        }
+    }
+
+    /// Weight-stationary schedule: shared staged activation panels,
+    /// workers split the weight rows, into an `[n, m]` block transposed
+    /// at the end.
+    fn row_parallel(&self, workers: usize) -> Tensor {
+        let Gemm { m, n, k, isa, .. } = *self;
+        let mpanels = m.div_ceil(NT_NR);
+        let mut panels = Scratch::take(&WEIGHTS, mpanels * k * NT_NR);
+        parallel_rows_in(workers, &mut panels, mpanels, k * NT_NR, 1, |p0, chunk| {
+            let mut qrows = Scratch::take(&ACTS, if self.act.is_some() { NT_NR * k } else { 0 });
+            for (pi, bp) in chunk.chunks_mut(k * NT_NR).enumerate() {
+                let j0 = (p0 + pi) * NT_NR;
+                let nw = NT_NR.min(m - j0);
+                pack_nt_panel(self.act_rows(j0, nw * k, &mut qrows), k, nw, bp);
+            }
+        });
+        let panels = &*panels;
+        let mut out = vec![0.0f32; n * m];
+        parallel_rows_aligned_in(workers, &mut out, n, m, 4, NT_MR, |row_start, chunk| {
+            let rows = chunk.len() / m;
+            let mut wtile = Scratch::take(&ACTS, self.w.scratch_len(WTILE_ROWS * k));
+            for wt in (0..rows).step_by(WTILE_ROWS) {
+                let wh = WTILE_ROWS.min(rows - wt);
+                let wrows = self.w.rows(isa, (row_start + wt) * k, wh * k, &mut wtile);
+                let cblock = &mut chunk[wt * m..(wt + wh) * m];
+                for (p, bp) in panels.chunks_exact(k * NT_NR).enumerate() {
+                    let j0 = p * NT_NR;
+                    gemm_nt_panel_as(isa, wrows, bp, cblock, wh, k, m, j0, NT_NR.min(m - j0));
+                }
+            }
+        });
+        Tensor::from_vec(out, &[n, m]).transpose()
+    }
+
+    /// Activation-stationary schedule: the weights interleave once into a
+    /// shared panel bank, and workers split the activation rows, writing
+    /// the `[m, n]` output in place.
+    fn col_parallel(&self, workers: usize) -> Tensor {
+        let Gemm { m, n, k, isa, .. } = *self;
+        let wtiles = n.div_ceil(NT_NR);
+        let mut wpanels = Scratch::take(&WEIGHTS, wtiles * k * NT_NR);
+        parallel_rows_in(workers, &mut wpanels, wtiles, k * NT_NR, 1, |t0, chunk| {
+            let mut wrows = Scratch::take(&STAGED, self.w.scratch_len(NT_NR * k));
+            for (ti, bp) in chunk.chunks_mut(k * NT_NR).enumerate() {
+                let j0 = (t0 + ti) * NT_NR;
+                let nw = NT_NR.min(n - j0);
+                pack_nt_panel(self.w.rows(isa, j0 * k, nw * k, &mut wrows), k, nw, bp);
+            }
+        });
+        let wpanels = &*wpanels;
+        let mut out = vec![0.0f32; m * n];
+        parallel_rows_aligned_in(workers, &mut out, m, n, 4, NT_MR, |m0, chunk| {
+            let rows = chunk.len() / n;
+            let mut qblock =
+                Scratch::take(&ACTS, if self.act.is_some() { ACT_BLOCK * k } else { 0 });
+            for mb in (0..rows).step_by(ACT_BLOCK) {
+                let mh = ACT_BLOCK.min(rows - mb);
+                let arows = self.act_rows(m0 + mb, mh * k, &mut qblock);
+                let cblock = &mut chunk[mb * n..(mb + mh) * n];
+                for (t, bp) in wpanels.chunks_exact(k * NT_NR).enumerate() {
+                    let j0 = t * NT_NR;
+                    gemm_nt_panel_as(isa, arows, bp, cblock, mh, k, n, j0, NT_NR.min(n - j0));
+                }
+            }
+        });
+        Tensor::from_vec(out, &[m, n])
     }
 }
 

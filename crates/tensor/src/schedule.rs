@@ -3,9 +3,9 @@
 //! Batch-1 sampling and batched multi-image sampling want opposite
 //! parallel decompositions, and the boundary between them depends on the
 //! actual work-grain counts, not on the batch size alone. This module
-//! holds the (pure, unit-testable) decision functions that both the
-//! dense convolution ([`crate::conv`]) and the packed `fpdq-kernels`
-//! GEMM/conv engines schedule by (re-exported there as
+//! holds the (pure, unit-testable) decision functions that the GEMM
+//! ([`crate::matmul::gemm_nt`]) and the convolution ([`crate::conv::conv2d`])
+//! schedule by, for dense and packed weights alike (re-exported as
 //! `fpdq_kernels::schedule`).
 //!
 //! # Why tile counts, not raw sizes
@@ -30,21 +30,35 @@
 //! output bit (the property `tests/batched_consistency.rs` pins).
 
 /// Row-block height of the NT micro-kernel ([`crate::matmul::NT_MR`]) —
-/// the tile grain of both the packed GEMM and the implicit-GEMM conv.
+/// the tile grain of both the GEMM and the implicit-GEMM conv.
 const BLOCK_ROWS: usize = 4;
 
-/// Activation rows per quantize/stream block of the packed GEMM's
-/// column-parallel schedule (the scratch grain of `fpdq_kernels::gemm`).
+/// Activation rows per quantize/stream block of the GEMM's
+/// column-parallel schedule (the scratch grain of
+/// [`crate::matmul::gemm_nt`]).
 /// Below this the row-parallel schedule's whole activation panel bank is
 /// cache-resident; above it the activation-stationary schedule streams
 /// ~4× less (its hot block is a 4-panel stripe instead of an 8-row
 /// weight tile) and skips the output transpose.
 pub const ACT_BLOCK: usize = 32;
 
-/// Parallel decomposition of the packed GEMM (`[m, k] × [n, k]ᵀ`).
+/// Multiply-adds below which a worker's share of a dense GEMM does not
+/// pay for starting the worker: an empty two-worker parallel region costs
+/// ~67 µs on a 2-vCPU AVX2 host (fpdqbench's
+/// `tensor.parallel_region_us`), in which one worker runs ~1.3M
+/// multiply-adds of the NT kernel.
+const MIN_WORKER_MACS: usize = 1 << 20;
+
+/// The workers worth starting for a call of `macs` multiply-adds: at
+/// most `workers`, at most one per 2^20 multiply-adds, and at least one.
+pub fn workers_for(macs: usize, workers: usize) -> usize {
+    workers.min(macs / MIN_WORKER_MACS).max(1)
+}
+
+/// Parallel decomposition of the GEMM (`[m, k] × [n, k]ᵀ`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GemmRegime {
-    /// Split the packed *weight rows* (`n`) across workers; each worker
+    /// Split the *weight rows* (`n`) across workers; each worker
     /// decodes only its own weight tiles and streams the shared
     /// pre-quantized activation panels (the weight-stationary schedule),
     /// into an `[n, m]` block transposed at the end.
@@ -57,7 +71,7 @@ pub enum GemmRegime {
     ColParallel,
 }
 
-/// Parallel decomposition of the packed convolution.
+/// Parallel decomposition of the convolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ConvRegime {
     /// One batch image per work grain; each worker stages its images in
@@ -80,7 +94,7 @@ fn wall_tiles(grains: usize, tiles_per_grain: usize, workers: usize) -> usize {
     grains.div_ceil(workers.max(1)) * tiles_per_grain
 }
 
-/// Picks the packed-GEMM regime for an `[m, k] × [n, k]ᵀ` call on
+/// Picks the GEMM regime for an `[m, k] × [n, k]ᵀ` call on
 /// `workers` threads.
 ///
 /// On one worker (`0` counts as 1) there is nothing to split, and
@@ -109,7 +123,7 @@ pub fn pick_gemm_regime(m: usize, n: usize, workers: usize) -> GemmRegime {
     }
 }
 
-/// Picks the packed-conv regime for a batch of `n` images with `o`
+/// Picks the conv regime for a batch of `n` images with `o`
 /// output channels on `workers` threads.
 ///
 /// Compares the wall-clock tile cost of the two schedules directly:
@@ -210,6 +224,15 @@ mod tests {
         // row-parallel.
         assert_eq!(pick_gemm_regime(32, 32, 8), GemmRegime::RowParallel);
         assert_eq!(pick_gemm_regime(32, 8, 8), GemmRegime::ColParallel); // strict win
+    }
+
+    #[test]
+    fn small_calls_run_on_fewer_workers() {
+        assert_eq!(workers_for(0, 8), 1);
+        assert_eq!(workers_for(MIN_WORKER_MACS - 1, 8), 1);
+        assert_eq!(workers_for(3 * MIN_WORKER_MACS, 8), 3);
+        assert_eq!(workers_for(usize::MAX, 2), 2);
+        assert_eq!(workers_for(usize::MAX, 0), 1);
     }
 
     #[test]

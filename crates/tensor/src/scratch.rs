@@ -5,7 +5,7 @@
 //! attention head's operands for the length of the call. Allocating them
 //! afresh per call cost more than some of the multiplies, so each role
 //! owns one buffer per thread, grown on demand and kept for the next
-//! call: at one worker a packed kernel call allocates only its output.
+//! call: at one worker a GEMM or conv call allocates only its output.
 //! Buffers of the spawned workers of a multi-worker region live as long
 //! as those threads.
 //!
@@ -21,8 +21,9 @@ use std::thread::LocalKey;
 pub type Slot<T> = LocalKey<Cell<Vec<T>>>;
 
 thread_local! {
-    /// The packed kernels' decoded weights: a conv filter bank, GEMM
-    /// weight panels, or the row-parallel GEMM's activation panels.
+    /// The engines' interleaved or decoded weights: a packed conv's filter
+    /// bank, GEMM weight panels, or the row-parallel GEMM's activation
+    /// panels.
     pub static WEIGHTS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// A quantized activation operand: one image, or a GEMM row block.
     pub static ACTS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };

@@ -95,9 +95,18 @@ fn bits_nan_as_one(v: &[f32]) -> Vec<u32> {
 fn threaded_matmul_nt_matches_serial_scalar_reference() {
     // The dispatched, threaded matmul_nt against a single-threaded scalar
     // panel sweep: pins bit-identity across ISA × thread schedule at
-    // once. (Shapes stay on the m ≥ 4 panel path; m < 4 takes the
-    // undispatched row-dot kernel, identical by construction.)
-    for (m, n, k) in [(4usize, 8usize, 16usize), (5, 3, 7), (9, 13, 31), (32, 17, 40), (6, 8, 1)] {
+    // once. Every row count runs the one NT GEMM, m < 4 (one partial
+    // register block) included.
+    for (m, n, k) in [
+        (1usize, 8usize, 16usize),
+        (2, 13, 31),
+        (3, 17, 40),
+        (4, 8, 16),
+        (5, 3, 7),
+        (9, 13, 31),
+        (32, 17, 40),
+        (6, 8, 1),
+    ] {
         let a = tensor_with_specials(&[m, k], (m * 37 + n) as u64);
         let b = tensor_with_specials(&[n, k], (k * 53 + m) as u64);
         let fast = a.matmul_nt(&b);
@@ -503,6 +512,42 @@ fn direct_conv_matches_the_panel_path_on_every_isa() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn dense_and_packed_entry_points_agree_on_the_decoded_weights() {
+    // `Tensor::conv2d`/`matmul_nt` and `conv2d_packed`/`gemm_packed` are
+    // entry points of one engine each: on the packed weight's own decoded
+    // values they must return the same bits, on the direct path (the
+    // direct shapes), the panel path (stride 2, and a 6-wide output) and
+    // at every GEMM row count, with NaN and ±∞ in the input (NaN outputs
+    // compare as NaN: see `bits_nan_as_one`).
+    let mut convs = direct_shapes();
+    convs.push((3, Conv2dSpec::new(2, 1), 8));
+    convs.push((3, Conv2dSpec::new(1, 1), 6));
+    for (k, spec, hw) in convs {
+        let seed = (k * 100 + hw * 10 + spec.stride) as u64;
+        let x = tensor_with_specials(&[2, 3, hw, hw], seed);
+        let w = Tensor::randn(&[12, 3, k, k], &mut StdRng::seed_from_u64(seed + 1));
+        let b = Tensor::randn(&[12], &mut StdRng::seed_from_u64(seed + 2));
+        let p = PackedTensor::encode(&w, FpFormat::new(2, 1));
+        for bias in [None, Some(&b)] {
+            let dense = x.conv2d(&p.decode(), bias, spec);
+            let packed = conv2d_packed(&x, &p, bias, spec, None, Exec::default());
+            let ctx = format!("{k}x{k} {hw}x{hw} stride {} bias {}", spec.stride, bias.is_some());
+            assert_eq!(dense.dims(), packed.dims(), "{ctx}");
+            assert_eq!(bits_nan_as_one(dense.data()), bits_nan_as_one(packed.data()), "{ctx}");
+        }
+    }
+    for m in [1usize, 3, 4, 9, 40] {
+        let a = tensor_with_specials(&[m, 24], m as u64);
+        let w = Tensor::randn(&[19, 24], &mut StdRng::seed_from_u64(m as u64 + 1));
+        let p = PackedTensor::encode(&w, FpFormat::new(4, 3));
+        let dense = a.matmul_nt(&p.decode());
+        let packed = gemm_packed(&a, &p, None, Exec::default());
+        assert_eq!(dense.dims(), packed.dims(), "m {m}");
+        assert_eq!(bits_nan_as_one(dense.data()), bits_nan_as_one(packed.data()), "m {m}");
     }
 }
 
