@@ -16,7 +16,7 @@
 //!   fallback and bias-add paths are intact);
 //! * the **packed weight payloads**, 64-byte aligned, loaded as zero-copy
 //!   [`bytes::Bytes`] views and installed through
-//!   [`fpdq_kernels::try_install_prebuilt`] — model load skips the whole
+//!   [`fpdq_kernels::install_packed`] — model load skips the whole
 //!   quantize-and-pack cost (the `cold_start` group of the bench suite
 //!   measures the gap).
 //!
@@ -34,7 +34,7 @@
 //! byte-for-byte identical to the in-process quantized+packed model it
 //! was saved from, per format (FP4/FP8/INT4/INT8) and per ISA: the loader
 //! replays the exact `quantize_unet` + `pack_unet` installation sequence
-//! (taps first, then packed forwards) and packed payloads/tables rebuild
+//! (taps first, then packed weights) and packed payloads/tables rebuild
 //! through the same code paths as the encoder (`tests/roundtrip.rs`).
 
 pub mod layout;

@@ -5,7 +5,7 @@
 //! panic) before any payload byte is interpreted; after that, packed
 //! weight payloads are installed as zero-copy [`bytes::Bytes`] views of
 //! the single file buffer — no decode, no copy, no re-quantization — via
-//! [`fpdq_kernels::try_install_prebuilt`].
+//! [`fpdq_kernels::install_packed`].
 
 use crate::layout::{
     parse_sections, require, ALIGN, SECTION_AE_PARAMS, SECTION_META, SECTION_TEXT_PARAMS,
@@ -17,7 +17,7 @@ use bytes::Bytes;
 use fpdq_core::TensorQuantizer;
 use fpdq_data::Tokenizer;
 use fpdq_diffusion::{DdimSim, LdmSim, NoiseSchedule, SdSim};
-use fpdq_kernels::{try_install_prebuilt, PackReport, PackedTensor};
+use fpdq_kernels::{install_packed, PackReport, PackedTensor};
 use fpdq_nn::module::ParamCollector;
 use fpdq_nn::{Autoencoder, TextEncoder, UNet};
 use fpdq_tensor::{FpdqError, Tensor};
@@ -113,8 +113,8 @@ fn install_layers(
             return;
         };
         matched += 1;
-        // Taps first: the prebuilt install decides whether to fuse from
-        // the tap state, exactly like the in-process packer.
+        // Taps first: the install decides whether to fuse from the tap
+        // state, exactly like the in-process packer.
         {
             let mut tap = layer.tap().borrow_mut();
             tap.act_quant = entry.act_format.map(TensorQuantizer::into_act_fn);
@@ -123,7 +123,7 @@ fn install_layers(
         if entry.weight_format.is_some() {
             let result = packed_from_entry(entry, weights).and_then(|packed| {
                 let (act, act_skip) = (entry.act_format.as_ref(), entry.act_format_skip.as_ref());
-                try_install_prebuilt(layer, packed, act, act_skip)
+                install_packed(layer, packed, act, act_skip)
             });
             match result {
                 Ok(info) => pack.layers.push(info),

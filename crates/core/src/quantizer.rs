@@ -1,5 +1,6 @@
 //! A unified handle over FP and INT tensor quantizers.
 
+use crate::boundary::BoundaryQuantizer;
 use crate::format::FpFormat;
 use crate::int::IntFormat;
 use fpdq_nn::ActQuantFn;
@@ -33,9 +34,18 @@ impl TensorQuantizer {
     }
 
     /// Wraps the quantizer as an activation-tap closure for
-    /// [`fpdq_nn::Tap::act_quant`].
+    /// [`fpdq_nn::Tap::act_quant`], quantizing through the boundary table
+    /// ([`BoundaryQuantizer::cached`], built once here) that the packed
+    /// engine's fused stage uses, so a tap and a fused stage return the
+    /// same bits. These are [`Self::quantize`]'s with two exceptions: a
+    /// negative input rounding to zero gives `+0.0` (which every conv and
+    /// linear the tap feeds sums to the same output), and an FP input
+    /// that rounds up into the next binade gets that binade's grid value,
+    /// where [`FpFormat::quantize_scalar`] computes it through the lower
+    /// binade's scale and, at a fractional bias, can land a few ULPs off.
     pub fn into_act_fn(self) -> ActQuantFn {
-        Rc::new(move |x: &Tensor| self.quantize(x))
+        let table = BoundaryQuantizer::cached(&self);
+        Rc::new(move |x: &Tensor| table.quantize(x))
     }
 
     /// A short human-readable description (e.g. `"E4M3(b=8)"`).

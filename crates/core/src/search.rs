@@ -14,7 +14,7 @@
 use crate::format::FpFormat;
 use crate::int::IntFormat;
 use crate::quantizer::TensorQuantizer;
-use fpdq_tensor::parallel::parallel_rows;
+use fpdq_tensor::parallel::{num_threads, parallel_rows_in};
 use fpdq_tensor::Tensor;
 
 /// Number of bias candidates used throughout the paper ("111 bias values
@@ -114,7 +114,7 @@ pub fn search_fp_format(samples: &[&Tensor], bits: u32, n_bias: usize) -> Search
         }
     }
     let mut mses = vec![0.0f32; candidates.len()];
-    parallel_rows(&mut mses, candidates.len(), 1, 8, |start, chunk| {
+    parallel_rows_in(num_threads(), &mut mses, candidates.len(), 1, 8, |start, chunk| {
         for (i, slot) in chunk.iter_mut().enumerate() {
             *slot = mse_of(samples, TensorQuantizer::Fp(candidates[start + i]));
         }
@@ -148,7 +148,7 @@ pub fn search_int_format(samples: &[&Tensor], bits: u32, n_clip: usize) -> Searc
         })
         .collect();
     let mut mses = vec![0.0f32; candidates.len()];
-    parallel_rows(&mut mses, candidates.len(), 1, 8, |start, chunk| {
+    parallel_rows_in(num_threads(), &mut mses, candidates.len(), 1, 8, |start, chunk| {
         for (i, slot) in chunk.iter_mut().enumerate() {
             *slot = mse_of(samples, TensorQuantizer::Int(candidates[start + i]));
         }

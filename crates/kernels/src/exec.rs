@@ -5,32 +5,33 @@
 //! as a *dense* FP32 matmul over fake-quantized values. This module flips
 //! the model into real packed execution: each layer's baked weight is
 //! re-encoded into its chosen low-bit format ([`PackedTensor`] — bit-exact
-//! with the baked values by construction)
-//! and a [`PackedForwardFn`] dispatching to the dequantize-on-the-fly
-//! kernels is installed into the layer's [`fpdq_nn::PackedSlot`]. From
-//! then on, end-to-end sampling streams 4-8× less weight traffic than
-//! FP32 — the execution pattern whose cost the paper's §III motivates.
-//! Every installed forward runs its kernel on [`Exec::default`].
+//! with the baked values by construction) and installed into the layer's
+//! [`fpdq_nn::PackedSlot`] ([`install_packed`]). From then on the layer's
+//! one forward body runs its engine on the packed weight's decoded rows
+//! instead of its `f32` weight, and end-to-end sampling streams 4-8× less
+//! weight traffic than FP32 — the execution pattern whose cost the
+//! paper's §III motivates.
 //!
-//! Activation quantization is *fused into the packed kernels*: the
-//! layer's tap quantizers are suspended (parked in the
-//! [`fpdq_nn::PackedSlot`]) and the packed forward quantizes the
-//! activations inside its tile loop through the boundary tables of
+//! Activation quantization is *fused into the engines*: the slot also
+//! holds a [`PanelQuantizer`] that quantizes the activations as the
+//! engine stages them, through the boundary tables of
 //! [`fpdq_core::BoundaryQuantizer`] — bit-exact with the tap's simulated
-//! quantizers, without the per-element `log2`/`powf` or the intermediate
-//! activation tensor. A layer with one whole-input format fuses it per
-//! tensor; a layer consuming a skip-connection concatenation (the
-//! paper's split trunk/skip quantization) fuses a per-channel
-//! [`PanelQuantizer::split`] — trunk format below the split channel, skip
-//! format from it on — without the tap's `narrow`/`concat` copies.
-//! [`unpack_unet`] restores the suspended tap closures.
+//! quantizers, without an intermediate activation tensor. A layer with
+//! one whole-input format fuses it per tensor; a layer consuming a
+//! skip-connection concatenation (the paper's split trunk/skip
+//! quantization) fuses a per-channel [`PanelQuantizer::split`] — trunk
+//! format below the split channel, skip format from it on — without the
+//! tap's `narrow`/`concat` copies. The layer's tap keeps its quantizer
+//! closures and only skips quantizing while the slot holds a fused
+//! stage, so [`unpack_unet`] just clears every slot and re-packing needs
+//! no restore.
 //!
 //! # Batched multi-image sampling
 //!
-//! The installed forwards are batch-shaped end to end: a batched sampler
+//! The packed forwards are batch-shaped end to end: a batched sampler
 //! step hands each packed linear an `[batch × positions, k]` activation
 //! matrix and each packed conv an `[batch, c, h, w]` image stack, and
-//! the kernels — the conv via the same implicit-GEMM micro-kernel as the
+//! the engines — the conv via the same implicit-GEMM micro-kernel as the
 //! linear ([`crate::conv`]) — decode every weight tile **once per
 //! call** — once per sampling step, not once per image — picking their
 //! parallel regime from the actual shape ([`crate::schedule`]). Because every regime is
@@ -39,14 +40,11 @@
 //! bit-identical to a batch-1 run with the same per-image seed
 //! (`tests/batched_consistency.rs` pins this end to end).
 
-use crate::conv::conv2d_packed;
-use crate::gemm::gemm_packed;
 use crate::packed::PackedTensor;
 use fpdq_core::{PanelQuantizer, QuantReport, TensorQuantizer};
-use fpdq_nn::{PackedForwardFn, QuantKind, QuantLayer, SuspendedAct, UNet};
-use fpdq_tensor::parallel::Exec;
-use fpdq_tensor::{FpdqError, Tensor};
-use std::rc::Rc;
+use fpdq_nn::{QuantKind, QuantLayer, UNet};
+use fpdq_tensor::operand::ActStage;
+use fpdq_tensor::FpdqError;
 
 /// Per-layer outcome of packing a model.
 #[derive(Clone, Debug)]
@@ -112,85 +110,25 @@ impl PackReport {
     }
 }
 
-/// A packed Linear forward (`[.., in] → [.., out]`): [`gemm_packed`]
-/// reads a 2-D `[rows, in]` or 3-D `[b, l, in]` input as its rows in
-/// place, the bias is added in place, and the `[rows, out]` result moves
-/// into the input's leading dims ([`Tensor::into_shape`]) — no copy on
-/// either side.
-fn linear_forward(
-    packed: PackedTensor,
-    pq: Option<PanelQuantizer>,
-    bias: Option<Tensor>,
-    out_features: usize,
-) -> PackedForwardFn {
-    Rc::new(move |x: &Tensor| {
-        let rank = x.ndim();
-        assert!(matches!(rank, 2 | 3), "packed Linear expects 2-D or 3-D input, got rank {rank}");
-        let mut y = gemm_packed(x, &packed, pq.as_ref(), Exec::default());
-        if let Some(b) = &bias {
-            for row in y.data_mut().chunks_exact_mut(out_features.max(1)) {
-                for (v, &bv) in row.iter_mut().zip(b.data()) {
-                    *v += bv;
-                }
-            }
-        }
-        let mut dims = x.dims().to_vec();
-        dims[rank - 1] = out_features;
-        y.into_shape(&dims)
-    })
-}
-
-/// Re-encodes one layer's (already baked) weight into `format` and
-/// installs the packed forward override. When `act` names the layer's
-/// activation format (the trunk half's, with `act_skip` the skip half's,
-/// for a layer consuming a skip-connection concatenation), the tap's
-/// quantizer closures are suspended into the [`fpdq_nn::PackedSlot`] and
-/// quantization runs fused inside the packed kernel instead. Returns the
-/// packing stats.
+/// Installs a packed weight into a layer, validating before any
+/// mutation: the packed dims must match the layer's weight, and a conv
+/// layer must report its [`fpdq_tensor::conv::Conv2dSpec`]. An `Err`
+/// leaves the layer exactly as it was. This is the one install path:
+/// [`try_pack_unet`] encodes each baked weight and calls it, and the
+/// container loader calls it on zero-copy payload views.
 ///
-/// # Panics
-///
-/// Panics if a conv layer reports no [`fpdq_tensor::conv::Conv2dSpec`];
-/// [`try_install_packed_weight`] is the non-panicking variant.
-pub fn install_packed_weight(
-    layer: &dyn QuantLayer,
-    format: &TensorQuantizer,
-    act: Option<&TensorQuantizer>,
-    act_skip: Option<&TensorQuantizer>,
-) -> PackedLayerInfo {
-    match try_install_packed_weight(layer, format, act, act_skip) {
-        Ok(info) => info,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Validating variant of [`install_packed_weight`]: a conv layer without a
-/// [`fpdq_tensor::conv::Conv2dSpec`] comes back as a typed [`FpdqError`]
-/// instead of a panic. Validation happens before any mutation, so an
-/// `Err` leaves the layer exactly as it was.
-pub fn try_install_packed_weight(
-    layer: &dyn QuantLayer,
-    format: &TensorQuantizer,
-    act: Option<&TensorQuantizer>,
-    act_skip: Option<&TensorQuantizer>,
-) -> Result<PackedLayerInfo, FpdqError> {
-    let packed = PackedTensor::encode(&layer.weight().value(), *format);
-    install_packed(layer, packed, act, act_skip)
-}
-
-/// Installs an already-built packed tensor into a layer **without
-/// re-encoding** — the container fast path: the payload is a zero-copy
-/// view of the file mapping, so model load skips the whole
-/// quantize-and-pack cost. Shares the fuse/suspend logic of
-/// [`try_install_packed_weight`], and validates that the packed shape
-/// matches the layer before touching any state.
-pub fn try_install_prebuilt(
+/// When `act` names the layer's activation format (the trunk half's, with
+/// `act_skip` the skip half's, for a layer consuming a skip-connection
+/// concatenation) and the tap quantizes, quantization runs fused inside
+/// the engine, per tensor or split like the tap. Returns the packing
+/// stats.
+pub fn install_packed(
     layer: &dyn QuantLayer,
     packed: PackedTensor,
     act: Option<&TensorQuantizer>,
     act_skip: Option<&TensorQuantizer>,
 ) -> Result<PackedLayerInfo, FpdqError> {
-    let w_dims = layer.weight().value().dims().to_vec();
+    let w_dims = layer.weight().dims();
     if packed.dims() != w_dims {
         return Err(FpdqError::corrupt(format!(
             "packed dims {:?} do not match layer {} weight dims {:?}",
@@ -199,26 +137,43 @@ pub fn try_install_prebuilt(
             w_dims
         )));
     }
-    install_packed(layer, packed, act, act_skip)
+    let spec = match layer.kind() {
+        QuantKind::Linear => None,
+        QuantKind::Conv => Some(layer.conv_spec().ok_or_else(|| {
+            FpdqError::missing(format!(
+                "conv layer without spec: {} reports no Conv2dSpec",
+                layer.qname()
+            ))
+        })?),
+    };
+    let (stage, fused_act) = fuse_decision(layer, act, act_skip).unzip();
+    let info = PackedLayerInfo {
+        name: layer.qname().to_string(),
+        kind: layer.kind(),
+        format: packed.format().describe(),
+        fused_act,
+        payload_bytes: packed.payload_bytes(),
+        dense_bytes: layer.weight().numel() * std::mem::size_of::<f32>(),
+    };
+    let stage = stage.map(|q| Box::new(q) as Box<dyn ActStage>);
+    let bias = layer.bias().map(|b| b.value());
+    layer.packed().install(Box::new(packed), stage, bias, spec);
+    Ok(info)
 }
 
-/// Restore previously suspended tap closures (idempotency of re-packing),
-/// then decide how this install fuses activation quantization into its
-/// kernel, mirroring the tap's own rule. A tap that quantizes, with `act`
-/// naming its format, fuses per tensor; a tap that also splits a
+/// Decides how an install fuses activation quantization into its engine,
+/// mirroring the tap's own rule. A tap that quantizes, with `act` naming
+/// its format, fuses per tensor; a tap that also splits a
 /// `concat(trunk, skip)` input at a channel below the input width fuses
 /// [`PanelQuantizer::split`] with `act_skip` on the skip half. Returns the
-/// kernel's quantizer and its description, or `None` (the tap keeps its
-/// closures) when the tap quantizes nothing or the formats do not
-/// describe it.
+/// stage and its description, or `None` (the tap quantizes before the
+/// engine) when the tap quantizes nothing or the formats do not describe
+/// it.
 fn fuse_decision(
     layer: &dyn QuantLayer,
     act: Option<&TensorQuantizer>,
     act_skip: Option<&TensorQuantizer>,
 ) -> Option<(PanelQuantizer, String)> {
-    if let Some(suspended) = layer.packed().take_suspended_act() {
-        suspended.restore(&mut layer.tap().borrow_mut());
-    }
     let tap = layer.tap().borrow();
     let trunk = act.filter(|_| tap.act_quant.is_some())?;
     let channels = layer.weight().dims()[1];
@@ -232,55 +187,6 @@ fn fuse_decision(
     }
 }
 
-/// Shared tail of every packed install: conv-spec validation (before any
-/// mutation), fuse decision, forward construction, tap suspension (when
-/// the install fused, the tap's quantizer closures are parked in the slot
-/// so unpacking can restore them), slot install. Prebuilt tensors have
-/// already had their shape checked.
-fn install_packed(
-    layer: &dyn QuantLayer,
-    packed: PackedTensor,
-    act: Option<&TensorQuantizer>,
-    act_skip: Option<&TensorQuantizer>,
-) -> Result<PackedLayerInfo, FpdqError> {
-    let spec = match layer.kind() {
-        QuantKind::Linear => None,
-        QuantKind::Conv => Some(layer.conv_spec().ok_or_else(|| {
-            FpdqError::missing(format!(
-                "conv layer without spec: {} reports no Conv2dSpec",
-                layer.qname()
-            ))
-        })?),
-    };
-    let w = layer.weight().value();
-    let bias = layer.bias().map(|b| b.value());
-    let dense_bytes = w.numel() * std::mem::size_of::<f32>();
-    let (pq, fused_act) = fuse_decision(layer, act, act_skip).unzip();
-    let (format, payload_bytes) = (packed.format(), packed.payload_bytes());
-    let forward: PackedForwardFn = match spec {
-        None => linear_forward(packed, pq, bias, w.dims()[0]),
-        Some(spec) => Rc::new(move |x: &Tensor| {
-            conv2d_packed(x, &packed, bias.as_ref(), spec, pq.as_ref(), Exec::default())
-        }),
-    };
-    if fused_act.is_some() {
-        // The fused kernel now owns activation quantization.
-        let suspended = SuspendedAct::take_from(&mut layer.tap().borrow_mut());
-        if let Some(s) = suspended {
-            layer.packed().suspend_act(s);
-        }
-    }
-    layer.packed().install(forward);
-    Ok(PackedLayerInfo {
-        name: layer.qname().to_string(),
-        kind: layer.kind(),
-        format: format.describe(),
-        fused_act,
-        payload_bytes,
-        dense_bytes,
-    })
-}
-
 /// Switches a quantized U-Net to packed-weight execution: every layer the
 /// PTQ report assigned a weight format is re-encoded into that format and
 /// dispatched to the dequantize-on-the-fly kernels from now on, with its
@@ -288,8 +194,9 @@ fn install_packed(
 /// into the kernels' tile loops.
 ///
 /// The model must already hold the baked (quantized) weights the report
-/// describes — re-encoding is then bit-exact, so packed sampling matches
-/// the fake-quantized evaluation up to float summation order.
+/// describes. Each layer then runs the same engine on the packed
+/// weight's decoded rows, so packed sampling matches the fake-quantized
+/// evaluation wherever the baked weight lies on the packed grid.
 pub fn pack_unet(unet: &UNet, report: &QuantReport) -> PackReport {
     match try_pack_unet(unet, report) {
         Ok(packed) => packed,
@@ -314,8 +221,9 @@ pub fn try_pack_unet(unet: &UNet, report: &QuantReport) -> Result<PackReport, Fp
         let Some(format) = &rep.weight_format else {
             return;
         };
+        let weight = PackedTensor::encode(&layer.weight().value(), *format);
         let (act, act_skip) = (rep.act_format.as_ref(), rep.act_format_skip.as_ref());
-        match try_install_packed_weight(layer, format, act, act_skip) {
+        match install_packed(layer, weight, act, act_skip) {
             Ok(info) => packed.layers.push(info),
             Err(e) => failed = Some(e),
         }
@@ -327,14 +235,10 @@ pub fn try_pack_unet(unet: &UNet, report: &QuantReport) -> Result<PackReport, Fp
     Ok(packed)
 }
 
-/// Reverts a U-Net to dense execution: clears every packed override and
-/// restores the tap activation quantizers the fused path had suspended.
+/// Reverts a U-Net to dense execution by clearing every packed slot; the
+/// taps, which kept their quantizers, quantize again.
 pub fn unpack_unet(unet: &UNet) {
-    unet.visit_quant_layers(&mut |layer| {
-        if let Some(suspended) = layer.packed().clear() {
-            suspended.restore(&mut layer.tap().borrow_mut());
-        }
-    });
+    unet.visit_quant_layers(&mut |layer| layer.packed().clear());
 }
 
 #[cfg(test)]
@@ -390,7 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_act_quant_suspends_and_restores_taps() {
+    fn fused_act_quant_keeps_the_tap_closures() {
         let (unet, report, mut rng) = quantized_tiny_unet(PtqConfig::fp(8, 8));
         let x = Tensor::randn(&[1, 2, 8, 8], &mut rng);
         let t = Tensor::from_vec(vec![5.0], &[1]);
@@ -410,10 +314,10 @@ mod tests {
         assert_eq!(taps_before.1, 4, "the up-path conv1 layers split their inputs");
 
         let pack = pack_unet(&unet, &report);
-        // Every packed layer, split ones included, quantizes in its kernel
-        // and has both tap closures parked in the slot.
+        // Every packed layer, split ones included, quantizes in its kernel,
+        // and its tap keeps both closures.
         assert_eq!(pack.fused_act_layers(), pack.layers.len(), "every layer must fuse");
-        assert_eq!(count_taps(), (0, 0), "fused layers suspend both tap closures");
+        assert_eq!(count_taps(), taps_before, "fused layers keep both tap closures");
         let mut split_infos = 0;
         for (info, rep) in pack.layers.iter().zip(&report.layers) {
             assert_eq!(info.name, rep.name);
@@ -440,9 +344,9 @@ mod tests {
             assert!((a - b).abs() < 1e-3 * scale, "fused forward diverged: {a} vs {b}");
         }
 
-        // Unpacking puts every tap closure back, skip halves included.
+        // Unpacking leaves every tap closure in place, skip halves included.
         unpack_unet(&unet);
-        assert_eq!(count_taps(), taps_before, "unpack must restore suspended taps");
+        assert_eq!(count_taps(), taps_before, "unpack must keep the tap closures");
         let restored = unet.forward(&x, &t, None);
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&restored), bits(&dense), "dense forward must be bit-identical");

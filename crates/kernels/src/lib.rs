@@ -104,17 +104,20 @@
 //!    "fake-quantize first, then run the same kernel" — so batch-N
 //!    sampling reproduces N batch-1 runs bit-for-bit
 //!    (`tests/batched_consistency.rs`).
-//! 4. **Model wiring** ([`exec`]). `pack_unet` re-encodes a PTQ'd model's
-//!    baked weights into their searched formats and installs packed
-//!    forward overrides into every quantized Linear/Conv layer
-//!    ([`fpdq_nn::PackedSlot`]). Every layer whose tap quantizes gets the
-//!    *fused* forward: its tap quantizer closures are suspended into the
-//!    slot (restored by `unpack_unet`) and quantization runs inside the
-//!    packed kernel — per tensor for a whole-input format, and for the
-//!    layers consuming a skip-connection concatenation through
+//! 4. **Model wiring** ([`exec`]). Each quantized Linear/Conv layer has
+//!    one forward body, the same engine call for dense and packed
+//!    weights. `pack_unet` re-encodes a PTQ'd model's baked weights into
+//!    their searched formats and installs them ([`install_packed`], the
+//!    one install path, which the container loader shares) into every
+//!    quantized layer's [`fpdq_nn::PackedSlot`]: the packed weight, a
+//!    bias copy, the conv spec and, for every layer whose tap quantizes,
+//!    the fused activation stage — per tensor for a whole-input format,
+//!    and for the layers consuming a skip-connection concatenation
 //!    [`fpdq_core::PanelQuantizer::split`] (trunk format below the split
 //!    channel, skip format from it on), without the tap's
-//!    `narrow`/`concat` copies.
+//!    `narrow`/`concat` copies. The tap keeps its quantizer closures and
+//!    skips quantizing while the slot holds a fused stage, so
+//!    `unpack_unet` only clears the slots.
 //!
 //! # Runtime SIMD dispatch
 //!
@@ -151,7 +154,7 @@
 //!
 //! Parallelism comes from `fpdq_tensor::parallel` scoped-thread helpers:
 //! the GEMM splits packed weight rows or activation rows on the 4-row
-//! register-block grid (`parallel_rows_aligned`), the conv splits
+//! register-block grid (`parallel_rows_aligned_in`), the conv splits
 //! batches or output channels — regime chosen per call by [`schedule`]
 //! from tile counts vs. workers — and every worker owns its scratch
 //! (decoded weight tile, quantized activation block, quantized and
@@ -183,8 +186,7 @@ pub use fpdq_tensor::schedule;
 
 pub use conv::conv2d_packed;
 pub use exec::{
-    install_packed_weight, pack_unet, try_install_packed_weight, try_install_prebuilt,
-    try_pack_unet, unpack_unet, PackReport, PackedLayerInfo,
+    install_packed, pack_unet, try_pack_unet, unpack_unet, PackReport, PackedLayerInfo,
 };
 /// The execution context every packed kernel takes (defined next to the
 /// worker-count helpers in `fpdq-tensor`).

@@ -2,7 +2,10 @@
 //! and the quantization tap machinery.
 
 use fpdq_autograd::Param;
-use fpdq_tensor::conv::Conv2dSpec;
+use fpdq_tensor::conv::{conv2d, Conv2dSpec};
+use fpdq_tensor::matmul::gemm_nt;
+use fpdq_tensor::operand::{ActStage, DecodeRows, Weights};
+use fpdq_tensor::parallel::Exec;
 use fpdq_tensor::simd::{self, Isa};
 use fpdq_tensor::{Shape, Tensor};
 use rand::Rng;
@@ -16,100 +19,131 @@ use std::rc::Rc;
 /// only knows the function shape.
 pub type ActQuantFn = Rc<dyn Fn(&Tensor) -> Tensor>;
 
-/// A packed-weight forward override: maps the layer's (already tapped)
-/// input to its output using a bit-packed weight representation.
-///
-/// Implemented by `fpdq-kernels`' dequantize-on-the-fly GEMM/conv kernels;
-/// the nn crate only knows the function shape. Installing one switches the
-/// layer's inference forward from the dense fake-quantized path to real
-/// packed execution.
-pub type PackedForwardFn = Rc<dyn Fn(&Tensor) -> Tensor>;
-
-/// A tap's activation quantizers while a fused packed forward owns
-/// quantization: the trunk (or whole-input) closure and, for a layer
-/// consuming a skip-connection concatenation, the skip-half closure.
-#[derive(Clone)]
-pub struct SuspendedAct {
-    /// The tap's `act_quant`.
-    pub trunk: ActQuantFn,
-    /// The tap's `act_quant_skip`.
-    pub skip: Option<ActQuantFn>,
+/// The packed execution state of a quantizable layer: its weight as a
+/// packed low-bit tensor, the activation stage fused into the engine
+/// (when the layer's activations are quantized there), a bias copy, and
+/// the conv spec (`None` for a linear).
+struct Packed {
+    weight: Box<dyn DecodeRows>,
+    act: Option<Box<dyn ActStage>>,
+    bias: Option<Tensor>,
+    spec: Option<Conv2dSpec>,
 }
 
-impl SuspendedAct {
-    /// Takes both quantizer closures out of `tap`, if it holds a trunk
-    /// quantizer (without one the tap quantizes nothing).
-    pub fn take_from(tap: &mut Tap) -> Option<SuspendedAct> {
-        let trunk = tap.act_quant.take()?;
-        Some(SuspendedAct { trunk, skip: tap.act_quant_skip.take() })
-    }
-
-    /// Puts both closures back into `tap`.
-    pub fn restore(self, tap: &mut Tap) {
-        tap.act_quant = Some(self.trunk);
-        tap.act_quant_skip = self.skip;
-    }
-}
-
-/// Slot on a quantizable layer holding an optional [`PackedForwardFn`],
-/// plus the tap's suspended activation quantizers when the packed forward
-/// has *fused* activation quantization (the kernel quantizes inside its
-/// tile loop, so the tap must stop pre-quantizing — but must get its
-/// closures back when the layer reverts to dense execution).
-#[derive(Clone, Default)]
+/// Slot on a quantizable layer holding its packed weight, once the
+/// packing driver in `fpdq-kernels` has installed one. The layer then
+/// runs the same forward body on the packed weight's decoded rows
+/// ([`Weights::Decoded`]) instead of its `f32` weight. A fused activation
+/// stage quantizes the input inside the engine, so the layer's [`Tap`]
+/// captures but does not quantize; the tap keeps its quantizers for when
+/// the slot is cleared.
+#[derive(Default)]
 pub struct PackedSlot {
-    forward: RefCell<Option<PackedForwardFn>>,
-    suspended_act: RefCell<Option<SuspendedAct>>,
+    packed: RefCell<Option<Packed>>,
 }
 
 impl std::fmt::Debug for PackedSlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PackedSlot")
-            .field("installed", &self.forward.borrow().is_some())
-            .field("suspended_act", &self.suspended_act.borrow().is_some())
+            .field("installed", &self.is_installed())
+            .field("fused_act", &self.fuses_act())
             .finish()
     }
 }
 
 impl PackedSlot {
-    /// Installs a packed-execution override.
-    pub fn install(&self, f: PackedForwardFn) {
-        *self.forward.borrow_mut() = Some(f);
+    /// Installs a packed weight (`[out, in]` for a linear, with `spec`
+    /// `None`; `[o, c, kh, kw]` for a conv), the optional fused activation
+    /// stage and the bias, replacing any earlier install.
+    pub fn install(
+        &self,
+        weight: Box<dyn DecodeRows>,
+        act: Option<Box<dyn ActStage>>,
+        bias: Option<Tensor>,
+        spec: Option<Conv2dSpec>,
+    ) {
+        *self.packed.borrow_mut() = Some(Packed { weight, act, bias, spec });
     }
 
-    /// Removes the override (reverting to dense execution) and returns
-    /// the suspended tap activation quantizers, if the fused forward had
-    /// parked them. The caller owns the restore: put them back with
-    /// [`SuspendedAct::restore`] (as `fpdq-kernels::unpack_unet` does) —
-    /// dropping them would leave the dense path running *without*
-    /// activation quantization, which is why the result must not be
-    /// ignored.
-    #[must_use = "restore the suspended act quantizers into the tap, or dense execution loses them"]
-    pub fn clear(&self) -> Option<SuspendedAct> {
-        *self.forward.borrow_mut() = None;
-        self.take_suspended_act()
+    /// Removes the packed weight, reverting to dense execution.
+    pub fn clear(&self) {
+        *self.packed.borrow_mut() = None;
     }
 
-    /// Parks the tap's activation quantizers while a fused forward owns
-    /// quantization (see [`Self::take_suspended_act`]).
-    pub fn suspend_act(&self, act: SuspendedAct) {
-        *self.suspended_act.borrow_mut() = Some(act);
-    }
-
-    /// Returns (and clears) the suspended activation quantizers so the
-    /// unpacking driver can restore them into the tap.
-    pub fn take_suspended_act(&self) -> Option<SuspendedAct> {
-        self.suspended_act.borrow_mut().take()
-    }
-
-    /// Whether an override is installed.
+    /// Whether a packed weight is installed.
     pub fn is_installed(&self) -> bool {
-        self.forward.borrow().is_some()
+        self.packed.borrow().is_some()
     }
 
-    /// Runs the override on a tapped input, if installed.
+    /// Whether the installed forward quantizes its input in the engine.
+    fn fuses_act(&self) -> bool {
+        self.packed.borrow().as_ref().is_some_and(|p| p.act.is_some())
+    }
+
+    /// Runs the layer body on the packed weight for a tapped input, if
+    /// installed.
     pub fn run(&self, x: &Tensor) -> Option<Tensor> {
-        self.forward.borrow().as_ref().map(|f| f(x))
+        let packed = self.packed.borrow();
+        let p = packed.as_ref()?;
+        let (w, act, bias) = (Weights::Decoded(&*p.weight), p.act.as_deref(), p.bias.as_ref());
+        Some(match p.spec {
+            None => linear_body(x, w, bias, act),
+            Some(spec) => conv_body(x, w, bias, spec, act),
+        })
+    }
+}
+
+/// The one Linear forward, over dense and packed weights alike: the NT
+/// GEMM reads a 2-D `[rows, in]` or 3-D `[b, l, in]` input as its rows in
+/// place, the bias is added in place, and the `[rows, out]` result moves
+/// into the input's leading dims ([`Tensor::into_shape`]). Both layer
+/// bodies start only the workers their multiply-adds pay for
+/// ([`Exec::for_macs`]).
+fn linear_body(
+    x: &Tensor,
+    w: Weights<'_>,
+    bias: Option<&Tensor>,
+    act: Option<&dyn ActStage>,
+) -> Tensor {
+    let rank = x.ndim();
+    assert!(matches!(rank, 2 | 3), "Linear expects 2-D or 3-D input, got rank {rank}");
+    let out = w.dims()[0];
+    let mut y = gemm_nt(x, w, act, Exec::for_macs(x.numel().saturating_mul(out)));
+    if let Some(b) = bias {
+        for row in y.data_mut().chunks_exact_mut(out.max(1)) {
+            for (v, &bv) in row.iter_mut().zip(b.data()) {
+                *v += bv;
+            }
+        }
+    }
+    let mut dims = x.dims().to_vec();
+    dims[rank - 1] = out;
+    y.into_shape(&dims)
+}
+
+/// The one Conv2d forward, over dense and packed weights alike.
+fn conv_body(
+    x: &Tensor,
+    w: Weights<'_>,
+    bias: Option<&Tensor>,
+    spec: Conv2dSpec,
+    act: Option<&dyn ActStage>,
+) -> Tensor {
+    let macs = match (x.dims(), w.dims()) {
+        (&[n, _, h, iw], &[o, c, kh, kw]) => {
+            let ohow = spec.out_extent(h, kh) * spec.out_extent(iw, kw);
+            n.saturating_mul(o).saturating_mul(ohow).saturating_mul(c * kh * kw)
+        }
+        _ => 0,
+    };
+    conv2d(x, w, bias, spec, act, Exec::for_macs(macs))
+}
+
+/// Runs `f` on the value of an optional bias parameter.
+fn with_bias<R>(bias: &Option<Param>, f: impl FnOnce(Option<&Tensor>) -> R) -> R {
+    match bias {
+        Some(b) => b.with_value(|b| f(Some(b))),
+        None => f(None),
     }
 }
 
@@ -153,15 +187,25 @@ impl std::fmt::Debug for Tap {
 }
 
 impl Tap {
-    /// Applies the tap to a layer input: capture first, then quantize. A
-    /// tap without a quantizer (e.g. one a fused packed forward has
-    /// suspended) passes the input through without copying it.
+    /// Applies the tap to a layer input: capture first, then quantize
+    /// unless `fused` (the layer's packed forward quantizes inside the
+    /// engine). A tap that does not quantize passes the input through
+    /// without copying it.
     ///
     /// `split` is the channel (conv) or feature (linear) index where the
     /// skip half of a concatenated input begins; `axis` is the channel axis.
-    fn apply<'a>(&self, x: &'a Tensor, split: Option<usize>, axis: usize) -> Cow<'a, Tensor> {
+    fn apply<'a>(
+        &self,
+        x: &'a Tensor,
+        split: Option<usize>,
+        axis: usize,
+        fused: bool,
+    ) -> Cow<'a, Tensor> {
         if let Some(buf) = &self.capture {
             buf.borrow_mut().push(x.clone());
+        }
+        if fused {
+            return Cow::Borrowed(x);
         }
         match (&self.act_quant, split, &self.act_quant_skip) {
             (Some(q), Some(at), Some(qs)) if at < x.dim(axis) => {
@@ -193,8 +237,9 @@ pub trait QuantLayer {
     /// If this layer consumes `concat(trunk, skip)`, the channel index
     /// where the skip half begins.
     fn concat_split(&self) -> Option<usize>;
-    /// The layer's packed-execution slot, letting the packing driver in
-    /// `fpdq-kernels` swap the inference forward to bit-packed kernels.
+    /// The layer's packed-execution slot, where the packing driver in
+    /// `fpdq-kernels` installs a bit-packed weight for the inference
+    /// forward to run on.
     fn packed(&self) -> &PackedSlot;
     /// Applies the layer to `x` with an explicit weight, bypassing the tap
     /// (used by rounding-learning reconstruction).
@@ -296,11 +341,11 @@ impl Linear {
         self.weight.dims()[0]
     }
 
-    /// Inference forward: applies the tap, then either the packed-weight
-    /// override (when installed) or the dense path.
+    /// Inference forward: applies the tap, then the layer body on the
+    /// packed weight (when installed) or the dense one.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let axis = x.ndim() - 1;
-        let x = self.tap.borrow().apply(x, self.concat_split, axis);
+        let x = self.tap.borrow().apply(x, self.concat_split, axis, self.packed.fuses_act());
         if let Some(y) = self.packed.run(&x) {
             return y;
         }
@@ -342,23 +387,7 @@ impl QuantLayer for Linear {
         &self.packed
     }
     fn forward_with_weight(&self, x: &Tensor, weight: &Tensor) -> Tensor {
-        let rank = x.ndim();
-        assert!(matches!(rank, 2 | 3), "Linear expects 2-D or 3-D input, got rank {rank}");
-        // A `[b, l, d]` input is read in place as `b·l` rows.
-        let mut y = x.matmul_nt(weight);
-        let out = weight.dim(0);
-        if let Some(b) = &self.bias {
-            b.with_value(|b| {
-                for row in y.data_mut().chunks_exact_mut(out.max(1)) {
-                    for (v, &bv) in row.iter_mut().zip(b.data()) {
-                        *v += bv;
-                    }
-                }
-            });
-        }
-        let mut dims = x.dims().to_vec();
-        dims[rank - 1] = out;
-        y.into_shape(&dims)
+        with_bias(&self.bias, |b| linear_body(x, Weights::Dense(weight), b, None))
     }
 }
 
@@ -422,10 +451,10 @@ impl<P> Conv2d<P> {
 }
 
 impl Conv2d {
-    /// Inference forward: applies the tap, then either the packed-weight
-    /// override (when installed) or the dense path.
+    /// Inference forward: applies the tap, then the layer body on the
+    /// packed weight (when installed) or the dense one.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let x = self.tap.borrow().apply(x, self.concat_split, 1);
+        let x = self.tap.borrow().apply(x, self.concat_split, 1, self.packed.fuses_act());
         if let Some(y) = self.packed.run(&x) {
             return y;
         }
@@ -467,10 +496,7 @@ impl QuantLayer for Conv2d {
         &self.packed
     }
     fn forward_with_weight(&self, x: &Tensor, weight: &Tensor) -> Tensor {
-        match &self.bias {
-            Some(b) => b.with_value(|b| x.conv2d(weight, Some(b), self.spec)),
-            None => x.conv2d(weight, None, self.spec),
-        }
+        with_bias(&self.bias, |b| conv_body(x, Weights::Dense(weight), b, self.spec, None))
     }
 }
 

@@ -36,6 +36,18 @@
 //! activation quantizers are plain `Fn(&Tensor) -> Tensor` objects installed
 //! into each layer's [`Tap`].
 //!
+//! Each of [`Linear`] and [`Conv2d`] has one forward body, an engine call
+//! of `fpdq-tensor` (`matmul::gemm_nt` or `conv::conv2d`) over a
+//! `Weights` source. The dense forward and
+//! [`QuantLayer::forward_with_weight`] pass `f32` weights; once the
+//! packing driver in `fpdq-kernels` has installed a packed weight into
+//! the layer's [`PackedSlot`], the same body runs on its decoded rows.
+//! The slot holds data, not code: the packed weight, a bias copy, the
+//! conv spec, and the activation stage when quantization is fused into
+//! the engine. A fused layer's tap still captures but does not quantize;
+//! it keeps its quantizers, so clearing the slot returns the layer to
+//! fake-quantized dense execution as it was.
+//!
 //! [`visit_quant_layers`]: UNet::visit_quant_layers
 
 pub mod attention;
@@ -51,8 +63,7 @@ pub use attention::{MultiHeadAttention, TransformerBlock};
 pub use autoencoder::{Autoencoder, AutoencoderConfig};
 pub use layers::{
     group_norm_ref, group_norm_ref_as, layer_norm_ref, ActQuantFn, Conv2d, GroupNorm, Init,
-    LayerNorm, Linear, PackedForwardFn, PackedSlot, QuantKind, QuantLayer, ShapeOnly, SuspendedAct,
-    Tap,
+    LayerNorm, Linear, PackedSlot, QuantKind, QuantLayer, ShapeOnly, Tap,
 };
 pub use module::{load_params, save_params, ParamCollector};
 pub use ops::{Infer, Ops, Train};

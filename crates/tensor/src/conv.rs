@@ -71,7 +71,7 @@
 
 use crate::matmul::{gemm_nt_direct_as, gemm_nt_panel_as, NT_MR, NT_NR};
 use crate::operand::{ActStage, Planes, Weights};
-use crate::parallel::{parallel_rows, parallel_rows_aligned_in, parallel_rows_in, Exec};
+use crate::parallel::{num_threads, parallel_rows_aligned_in, parallel_rows_in, Exec};
 use crate::schedule::{pick_conv_regime, ConvRegime};
 use crate::scratch::{Scratch, ACTS, INDEX, STAGED, WEIGHTS};
 use crate::simd::Isa;
@@ -670,7 +670,7 @@ pub fn conv2d_grad_input(
     let w2 = weight.reshape(&[o, ckk]);
     let gout = grad_out.data();
     let mut gin = vec![0.0f32; n * c * h * w];
-    parallel_rows(&mut gin, n, c * h * w, 1, |batch_start, chunk| {
+    parallel_rows_in(num_threads(), &mut gin, n, c * h * w, 1, |batch_start, chunk| {
         let mut cols = vec![0.0f32; ckk * oh * ow];
         for (bi, ibatch) in chunk.chunks_mut(c * h * w).enumerate() {
             let batch = batch_start + bi;

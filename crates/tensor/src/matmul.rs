@@ -48,8 +48,8 @@
 //! pins down.
 
 use crate::operand::{ActStage, Planes, Weights};
-use crate::parallel::{parallel_rows, parallel_rows_aligned_in, parallel_rows_in, Exec};
-use crate::schedule::{pick_gemm_regime, workers_for, GemmRegime, ACT_BLOCK};
+use crate::parallel::{num_threads, parallel_rows_aligned_in, parallel_rows_in, Exec};
+use crate::schedule::{pick_gemm_regime, GemmRegime, ACT_BLOCK};
 use crate::scratch::{Scratch, ACTS, HEADS, STAGED, WEIGHTS};
 use crate::simd::{self, Isa};
 use crate::tensor::{mul_scalar_inplace_as, softmax_rows_inplace};
@@ -75,7 +75,7 @@ impl Tensor {
     /// `self [.., k] × otherᵀ [n, k] → [m, n]`: the NT GEMM ([`gemm_nt`])
     /// on dense weights, with the dispatched ISA and the process-wide
     /// workers, of which it starts only as many as its multiply-adds pay
-    /// for ([`workers_for`]): the small linears of a text encoder run
+    /// for ([`Exec::for_macs`]): the small linears of a text encoder run
     /// inline. Every leading dim of `self` folds into the `m` rows, read
     /// in place, so a `[b, l, d]` input needs no flattening copy.
     ///
@@ -84,10 +84,8 @@ impl Tensor {
     /// Panics if `other` is not 2-D, `self` is 0-D, or the `k` dimensions
     /// differ.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        let Exec { isa, workers } = Exec::default();
         let n = other.dims().first().map_or(0, |&n| n);
-        let workers = workers_for(self.numel().saturating_mul(n), workers);
-        gemm_nt(self, Weights::Dense(other), None, Exec::new(isa, workers))
+        gemm_nt(self, Weights::Dense(other), None, Exec::for_macs(self.numel().saturating_mul(n)))
     }
 
     /// `selfᵀ × other` for 2-D tensors: `[k, m]ᵀ × [k, n] → [m, n]`.
@@ -105,7 +103,7 @@ impl Tensor {
         let b = other.data();
         let mut out = vec![0.0f32; m * n];
         // out[i, j] = sum_k a[k, i] * b[k, j]; accumulate row-wise over k.
-        parallel_rows(&mut out, m, n, 8, |row_start, chunk| {
+        parallel_rows_in(num_threads(), &mut out, m, n, 8, |row_start, chunk| {
             for (r, orow) in chunk.chunks_mut(n).enumerate() {
                 let i = row_start + r;
                 for kk in 0..k {
@@ -139,7 +137,7 @@ impl Tensor {
         let mut out = vec![0.0f32; b * m * n];
         let a = self.data();
         let bd = other.data();
-        parallel_rows(&mut out, b, m * n, 1, |batch_start, chunk| {
+        parallel_rows_in(num_threads(), &mut out, b, m * n, 1, |batch_start, chunk| {
             for (bi, obatch) in chunk.chunks_mut(m * n).enumerate() {
                 let batch = batch_start + bi;
                 gemm_serial(
@@ -210,7 +208,7 @@ impl Tensor {
             return Tensor::from_vec(out, &[b, n, d]);
         }
         let (qd, kd, vd) = (self.data(), k.data(), v.data());
-        parallel_rows(&mut out, b, n * d, 1, |batch_start, chunk| {
+        parallel_rows_in(num_threads(), &mut out, b, n * d, 1, |batch_start, chunk| {
             let mut scratch = Scratch::take(&HEADS, 2 * n * dh + 2 * dh * m + n * m);
             let (qh, rest) = scratch.split_at_mut(n * dh);
             let (kt, rest) = rest.split_at_mut(dh * m);
@@ -274,7 +272,7 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "gemm lhs size");
     assert_eq!(b.len(), k * n, "gemm rhs size");
     assert_eq!(c.len(), m * n, "gemm out size");
-    parallel_rows(c, m, n, 8, |row_start, chunk| {
+    parallel_rows_in(num_threads(), c, m, n, 8, |row_start, chunk| {
         let rows = chunk.len() / n.max(1);
         gemm_serial(&a[row_start * k..(row_start + rows) * k], b, chunk, rows, k, n);
     });

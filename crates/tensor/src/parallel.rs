@@ -4,6 +4,7 @@
 //! kernels only need "split this range across cores" parallelism, which
 //! scoped threads provide with zero dependencies.
 
+use crate::schedule::workers_for;
 use crate::simd::{self, Isa};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -28,6 +29,14 @@ impl Exec {
     /// An explicit ISA and worker count.
     pub fn new(isa: Isa, workers: usize) -> Self {
         Exec { isa, workers }
+    }
+
+    /// [`Exec::default`] capped to the workers a call of `macs`
+    /// multiply-adds pays for ([`workers_for`]): the worker policy of
+    /// dense `Tensor::matmul_nt` and of the model layers.
+    pub fn for_macs(macs: usize) -> Self {
+        let Exec { isa, workers } = Exec::default();
+        Exec::new(isa, workers_for(macs, workers))
     }
 }
 
@@ -59,70 +68,19 @@ pub fn num_threads() -> usize {
     n
 }
 
-/// Runs `body(start, end)` over disjoint chunks of `0..len` in parallel.
+/// Splits a mutable slice into `0..rows` row-chunks of `row` elements
+/// each and processes them on up to `workers` scoped threads:
+/// `body(row_start, rows_chunk)`. Each worker receives an exclusive
+/// `&mut [f32]` window covering whole rows, so kernels write without
+/// synchronisation. The split starts no more workers than give each
+/// `min_rows` rows, and one worker runs inline.
 ///
-/// Falls back to a single in-line call when the range is small (below
-/// `min_per_thread` elements per worker) so tiny tensors do not pay thread
-/// spawn costs.
-///
-/// # Example
-///
-/// ```
-/// let mut out = vec![0.0f32; 1000];
-/// let chunks = std::sync::Mutex::new(Vec::new());
-/// fpdq_tensor::parallel::parallel_for(1000, 64, |s, e| {
-///     chunks.lock().unwrap().push((s, e));
-/// });
-/// let total: usize = chunks.lock().unwrap().iter().map(|&(s, e)| e - s).sum();
-/// assert_eq!(total, 1000);
-/// # let _ = out.pop();
-/// ```
-pub fn parallel_for<F>(len: usize, min_per_thread: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let workers = num_threads().min(len / min_per_thread.max(1)).max(1);
-    if workers <= 1 {
-        body(0, len);
-        return;
-    }
-    let chunk = len.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let start = w * chunk;
-            let end = ((w + 1) * chunk).min(len);
-            if start >= end {
-                break;
-            }
-            let body = &body;
-            scope.spawn(move || body(start, end));
-        }
-    });
-}
-
-/// Splits a mutable slice into `0..len` row-chunks of `row` elements each and
-/// processes them in parallel: `body(row_start, rows_chunk)`.
-///
-/// This is the writer-side companion of [`parallel_for`]: each worker
-/// receives an exclusive `&mut [f32]` window covering whole rows, so kernels
-/// can write without synchronisation.
-pub fn parallel_rows<F>(out: &mut [f32], rows: usize, row: usize, min_rows: usize, body: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    parallel_rows_aligned(out, rows, row, min_rows, 1, body);
-}
-
-/// [`parallel_rows`] with an explicit worker-count cap instead of the
-/// process-wide [`num_threads`] default.
-///
-/// The batched packed kernels thread their scheduling decision and their
-/// execution through the same worker count, and the differential test
-/// suite sweeps worker counts in one process (where `FPDQ_THREADS` is
-/// cached and cannot vary). `workers == 0` is treated as 1.
+/// The worker count is explicit: callers pass [`num_threads`] for the
+/// process-wide default, while the engines thread their scheduling
+/// decision and their execution through one [`Exec`], and the
+/// differential test suite sweeps worker counts in one process (where
+/// `FPDQ_THREADS` is cached and cannot vary). `workers == 0` is treated
+/// as 1.
 pub fn parallel_rows_in<F>(
     workers: usize,
     out: &mut [f32],
@@ -136,30 +94,16 @@ pub fn parallel_rows_in<F>(
     parallel_rows_aligned_in(workers, out, rows, row, min_rows, 1, body);
 }
 
-/// [`parallel_rows`] with chunk starts forced to multiples of `align`.
+/// [`parallel_rows_in`] with chunk starts forced to multiples of `align`.
 ///
 /// Tiled kernels want worker boundaries on their register-block grid
 /// (e.g. the 4-row blocks of the NT micro-kernel): aligned chunks keep
 /// every worker's block decomposition identical to the single-threaded
 /// run, so blocked kernels that group rows (like `gemm_serial`'s 4-row
-/// zero-skip) partition work exactly as the serial pass would.
-pub fn parallel_rows_aligned<F>(
-    out: &mut [f32],
-    rows: usize,
-    row: usize,
-    min_rows: usize,
-    align: usize,
-    body: F,
-) where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    parallel_rows_aligned_in(num_threads(), out, rows, row, min_rows, align, body);
-}
-
-/// [`parallel_rows_aligned`] with an explicit worker-count cap (see
-/// [`parallel_rows_in`]). The chunk decomposition for a given
-/// `(workers, rows, align)` is deterministic, so callers that pin
-/// `workers` get a reproducible schedule regardless of `FPDQ_THREADS`.
+/// zero-skip) partition work exactly as the serial pass would. The chunk
+/// decomposition for a given `(workers, rows, align)` is deterministic,
+/// so callers that pin `workers` get a reproducible schedule regardless
+/// of `FPDQ_THREADS`.
 pub fn parallel_rows_aligned_in<F>(
     workers: usize,
     out: &mut [f32],
@@ -203,26 +147,9 @@ mod tests {
     use std::sync::Mutex;
 
     #[test]
-    fn covers_whole_range_without_overlap() {
-        let seen = Mutex::new(vec![0u8; 1013]);
-        parallel_for(1013, 8, |s, e| {
-            let mut v = seen.lock().unwrap();
-            for i in s..e {
-                v[i] += 1;
-            }
-        });
-        assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn empty_range_is_noop() {
-        parallel_for(0, 8, |_, _| panic!("must not be called"));
-    }
-
-    #[test]
     fn rows_partition_exclusive() {
         let mut out = vec![0.0f32; 7 * 5];
-        parallel_rows(&mut out, 7, 5, 1, |row_start, chunk| {
+        parallel_rows_in(num_threads(), &mut out, 7, 5, 1, |row_start, chunk| {
             for (r, row) in chunk.chunks_mut(5).enumerate() {
                 for v in row.iter_mut() {
                     *v = (row_start + r) as f32;
@@ -274,7 +201,7 @@ mod tests {
         // cover every row exactly once.
         let mut out = vec![0.0f32; 11 * 3];
         let starts = Mutex::new(Vec::new());
-        parallel_rows_aligned(&mut out, 11, 3, 1, 4, |row_start, chunk| {
+        parallel_rows_aligned_in(2, &mut out, 11, 3, 1, 4, |row_start, chunk| {
             starts.lock().unwrap().push((row_start, chunk.len() / 3));
             for v in chunk.iter_mut() {
                 *v += 1.0;

@@ -61,12 +61,12 @@ fn main() {
         packed_time,
     );
 
-    // Numerical contract: one U-Net forward through the packed engine
-    // matches the fake-quantized forward up to float summation order.
-    // (Full sampling trajectories are *equally valid* but not identical:
-    // the activation fake-quantizers snap values to a grid, so a ~1e-7
-    // reordering difference that lands on a grid boundary becomes a full
-    // grid step, and the iterative sampler amplifies it.)
+    // Numerical contract: each layer runs one forward body on the same
+    // engine whether its weight is dense or packed, so one U-Net forward
+    // through the packed engine matches the fake-quantized forward
+    // wherever the baked weights lie on the packed grid. (A weight off
+    // the grid moves its layer's output slightly, and the iterative
+    // sampler amplifies that over a full trajectory.)
     let x = Tensor::randn(&[1, 3, 8, 8], &mut StdRng::seed_from_u64(3));
     let t = Tensor::from_vec(vec![5.0], &[1]);
     let packed_once = pipeline.unet.forward(&x, &t, None);

@@ -3,8 +3,8 @@
 //! compute — the property that licenses evaluating image quality with
 //! simulated quantization while claiming real-footprint deployment.
 
-use fpdq::kernels::{gemm_packed, install_packed_weight, Exec, PackedTensor};
-use fpdq::nn::{Linear, QuantLayer};
+use fpdq::kernels::{gemm_packed, install_packed, Exec, PackedTensor};
+use fpdq::nn::{Conv2d, Linear, QuantLayer};
 use fpdq::quant::{search_fp_format, FpFormat, TensorQuantizer};
 use fpdq::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -39,9 +39,9 @@ fn packed_gemm_reproduces_quantized_linear_layer() {
 
 #[test]
 fn fused_packed_layer_reproduces_tap_quantized_layer() {
-    // The fused weight+activation forward (tap quantizer suspended,
-    // quantization inside the packed kernel) must reproduce the tap-based
-    // fake-quantized execution.
+    // The fused weight+activation forward (quantization inside the packed
+    // engine, the tap only capturing) must reproduce the tap-based
+    // fake-quantized execution bit for bit.
     let mut rng = StdRng::seed_from_u64(7);
     let lin = Linear::new("l", 20, 12, &mut rng);
     let x = Tensor::randn(&[4, 20], &mut rng);
@@ -50,39 +50,53 @@ fn fused_packed_layer_reproduces_tap_quantized_layer() {
     let TensorQuantizer::Fp(wf) = wfmt else { unreachable!() };
     lin.weight.replace(wf.quantize(&lin.weight.value()));
     lin.tap().borrow_mut().act_quant = Some(afmt.into_act_fn());
+    let pack = |lin: &Linear| {
+        let packed = PackedTensor::encode(&lin.weight.value(), wfmt);
+        install_packed(lin, packed, Some(&afmt), None).expect("dims match")
+    };
 
     // Tap-quantized dense reference.
     let reference = lin.forward(&x);
 
-    // Fused packed execution: the installer suspends the tap quantizer.
-    let info = install_packed_weight(&lin, &wfmt, Some(&afmt), None);
+    // Fused packed execution: the tap keeps its quantizer.
+    let info = pack(&lin);
     assert!(info.fused_act.is_some(), "whole-input layer must fuse");
-    assert!(lin.tap().borrow().act_quant.is_none(), "tap must be suspended");
-    let fused = lin.forward(&x);
-    for (a, b) in reference.data().iter().zip(fused.data()) {
-        assert!((a - b).abs() < 1e-4, "tap {a} vs fused {b}");
-    }
+    assert!(lin.tap().borrow().act_quant.is_some(), "tap must keep its quantizer");
+    assert_same_bits(&lin.forward(&x), &reference, "fused linear");
 
-    // Clearing hands back the suspended tap closure for restoration.
-    if let Some(suspended) = lin.packed().clear() {
-        suspended.restore(&mut lin.tap().borrow_mut());
-    }
-    assert!(lin.tap().borrow().act_quant.is_some(), "tap must be restored");
-    let restored = lin.forward(&x);
-    assert_eq!(restored.data(), reference.data(), "dense path must restore");
+    // Clearing returns the layer to the tap-quantized dense path.
+    lin.packed().clear();
+    assert_same_bits(&lin.forward(&x), &reference, "dense path after clear");
 
     // Re-packing an already-packed layer is idempotent: the second
-    // install sees the original tap state and still fuses.
-    let first = install_packed_weight(&lin, &wfmt, Some(&afmt), None);
-    let second = install_packed_weight(&lin, &wfmt, Some(&afmt), None);
+    // install sees the same tap state and still fuses.
+    let first = pack(&lin);
+    let second = pack(&lin);
     assert_eq!(first.fused_act, second.fused_act, "re-pack must still fuse");
-    let refused = lin.forward(&x);
-    for (a, b) in reference.data().iter().zip(refused.data()) {
-        assert!((a - b).abs() < 1e-4, "re-packed layer diverged: {a} vs {b}");
+    assert_same_bits(&lin.forward(&x), &reference, "re-packed linear");
+    lin.packed().clear();
+
+    // A conv consuming `concat(trunk, skip)` fuses the split tap: trunk
+    // format below the split channel, skip format from it on.
+    let mut conv = Conv2d::new("c", 6, 5, 3, 1, 1, &mut rng);
+    conv.set_concat_split(4);
+    let x = Tensor::randn(&[2, 6, 5, 5], &mut rng);
+    let trunk = TensorQuantizer::Fp(FpFormat::new(4, 3));
+    let skip = TensorQuantizer::Fp(FpFormat::new(2, 5));
+    conv.weight.replace(wf.quantize(&conv.weight.value()));
+    {
+        let mut tap = conv.tap().borrow_mut();
+        tap.act_quant = Some(trunk.into_act_fn());
+        tap.act_quant_skip = Some(skip.into_act_fn());
     }
-    if let Some(suspended) = lin.packed().clear() {
-        suspended.restore(&mut lin.tap().borrow_mut());
-    }
+    let reference = conv.forward(&x);
+    let packed = PackedTensor::encode(&conv.weight.value(), wfmt);
+    let info = install_packed(&conv, packed, Some(&trunk), Some(&skip)).expect("dims match");
+    let want = format!("{}[..4] {}[4..]", trunk.describe(), skip.describe());
+    assert_eq!(info.fused_act.as_deref(), Some(want.as_str()), "split conv must fuse both halves");
+    assert_same_bits(&conv.forward(&x), &reference, "fused split conv");
+    conv.packed().clear();
+    assert_same_bits(&conv.forward(&x), &reference, "dense conv after clear");
 }
 
 #[test]
@@ -236,7 +250,8 @@ fn packed_linears_read_3d_activations_as_rows_bitwise() {
     let lin = Linear::new("l", d, out, &mut StdRng::seed_from_u64(12));
     lin.weight.replace(w);
     lin.tap().borrow_mut().act_quant = Some(afmt.into_act_fn());
-    let info = install_packed_weight(&lin, &wfmt, Some(&afmt), None);
+    let packed = PackedTensor::encode(&lin.weight.value(), wfmt);
+    let info = install_packed(&lin, packed, Some(&afmt), None).expect("dims match");
     assert!(info.fused_act.is_some(), "activation quantizer must fuse");
     let rows = lin.forward(&x);
     assert_eq!(rows.dims(), &[b, l, out]);
